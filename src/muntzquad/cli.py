@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ContinuationFailedError, DomainError, MuntzQuadError
+from .errors import DomainError, MuntzQuadError
 from .muntz import ensure_admissible
 from .solver import QuadratureRule, RuleSpec, apply_rule, compute_rule, transform_to_unit_weight
 
@@ -312,7 +312,7 @@ def cmd_rule(args) -> int:
         rule = compute_rule(spec)
         if args.unit_weight:
             rule = transform_to_unit_weight(rule)
-    except ContinuationFailedError as exc:
+    except MuntzQuadError as exc:
         print(f"error: rule construction failed: {exc}", file=sys.stderr)
         return 1
     _emit(serialize(rule_to_file(rule), args.format), args.out)
@@ -335,7 +335,7 @@ def cmd_validate(args) -> int:
             return 2
         try:
             rule_file = rule_to_file(compute_rule(spec))
-        except ContinuationFailedError as exc:
+        except MuntzQuadError as exc:
             print(f"error: rule construction failed: {exc}", file=sys.stderr)
             return 1
     rows = validation_rows(rule_file)

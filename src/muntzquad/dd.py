@@ -82,15 +82,6 @@ def div(x, y):
     return quick_two_sum(s, e + q3)
 
 
-def div_double(x, a):
-    return div(x, from_double(np.broadcast_to(np.asarray(a, dtype=float), np.shape(x[0]))))
-
-
-def reciprocal_double(a):
-    one = np.ones_like(np.asarray(a, dtype=float))
-    return div((one, np.zeros_like(one)), from_double(a))
-
-
 def sqrt(x):
     s = np.sqrt(x[0])
     p, e = two_prod(s, s)

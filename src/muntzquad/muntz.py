@@ -358,12 +358,13 @@ def _expansion_applicable(poles: np.ndarray, omega: float) -> bool:
 def _expansion_values(table, x: float, omega: float):
     """Basis values at one small point from the pole expansion, or None.
 
-    Works relative to the leading pole: every term carries the damping
-    ``exp(-omega * gap)``, and only the common factor ``x**min(lam)``
-    (whose rounding acts like a harmless weight perturbation) is applied in
-    ordinary arithmetic.  Returns None when cancellation between terms
-    exceeds the amplification guard (the expansion is then meaningless and
-    the caller keeps the contour path).
+    Works relative to the leading pole in double-double: every term carries
+    the damping ``exp(-omega * gap)``, and only the common factor
+    ``x**min(lam)`` (whose rounding acts like a harmless weight
+    perturbation) is applied to the rounded values in ordinary arithmetic.
+    Returns None when cancellation between terms exceeds the amplification
+    guard (the expansion is then meaningless and the caller keeps the
+    contour path).
     """
     poles, a, b, active = table
     damp = np.exp(-omega * (poles - poles[0]))
@@ -382,38 +383,8 @@ def _expansion_values(table, x: float, omega: float):
     largest = np.abs(term[0]).max(axis=1)
     if np.any(largest > _EXPANSION_AMPLIFICATION * np.maximum(np.abs(shape), 1e-300)):
         return None
-    return dd.mul_double(total, x ** poles[0])
-
-
-def _cdd_mul(a, b):
-    """Complex double-double product; operands are ((re_hi,re_lo),(im_hi,im_lo))."""
-    ar, ai = a
-    br, bi = b
-    re = dd.add(dd.mul(ar, br), dd.negate(dd.mul(ai, bi)))
-    im = dd.add(dd.mul(ar, bi), dd.mul(ai, br))
-    return re, im
-
-
-def _cdd_div(a, b):
-    ar, ai = a
-    br, bi = b
-    den = dd.add(dd.mul(br, br), dd.mul(bi, bi))
-    re = dd.div(dd.add(dd.mul(ar, br), dd.mul(ai, bi)), den)
-    im = dd.div(dd.add(dd.mul(ai, br), dd.negate(dd.mul(ar, bi))), den)
-    return re, im
-
-
-def _dd_axis_sum(pair, axis=-1):
-    """Pairwise double-double reduction along one axis."""
-    hi = np.moveaxis(pair[0], axis, -1)
-    lo = np.moveaxis(pair[1], axis, -1)
-    while hi.shape[-1] > 1:
-        if hi.shape[-1] % 2:
-            pad = [(0, 0)] * (hi.ndim - 1) + [(0, 1)]
-            hi = np.pad(hi, pad)
-            lo = np.pad(lo, pad)
-        hi, lo = dd.add((hi[..., 0::2], lo[..., 0::2]), (hi[..., 1::2], lo[..., 1::2]))
-    return hi[..., 0], lo[..., 0]
+    values, _ = dd.mul_double(total, x ** poles[0])
+    return values
 
 
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
@@ -455,105 +426,12 @@ def _panel_grid(first: float, width: float, segment: float, order: int):
     return t, w, phase
 
 
-@lru_cache(maxsize=128)
-def _panel_grid_dd(first: float, width: float, segment: float, order: int):
-    """Panel grid with sample points and oscillatory phase in double-double."""
-    _, w, _ = _panel_grid(first, width, segment, order)
-    gl = gauss_legendre(order)
-    starts, wds = _graded_widths(first, width, segment)
-    starts = starts[:, None]
-    wds = wds[:, None]
-    p_hi, p_lo = dd.two_prod(wds, gl.nodes[None, :])
-    t_hi, e1 = dd.two_sum(starts, p_hi)
-    t_hi, t_lo = dd.quick_two_sum(t_hi, e1 + p_lo)
-    t_hi = t_hi.ravel()
-    t_lo = t_lo.ravel()
-    base = np.exp(1j * t_hi)
-    # fold the low part into the phase to first order: e^{i(t_hi+t_lo)}
-    ph_re = (base.real, -base.imag * t_lo)
-    ph_im = (base.imag, base.real * t_lo)
-    for arr in (t_hi, t_lo, ph_re[0], ph_re[1], ph_im[0], ph_im[1]):
-        arr.setflags(write=False)
-    return t_hi, t_lo, w, ph_re, ph_im
-
-
 def _first_panel_width(width: float, theta_group: np.ndarray) -> float:
     """First-panel width resolving the pole at distance theta from the origin."""
     scale = float(min(width, np.min(theta_group)))
     if scale >= width:
         return width
     return max(2.0 ** math.floor(math.log2(scale)), width / 256.0)
-
-
-def _offsets_dd(lam, lam_min, omega, theta, shift_one: bool):
-    """Offsets ``omega*(lam_min +- lam (+1)) - theta`` as exact dd pairs."""
-    base = dd.two_sum(np.full_like(lam, lam_min)[None, :], (lam if shift_one else -lam)[None, :])
-    if shift_one:
-        base = dd.add_double(base, 1.0)
-    prod = dd.mul_double(base, omega[:, None])
-    return dd.add_double(prod, -theta[:, None])
-
-
-def _group_sweep_dd(lam, lam_min, omega, theta, amp, segment, cfg, lag):
-    """Compensated version of the contour sweep for one segment-level group.
-
-    Returns the basis values as an (hi, lo) pair of shape (nb, n_points).
-    The recurrence products, quadrature contractions, and phase all run in
-    double-double; only per-point coherent factors (the amplitude and the
-    evaluation frequency itself) stay in ordinary arithmetic, since those
-    act like node/weight perturbations far below the solver's tolerances.
-    """
-    nb = lam.size
-    first = _first_panel_width(cfg.panel_width, theta)
-    t_hi, t_lo, w_panel, ph_re, ph_im = _panel_grid_dd(first, cfg.panel_width, segment, cfg.panel_order)
-
-    num = _offsets_dd(lam, lam_min, omega, theta, shift_one=True)
-    den = _offsets_dd(lam, lam_min, omega, theta, shift_one=False)
-
-    def num_n(n):
-        return (num[0][:, n : n + 1], num[1][:, n : n + 1])
-
-    def den_n(n):
-        return (den[0][:, n : n + 1], den[1][:, n : n + 1])
-
-    zero = np.zeros_like(t_hi)[None, :]
-    h_cur = _cdd_div((ph_re, ph_im), ((t_hi[None, :], t_lo[None, :]), dd.add((zero, zero), den_n(0))))
-
-    tau = lag.nodes
-    tl_re = (np.full((1, tau.size), segment), np.zeros((1, tau.size)))
-    g_cur = _cdd_div(
-        ((np.ones((1, tau.size)), np.zeros((1, tau.size))), (np.zeros((1, tau.size)), np.zeros((1, tau.size)))),
-        (tl_re, dd.add((tau[None, :], np.zeros((1, tau.size))), den_n(0))),
-    )
-    pref = 1j * np.exp(1j * segment)
-
-    out_hi = np.empty((nb, omega.size))
-    out_lo = np.zeros((nb, omega.size))
-    out_hi[0] = np.nan  # row 0 is filled by the caller
-    for n in range(1, nb):
-        factor = _cdd_div(
-            ((t_hi[None, :], t_lo[None, :]), dd.add((zero, zero), num_n(n - 1))),
-            ((t_hi[None, :], t_lo[None, :]), dd.add((zero, zero), den_n(n))),
-        )
-        h_cur = _cdd_mul(h_cur, factor)
-        tail_factor = _cdd_div(
-            (tl_re, dd.add((tau[None, :], np.zeros((1, tau.size))), num_n(n - 1))),
-            (tl_re, dd.add((tau[None, :], np.zeros((1, tau.size))), den_n(n))),
-        )
-        g_cur = _cdd_mul(g_cur, tail_factor)
-
-        q1_im = _dd_axis_sum(dd.mul_double(h_cur[1], w_panel[None, :]))
-        # overflowed tail samples live in the damped-dead zone; drop them
-        ok = np.isfinite(g_cur[0][0]) & np.isfinite(g_cur[1][0])
-        tr = (np.where(ok, g_cur[0][0], 0.0), np.where(ok, g_cur[0][1], 0.0))
-        ti = (np.where(ok, g_cur[1][0], 0.0), np.where(ok, g_cur[1][1], 0.0))
-        s_re = _dd_axis_sum(dd.mul_double(tr, lag.weights[None, :]))
-        s_im = _dd_axis_sum(dd.mul_double(ti, lag.weights[None, :]))
-        # Im(pref * S) = Re(pref) Im(S) + Im(pref) Re(S)
-        q2_im = dd.add(dd.mul_double(s_im, pref.real), dd.mul_double(s_re, pref.imag))
-        total = dd.mul_double(dd.add(q1_im, q2_im), amp / math.pi)
-        out_hi[n], out_lo[n] = total
-    return out_hi, out_lo
 
 
 def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) -> np.ndarray:
@@ -599,14 +477,12 @@ def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) ->
     return levels
 
 
-def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
+def _basis_batch(shifted, xs, cfg: EvalConfig):
     """Basis values for the (already shifted) exponents at many points.
 
-    Returns ``(values, values_low, thetas, sigmas)`` where ``values[n, i]``
-    is the n-th basis element at ``xs[i]``.  Points equal to 1 short-circuit
-    to exact ones; a single-element sequence bypasses the contour entirely.
-    With ``compensated=True`` the whole pipeline runs in double-double and
-    ``values_low`` carries the compensation terms (otherwise it is None).
+    Returns ``(values, thetas, sigmas)`` where ``values[n, i]`` is the n-th
+    basis element at ``xs[i]``.  Points equal to 1 short-circuit to exact
+    ones; a single-element sequence bypasses the contour entirely.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -614,7 +490,6 @@ def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
     lam_min = float(np.min(lam))
 
     values = np.empty((nb, xs.size))
-    values_low = np.zeros((nb, xs.size)) if compensated else None
     thetas = np.zeros(xs.size)
     sigmas = np.full(xs.size, lam_min)
 
@@ -623,16 +498,15 @@ def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
         values[:, at_one] = 1.0
     active = np.flatnonzero(~at_one)
     if active.size == 0:
-        return values, values_low, thetas, sigmas
+        return values, thetas, sigmas
     xa = xs[active]
 
     if nb == 1:
         values[0, active] = xa ** lam[0]
-        return values, values_low, thetas, sigmas
+        return values, thetas, sigmas
 
     omega = np.maximum(-np.log(xa), cfg.omega_floor)
     out = np.empty((nb, xa.size))
-    out_low = np.zeros((nb, xa.size))
 
     # Points deep enough toward 0 skip the contour entirely: their basis
     # values come from the compensated pole expansion at full precision,
@@ -646,7 +520,7 @@ def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
             for i in candidates:
                 expanded = _expansion_values(table, float(xa[i]), float(omega[i]))
                 if expanded is not None:
-                    out[:, i], out_low[:, i] = expanded
+                    out[:, i] = expanded
                     by_contour[i] = False
 
     contour = np.flatnonzero(by_contour)
@@ -674,14 +548,6 @@ def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
         group = contour[in_level]
         segment = cfg.panel_width * cfg.panel_count * 2.0 ** int(level)
         amp = amplitude[in_level]
-
-        if compensated:
-            hi, low = _group_sweep_dd(
-                lam, lam_min, omega_c[in_level], theta[in_level], amp, segment, cfg, lag
-            )
-            out[1:, group] = hi[1:]
-            out_low[1:, group] = low[1:]
-            continue
 
         first = _first_panel_width(cfg.panel_width, theta[in_level])
         t_panel, w_panel, phase = _panel_grid(first, cfg.panel_width, segment, cfg.panel_order)
@@ -712,9 +578,7 @@ def _basis_batch(shifted, xs, cfg: EvalConfig, compensated: bool = False):
 
         out[1:, group] = (amp[:, None] / math.pi * (q_osc + q_tail)[:, 1:].imag).T
     values[:, active] = out
-    if compensated:
-        values_low[:, active] = out_low
-    return values, values_low, thetas, sigmas
+    return values, thetas, sigmas
 
 
 def _check_point(x: float) -> float:
@@ -728,7 +592,7 @@ def eval_all(exponents, x: float, config: EvalConfig | None = None) -> EvalResul
     """All basis values ``L_0(x), ..., L_N(x)`` for the unit-weight family."""
     cfg = config or EvalConfig()
     x = _check_point(x)
-    values, _, thetas, sigmas = _basis_batch(exponents, np.array([x]), cfg)
+    values, thetas, sigmas = _basis_batch(exponents, np.array([x]), cfg)
     return EvalResult(values=values[:, 0], theta_used=float(thetas[0]), sigma_used=float(sigmas[0]))
 
 
@@ -742,7 +606,7 @@ def eval_all_weighted(exponents, beta: float, x: float, config: EvalConfig | Non
     lam = ensure_admissible(exponents, beta)
     x = _check_point(x)
     shifted = lam + 0.5 * float(beta)
-    values, _, thetas, sigmas = _basis_batch(shifted, np.array([x]), cfg)
+    values, thetas, sigmas = _basis_batch(shifted, np.array([x]), cfg)
     scaled = values[:, 0] * x ** (-0.5 * float(beta))
     return EvalResult(values=scaled, theta_used=float(thetas[0]), sigma_used=float(sigmas[0]))
 

@@ -26,9 +26,9 @@ _EPS = np.finfo(float).eps
 def solve_dense(a, b) -> np.ndarray:
     """Solve the square system ``a @ p = b`` by LU with partial pivoting.
 
-    Raises ``SingularMatrixError`` when a pivot magnitude falls below
-    ``n * eps * norm_inf(a)``, which is how a degenerate Jacobian surfaces
-    to the Newton driver.
+    Raises ``SingularMatrixError`` when an entry is not finite or a pivot
+    magnitude falls below ``n * eps * norm_inf(a)``, which is how a
+    degenerate Jacobian surfaces to the Newton driver.
     """
     lu = np.array(a, dtype=float, copy=True)
     rhs = np.array(b, dtype=float, copy=True).ravel()
@@ -38,7 +38,7 @@ def solve_dense(a, b) -> np.ndarray:
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix order {n}")
     if not np.all(np.isfinite(lu)) or not np.all(np.isfinite(rhs)):
-        raise ValueError("matrix and rhs entries must be finite")
+        raise SingularMatrixError("matrix and rhs entries must be finite")
 
     norm = float(np.abs(lu).sum(axis=1).max()) if n else 0.0
     threshold = n * _EPS * norm

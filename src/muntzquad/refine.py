@@ -7,99 +7,93 @@ systematic in a double-precision evaluator therefore parks the solved rule
 up to ~1e-11 away from the true one.  The acceptance targets for published
 reference rules sit inside that wander radius, so the last Newton steps
 use a residual computed in arbitrary precision from the closed-form pole
-expansion of the basis (exact rational coefficient recurrences, poles of
-multiplicity up to two).  Working precision scales with the sequence
-length, since the expansion's cancellation grows with it.  The Newton
-directions themselves stay in ordinary double arithmetic: direction errors
-only perturb the path, not the limit.
+expansion of the basis.
+
+Each basis element is the sum of the residues of ``x**t R_n(t)`` over the
+distinct poles ``p`` of its rational kernel.  At a pole of multiplicity
+``m`` the residue is
+
+    x**p * sum_{j<m} h_{m-1-j} log(x)**j / j!,
+
+where ``h_i`` are the Taylor coefficients of ``(t-p)**m R_n(t)`` in
+``t-p``.  They depend on the exponents only, so one recurrence per spec
+serves every node: a numerator factor ``t+v+1`` multiplies the series by
+``(t-p) + (p+v+1)``, a denominator factor ``t-q`` divides it by
+``(t-p) + (p-q)`` or, when ``q = p``, raises ``m``.  A numerator factor
+that vanishes at a pole is just a zero coefficient.  The residual then
+contracts over the nodes first,
+
+    residual_n = sum_{p,j} h_{n,p,m-1-j} T_{p,j} - mu_n,
+    T_{p,j} = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!,
+
+for any multiplicity.  Working precision scales with the sequence length,
+since the expansion's cancellation grows with it.  The Newton directions
+themselves stay in ordinary double arithmetic: direction errors only
+perturb the path, not the limit.
 """
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 
-try:
-    import mpmath as mp
-except ImportError:  # pragma: no cover - dependency is declared, but stay usable
-    mp = None
+
+def _node_sums(poles, orders, nodes, weights, beta_q):
+    """``T[p][j] = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!``."""
+    xs = [mp.mpf(float(x)) for x in nodes]
+    logs = [mp.log(x) for x in xs]
+    factors = [x ** (-beta_q / 2) * mp.mpf(float(w)) for x, w in zip(xs, weights)]
+    sums = {}
+    for p in poles:
+        terms = [f * x**p for f, x in zip(factors, xs)]
+        row = [mp.fsum(terms)]
+        for j in range(1, orders[p]):
+            terms = [term * ln_x / j for term, ln_x in zip(terms, logs)]
+            row.append(mp.fsum(terms))
+        sums[p] = row
+    return sums
 
 
-def available() -> bool:
-    return mp is not None
+def exact_residual(nodes, weights, exponents, beta: float) -> np.ndarray:
+    """Moment-matching residual, computed in arbitrary precision and rounded."""
+    lam = np.asarray(exponents, dtype=float)
+    digits = 30 + int(1.2 * lam.size)
+    with mp.workdps(digits):
+        beta_q = mp.mpf(beta)
+        shifted = [mp.mpf(v) + beta_q / 2 for v in lam]
+        poles = sorted(set(shifted))
+        orders = {p: shifted.count(p) for p in poles}  # final multiplicity = series length
+        sums = _node_sums(poles, orders, nodes, weights, beta_q)
 
-
-def _basis_columns(shifted, xs, n_basis):
-    """Exact basis values at each x: columns[k][n] as mp floats."""
-    poles = sorted(set(shifted))
-    columns = []
-    for x in xs:
-        xq = mp.mpf(x)
-        ln_x = mp.log(xq)
-        powers = {p: xq**p for p in poles}
-        g = {p: mp.mpf(1) for p in poles}
-        s = {p: mp.mpf(0) for p in poles}
-        count = {p: 0 for p in poles}
-        out = []
+        series = {p: [mp.mpf(1)] + [mp.mpf(0)] * (orders[p] - 1) for p in poles}
+        count = dict.fromkeys(poles, 0)
 
         def denominator_step(value):
             for p in poles:
                 if p == value:
                     count[p] += 1
-                else:
-                    g[p] /= p - value
-                    s[p] -= 1 / (p - value)
+                    continue
+                h, d = series[p], p - value
+                h[0] /= d
+                for i in range(1, len(h)):
+                    h[i] = (h[i] - h[i - 1]) / d
 
         def numerator_step(value):
             for p in poles:
-                factor = p + value + 1
-                g[p] *= factor
-                s[p] += 1 / factor
+                h, c = series[p], p + value + 1
+                for i in range(len(h) - 1, 0, -1):
+                    h[i] = c * h[i] + h[i - 1]
+                h[0] *= c
 
-        def record():
-            total = mp.mpf(0)
-            for p in poles:
-                if count[p] == 1:
-                    total += g[p] * powers[p]
-                elif count[p] == 2:
-                    total += g[p] * (s[p] + ln_x) * powers[p]
-            out.append(total)
-
-        denominator_step(shifted[0])
-        record()
-        for n in range(1, n_basis):
-            numerator_step(shifted[n - 1])
-            denominator_step(shifted[n])
-            record()
-        columns.append(out)
-    return columns
-
-
-def exact_residual(nodes, weights, exponents, beta: float):
-    """Moment-matching residual rounded from arbitrary precision, or None.
-
-    Returns None when unavailable: no mpmath, or an exponent repeated more
-    than twice (the expansion here handles poles of order <= 2 only).
-    """
-    if mp is None:
-        return None
-    lam = np.asarray(exponents, dtype=float)
-    values, counts = np.unique(lam, return_counts=True)
-    if counts.max() > 2:
-        return None
-
-    digits = 30 + int(1.2 * lam.size)
-    with mp.workdps(digits):
-        beta_q = mp.mpf(beta)
-        shifted = [mp.mpf(v) + beta_q / 2 for v in lam]
-        columns = _basis_columns(shifted, [float(x) for x in nodes], lam.size)
-
-        moments_q = [1 / (1 + mp.mpf(lam[0]) + beta_q)]
-        for n in range(1, lam.size):
-            moments_q.append(moments_q[-1] * (-mp.mpf(lam[n - 1])) / (1 + mp.mpf(lam[n]) + beta_q))
-
-        factors = [mp.mpf(x) ** (-beta_q / 2) * mp.mpf(w) for x, w in zip(nodes, weights)]
+        moment = 1 / (1 + mp.mpf(lam[0]) + beta_q)
         residual = np.empty(lam.size)
         for n in range(lam.size):
-            q = mp.fsum(columns[k][n] * factors[k] for k in range(len(factors)))
-            residual[n] = float(q - moments_q[n])
+            if n:
+                numerator_step(shifted[n - 1])
+                moment = moment * -mp.mpf(lam[n - 1]) / (1 + mp.mpf(lam[n]) + beta_q)
+            denominator_step(shifted[n])
+            q = mp.fsum(
+                series[p][count[p] - 1 - j] * sums[p][j] for p in poles for j in range(count[p])
+            )
+            residual[n] = float(q - moment)
     return residual

@@ -37,12 +37,10 @@ from .errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from . import dd, refine
+from . import refine
 from .muntz import (
     EvalConfig,
     _basis_batch,
-    _dd_axis_sum,
-    _moments_dd,
     ensure_admissible,
     moments,
     scaled_derivatives,
@@ -209,8 +207,7 @@ def _predict(alpha, nodes, weights, previous, alpha_next):
     return nodes, weights
 
 
-def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig | None = None,
-             compensated: bool = False):
+def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig | None = None):
     """Residual vector F and rescaled Jacobian for the current iterate.
 
     One batched basis sweep per call serves every row: the value matrix
@@ -223,37 +220,26 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     solving with the rescaled one loses nothing and stays accurate for
     nodes near 0.
 
-    With ``compensated=True`` the basis evaluation and the residual
-    contraction run in double-double, pushing the residual's noise floor
-    well below one ulp of its terms; ``moment_vector`` may then also be an
-    (hi, lo) pair so the moments do not reintroduce rounding.  The Jacobian
-    never needs compensation: its errors only perturb the Newton direction.
+    Everything here runs in double precision; the final polish takes its
+    residual from ``refine.exact_residual`` and only the Jacobian from here,
+    since Jacobian errors only perturb the Newton direction.
     """
     cfg = config or EvalConfig()
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     lam = np.asarray(exponents, dtype=float)
-    if isinstance(moment_vector, tuple):
-        m_pair = (np.asarray(moment_vector[0], dtype=float), np.asarray(moment_vector[1], dtype=float))
-    else:
-        m_pair = (np.asarray(moment_vector, dtype=float), np.zeros_like(np.asarray(moment_vector, dtype=float)))
+    moment_vector = np.asarray(moment_vector, dtype=float)
     if not _feasible(nodes, weights):
         raise DomainError("iterate is infeasible: need ascending nodes in (0,1) and positive weights")
-    if lam.size != 2 * nodes.size or m_pair[0].size != lam.size:
+    if lam.size != 2 * nodes.size or moment_vector.size != lam.size:
         raise ValueError("need len(exponents) = len(moments) = 2 * len(nodes)")
 
     beta = float(beta)
     shifted = lam + 0.5 * beta
-    basis, basis_low, _, _ = _basis_batch(shifted, nodes, cfg, compensated=compensated)
+    basis, _, _ = _basis_batch(shifted, nodes, cfg)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
-    weighted = nodes ** (-0.5 * beta) * weights
-    if compensated:
-        terms = dd.mul_double((basis, basis_low), weighted[None, :])
-        row = _dd_axis_sum(terms, axis=1)
-        residual = dd.to_double(dd.add(row, dd.negate(m_pair)))
-    else:
-        residual = basis @ weighted - (m_pair[0] + m_pair[1])
+    residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
     jacobian = np.hstack([x_derivative - 0.5 * beta * basis, basis])
     return residual, jacobian
 
@@ -437,23 +423,15 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     The residual at a near-converged rule lives in a near-null Jacobian
     direction: ulp-level evaluation systematics park the smallest weight up
     to ~1e-11 relative away from the true rule.  The last Newton steps
-    therefore use a bias-free residual from the arbitrary-precision pole
-    expansion when one is available (distinct or doubly repeated exponents),
-    and a compensated double-double residual otherwise.  Newton directions
-    stay in ordinary arithmetic; any trouble aborts polishing and keeps the
-    walk's result.
+    therefore use the bias-free residual of ``refine.exact_residual``, the
+    arbitrary-precision pole expansion, which covers every exponent
+    multiplicity.  Newton directions stay in ordinary arithmetic; any
+    trouble aborts polishing and keeps the walk's result.
     """
     if ncfg.polish_iterations == 0:
         return x, w, res_norm, 0
 
-    def residual_fn(xc, wc):
-        exact = refine.exact_residual(xc, wc, spec.exponents, spec.beta)
-        if exact is not None:
-            return exact
-        res, _ = assemble(xc, wc, spec.exponents, spec.beta, m_pair, cfg, compensated=True)
-        return res
-
-    m_pair = _moments_dd(spec.exponents, spec.beta)
+    m = moments(spec.exponents, spec.beta)
     beta = spec.beta
     n = x.size
     best = (x, w, math.inf)
@@ -461,14 +439,14 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     iterations = 0
     for _ in range(ncfg.polish_iterations):
         try:
-            residual = residual_fn(x, w)
+            residual = refine.exact_residual(x, w, spec.exponents, beta)
             res = float(np.abs(residual).max())
             if res < best[2]:
                 best = (x, w, res)
             if res >= 0.25 * previous:
                 break  # residual stopped contracting; the floor is reached
             previous = res
-            _, jacobian = assemble(x, w, spec.exponents, beta, m_pair, cfg)
+            _, jacobian = assemble(x, w, spec.exponents, beta, m, cfg)
             p_scaled = solve_dense(jacobian, -residual)
         except (SingularMatrixError, DomainError):
             break
@@ -478,13 +456,9 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
         if not _feasible(x_trial, w_trial):
             break
         x, w = x_trial, w_trial
-    try:
-        residual = residual_fn(x, w)
-        res = float(np.abs(residual).max())
-        if res < best[2]:
-            best = (x, w, res)
-    except (SingularMatrixError, DomainError):
-        pass
+    res = float(np.abs(refine.exact_residual(x, w, spec.exponents, beta)).max())
+    if res < best[2]:
+        best = (x, w, res)
     if not np.isfinite(best[2]):
         return x, w, res_norm, iterations
     return best[0], best[1], best[2], iterations

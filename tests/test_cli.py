@@ -14,7 +14,8 @@ from muntzquad.cli import (
     sequence_family,
     serialize,
 )
-from muntzquad.errors import DomainError
+from muntzquad import cli
+from muntzquad.errors import DomainError, NewtonDivergedError
 from muntzquad.numerics import adaptive_integrate
 from muntzquad.solver import RuleSpec, compute_rule
 
@@ -176,6 +177,15 @@ class TestCommands:
         out = tmp_path / "rule.json"
         main(["rule", "--family", "case2", "--n", "3", "--format", "json", "--out", str(out)])
         assert main(["validate", str(out), "--threshold", "1e-30"]) == 1
+
+    @pytest.mark.parametrize("command", ["rule", "validate"])
+    def test_construction_error_exits_1(self, command, monkeypatch, capsys):
+        def diverge(spec):
+            raise NewtonDivergedError("no convergence")
+
+        monkeypatch.setattr(cli, "compute_rule", diverge)
+        assert main([command, "--family", "case1", "--n", "2"]) == 1
+        assert "no convergence" in capsys.readouterr().err
 
     def test_convergence_table(self, capsys):
         code = main(["convergence", "--family", "case2", "--integrand", "psi",

@@ -235,7 +235,7 @@ class TestOrthogonalityFamily:
             if key not in basis_cache:
                 from muntzquad.muntz import _basis_batch
 
-                vals, _, _, _ = _basis_batch(lam + beta / 2, xs, EvalConfig())
+                vals, _, _ = _basis_batch(lam + beta / 2, xs, EvalConfig())
                 basis_cache[key] = vals * xs[None, :] ** (-beta / 2)
             return basis_cache[key]
 

@@ -25,6 +25,10 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError):
             solve_dense([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
 
+    def test_non_finite_entry_raises_singular(self):
+        with pytest.raises(SingularMatrixError):
+            solve_dense([[1.0, np.nan], [0.0, 1.0]], [1.0, 2.0])
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             solve_dense(np.ones((2, 3)), [1.0, 2.0])

@@ -1,0 +1,142 @@
+"""The arbitrary-precision polish residual against two independent oracles.
+
+``per_node_residual`` is the earlier per-node pole expansion (poles of
+order <= 2 only, and no numerator factor may vanish at a pole); the
+separable form must reproduce it bit for bit.  ``contour_residual``
+integrates ``x**t R_n(t)`` around a circle enclosing every pole with the
+trapezoidal rule, which makes no assumption on pole multiplicity.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from muntzquad.classical import gauss_jacobi
+from muntzquad.cli import sequence_family
+from muntzquad.refine import exact_residual
+
+
+def _moments_mp(lam, beta_q):
+    out = [1 / (1 + mp.mpf(lam[0]) + beta_q)]
+    for n in range(1, lam.size):
+        out.append(out[-1] * (-mp.mpf(lam[n - 1])) / (1 + mp.mpf(lam[n]) + beta_q))
+    return out
+
+
+def per_node_residual(nodes, weights, exponents, beta):
+    """Residual from the basis expanded over its poles at each node in turn."""
+    lam = np.asarray(exponents, dtype=float)
+    assert np.unique(lam, return_counts=True)[1].max() <= 2
+    with mp.workdps(30 + int(1.2 * lam.size)):
+        beta_q = mp.mpf(beta)
+        shifted = [mp.mpf(v) + beta_q / 2 for v in lam]
+        poles = sorted(set(shifted))
+        columns = []
+        for x in nodes:
+            xq = mp.mpf(float(x))
+            ln_x = mp.log(xq)
+            powers = {p: xq**p for p in poles}
+            g = {p: mp.mpf(1) for p in poles}
+            s = {p: mp.mpf(0) for p in poles}
+            count = {p: 0 for p in poles}
+            out = []
+            for n in range(lam.size):
+                if n:
+                    for p in poles:
+                        factor = p + shifted[n - 1] + 1
+                        g[p] *= factor
+                        s[p] += 1 / factor
+                for p in poles:
+                    if p == shifted[n]:
+                        count[p] += 1
+                    else:
+                        g[p] /= p - shifted[n]
+                        s[p] -= 1 / (p - shifted[n])
+                total = mp.mpf(0)
+                for p in poles:
+                    if count[p] == 1:
+                        total += g[p] * powers[p]
+                    elif count[p] == 2:
+                        total += g[p] * (s[p] + ln_x) * powers[p]
+                out.append(total)
+            columns.append(out)
+        moments = _moments_mp(lam, beta_q)
+        factors = [mp.mpf(float(x)) ** (-beta_q / 2) * mp.mpf(float(w)) for x, w in zip(nodes, weights)]
+        return np.array([
+            float(mp.fsum(columns[k][n] * factors[k] for k in range(len(factors))) - moments[n])
+            for n in range(lam.size)
+        ])
+
+
+def contour_residual(nodes, weights, exponents, beta, points=256, digits=50):
+    """Residual with each basis value from a trapezoidal contour integral."""
+    lam = np.asarray(exponents, dtype=float)
+    with mp.workdps(digits):
+        beta_q = mp.mpf(beta)
+        shifted = [mp.mpf(v) + beta_q / 2 for v in lam]
+        center = (min(shifted) + max(shifted)) / 2
+        radius = (max(shifted) - min(shifted)) / 2 + 1
+        factors = [mp.mpf(float(x)) ** (-beta_q / 2) * mp.mpf(float(w)) for x, w in zip(nodes, weights)]
+        totals = [mp.mpc(0)] * lam.size
+        for i in range(points):
+            arm = radius * mp.expjpi(mp.mpf(2 * i) / points)
+            t = center + arm
+            kernel = 1 / (t - shifted[0])
+            weight_sum = mp.fsum(f * mp.mpf(float(x)) ** t for f, x in zip(factors, nodes))
+            for n in range(lam.size):
+                if n:
+                    kernel *= (t + shifted[n - 1] + 1) / (t - shifted[n])
+                totals[n] += kernel * weight_sum * arm
+        moments = _moments_mp(lam, beta_q)
+        return np.array([float((totals[n] / points).real - moments[n]) for n in range(lam.size)])
+
+
+def _perturbed_jacobi(n, beta, seed=7):
+    rule = gauss_jacobi(n, beta)
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rule.nodes * (1.0 + 1e-3 * rng.standard_normal(n)))
+    weights = rule.weights * (1.0 + 1e-3 * rng.standard_normal(n))
+    return nodes, weights
+
+
+@pytest.mark.parametrize(
+    "family, n, beta",
+    [("example1", 5, -0.25), ("example1", 8, 0.4), ("example2", 6, -1.0 / 3.0), ("case2", 5, 0.7)],
+)
+def test_bit_identical_to_per_node_expansion(family, n, beta):
+    lam = np.sort(sequence_family(family, n))
+    nodes, weights = _perturbed_jacobi(n, beta)
+    assert np.array_equal(exact_residual(nodes, weights, lam, beta),
+                          per_node_residual(nodes, weights, lam, beta))
+
+
+HIGH_MULTIPLICITY = [
+    pytest.param(sequence_family("case3", 4), 0.0, id="multiplicity-3"),
+    pytest.param(np.repeat([0.0, 1.0], 4), 0.5, id="multiplicity-4"),
+    pytest.param(np.array([-1.2, -0.3, 0.4, 1.1, 1.1, 2.0]), 0.5, id="pair-sum-minus-one-minus-beta"),
+    pytest.param(np.arange(6.0) - 0.5, 0.0, id="numerator-vanishes-at-pole"),
+]
+
+
+@pytest.mark.parametrize("lam, beta", HIGH_MULTIPLICITY)
+def test_matches_contour_oracle(lam, beta):
+    nodes, weights = _perturbed_jacobi(lam.size // 2, beta)
+    got = exact_residual(nodes, weights, lam, beta)
+    want = contour_residual(nodes, weights, lam, beta)
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=1e-30)
+
+
+@pytest.mark.parametrize("lam, beta", HIGH_MULTIPLICITY + [
+    pytest.param(np.repeat(np.arange(3.0), 6), -0.5, id="multiplicity-6"),
+])
+def test_never_returns_none(lam, beta):
+    nodes, weights = _perturbed_jacobi(lam.size // 2, beta)
+    residual = exact_residual(nodes, weights, lam, beta)
+    assert isinstance(residual, np.ndarray)
+    assert residual.shape == lam.shape
+    assert np.all(np.isfinite(residual))
+
+
+def test_vanishes_at_an_exact_rule():
+    # one node, {x^0, x^1}: the midpoint rule is exact
+    assert np.array_equal(exact_residual([0.5], [1.0], [0.0, 1.0], 0.0), [0.0, 0.0])

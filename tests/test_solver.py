@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from muntzquad.classical import gauss_jacobi, gauss_legendre
+from muntzquad.cli import rule_to_file, validation_rows
 from muntzquad.errors import (
     ContinuationFailedError,
     DomainError,
@@ -169,6 +170,13 @@ class TestComputeRule:
                 value = apply_rule(rule, lambda x: x**exponent * math.log(x) ** power)
                 exact = (-1.0) ** power * math.factorial(power) / (1.0 + exponent) ** (power + 1)
                 assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_numerator_vanishing_at_a_pole_polishes(self):
+        # lambda_0 + lambda_0 + beta + 1 = 0: the kernel factor t + lambda_0 + 1
+        # cancels the pole at lambda_0, which the polish residual must survive
+        rule = compute_rule(RuleSpec(np.arange(10.0) - 0.5, 0.0))
+        worst = max(err for _, err in validation_rows(rule_to_file(rule)))
+        assert worst <= 1e-12
 
     def test_continuation_failure_reports_last_alpha(self):
         weak = NewtonConfig(max_iterations=1, damping_onset=0)
