@@ -37,7 +37,7 @@ from .muntz import (
     scaled_derivatives,
     select_theta,
 )
-from .numerics import adaptive_integrate, nelder_mead_min, solve_dense, sym_tridiag_eigen
+from .numerics import solve_dense, sym_tridiag_eigen
 from .solver import (
     ContinuationConfig,
     NewtonConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "RuleSpec",
     "SingularMatrixError",
     "ToleranceNotMetError",
-    "adaptive_integrate",
     "admissible",
     "apply_rule",
     "assemble",
@@ -89,7 +88,6 @@ __all__ = [
     "gauss_legendre",
     "moment_general",
     "moments",
-    "nelder_mead_min",
     "newton_solve",
     "rational_kernel",
     "scaled_derivatives",

@@ -12,7 +12,9 @@ with ``w = -log x``.  The half-line splits into unit panels handled by
 Gauss-Legendre plus an exponentially damped vertical tail handled by
 Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
 ``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
-minimizing a growth-versus-singularity estimate with Nelder-Mead.
+minimizing a growth-versus-singularity estimate: one grid search, refined
+by zooming into the bracket around each point's best candidate, serves
+every point of a batch at once.
 
 The vertical tail launched at ``t = a`` passes the integrand's poles, which
 sit on the imaginary axis at heights up to ``theta + w*(max(lam)-min(lam))``.
@@ -49,7 +51,6 @@ from .errors import (
     LengthMismatchError,
     PoleHitError,
 )
-from .numerics import nelder_mead_min
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,9 @@ class EvalConfig:
     panel_count: int = 32
     panel_order: int = 24
     laguerre_order: int = 48
-    theta_init: float = 1.0
     theta_min: float = 1e-6
     theta_max: float = 40.0
     theta_tolerance: float = 1e-6
-    theta_max_evals: int = 200
     omega_floor: float = 1e-14
     max_segment_doublings: int = 5
     tail_bump_factor: float = 64.0
@@ -101,8 +100,11 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class ThetaSelection:
-    theta: float
-    objective: float
+    """Chosen contour offset(s) and objective value(s): floats from
+    ``select_theta``, one entry per point from a batched search."""
+
+    theta: float | np.ndarray
+    objective: float | np.ndarray
     converged: bool
 
 
@@ -204,39 +206,59 @@ def moments(exponents, beta: float) -> np.ndarray:
     return hi + lo
 
 
-def _theta_search(lam, lam_min, omega, cfg: EvalConfig, start: float, initial_step: float) -> ThetaSelection:
+# Theta search: a log-spaced grid over [theta_min, theta_max], then rounds of
+# a linear grid over the bracket around each point's best candidate.  A round
+# keeps the two neighbours of its best candidate, shrinking the bracket by
+# (_THETA_ZOOM - 1) / 2.
+_THETA_GRID = 97
+_THETA_ZOOM = 17
+
+
+def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
+    """Minimize the theta objective for every frequency in ``omega`` at once.
+
+    The number of refinement rounds is fixed by the grid ratio and
+    ``theta_tolerance``, so every final bracket is narrower than the
+    tolerance, and every operation is elementwise per point: a point's theta
+    does not depend on the other points in the batch.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
     # near-origin magnitude of the sampled integrand: numerator offsets
     # omega*(lam_min+lam+1) - theta against denominator distances
     # theta + omega*(lam - lam_min), which is |omega*(sigma - lam_v)| for
     # sigma = lam_min - theta/omega
-    num_centers = omega * (lam_min + lam[:-1] + 1.0)
-    den_centers = omega * (lam[:-1] - lam_min)
+    num_centers = (omega * (lam_min + lam[:-1] + 1.0))[:, None, :]
+    den_centers = (omega * (lam[:-1] - lam_min))[:, None, :]
     last_center = omega * (lam[-1] - lam_min)
-    prefactor = math.exp(math.sqrt(omega))
+    prefactor = np.exp(np.sqrt(omega))
     growth_exponent = -lam_min * omega
 
-    def objective(point: np.ndarray) -> float:
-        theta = float(point[0])
-        if theta <= 0.0:
-            return math.inf
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = np.abs((theta - num_centers) / (theta + den_centers))
-            magnitude = float(np.prod(ratios)) / abs(theta + last_center)
-            value = prefactor * magnitude + math.exp(
-                min(theta + growth_exponent, 700.0)
-            ) / math.sqrt(theta)
-        return value if np.isfinite(value) else math.inf
+    def objective(theta):  # theta[i, j]: candidate j for point i
+        ratios = np.abs((theta[:, :, None] - num_centers) / (theta[:, :, None] + den_centers))
+        magnitude = np.prod(ratios, axis=2) / np.abs(theta + last_center)
+        value = prefactor * magnitude + np.exp(np.minimum(theta + growth_exponent, 700.0)) / np.sqrt(theta)
+        return np.where(np.isfinite(value), value, np.inf)
 
-    result = nelder_mead_min(
-        objective,
-        np.array([start]),
-        tolerance=cfg.theta_tolerance,
-        max_evals=cfg.theta_max_evals,
-        lower=np.array([cfg.theta_min]),
-        upper=np.array([cfg.theta_max]),
-        initial_step=initial_step,
-    )
-    return ThetaSelection(theta=float(result.x[0]), objective=result.fx, converged=result.converged)
+    rows = np.arange(omega.shape[0])
+    grid = np.geomspace(cfg.theta_min, cfg.theta_max, _THETA_GRID)
+    # the widest first bracket spans the two grid steps below theta_max
+    widest = cfg.theta_max * (1.0 - (grid[0] / grid[1]) ** 2)
+    rounds = max(0, math.ceil(math.log(widest / cfg.theta_tolerance) / math.log((_THETA_ZOOM - 1) / 2)))
+    steps = np.linspace(0.0, 1.0, _THETA_ZOOM)
+    candidates = np.broadcast_to(grid, (rows.size, grid.size))
+    theta = np.full(rows.size, cfg.theta_min)
+    best_value = np.full(rows.size, np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(rounds + 1):
+            values = objective(candidates)
+            best = np.argmin(values, axis=1)
+            improved = values[rows, best] < best_value
+            theta = np.where(improved, candidates[rows, best], theta)
+            best_value = np.where(improved, values[rows, best], best_value)
+            lo = candidates[rows, np.maximum(best - 1, 0)]
+            hi = candidates[rows, np.minimum(best + 1, candidates.shape[1] - 1)]
+            candidates = lo[:, None] + (hi - lo)[:, None] * steps
+    return ThetaSelection(theta=theta, objective=best_value, converged=bool(np.all(np.isfinite(best_value))))
 
 
 def select_theta(exponents, omega: float, config: EvalConfig | None = None) -> ThetaSelection:
@@ -246,15 +268,19 @@ def select_theta(exponents, omega: float, config: EvalConfig | None = None) -> T
     integrand (which blows up as theta shrinks) and the amplification
     ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
     blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning.  Non-convergence of the simplex
-    search is not an error: the best point seen is returned with a flag.
+    the minimizer only tunes conditioning.  The search scans a log-spaced
+    grid on ``[theta_min, theta_max]`` and zooms into the bracket around the
+    best candidate until it is narrower than ``theta_tolerance``; it returns
+    the best point seen, and ``converged`` is False only when the objective
+    was infinite at every candidate.
     """
     cfg = config or EvalConfig()
     lam = _as_exponents(exponents)
     omega = float(omega)
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    return _theta_search(lam, float(np.min(lam)), omega, cfg, cfg.theta_init, 0.5)
+    found = _theta_search(lam, float(np.min(lam)), np.array([omega]), cfg)
+    return ThetaSelection(float(found.theta[0]), float(found.objective[0]), found.converged)
 
 
 # Pole-expansion (small-x) evaluation controls.  The expansion keeps every
@@ -525,9 +551,7 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
 
     contour = np.flatnonzero(by_contour)
     omega_c = omega[contour]
-    theta = np.array(
-        [_theta_search(lam, lam_min, float(freq), cfg, cfg.theta_init, 0.5).theta for freq in omega_c]
-    )
+    theta = _theta_search(lam, lam_min, omega_c, cfg).theta
     thetas[active[contour]] = theta
     sigmas[active[contour]] = lam_min - theta / omega_c
 

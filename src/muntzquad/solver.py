@@ -426,7 +426,14 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     therefore use the bias-free residual of ``refine.exact_residual``, the
     arbitrary-precision pole expansion, which covers every exponent
     multiplicity.  Newton directions stay in ordinary arithmetic; any
-    trouble aborts polishing and keeps the walk's result.
+    trouble aborts polishing and keeps the last accepted iterate.
+
+    Progress is judged by the size of the Newton correction, relative to
+    each node and weight, not by the residual: along that near-null
+    direction an iterate 1e-11 off can show a smaller residual than the
+    true rule rounded to doubles.  Steps continue while each correction is
+    under a quarter of the one before; the result is the last iterate that
+    passed, with its exact residual.
     """
     if ncfg.polish_iterations == 0:
         return x, w, res_norm, 0
@@ -434,33 +441,29 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     m = moments(spec.exponents, spec.beta)
     beta = spec.beta
     n = x.size
-    best = (x, w, math.inf)
+    best = (x, w, res_norm)
     previous = math.inf
     iterations = 0
     for _ in range(ncfg.polish_iterations):
         try:
             residual = refine.exact_residual(x, w, spec.exponents, beta)
-            res = float(np.abs(residual).max())
-            if res < best[2]:
-                best = (x, w, res)
-            if res >= 0.25 * previous:
-                break  # residual stopped contracting; the floor is reached
-            previous = res
             _, jacobian = assemble(x, w, spec.exponents, beta, m, cfg)
             p_scaled = solve_dense(jacobian, -residual)
         except (SingularMatrixError, DomainError):
             break
-        iterations += 1
-        x_trial = x + x ** (0.5 * beta + 1.0) / w * p_scaled[:n]
-        w_trial = w + x ** (0.5 * beta) * p_scaled[n:]
+        # dx / x and dw / w share the scale x**(beta/2) / w
+        scale = x ** (0.5 * beta) / w
+        correction = float(np.max(scale * np.maximum(np.abs(p_scaled[:n]), np.abs(p_scaled[n:]))))
+        if not correction < 0.25 * previous:
+            break  # corrections stopped contracting; the floor is reached
+        best = (x, w, float(np.abs(residual).max()))
+        previous = correction
+        x_trial = x + x * scale * p_scaled[:n]
+        w_trial = w + w * scale * p_scaled[n:]
         if not _feasible(x_trial, w_trial):
             break
+        iterations += 1
         x, w = x_trial, w_trial
-    res = float(np.abs(refine.exact_residual(x, w, spec.exponents, beta)).max())
-    if res < best[2]:
-        best = (x, w, res)
-    if not np.isfinite(best[2]):
-        return x, w, res_norm, iterations
     return best[0], best[1], best[2], iterations
 
 

@@ -22,7 +22,6 @@ from muntzquad.cli import (
     validation_rows,
 )
 from muntzquad.muntz import EvalConfig, _basis_batch, eval_all_weighted, moments
-from muntzquad.numerics import adaptive_integrate
 from muntzquad.solver import (
     RuleSpec,
     apply_rule,
@@ -31,6 +30,7 @@ from muntzquad.solver import (
     transform_to_unit_weight,
 )
 
+from quad_oracle import adaptive_integrate
 from table_data import (
     EXAMPLE1_RULE_20,
     EXAMPLE1_RULE_40,

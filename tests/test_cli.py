@@ -16,8 +16,8 @@ from muntzquad.cli import (
 )
 from muntzquad import cli
 from muntzquad.errors import DomainError, NewtonDivergedError
-from muntzquad.numerics import adaptive_integrate
 from muntzquad.solver import RuleSpec, compute_rule
+from quad_oracle import adaptive_integrate
 
 
 class TestSequenceFamilies:
@@ -138,7 +138,7 @@ class TestCommands:
 
     def test_rule_inadmissible_beta_exits_2(self, capsys):
         assert main(["rule", "--family", "case1", "--n", "3", "--beta", "-2"]) == 2
-        assert "admissib" in capsys.readouterr().err or True
+        assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
     def test_rule_requires_spec_source(self):
         assert main(["rule", "--n", "3"]) == 2

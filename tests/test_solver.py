@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muntzquad.classical import gauss_jacobi, gauss_legendre
-from muntzquad.cli import rule_to_file, validation_rows
+from muntzquad.cli import RuleFile, rule_to_file, validation_rows
 from muntzquad.errors import (
     ContinuationFailedError,
     DomainError,
@@ -16,6 +16,7 @@ from muntzquad.solver import (
     ContinuationConfig,
     NewtonConfig,
     RuleSpec,
+    _polish,
     apply_rule,
     assemble,
     compute_rule,
@@ -177,6 +178,27 @@ class TestComputeRule:
         rule = compute_rule(RuleSpec(np.arange(10.0) - 0.5, 0.0))
         worst = max(err for _, err in validation_rows(rule_to_file(rule)))
         assert worst <= 1e-12
+
+    def test_polish_moves_off_a_low_residual_iterate(self):
+        # A walk result right above the integrability edge: its smallest
+        # weight is 1.8e-11 off the true rule, yet its exact residual
+        # (1.0e-14) is below that of the true rule rounded to doubles
+        # (1.2e-14).  Keeping the lowest-residual iterate returned it as is.
+        spec = RuleSpec(
+            np.array([-2.9489477619677107, -2.441397182148858, -1.9509881144082417, -0.9814180439696503]),
+            2.0997829142878865,
+        )
+        x = np.array([0.006647599915860193, 0.5542582293300354])
+        w = np.array([1.9439582341895082e-06, 0.26437996575446476])
+
+        def worst(nodes, weights):
+            rows = validation_rows(RuleFile(spec.beta, spec.exponents, nodes, weights))
+            return max(err for _, err in rows)
+
+        assert worst(x, w) > 1e-12
+        x, w, residual, _ = _polish(x, w, spec, NewtonConfig(), EvalConfig(), 2.1e-14)
+        assert worst(x, w) <= 1e-15
+        assert residual <= 2e-14
 
     def test_continuation_failure_reports_last_alpha(self):
         weak = NewtonConfig(max_iterations=1, damping_onset=0)
