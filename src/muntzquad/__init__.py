@@ -37,7 +37,7 @@ from .muntz import (
     scaled_derivatives,
     select_theta,
 )
-from .numerics import solve_dense, sym_tridiag_eigen
+from .numerics import solve_dense
 from .solver import (
     ContinuationConfig,
     NewtonConfig,
@@ -93,6 +93,5 @@ __all__ = [
     "scaled_derivatives",
     "select_theta",
     "solve_dense",
-    "sym_tridiag_eigen",
     "transform_to_unit_weight",
 ]

@@ -4,12 +4,12 @@ Gauss-Legendre on [0, 1] (panel quadrature for the oscillatory contour
 integral), Gauss-Laguerre on (0, inf) (the exponential tail), and
 Gauss-Jacobi on [0, 1] with weight x**beta (the continuation start point).
 
-Nodes come from the symmetric tridiagonal eigenproblem of the three-term
-recurrence and are then Newton-polished against the orthonormal-polynomial
-recurrence in double-double, with weights from the Christoffel sum in the
-same arithmetic, so the cached rules are correctly rounded: every
-downstream quadrature inherits the rule's accuracy, and the plain
-eigensolver only carries ~1e-13 of it.  Rules are cached per
+Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
+(numpy's dense symmetric eigensolver).  They are Newton-polished against the
+orthonormal-polynomial recurrence in double-double, with weights from the
+Christoffel sum in the same arithmetic, so the cached rules are correctly
+rounded: every downstream quadrature inherits the rule's accuracy, and the
+plain eigensolver only carries ~1e-13 of it.  Rules are cached per
 (kind, order, beta) and returned with read-only arrays, so concurrent
 reads are safe and accidental mutation raises.
 """
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import dd
 from .errors import InvalidBetaError, InvalidOrderError
-from .numerics import sym_tridiag_eigen
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,9 @@ def _refined_rule(alpha, beta_coeffs, nodes0):
 
 
 def _build(alpha_dd, beta_dd, domain, weight, beta=None) -> ClassicalRule:
-    alpha = dd.to_double(alpha_dd)
     sqrt_off = np.sqrt(dd.to_double((beta_dd[0][1:-1], beta_dd[1][1:-1])))
-    eigenvalues, _ = sym_tridiag_eigen(alpha, sqrt_off)
-    nodes, weights = _refined_rule(alpha_dd, beta_dd, eigenvalues)
+    jacobi = np.diag(dd.to_double(alpha_dd)) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
+    nodes, weights = _refined_rule(alpha_dd, beta_dd, np.linalg.eigvalsh(jacobi))
     return ClassicalRule(
         nodes=_freeze(nodes),
         weights=_freeze(weights),

@@ -168,7 +168,12 @@ def serialize(rule_file: RuleFile, fmt: str) -> str:
 
 
 def parse(text: str) -> RuleFile:
-    """Parse any of the three serialization formats back into a RuleFile."""
+    """Parse any of the three serialization formats back into a RuleFile.
+
+    Raises ``ValueError`` on a malformed file and
+    ``InadmissibleSequenceError`` when its exponents and weight give a
+    divergent moment.
+    """
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty rule file")
@@ -182,69 +187,48 @@ def parse(text: str) -> RuleFile:
             meta=dict(payload.get("meta", {})),
         )
     elif stripped.startswith("#") or stripped.startswith("k,"):
-        beta = None
-        exponents = None
-        meta = {}
-        nodes, weights = [], []
-        in_rows = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key == "beta":
-                    beta = float(value)
-                elif key == "lambda":
-                    exponents = np.array([float(v) for v in value.split(",")], dtype=float)
-                else:
-                    meta[key] = _coerce(value)
-            elif line == "k,node,weight":
-                in_rows = True
-            elif in_rows:
-                _, x, w = line.split(",")
-                nodes.append(float(x))
-                weights.append(float(w))
-            else:
-                raise ValueError(f"unexpected CSV line: {line!r}")
-        if beta is None or exponents is None:
-            raise ValueError("CSV rule file lacks beta/lambda header comments")
-        rf = RuleFile(beta, exponents, np.asarray(nodes), np.asarray(weights), meta)
+        rf = _parse_table(text, "CSV")
     else:
-        beta = None
-        exponents = None
-        meta = {}
-        nodes, weights = [], []
-        in_rows = False
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            if not in_rows and "=" in line:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key == "beta":
-                    beta = float(value)
-                elif key == "lambda":
-                    exponents = np.array([float(v) for v in value.split()], dtype=float)
-                else:
-                    meta[key] = _coerce(value)
-            elif line.lstrip().startswith("k ") or line.split() == ["k", "node", "weight"]:
-                in_rows = True
-            elif in_rows:
-                _, x, w = line.split()
-                nodes.append(_parse_table_number(x))
-                weights.append(_parse_table_number(w))
-            else:
-                raise ValueError(f"unexpected text line: {line!r}")
-        if beta is None or exponents is None:
-            raise ValueError("text rule file lacks beta/lambda header lines")
-        rf = RuleFile(beta, exponents, np.asarray(nodes), np.asarray(weights), meta)
+        rf = _parse_table(text, "text")
     if rf.nodes.size != rf.weights.size or 2 * rf.nodes.size != rf.exponents.size:
         raise ValueError("inconsistent lengths: need |nodes| = |weights| = |lambda|/2")
+    ensure_admissible(rf.exponents, rf.beta)
     return rf
+
+
+def _parse_table(text: str, fmt: str) -> RuleFile:
+    """Header lines, a ``k node weight`` line, then one row per node.
+
+    CSV headers are ``# key = value`` comments with comma-separated lambda
+    and rows; text headers are ``key = value`` lines before the rows, with
+    space-separated lambda and rows in the mantissa(exponent) convention.
+    """
+    csv = fmt == "CSV"
+    sep, number = (",", float) if csv else (None, _parse_table_number)
+    header = {}
+    nodes, weights = [], []
+    in_rows = False
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#") if csv else (not in_rows and "=" in line):
+            key, _, value = (line[1:] if csv else line).partition("=")
+            header[key.strip()] = value.strip()
+        elif line.split(sep) == ["k", "node", "weight"]:
+            in_rows = True
+        elif in_rows:
+            _, x, w = line.split(sep)
+            nodes.append(number(x))
+            weights.append(number(w))
+        else:
+            raise ValueError(f"unexpected {fmt} line: {line!r}")
+    if "beta" not in header or "lambda" not in header:
+        raise ValueError(f"{fmt} rule file lacks beta/lambda header lines")
+    beta = float(header.pop("beta"))
+    exponents = np.array([float(v) for v in header.pop("lambda").split(sep)], dtype=float)
+    meta = {key: _coerce(value) for key, value in header.items()}
+    return RuleFile(beta, exponents, np.asarray(nodes), np.asarray(weights), meta)
 
 
 def _coerce(value: str):
@@ -324,7 +308,7 @@ def cmd_validate(args) -> int:
         try:
             with open(args.rule_file) as fh:
                 rule_file = parse(fh.read())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, MuntzQuadError) as exc:
             print(f"error: cannot parse rule file: {exc}", file=sys.stderr)
             return 2
     else:

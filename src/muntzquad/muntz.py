@@ -283,136 +283,6 @@ def select_theta(exponents, omega: float, config: EvalConfig | None = None) -> T
     return ThetaSelection(float(found.theta[0]), float(found.objective[0]), found.converged)
 
 
-# Pole-expansion (small-x) evaluation controls.  The expansion keeps every
-# pole: damping underflow (exp(-omega*gap) -> 0 past ~745) truncates far
-# poles long after their worst-case coefficient growth, so the only failure
-# mode is cancellation, caught by the amplification guard.
-_EXPANSION_MIN_GAP_OMEGA = 6.0
-_EXPANSION_MAX_POLES = 96
-_EXPANSION_AMPLIFICATION = 16.0
-_expansion_cache: dict = {}
-
-
-def _pole_expansion_table(lam_key: bytes, lam: np.ndarray):
-    """Expansion coefficients of every basis prefix over its poles, or None.
-
-    Each prefix element equals ``sum_v (a[n,v] + b[n,v]*log x) * x**pole_v``.
-    The coefficients are rational products of exponent differences,
-    accumulated in double-double so they stay at the 1-ulp level even after
-    ~2n factors.  Only pole multiplicities up to 2 are supported; higher
-    repeats (or an exactly vanishing numerator factor) return None and the
-    caller keeps the contour path.
-    """
-    if lam_key in _expansion_cache:
-        return _expansion_cache[lam_key]
-    poles, counts_full = np.unique(lam, return_counts=True)
-    table = None
-    if counts_full.max() <= 2 and np.all(np.isfinite(poles)):
-        table = _build_pole_expansion(lam, poles)
-    if len(_expansion_cache) > 64:
-        _expansion_cache.clear()
-    _expansion_cache[lam_key] = table
-    return table
-
-
-def _build_pole_expansion(lam: np.ndarray, poles: np.ndarray):
-    nb = lam.size
-    npol = poles.size
-    ones = np.ones(npol)
-    zeros = np.zeros(npol)
-    g = (ones.copy(), zeros.copy())  # current product with own pole factors removed
-    s = (zeros.copy(), zeros.copy())  # logarithmic derivative of g at each pole
-    counts = np.zeros(npol, dtype=int)
-    a = np.zeros((2, nb, npol))  # dd hi/lo of the constant coefficient
-    b = np.zeros((2, nb, npol))  # dd hi/lo of the log-coefficient
-    active = np.zeros((nb, npol), dtype=bool)
-
-    def denominator_step(value):
-        nonlocal g, s
-        same = poles == value
-        counts[same] += 1
-        d = dd.two_sum(poles, -value)
-        safe = (np.where(same, 1.0, d[0]), np.where(same, 0.0, d[1]))
-        g_div = dd.div(g, safe)
-        g = (np.where(same, g[0], g_div[0]), np.where(same, g[1], g_div[1]))
-        rec = dd.div((ones, zeros), safe)
-        s_new = dd.add(s, dd.negate(rec))
-        s = (np.where(same, s[0], s_new[0]), np.where(same, s[1], s_new[1]))
-
-    def numerator_step(value):
-        nonlocal g, s
-        f = dd.add_double(dd.two_sum(poles, value), 1.0)
-        if np.any(dd.to_double(f) == 0.0):
-            raise ZeroDivisionError
-        g = dd.mul(g, f)
-        s = dd.add(s, dd.div((ones, zeros), f))
-
-    def record(n):
-        act = counts >= 1
-        single = act & (counts == 1)
-        double_ = act & (counts == 2)
-        a[0][n][single] = g[0][single]
-        a[1][n][single] = g[1][single]
-        if np.any(double_):
-            gs = dd.mul(g, s)
-            a[0][n][double_] = gs[0][double_]
-            a[1][n][double_] = gs[1][double_]
-            b[0][n][double_] = g[0][double_]
-            b[1][n][double_] = g[1][double_]
-        active[n] = act
-
-    try:
-        denominator_step(lam[0])
-        record(0)
-        for n in range(1, nb):
-            numerator_step(lam[n - 1])
-            denominator_step(lam[n])
-            record(n)
-    except ZeroDivisionError:
-        return None
-    return poles, a, b, active
-
-
-def _expansion_applicable(poles: np.ndarray, omega: float) -> bool:
-    if poles.size > _EXPANSION_MAX_POLES:
-        return False
-    if poles.size == 1:
-        return True
-    return (poles[1] - poles[0]) * omega >= _EXPANSION_MIN_GAP_OMEGA
-
-
-def _expansion_values(table, x: float, omega: float):
-    """Basis values at one small point from the pole expansion, or None.
-
-    Works relative to the leading pole in double-double: every term carries
-    the damping ``exp(-omega * gap)``, and only the common factor
-    ``x**min(lam)`` (whose rounding acts like a harmless weight
-    perturbation) is applied to the rounded values in ordinary arithmetic.
-    Returns None when cancellation between terms exceeds the amplification
-    guard (the expansion is then meaningless and the caller keeps the
-    contour path).
-    """
-    poles, a, b, active = table
-    damp = np.exp(-omega * (poles - poles[0]))
-    log_x = -omega
-    term = dd.add((a[0], a[1]), dd.mul_double((b[0], b[1]), log_x))
-    term = dd.mul_double(term, damp[None, :])
-    usable = active & np.isfinite(term[0])
-    if np.any(active & ~np.isfinite(term[0]) & (damp[None, :] > 0.0)):
-        return None  # a contributing coefficient overflowed
-    term = (np.where(usable, term[0], 0.0), np.where(usable, term[1], 0.0))
-
-    total = (np.zeros(a.shape[1]), np.zeros(a.shape[1]))
-    for v in range(poles.size):
-        total = dd.add(total, (term[0][:, v], term[1][:, v]))
-    shape = dd.to_double(total)
-    largest = np.abs(term[0]).max(axis=1)
-    if np.any(largest > _EXPANSION_AMPLIFICATION * np.maximum(np.abs(shape), 1e-300)):
-        return None
-    values, _ = dd.mul_double(total, x ** poles[0])
-    return values
-
-
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
 
 
@@ -460,6 +330,24 @@ def _first_panel_width(width: float, theta_group: np.ndarray) -> float:
     return max(2.0 ** math.floor(math.log2(scale)), width / 256.0)
 
 
+def _kernel_sweep(t, num_off, den_off, first):
+    """Kernel products of every basis prefix at the contour samples ``t``.
+
+    Entry ``[i, n, k]`` is the product of the rational factors of prefix
+    ``n`` for point ``i`` at ``t[k]``, times ``first`` (the oscillatory
+    phase on the panels, 1 on the tail): one ``cumprod`` over the basis axis
+    sweeps the whole basis.  Overflowed samples come out non-finite.
+    """
+    factors = np.empty((num_off.shape[0], num_off.shape[1], t.size), dtype=complex)
+    factors[:, 0, :] = first / (t[None, :] + 1j * den_off[:, :1])
+    factors[:, 1:, :] = (t[None, None, :] + 1j * num_off[:, :-1, None]) / (
+        t[None, None, :] + 1j * den_off[:, 1:, None]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(factors, axis=1, out=factors)
+    return factors
+
+
 def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) -> np.ndarray:
     """Per-point segment-doubling level that makes the Laguerre tail usable.
 
@@ -469,7 +357,7 @@ def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) ->
     value (resolvable) or contributes below ``tail_negligible`` relative to
     the output scale ``max(1, x**lam_min)`` (harmless).
     """
-    n_points, n_basis = num_off.shape
+    n_points = num_off.shape[0]
     base = cfg.panel_width * cfg.panel_count
     levels = np.full(n_points, cfg.max_segment_doublings, dtype=int)
     pending = np.arange(n_points)
@@ -481,18 +369,8 @@ def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) ->
         if pending.size == 0:
             break
         segment = base * 2.0**level
-        t_tail = segment + 1j * tau
-        num = num_off[pending]
-        den = den_off[pending]
         cut = dead_cut[pending]
-
-        factors = np.empty((pending.size, n_basis, tau.size), dtype=complex)
-        factors[:, 0, :] = 1.0 / (t_tail[None, :] + 1j * den[:, :1])
-        factors[:, 1:, :] = (t_tail[None, None, :] + 1j * num[:, :-1, None]) / (
-            t_tail[None, None, :] + 1j * den[:, 1:, None]
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            magnitudes = np.abs(np.cumprod(factors, axis=1))
+        magnitudes = np.abs(_kernel_sweep(segment + 1j * tau, num_off[pending], den_off[pending], 1.0))
         launch = magnitudes[:, :, :1] + 1.0 / segment
         bump_ok = magnitudes <= cfg.tail_bump_factor * launch
         dead = magnitudes * damp[None, None, :] <= cut[:, None, None]
@@ -532,76 +410,36 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
         return values, thetas, sigmas
 
     omega = np.maximum(-np.log(xa), cfg.omega_floor)
-    out = np.empty((nb, xa.size))
-
-    # Points deep enough toward 0 skip the contour entirely: their basis
-    # values come from the compensated pole expansion at full precision,
-    # which is exactly where the contour quadrature is noisiest.
-    by_contour = np.ones(xa.size, dtype=bool)
-    pole_values, pole_counts = np.unique(lam, return_counts=True)
-    if pole_counts.max() <= 2:
-        candidates = [i for i in range(xa.size) if _expansion_applicable(pole_values, float(omega[i]))]
-        table = _pole_expansion_table(lam.tobytes(), lam) if candidates else None
-        if table is not None:
-            for i in candidates:
-                expanded = _expansion_values(table, float(xa[i]), float(omega[i]))
-                if expanded is not None:
-                    out[:, i] = expanded
-                    by_contour[i] = False
-
-    contour = np.flatnonzero(by_contour)
-    omega_c = omega[contour]
-    theta = _theta_search(lam, lam_min, omega_c, cfg).theta
-    thetas[active[contour]] = theta
-    sigmas[active[contour]] = lam_min - theta / omega_c
+    theta = _theta_search(lam, lam_min, omega, cfg).theta
+    thetas[active] = theta
+    sigmas[active] = lam_min - theta / omega
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
-    num_off = omega_c[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
-    den_off = omega_c[:, None] * (lam_min - lam[None, :]) - theta[:, None]
-    amplitude = xa[contour] ** lam_min * np.exp(theta)
+    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
+    den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
+    amplitude = xa ** lam_min * np.exp(theta)
 
     lag = gauss_laguerre(cfg.laguerre_order)
-    levels = np.empty(0, dtype=int)
-    if contour.size:
-        levels = _segment_levels(num_off, den_off, amplitude, theta, lag.nodes, cfg)
+    levels = _segment_levels(num_off, den_off, amplitude, theta, lag.nodes, cfg)
 
-    out[0] = xa ** lam[0]
+    values[0, active] = xa ** lam[0]
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)
-        group = contour[in_level]
         segment = cfg.panel_width * cfg.panel_count * 2.0 ** int(level)
-        amp = amplitude[in_level]
-
         first = _first_panel_width(cfg.panel_width, theta[in_level])
         t_panel, w_panel, phase = _panel_grid(first, cfg.panel_width, segment, cfg.panel_order)
-        t_tail = segment + 1j * lag.nodes
-        tail_prefactor = 1j * np.exp(1j * segment)
-
         num = num_off[in_level]
         den = den_off[in_level]
 
-        panel = np.empty((group.size, nb, t_panel.size), dtype=complex)
-        panel[:, 0, :] = phase[None, :] / (t_panel[None, :] + 1j * den[:, :1])
-        panel[:, 1:, :] = (t_panel[None, None, :] + 1j * num[:, :-1, None]) / (
-            t_panel[None, None, :] + 1j * den[:, 1:, None]
-        )
-        np.cumprod(panel, axis=1, out=panel)
-        q_osc = panel @ w_panel
-
-        tail = np.empty((group.size, nb, lag.nodes.size), dtype=complex)
-        tail[:, 0, :] = 1.0 / (t_tail[None, :] + 1j * den[:, :1])
-        tail[:, 1:, :] = (t_tail[None, None, :] + 1j * num[:, :-1, None]) / (
-            t_tail[None, None, :] + 1j * den[:, 1:, None]
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.cumprod(tail, axis=1, out=tail)
+        q_osc = _kernel_sweep(t_panel, num, den, phase) @ w_panel
+        tail = _kernel_sweep(segment + 1j * lag.nodes, num, den, 1.0)
         # overflowed tail samples live in the damped-dead zone; drop them
         np.copyto(tail, 0.0, where=~np.isfinite(tail))
-        q_tail = tail_prefactor * (tail @ lag.weights)
+        q_tail = 1j * np.exp(1j * segment) * (tail @ lag.weights)
 
-        out[1:, group] = (amp[:, None] / math.pi * (q_osc + q_tail)[:, 1:].imag).T
-    values[:, active] = out
+        amp = amplitude[in_level]
+        values[1:, active[in_level]] = (amp[:, None] / math.pi * (q_osc + q_tail)[:, 1:].imag).T
     return values, thetas, sigmas
 
 

@@ -1,17 +1,14 @@
 """Self-contained numerical kernels.
 
-Dense linear solve with partial pivoting and a symmetric tridiagonal
-eigensolver.  All functions are pure; nothing here keeps state between
-calls.
+Dense linear solve with partial pivoting.  All functions are pure; nothing
+here keeps state between calls.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NoConvergenceError, SingularMatrixError
+from .errors import SingularMatrixError
 
 _EPS = np.finfo(float).eps
 
@@ -57,76 +54,3 @@ def solve_dense(a, b) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
     return x
-
-
-def sym_tridiag_eigen(diagonal, off_diagonal, max_sweeps: int = 50):
-    """Eigen-decompose a symmetric tridiagonal matrix.
-
-    Implicit-shift QL iteration with first-eigenvector-component tracking
-    (the classic Golub-Welsch trick: weights only need the first row of the
-    eigenvector matrix, so full accumulation is skipped).
-
-    Returns ``(eigenvalues, first_components)`` with eigenvalues ascending
-    and ``first_components[j]`` the first entry of the normalized
-    eigenvector for ``eigenvalues[j]``.
-    """
-    d = np.array(diagonal, dtype=float, copy=True).ravel()
-    n = d.shape[0]
-    e_in = np.array(off_diagonal, dtype=float, copy=True).ravel()
-    if n == 0:
-        raise ValueError("empty diagonal")
-    if e_in.shape[0] != n - 1:
-        raise ValueError(f"off-diagonal length {e_in.shape[0]}, expected {n - 1}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e_in))):
-        raise ValueError("tridiagonal entries must be finite")
-
-    e = np.zeros(n)
-    e[: n - 1] = e_in
-    z = np.zeros(n)
-    z[0] = 1.0
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NoConvergenceError(f"eigenvalue {l} did not converge in {max_sweeps} sweeps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]

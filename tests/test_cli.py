@@ -15,7 +15,7 @@ from muntzquad.cli import (
     serialize,
 )
 from muntzquad import cli
-from muntzquad.errors import DomainError, NewtonDivergedError
+from muntzquad.errors import DomainError, InadmissibleSequenceError, NewtonDivergedError
 from muntzquad.solver import RuleSpec, compute_rule
 from quad_oracle import adaptive_integrate
 
@@ -117,6 +117,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse(json.dumps(payload))
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_parse_rejects_inadmissible_spec(self, fmt):
+        bad = cli.RuleFile(0.0, np.array([-1.0, 0.0]), np.array([0.5]), np.array([1.0]), {"n": 1})
+        with pytest.raises(InadmissibleSequenceError):
+            parse(serialize(bad, fmt))
+
 
 class TestCommands:
     def test_rule_case1_matches_gauss_legendre(self, tmp_path, capsys):
@@ -172,6 +178,13 @@ class TestCommands:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a rule file at all\n")
         assert main(["validate", str(bad)]) == 2
+
+    @pytest.mark.parametrize("lam", [[-1.0, 0.0], [-3.0, 0.0]])
+    def test_validate_inadmissible_rule_file_exits_2(self, tmp_path, capsys, lam):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({"beta": 0.0, "lambda": lam, "nodes": [0.5], "weights": [1.0], "meta": {}}))
+        assert main(["validate", str(path)]) == 2
+        assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
     def test_validate_threshold_flag(self, tmp_path):
         out = tmp_path / "rule.json"

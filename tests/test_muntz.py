@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,6 +32,33 @@ def example1_prefix(length):
     lam[0::2] = np.arange((length + 1) // 2) + 2.0 / 3.0
     lam[1::2] = np.arange(length // 2) - 2.0 / 3.0
     return lam
+
+
+def residue_sum_basis(lam, x):
+    """``L_0(x), ..., L_N(x)`` for distinct exponents as sums of the residues
+    of ``x**t`` times the rational kernel, in 50-digit arithmetic."""
+    with mp.workdps(50):
+        poles = [mp.mpf(float(v)) for v in lam]
+        xq = mp.mpf(float(x))
+        out = []
+        for n in range(len(poles)):
+            total = mp.mpf(0)
+            for m in range(n + 1):
+                term = xq ** poles[m]
+                for k in range(n):
+                    term *= poles[m] + poles[k] + 1
+                for k in range(n + 1):
+                    if k != m:
+                        term /= poles[m] - poles[k]
+                total += term
+            out.append(float(total))
+    return np.array(out)
+
+
+CONFIGS = {
+    "default": EvalConfig(panel_width=1.0, panel_count=32, panel_order=24),
+    "fine": EvalConfig(panel_width=0.5, panel_count=64, panel_order=32),
+}
 
 
 class TestRationalKernel:
@@ -175,12 +203,19 @@ class TestEvalAll:
 
     def test_config_consistency(self):
         lam = example1_prefix(21)
-        cfg_a = EvalConfig(panel_width=1.0, panel_count=32, panel_order=24)
-        cfg_b = EvalConfig(panel_width=0.5, panel_count=64, panel_order=32)
-        for x in (1e-6, 1e-3, 0.1, 0.5, 0.9):
-            va = eval_all(lam, x, cfg_a).values
-            vb = eval_all(lam, x, cfg_b).values
+        for x in (1e-3, 0.1, 0.5, 0.9):
+            va = eval_all(lam, x, CONFIGS["default"]).values
+            vb = eval_all(lam, x, CONFIGS["fine"]).values
             assert np.abs(va - vb).max() <= 1e-12
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_matches_residue_sum(self, config):
+        lam = example1_prefix(21)
+        for x in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
+            exact = residue_sum_basis(lam, x)
+            values = eval_all(lam, x, CONFIGS[config]).values
+            error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
+            assert error.max() <= 1e-13, (x, error.max())
 
 
 class TestEvalAllWeighted:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muntzquad.errors import SingularMatrixError, ToleranceNotMetError
-from muntzquad.numerics import solve_dense, sym_tridiag_eigen
+from muntzquad.numerics import solve_dense
 from quad_oracle import adaptive_integrate
 
 
@@ -38,43 +38,6 @@ class TestSolveDense:
             p = solve_dense(a, b)
             residual = np.abs(a @ p - b).max() / np.abs(b).max()
             assert residual <= 1e-12
-
-
-class TestSymTridiagEigen:
-    def test_one_by_one(self):
-        values, first = sym_tridiag_eigen([5.0], [])
-        assert values[0] == 5.0
-        assert abs(first[0]) == 1.0
-
-    def test_two_by_two_closed_form(self):
-        values, first = sym_tridiag_eigen([0.0, 0.0], [1.0])
-        assert np.allclose(values, [-1.0, 1.0], atol=1e-15)
-        assert np.allclose(np.abs(first), [1 / math.sqrt(2)] * 2, atol=1e-15)
-
-    def test_decoupled_diagonal(self):
-        diag = [3.0, -1.0, 2.0]
-        values, _ = sym_tridiag_eigen(diag, [0.0, 0.0])
-        assert np.allclose(values, sorted(diag), atol=0)
-
-    def test_trace_and_numpy_oracle(self):
-        rng = np.random.default_rng(7)
-        for n in (4, 16, 48):
-            d = rng.standard_normal(n)
-            e = rng.standard_normal(n - 1)
-            values, first = sym_tridiag_eigen(d, e)
-            norm = np.abs(d).max() + 2 * np.abs(e).max()
-            assert abs(values.sum() - d.sum()) <= 1e-12 * max(norm, 1.0) * n
-            dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            ref_values, ref_vectors = np.linalg.eigh(dense)
-            assert np.abs(values - ref_values).max() <= 1e3 * np.finfo(float).eps * norm
-            assert np.abs(np.abs(first) - np.abs(ref_vectors[0])).max() <= 1e-10
-
-    def test_quadratic_formula_two_by_two(self):
-        a, b, c = 1.3, -0.4, 2.1
-        values, _ = sym_tridiag_eigen([a, c], [b])
-        mean = (a + c) / 2
-        gap = math.hypot((a - c) / 2, b)
-        assert np.allclose(values, [mean - gap, mean + gap], atol=1e-14)
 
 
 class TestAdaptiveIntegrate:
