@@ -19,11 +19,9 @@ from .errors import (
     LengthMismatchError,
     MuntzQuadError,
     NewtonDivergedError,
-    NoConvergenceError,
     NonFiniteSampleError,
     PoleHitError,
     SingularMatrixError,
-    ToleranceNotMetError,
 )
 from .muntz import (
     EvalConfig,
@@ -68,14 +66,12 @@ __all__ = [
     "MuntzQuadError",
     "NewtonConfig",
     "NewtonDivergedError",
-    "NoConvergenceError",
     "NonFiniteSampleError",
     "PoleHitError",
     "QuadratureRule",
     "RuleDiagnostics",
     "RuleSpec",
     "SingularMatrixError",
-    "ToleranceNotMetError",
     "admissible",
     "apply_rule",
     "assemble",

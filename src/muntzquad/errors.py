@@ -15,14 +15,6 @@ class SingularMatrixError(MuntzQuadError):
     """A pivot fell below the singularity threshold in a dense solve."""
 
 
-class NoConvergenceError(MuntzQuadError):
-    """An iterative eigensolve exhausted its iteration cap."""
-
-
-class ToleranceNotMetError(MuntzQuadError):
-    """Adaptive integration hit its refinement cap before converging."""
-
-
 class InvalidOrderError(MuntzQuadError, ValueError):
     """A quadrature order below 1 was requested."""
 

@@ -286,7 +286,7 @@ def select_theta(exponents, omega: float, config: EvalConfig | None = None) -> T
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
 
 
-def _graded_widths(first: float, width: float, segment: float):
+def _graded_widths(first: float, segment: float):
     """Panel widths: four at ``first``, doubling every second panel to a cap."""
     starts, widths = [], []
     position, current, at_current = 0.0, first, 0
@@ -303,7 +303,7 @@ def _graded_widths(first: float, width: float, segment: float):
 
 
 @lru_cache(maxsize=128)
-def _panel_grid(first: float, width: float, segment: float, order: int):
+def _panel_grid(first: float, segment: float, order: int):
     """Graded panel sample points, weights, and oscillatory phase on [0, segment].
 
     The integrand's only sharp feature sits within O(theta) of the origin,
@@ -313,7 +313,7 @@ def _panel_grid(first: float, width: float, segment: float, order: int):
     tail-escalation test.
     """
     gl = gauss_legendre(order)
-    starts, widths = _graded_widths(first, width, segment)
+    starts, widths = _graded_widths(first, segment)
     t = (starts[:, None] + widths[:, None] * gl.nodes[None, :]).ravel()
     w = (widths[:, None] * gl.weights[None, :]).ravel()
     phase = np.exp(1j * t)
@@ -330,38 +330,56 @@ def _first_panel_width(width: float, theta_group: np.ndarray) -> float:
     return max(2.0 ** math.floor(math.log2(scale)), width / 256.0)
 
 
-def _kernel_sweep(t, num_off, den_off, first):
-    """Kernel products of every basis prefix at the contour samples ``t``.
+def _kernel_sweep(u, v, num_off, den_off, first):
+    """Kernel products of every basis prefix at the contour samples ``u + iv``.
 
-    Entry ``[i, n, k]`` is the product of the rational factors of prefix
-    ``n`` for point ``i`` at ``t[k]``, times ``first`` (the oscillatory
-    phase on the panels, 1 on the tail): one ``cumprod`` over the basis axis
-    sweeps the whole basis.  Overflowed samples come out non-finite.
+    Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``v = 0``;
+    tail: ``u`` the segment end).  Entry ``[i, n, k]`` is the product of the
+    rational factors of prefix ``n`` for point ``i`` at sample ``k``, times
+    ``first`` (the oscillatory phase on the panels, 1 on the tail).  Factors
+    after the first are built in real arithmetic, divided through by ``u``;
+    a running product over the basis rows sweeps the whole basis.
+    Overflowed samples come out non-finite.
     """
-    factors = np.empty((num_off.shape[0], num_off.shape[1], t.size), dtype=complex)
-    factors[:, 0, :] = first / (t[None, :] + 1j * den_off[:, :1])
-    factors[:, 1:, :] = (t[None, None, :] + 1j * num_off[:, :-1, None]) / (
-        t[None, None, :] + 1j * den_off[:, 1:, None]
-    )
+    n_points, n_basis = num_off.shape
+    factors = np.empty((n_points, n_basis, np.broadcast(u, v).size), dtype=complex)
+    factors[:, 0] = first / (u + 1j * (v + den_off[:, :1]))
+    a = num_off[:, :-1, None]
+    b = den_off[:, 1:, None]
+    vb = v + b
+    inv_u = 1.0 / u
+    # (u + i(v+a)) / (u + i(v+b)) = (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
+    den = vb * vb * inv_u
+    den += u
+    re = (v + a) * vb * inv_u
+    re += u
+    re /= den
+    factors.real[:, 1:] = re
+    np.divide(a - b, den, out=factors.imag[:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(factors, axis=1, out=factors)
+        for n in range(1, n_basis):
+            np.multiply(factors[:, n], factors[:, n - 1], out=factors[:, n])
     return factors
 
 
-def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) -> np.ndarray:
+def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalConfig) -> np.ndarray:
     """Per-point segment-doubling level that makes the Laguerre tail usable.
 
     For each candidate segment length the tail integrand is swept through
-    the basis recurrence at the Laguerre ordinates; a point is accepted when
-    every sample either stays within ``tail_bump_factor`` of its launch
-    value (resolvable) or contributes below ``tail_negligible`` relative to
-    the output scale ``max(1, x**lam_min)`` (harmless).
+    the basis recurrence at the Laguerre ordinates ``lag.nodes``; a point is
+    accepted when every sample either stays within ``tail_bump_factor`` of
+    its launch value (resolvable) or contributes below ``tail_negligible``
+    relative to the output scale ``max(1, x**lam_min)`` (harmless).
+
+    Every sweep is also contracted into ``tails[i, n]``, the tail integral,
+    overwritten while point i is pending, so it ends at the returned level.
+    Overflowed samples lie in the damped-dead zone and are dropped.
     """
     n_points = num_off.shape[0]
     base = cfg.panel_width * cfg.panel_count
     levels = np.full(n_points, cfg.max_segment_doublings, dtype=int)
     pending = np.arange(n_points)
-    damp = np.exp(-tau)
+    damp = np.exp(-lag.nodes)
     # amplitude = x**lam_min * e**theta, so the output scale is amp * e**-theta
     dead_cut = cfg.tail_negligible * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
 
@@ -370,12 +388,15 @@ def _segment_levels(num_off, den_off, amplitude, theta, tau, cfg: EvalConfig) ->
             break
         segment = base * 2.0**level
         cut = dead_cut[pending]
-        magnitudes = np.abs(_kernel_sweep(segment + 1j * tau, num_off[pending], den_off[pending], 1.0))
+        sweep = _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
+        magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
         bump_ok = magnitudes <= cfg.tail_bump_factor * launch
         dead = magnitudes * damp[None, None, :] <= cut[:, None, None]
         ok = np.all(bump_ok | dead, axis=(1, 2))
 
+        np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
+        tails[pending] = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
         levels[pending[ok]] = level
         pending = pending[~ok]
     return levels
@@ -386,7 +407,8 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
 
     Returns ``(values, thetas, sigmas)`` where ``values[n, i]`` is the n-th
     basis element at ``xs[i]``.  Points equal to 1 short-circuit to exact
-    ones; a single-element sequence bypasses the contour entirely.
+    ones; a single-element sequence bypasses the contour entirely.  The
+    Laguerre tails come from ``_segment_levels``; only the panels are swept here.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -420,26 +442,19 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
     den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
     amplitude = xa ** lam_min * np.exp(theta)
 
-    lag = gauss_laguerre(cfg.laguerre_order)
-    levels = _segment_levels(num_off, den_off, amplitude, theta, lag.nodes, cfg)
+    tails = np.empty((xa.size, nb), dtype=complex)
+    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(cfg.laguerre_order), tails, cfg)
 
     values[0, active] = xa ** lam[0]
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)
         segment = cfg.panel_width * cfg.panel_count * 2.0 ** int(level)
         first = _first_panel_width(cfg.panel_width, theta[in_level])
-        t_panel, w_panel, phase = _panel_grid(first, cfg.panel_width, segment, cfg.panel_order)
-        num = num_off[in_level]
-        den = den_off[in_level]
-
-        q_osc = _kernel_sweep(t_panel, num, den, phase) @ w_panel
-        tail = _kernel_sweep(segment + 1j * lag.nodes, num, den, 1.0)
-        # overflowed tail samples live in the damped-dead zone; drop them
-        np.copyto(tail, 0.0, where=~np.isfinite(tail))
-        q_tail = 1j * np.exp(1j * segment) * (tail @ lag.weights)
+        t_panel, w_panel, phase = _panel_grid(first, segment, cfg.panel_order)
+        q_osc = _kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase) @ w_panel
 
         amp = amplitude[in_level]
-        values[1:, active[in_level]] = (amp[:, None] / math.pi * (q_osc + q_tail)[:, 1:].imag).T
+        values[1:, active[in_level]] = (amp[:, None] / math.pi * (q_osc + tails[in_level])[:, 1:].imag).T
     return values, thetas, sigmas
 
 

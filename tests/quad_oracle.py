@@ -13,9 +13,12 @@ from typing import Callable
 import numpy as np
 
 from muntzquad.classical import gauss_legendre
-from muntzquad.errors import ToleranceNotMetError
 
 _EPS = np.finfo(float).eps
+
+
+class ToleranceNotMetError(Exception):
+    """Adaptive integration hit its refinement cap before converging."""
 
 
 def _panel_nodes_weights(order: int):

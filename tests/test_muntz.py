@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from muntzquad.classical import gauss_laguerre
 from muntzquad.cli import sequence_family
 from muntzquad.errors import (
     DomainError,
@@ -22,6 +23,10 @@ from muntzquad.muntz import (
     rational_kernel,
     scaled_derivatives,
     select_theta,
+    _first_panel_width,
+    _kernel_sweep,
+    _panel_grid,
+    _segment_levels,
     _theta_search,
 )
 from quad_oracle import adaptive_integrate
@@ -216,6 +221,91 @@ class TestEvalAll:
             values = eval_all(lam, x, CONFIGS[config]).values
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 1e-13, (x, error.max())
+
+    def test_long_prefix_small_x_matches_residue_sum(self):
+        # 40 terms shifted by -1/8; the worst point of a 41-point log grid
+        # over [1e-12, 0.999] sits at x ~ 7.9e-6
+        lam = example1_prefix(40) - 0.125
+        for x in np.append(np.geomspace(1e-12, 0.999, 12), 7.94e-6):
+            exact = residue_sum_basis(lam, x)
+            values = eval_all(lam, x).values
+            error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
+            assert error.max() <= 1e-12, (x, error.max())
+
+
+def contour_offsets(lam, xs, cfg=EvalConfig()):
+    """theta and the numerator/denominator offsets ``_basis_batch`` sweeps with."""
+    lam_min = float(np.min(lam))
+    omega = -np.log(xs)
+    theta = _theta_search(lam, lam_min, omega, cfg).theta
+    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
+    den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
+    return theta, num_off, den_off
+
+
+def reference_kernel_sweep(t, num_off, den_off, first):
+    """The kernel products by complex division and ``cumprod``, at complex ``t``."""
+    factors = np.empty((num_off.shape[0], num_off.shape[1], t.size), dtype=complex)
+    factors[:, 0, :] = first / (t[None, :] + 1j * den_off[:, :1])
+    factors[:, 1:, :] = (t[None, None, :] + 1j * num_off[:, :-1, None]) / (
+        t[None, None, :] + 1j * den_off[:, 1:, None]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(factors, axis=1, out=factors)
+    return factors
+
+
+class TestKernelSweep:
+    @pytest.mark.parametrize("name", ["example1", "case3"])
+    @pytest.mark.parametrize("where", ["panel", "tail"])
+    def test_matches_complex_division(self, name, where):
+        cfg = EvalConfig()
+        theta, num_off, den_off = contour_offsets(THETA_SEARCH_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9))
+        # force point 0 to overflow from prefix 3 on
+        num_off[0, 1:3] = 1e200
+        segment = 64.0
+        if where == "panel":
+            t, _, phase = _panel_grid(_first_panel_width(cfg.panel_width, theta), segment, cfg.panel_order)
+            swept = _kernel_sweep(t, 0.0, num_off, den_off, phase)
+            expected = reference_kernel_sweep(t.astype(complex), num_off, den_off, phase)
+        else:
+            tau = gauss_laguerre(cfg.laguerre_order).nodes
+            swept = _kernel_sweep(segment, tau, num_off, den_off, 1.0)
+            expected = reference_kernel_sweep(segment + 1j * tau, num_off, den_off, 1.0)
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(swept), finite)
+        assert not np.any(finite[0, 3:]) and np.all(finite[1:])
+        error = np.abs(swept[finite] - expected[finite]) / np.abs(expected[finite])
+        assert error.max() <= 1e-14
+
+
+class TestSegmentLevels:
+    def test_tails_match_a_fresh_sweep_at_the_returned_level(self):
+        # at most two doublings: the points that need three stay at level 2
+        # without passing, so their tails come from the last overwrite
+        cfg = EvalConfig(max_segment_doublings=2)
+        lam = THETA_SEARCH_SEQUENCES["example1"]
+        xs = np.geomspace(1e-9, 0.99, 12)
+        theta, num_off, den_off = contour_offsets(lam, xs, cfg)
+        amplitude = xs ** np.min(lam) * np.exp(theta)
+        # the first point overflows from prefix 3 on and never passes
+        num_off[0, 1:3] = 1e200
+        lag = gauss_laguerre(cfg.laguerre_order)
+        tails = np.empty(num_off.shape, dtype=complex)
+        levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg)
+
+        unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag, np.empty_like(tails), EvalConfig())
+        assert np.any(unbounded[1:] > cfg.max_segment_doublings)
+        assert np.array_equal(levels, np.minimum(unbounded, cfg.max_segment_doublings))
+        assert 0 in levels and levels[0] == cfg.max_segment_doublings
+        assert np.all(np.isfinite(tails))
+        base = cfg.panel_width * cfg.panel_count
+        for i, level in enumerate(levels):
+            segment = base * 2.0 ** int(level)
+            sweep = _kernel_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)
+            np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
+            fresh = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
+            assert np.array_equal(tails[i], fresh[0]), (i, level)
 
 
 class TestEvalAllWeighted:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from muntzquad.errors import SingularMatrixError, ToleranceNotMetError
+from muntzquad.errors import SingularMatrixError
 from muntzquad.numerics import solve_dense
-from quad_oracle import adaptive_integrate
+from quad_oracle import ToleranceNotMetError, adaptive_integrate
 
 
 class TestSolveDense:
