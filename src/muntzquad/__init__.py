@@ -12,7 +12,6 @@ from .classical import ClassicalRule, gauss_jacobi, gauss_laguerre, gauss_legend
 from .errors import (
     ContinuationFailedError,
     DomainError,
-    InadmissibleExponentError,
     InadmissibleSequenceError,
     InvalidBetaError,
     InvalidOrderError,
@@ -20,22 +19,16 @@ from .errors import (
     MuntzQuadError,
     NewtonDivergedError,
     NonFiniteSampleError,
-    PoleHitError,
     SingularMatrixError,
 )
 from .muntz import (
     EvalConfig,
     EvalResult,
-    admissible,
     eval_all,
     eval_all_weighted,
-    moment_general,
     moments,
-    rational_kernel,
     scaled_derivatives,
-    select_theta,
 )
-from .numerics import solve_dense
 from .solver import (
     ContinuationConfig,
     NewtonConfig,
@@ -58,7 +51,6 @@ __all__ = [
     "DomainError",
     "EvalConfig",
     "EvalResult",
-    "InadmissibleExponentError",
     "InadmissibleSequenceError",
     "InvalidBetaError",
     "InvalidOrderError",
@@ -67,12 +59,10 @@ __all__ = [
     "NewtonConfig",
     "NewtonDivergedError",
     "NonFiniteSampleError",
-    "PoleHitError",
     "QuadratureRule",
     "RuleDiagnostics",
     "RuleSpec",
     "SingularMatrixError",
-    "admissible",
     "apply_rule",
     "assemble",
     "compute_rule",
@@ -82,12 +72,8 @@ __all__ = [
     "gauss_jacobi",
     "gauss_laguerre",
     "gauss_legendre",
-    "moment_general",
     "moments",
     "newton_solve",
-    "rational_kernel",
     "scaled_derivatives",
-    "select_theta",
-    "solve_dense",
     "transform_to_unit_weight",
 ]

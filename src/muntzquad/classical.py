@@ -27,13 +27,10 @@ from .errors import InvalidBetaError, InvalidOrderError
 
 @dataclass(frozen=True)
 class ClassicalRule:
-    """Nodes and weights plus tags describing domain and weight function."""
+    """Nodes and weights of a classical Gauss rule (read-only arrays)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str  # "unit-interval" | "half-line"
-    weight: str  # "unit" | "exp-decay" | "power"
-    beta: float | None = None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -90,17 +87,11 @@ def _refined_rule(alpha, beta_coeffs, nodes0):
     return dd.to_double(x), weights
 
 
-def _build(alpha_dd, beta_dd, domain, weight, beta=None) -> ClassicalRule:
+def _build(alpha_dd, beta_dd) -> ClassicalRule:
     sqrt_off = np.sqrt(dd.to_double((beta_dd[0][1:-1], beta_dd[1][1:-1])))
     jacobi = np.diag(dd.to_double(alpha_dd)) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
     nodes, weights = _refined_rule(alpha_dd, beta_dd, np.linalg.eigvalsh(jacobi))
-    return ClassicalRule(
-        nodes=_freeze(nodes),
-        weights=_freeze(weights),
-        domain=domain,
-        weight=weight,
-        beta=beta,
-    )
+    return ClassicalRule(nodes=_freeze(nodes), weights=_freeze(weights))
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +106,7 @@ def gauss_legendre(order: int) -> ClassicalRule:
     alpha = dd.from_double(np.full(order, 0.5))
     beta = dd.div(dd.from_double(k**2), dd.from_double(4.0 * (4.0 * k**2 - 1.0)))
     beta[0][0], beta[1][0] = 1.0, 0.0  # zeroth moment of the unit weight
-    return _build(alpha, beta, "unit-interval", "unit")
+    return _build(alpha, beta)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +118,7 @@ def gauss_laguerre(order: int) -> ClassicalRule:
     alpha = dd.from_double(2.0 * k + 1.0)
     beta = dd.from_double(np.arange(order + 1, dtype=float) ** 2)
     beta[0][0] = 1.0  # zeroth moment of exp(-y)
-    return _build(alpha, beta, "half-line", "exp-decay")
+    return _build(alpha, beta)
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +164,4 @@ def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
     # beta_coeffs[order] only normalizes the last orthonormal element; any
     # positive value works, reuse 1
     beta_hi[order] = 1.0
-    return _build(
-        (alpha_hi, alpha_lo), (beta_hi, beta_lo), "unit-interval", "power", beta=beta
-    )
+    return _build((alpha_hi, alpha_lo), (beta_hi, beta_lo))

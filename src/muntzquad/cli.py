@@ -289,7 +289,7 @@ def _emit(text: str, path) -> None:
 def cmd_rule(args) -> int:
     try:
         spec = _spec_from_args(args)
-    except (ValueError, MuntzQuadError) as exc:
+    except (OSError, ValueError, MuntzQuadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -314,7 +314,7 @@ def cmd_validate(args) -> int:
     else:
         try:
             spec = _spec_from_args(args)
-        except (ValueError, MuntzQuadError) as exc:
+        except (OSError, ValueError, MuntzQuadError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
@@ -345,13 +345,14 @@ def cmd_convergence(args) -> int:
     try:
         sizes = _parse_range(args.n_range)
         f, exact = _integrand(args.integrand)
-    except ValueError as exc:
+        specs = [RuleSpec(sequence_family(args.family, n), args.beta) for n in sizes]
+    except ValueError as exc:  # inadmissible specs included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = []
-    for n in sizes:
+    for n, spec in zip(sizes, specs):
         try:
-            rule = compute_rule(RuleSpec(sequence_family(args.family, n), args.beta))
+            rule = compute_rule(spec)
         except MuntzQuadError as exc:
             print(f"error: construction failed at n = {n}: {exc}", file=sys.stderr)
             return 1

@@ -12,7 +12,7 @@ class MuntzQuadError(Exception):
 
 
 class SingularMatrixError(MuntzQuadError):
-    """A pivot fell below the singularity threshold in a dense solve."""
+    """A dense linear solve met a singular or non-finite system."""
 
 
 class InvalidOrderError(MuntzQuadError, ValueError):
@@ -27,16 +27,8 @@ class DomainError(MuntzQuadError, ValueError):
     """An argument fell outside the domain of the function."""
 
 
-class PoleHitError(MuntzQuadError, ZeroDivisionError):
-    """The rational kernel was evaluated exactly at one of its poles."""
-
-
 class InadmissibleSequenceError(MuntzQuadError, ValueError):
     """The exponent sequence is not admissible for the given weight."""
-
-
-class InadmissibleExponentError(InadmissibleSequenceError):
-    """A moment exponent violates the integrability condition."""
 
 
 class LengthMismatchError(MuntzQuadError, ValueError):

@@ -29,9 +29,11 @@ cost of the last element.  The same sweep is batched across evaluation
 points, which is what the rule solver calls.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
-the values by a two-term recurrence.  Weighted moments follow from the
-closed form ``integral L_n(x) x**lam dx = -W_n(-lam-1)`` and its ratio
-recurrence, so no numerical integration enters the solver anywhere.
+the values by a two-term recurrence.  Weighted moments follow from a
+closed-form ratio recurrence, written once in ``moment_recurrence`` and run
+in arbitrary precision: ``moments`` rounds it to doubles for the solver and
+the polish residual of ``refine`` runs it at its own working precision, so
+no numerical integration enters the solver anywhere.
 """
 
 from __future__ import annotations
@@ -40,17 +42,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
-from . import dd
 from .classical import gauss_laguerre, gauss_legendre
-from .errors import (
-    DomainError,
-    InadmissibleExponentError,
-    InadmissibleSequenceError,
-    LengthMismatchError,
-    PoleHitError,
-)
+from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 
 
 @dataclass(frozen=True)
@@ -91,20 +87,17 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Basis values at one point plus the contour parameters that were used."""
+    """Basis values ``L_0(x), ..., L_N(x)`` at one point."""
 
     values: np.ndarray
-    theta_used: float
-    sigma_used: float
 
 
 @dataclass(frozen=True)
 class ThetaSelection:
-    """Chosen contour offset(s) and objective value(s): floats from
-    ``select_theta``, one entry per point from a batched search."""
+    """Chosen contour offset and objective value, one entry per point."""
 
-    theta: float | np.ndarray
-    objective: float | np.ndarray
+    theta: np.ndarray
+    objective: np.ndarray
     converged: bool
 
 
@@ -117,17 +110,6 @@ def _as_exponents(exponents) -> np.ndarray:
     return lam
 
 
-def admissible(exponents, beta: float) -> bool:
-    """True when every weighted moment integral converges.
-
-    The sequence is usable with weight ``x**beta`` iff ``min(lam) + beta > -1``:
-    each basis element behaves like ``x**lam`` near zero, so this is exactly
-    integrability of the moments (and of the quadrature problem itself).
-    """
-    lam = _as_exponents(exponents)
-    return bool(np.min(lam) + float(beta) > -1.0)
-
-
 def ensure_admissible(exponents, beta: float) -> np.ndarray:
     lam = _as_exponents(exponents)
     if np.min(lam) + float(beta) <= -1.0:
@@ -138,72 +120,32 @@ def ensure_admissible(exponents, beta: float) -> np.ndarray:
     return lam
 
 
-def rational_kernel(exponents, t: complex) -> complex:
-    """Product ``prod_{k<n} (t+lam_k+1)/(t-lam_k) * 1/(t-lam_n)``, left to right.
-
-    This is the rational function whose contour integral against ``x**t``
-    defines the basis element for the prefix ``exponents``; its value at
-    ``-lam-1`` gives weighted moments in closed form.
-    """
-    lam = _as_exponents(exponents)
-    tc = complex(t)
-    for lam_k in lam:
-        if tc == complex(lam_k):
-            raise PoleHitError(f"t = {tc} hits the pole at exponent {lam_k}")
-    result = complex(1.0)
-    for lam_k in lam[:-1]:
-        result *= (tc + lam_k + 1.0) / (tc - lam_k)
-    return result / (tc - lam[-1])
-
-
-def moment_general(exponents, lam_power: float) -> float:
-    """Exact integral of the last basis element against ``x**lam_power``.
-
-    Requires ``lam_power + lam_k > -1`` for every exponent in the prefix,
-    which also keeps the kernel argument away from every pole.  The result
-    is zero whenever ``lam_power`` equals an earlier exponent, which is the
-    orthogonality of the basis to the pure powers it was built from.
-    """
-    lam = _as_exponents(exponents)
-    lam_power = float(lam_power)
-    if np.min(lam) + lam_power <= -1.0:
-        raise InadmissibleExponentError(
-            f"lam_power {lam_power} gives min(lambda) + lam_power <= -1; integral diverges"
-        )
-    return float(-rational_kernel(lam, complex(-lam_power - 1.0)).real)
-
-
-def _moments_dd(exponents, beta: float):
-    """Moment recurrence carried in double-double; returns an (hi, lo) pair.
-
-    The plain recurrence accumulates a rounding random walk of ~sqrt(n) ulp,
-    which is enough to bias the rule solver's smallest weight; compensated
-    accumulation keeps the moments exact to well below one ulp.
-    """
-    lam = ensure_admissible(exponents, beta)
-    beta = float(beta)
-    hi = np.empty(lam.size)
-    lo = np.empty(lam.size)
-    den = dd.add_double(dd.two_sum(np.float64(lam[0]), np.float64(beta)), 1.0)
-    m = dd.div(dd.from_double(np.float64(1.0)), den)
-    hi[0], lo[0] = m
-    for n in range(1, lam.size):
-        den = dd.add_double(dd.two_sum(np.float64(lam[n]), np.float64(beta)), 1.0)
-        m = dd.div(dd.mul_double(m, np.float64(-lam[n - 1])), den)
-        hi[n], lo[n] = m
-    return hi, lo
-
-
-def moments(exponents, beta: float) -> np.ndarray:
-    """All weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` at once.
+def moment_recurrence(exponents, beta) -> list:
+    """Weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` as mpmath
+    numbers at the caller's working precision.
 
     Closed-form ratio recurrence: the first moment is ``1/(1+lam_0+beta)``
     and each later one is the previous scaled by ``-lam_{n-1}/(1+lam_n+beta)``.
     A leading exponent equal to zero therefore kills every later moment,
     which is orthogonality to constants.
     """
-    hi, lo = _moments_dd(exponents, beta)
-    return hi + lo
+    beta_q = mp.mpf(beta)
+    out = [1 / (1 + mp.mpf(exponents[0]) + beta_q)]
+    for previous, current in zip(exponents[:-1], exponents[1:]):
+        out.append(out[-1] * -mp.mpf(previous) / (1 + mp.mpf(current) + beta_q))
+    return out
+
+
+def moments(exponents, beta: float) -> np.ndarray:
+    """All weighted moments at once, correctly rounded to doubles.
+
+    The recurrence runs at 40 digits: a double-precision one accumulates a
+    rounding random walk of ~sqrt(n) ulp, which is enough to bias the rule
+    solver's smallest weight.
+    """
+    lam = ensure_admissible(exponents, beta)
+    with mp.workdps(40):
+        return np.array([float(m) for m in moment_recurrence(lam, float(beta))])
 
 
 # Theta search: a log-spaced grid over [theta_min, theta_max], then rounds of
@@ -215,12 +157,18 @@ _THETA_ZOOM = 17
 
 
 def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
-    """Minimize the theta objective for every frequency in ``omega`` at once.
+    """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
 
-    The number of refinement rounds is fixed by the grid ratio and
-    ``theta_tolerance``, so every final bracket is narrower than the
-    tolerance, and every operation is elementwise per point: a point's theta
-    does not depend on the other points in the batch.
+    Minimizes the sum of a near-origin magnitude estimate of the sampled
+    integrand (which blows up as theta shrinks) and the amplification
+    ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
+    blows up as theta grows).  Any positive theta yields a valid contour;
+    the minimizer only tunes conditioning.  The number of refinement rounds
+    is fixed by the grid ratio and ``theta_tolerance``, so every final
+    bracket is narrower than the tolerance, and every operation is
+    elementwise per point: a point's theta does not depend on the other
+    points in the batch.  ``converged`` is False when the objective was
+    infinite at every candidate of some point.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
     # near-origin magnitude of the sampled integrand: numerator offsets
@@ -259,28 +207,6 @@ def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
             hi = candidates[rows, np.minimum(best + 1, candidates.shape[1] - 1)]
             candidates = lo[:, None] + (hi - lo)[:, None] * steps
     return ThetaSelection(theta=theta, objective=best_value, converged=bool(np.all(np.isfinite(best_value))))
-
-
-def select_theta(exponents, omega: float, config: EvalConfig | None = None) -> ThetaSelection:
-    """Pick the contour offset ``theta`` for oscillation frequency ``omega``.
-
-    Minimizes the sum of a near-origin magnitude estimate of the sampled
-    integrand (which blows up as theta shrinks) and the amplification
-    ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
-    blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning.  The search scans a log-spaced
-    grid on ``[theta_min, theta_max]`` and zooms into the bracket around the
-    best candidate until it is narrower than ``theta_tolerance``; it returns
-    the best point seen, and ``converged`` is False only when the objective
-    was infinite at every candidate.
-    """
-    cfg = config or EvalConfig()
-    lam = _as_exponents(exponents)
-    omega = float(omega)
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    found = _theta_search(lam, float(np.min(lam)), np.array([omega]), cfg)
-    return ThetaSelection(float(found.theta[0]), float(found.objective[0]), found.converged)
 
 
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
@@ -405,10 +331,10 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
 def _basis_batch(shifted, xs, cfg: EvalConfig):
     """Basis values for the (already shifted) exponents at many points.
 
-    Returns ``(values, thetas, sigmas)`` where ``values[n, i]`` is the n-th
-    basis element at ``xs[i]``.  Points equal to 1 short-circuit to exact
-    ones; a single-element sequence bypasses the contour entirely.  The
-    Laguerre tails come from ``_segment_levels``; only the panels are swept here.
+    Returns ``values`` where ``values[n, i]`` is the n-th basis element at
+    ``xs[i]``.  Points equal to 1 short-circuit to exact ones; a
+    single-element sequence bypasses the contour entirely.  The Laguerre
+    tails come from ``_segment_levels``; only the panels are swept here.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -416,25 +342,20 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
     lam_min = float(np.min(lam))
 
     values = np.empty((nb, xs.size))
-    thetas = np.zeros(xs.size)
-    sigmas = np.full(xs.size, lam_min)
-
     at_one = xs == 1.0
     if np.any(at_one):
         values[:, at_one] = 1.0
     active = np.flatnonzero(~at_one)
     if active.size == 0:
-        return values, thetas, sigmas
+        return values
     xa = xs[active]
 
     if nb == 1:
         values[0, active] = xa ** lam[0]
-        return values, thetas, sigmas
+        return values
 
     omega = np.maximum(-np.log(xa), cfg.omega_floor)
     theta = _theta_search(lam, lam_min, omega, cfg).theta
-    thetas[active] = theta
-    sigmas[active] = lam_min - theta / omega
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
@@ -455,7 +376,7 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
 
         amp = amplitude[in_level]
         values[1:, active[in_level]] = (amp[:, None] / math.pi * (q_osc + tails[in_level])[:, 1:].imag).T
-    return values, thetas, sigmas
+    return values
 
 
 def _check_point(x: float) -> float:
@@ -469,8 +390,7 @@ def eval_all(exponents, x: float, config: EvalConfig | None = None) -> EvalResul
     """All basis values ``L_0(x), ..., L_N(x)`` for the unit-weight family."""
     cfg = config or EvalConfig()
     x = _check_point(x)
-    values, thetas, sigmas = _basis_batch(exponents, np.array([x]), cfg)
-    return EvalResult(values=values[:, 0], theta_used=float(thetas[0]), sigma_used=float(sigmas[0]))
+    return EvalResult(values=_basis_batch(exponents, np.array([x]), cfg)[:, 0])
 
 
 def eval_all_weighted(exponents, beta: float, x: float, config: EvalConfig | None = None) -> EvalResult:
@@ -482,10 +402,8 @@ def eval_all_weighted(exponents, beta: float, x: float, config: EvalConfig | Non
     cfg = config or EvalConfig()
     lam = ensure_admissible(exponents, beta)
     x = _check_point(x)
-    shifted = lam + 0.5 * float(beta)
-    values, thetas, sigmas = _basis_batch(shifted, np.array([x]), cfg)
-    scaled = values[:, 0] * x ** (-0.5 * float(beta))
-    return EvalResult(values=scaled, theta_used=float(thetas[0]), sigma_used=float(sigmas[0]))
+    values = _basis_batch(lam + 0.5 * float(beta), np.array([x]), cfg)[:, 0]
+    return EvalResult(values=values * x ** (-0.5 * float(beta)))
 
 
 def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:

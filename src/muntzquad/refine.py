@@ -27,7 +27,8 @@ contracts over the nodes first,
     T_{p,j} = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!,
 
 for any multiplicity.  Working precision scales with the sequence length,
-since the expansion's cancellation grows with it.  The Newton directions
+since the expansion's cancellation grows with it; the moments ``mu_n`` come
+from ``muntz.moment_recurrence`` at that same precision.  The Newton directions
 themselves stay in ordinary double arithmetic: direction errors only
 perturb the path, not the limit.
 """
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+
+from .muntz import moment_recurrence
 
 
 def _node_sums(poles, orders, nodes, weights, beta_q):
@@ -85,12 +88,10 @@ def exact_residual(nodes, weights, exponents, beta: float) -> np.ndarray:
                     h[i] = c * h[i] + h[i - 1]
                 h[0] *= c
 
-        moment = 1 / (1 + mp.mpf(lam[0]) + beta_q)
         residual = np.empty(lam.size)
-        for n in range(lam.size):
+        for n, moment in enumerate(moment_recurrence(lam, beta_q)):
             if n:
                 numerator_step(shifted[n - 1])
-                moment = moment * -mp.mpf(lam[n - 1]) / (1 + mp.mpf(lam[n]) + beta_q)
             denominator_step(shifted[n])
             q = mp.fsum(
                 series[p][count[p] - 1 - j] * sums[p][j] for p in poles for j in range(count[p])

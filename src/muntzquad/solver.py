@@ -19,6 +19,13 @@ integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1
 with adaptive step control, re-solving at each stage from the previous
 rule.  At ``alpha = 0`` the basis degenerates to polynomials and the
 Gauss-Jacobi rule is already exact, so the path starts at a known root.
+
+The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
+the weights scale by ``x**c``, so the walk and the polish always run on the
+canonical shift ``c = -min(lam)``, whose smallest exponent is 0.  There
+every pair sums to more than ``-1 - beta``, so no numerator factor of the
+basis kernel cancels one of its poles anywhere along the homotopy.  Every
+linear solve is one LAPACK call.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .muntz import (
     moments,
     scaled_derivatives,
 )
-from .numerics import solve_dense
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,9 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class RuleDiagnostics:
+    """``residual`` is the final moment residual of the shifted problem the
+    walk solves (see ``compute_rule``), not of the caller's weight."""
+
     residual: float
     continuation_steps: int
     newton_iterations: int
@@ -185,6 +194,16 @@ def _feasible(nodes, weights) -> bool:
     )
 
 
+def _solve(matrix, rhs) -> np.ndarray:
+    """``np.linalg.solve``; a singular or non-finite system raises ``SingularMatrixError``."""
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+        raise SingularMatrixError("matrix and rhs entries must be finite")
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+
+
 def _predict(alpha, nodes, weights, previous, alpha_next):
     """Secant extrapolation of the path to the next blend value.
 
@@ -236,7 +255,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
 
     beta = float(beta)
     shifted = lam + 0.5 * beta
-    basis, _, _ = _basis_batch(shifted, nodes, cfg)
+    basis = _basis_batch(shifted, nodes, cfg)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
     residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
@@ -285,7 +304,7 @@ def newton_solve(
     for iteration in range(1, ncfg.max_iterations + 1):
         step_scale = ncfg.damping ** max(0, iteration - ncfg.damping_onset)
         try:
-            p_scaled = solve_dense(jacobian, -residual)
+            p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError as exc:
             raise NewtonDivergedError(
                 f"Jacobian became singular: {exc}", iterations=iteration, residual=res_norm
@@ -347,9 +366,11 @@ def compute_rule(
     Starts from the classical Gauss-Jacobi rule (the exact root for the
     integer-exponent blend), then advances the blend parameter with
     adaptive steps: shrink on a diverged Newton solve, grow after fast
-    convergence, and always land the final step exactly on 1.  Raises
-    ``ContinuationFailedError`` (carrying the last good state) if the step
-    size falls below its minimum.
+    convergence, and always land the final step exactly on 1.  Walk and
+    polish run on the canonically shifted spec; the weights return to the
+    caller's weight ``x**beta`` at the end, and ``rule.spec`` is ``spec``.
+    Raises ``ContinuationFailedError`` (carrying the last good state, in
+    the caller's weight) if the step size falls below its minimum.
     """
     ncfg = newton or NewtonConfig()
     ccfg = continuation or ContinuationConfig()
@@ -358,10 +379,13 @@ def compute_rule(
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
     # (crossings create near-coincident exponents whose basis is nearly
-    # dependent, stalling Newton); walk the sorted sequence internally.
-    walk_spec = RuleSpec(np.sort(spec.exponents), spec.beta)
+    # dependent, stalling Newton); walk the sorted sequence internally,
+    # shifted by c so that its smallest exponent is 0.
+    lam = np.sort(spec.exponents)
+    c = -lam[0]
+    walk_spec = RuleSpec(lam + c, spec.beta - c)
 
-    start = gauss_jacobi(spec.n_nodes, spec.beta)
+    start = gauss_jacobi(spec.n_nodes, walk_spec.beta)
     x = start.nodes.copy()
     w = start.weights.copy()
 
@@ -388,7 +412,7 @@ def compute_rule(
                     f"step size fell below {ccfg.step_min} at alpha = {alpha}",
                     alpha=alpha,
                     nodes=x,
-                    weights=w,
+                    weights=w * x**c,
                 )
             continue
         previous = (alpha, x, w)
@@ -407,7 +431,7 @@ def compute_rule(
 
     return QuadratureRule(
         nodes=x,
-        weights=w,
+        weights=w * x**c,
         spec=spec,
         diagnostics=RuleDiagnostics(
             residual=res_norm,
@@ -448,7 +472,7 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
         try:
             residual = refine.exact_residual(x, w, spec.exponents, beta)
             _, jacobian = assemble(x, w, spec.exponents, beta, m, cfg)
-            p_scaled = solve_dense(jacobian, -residual)
+            p_scaled = _solve(jacobian, -residual)
         except (SingularMatrixError, DomainError):
             break
         # dx / x and dw / w share the scale x**(beta/2) / w

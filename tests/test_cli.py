@@ -157,6 +157,18 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["lambda"] == [0.0, 1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("command", ["rule", "validate"])
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_lambda_file_exits_2(self, command, name, tmp_path, capsys):
+        assert main([command, "--lambda-file", str(tmp_path / name)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_rule_cancelled_pole_family(self, capsys):
+        # example2 at beta = 0 pairs -1/2 with -1/2: lam_i + lam_j + beta + 1 = 0
+        assert main(["rule", "--family", "example2", "--n", "3", "--beta", "0", "--format", "json"]) == 0
+        rule_file = parse(capsys.readouterr().out)
+        assert max(err for _, err in cli.validation_rows(rule_file)) <= 1e-12
+
     def test_validate_fresh_rule_passes(self, capsys):
         code = main(["validate", "--family", "example2", "--n", "4", "--beta", f"{-1/3}"])
         captured = capsys.readouterr()
@@ -211,6 +223,10 @@ class TestCommands:
 
     def test_convergence_bad_range_exits_2(self):
         assert main(["convergence", "--family", "case1", "--integrand", "psi", "--n-range", "5:1:1"]) == 2
+
+    def test_convergence_inadmissible_beta_exits_2(self, capsys):
+        assert main(["convergence", "--family", "example1", "--beta", "-0.5", "--n-range", "2:2:1"]) == 2
+        assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:

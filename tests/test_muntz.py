@@ -6,23 +6,15 @@ import pytest
 
 from muntzquad.classical import gauss_laguerre
 from muntzquad.cli import sequence_family
-from muntzquad.errors import (
-    DomainError,
-    InadmissibleExponentError,
-    InadmissibleSequenceError,
-    LengthMismatchError,
-    PoleHitError,
-)
+from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
     EvalConfig,
-    admissible,
     eval_all,
     eval_all_weighted,
-    moment_general,
+    moment_recurrence,
     moments,
-    rational_kernel,
     scaled_derivatives,
-    select_theta,
+    _basis_batch,
     _first_panel_width,
     _kernel_sweep,
     _panel_grid,
@@ -64,18 +56,6 @@ CONFIGS = {
     "default": EvalConfig(panel_width=1.0, panel_count=32, panel_order=24),
     "fine": EvalConfig(panel_width=0.5, panel_count=64, panel_order=32),
 }
-
-
-class TestRationalKernel:
-    def test_single_factor(self):
-        assert rational_kernel([0.0], 2.0) == pytest.approx(0.5)
-
-    def test_two_term_product(self):
-        assert rational_kernel([0.0, 1.0], 2.0) == pytest.approx(1.5)
-
-    def test_pole_hit(self):
-        with pytest.raises(PoleHitError):
-            rational_kernel([0.0, 1.0], 1.0)
 
 
 # Shifted sequences (lam + beta/2) the theta search must handle: the two
@@ -131,30 +111,25 @@ class TestSelectTheta:
             assert single.theta[0] == batch.theta[i]
             assert single.objective[0] == batch.objective[i]
 
-    def test_returns_floats(self):
-        chosen = select_theta([0.0, 1.0, 2.5], 0.7)
-        assert type(chosen.theta) is float and type(chosen.objective) is float
-        assert chosen.converged is True
-
     def test_matches_grid_search(self):
         grid = np.arange(1e-5, 10.0, 1e-5)
         values = math.e / grid + np.exp(grid) / np.sqrt(grid)
         best = grid[np.argmin(values)]
-        chosen = select_theta([0.0], 1.0)
-        assert abs(chosen.theta - best) <= 1e-4
+        chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]), EvalConfig())
+        assert abs(chosen.theta[0] - best) <= 1e-4
 
     def test_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = np.sort(rng.uniform(-0.45, 3.0, size=6))
             omega = float(rng.uniform(0.01, 30.0))
-            assert select_theta(lam, omega).theta > 0.0
+            assert _theta_search(lam, lam[0], np.array([omega]), EvalConfig()).theta[0] > 0.0
 
     def test_descent_from_start(self):
         lam = np.array([0.0, 1.0, 2.0])
         omega = 2.0
         lam_min = 0.0
-        sel = select_theta(lam, omega)
+        theta = _theta_search(lam, lam_min, np.array([omega]), EvalConfig()).theta[0]
 
         def objective(theta):
             ratios = np.abs(theta - omega * (lam_min + lam[:-1] + 1.0)) / np.abs(
@@ -164,11 +139,7 @@ class TestSelectTheta:
                 theta + omega * (lam_min + lam[-1])
             ) + math.exp(theta) / math.sqrt(theta)
 
-        assert objective(sel.theta) <= objective(1.0) + 1e-12
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(DomainError):
-            select_theta([0.0, 1.0], 0.0)
+        assert objective(theta) <= objective(1.0) + 1e-12
 
 
 class TestEvalAll:
@@ -389,23 +360,14 @@ class TestMoments:
     def test_inadmissible(self):
         with pytest.raises(InadmissibleSequenceError):
             moments([-0.8, 1.0], -0.3)
-        assert not admissible([-0.8, 1.0], -0.3)
-        assert admissible([-0.8, 1.0], 0.0)
+        assert moments([-0.8, 1.0], 0.0)[0] == pytest.approx(5.0, rel=1e-15)
 
-
-class TestMomentGeneral:
-    def test_base_case(self):
-        assert moment_general([0.5], 0.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-    def test_orthogonal_to_leading_power(self):
-        assert moment_general([0.5, 1.5], 0.5) == 0.0
-
-    def test_matches_recurrence(self):
-        assert moment_general([0.5, 1.5], 0.0) == pytest.approx(-2.0 / 15.0, rel=1e-14)
-
-    def test_inadmissible_exponent(self):
-        with pytest.raises(InadmissibleExponentError):
-            moment_general([0.5, 1.5], -1.6)
+    def test_correctly_rounded(self):
+        # doubles are the 60-digit recurrence rounded once
+        lam, beta = np.sort(sequence_family("example1", 20)), -0.25
+        with mp.workdps(60):
+            exact = [float(m) for m in moment_recurrence(lam, beta)]
+        assert np.array_equal(moments(lam, beta), exact)
 
 
 class TestOrthogonalityFamily:
@@ -417,9 +379,7 @@ class TestOrthogonalityFamily:
         def basis(xs):
             key = xs.tobytes()
             if key not in basis_cache:
-                from muntzquad.muntz import _basis_batch
-
-                vals, _, _ = _basis_batch(lam + beta / 2, xs, EvalConfig())
+                vals = _basis_batch(lam + beta / 2, xs, EvalConfig())
                 basis_cache[key] = vals * xs[None, :] ** (-beta / 2)
             return basis_cache[key]
 

@@ -1,43 +1,11 @@
+"""The adaptive quadrature oracle that other tests integrate against."""
+
 import math
 
 import numpy as np
 import pytest
 
-from muntzquad.errors import SingularMatrixError
-from muntzquad.numerics import solve_dense
 from quad_oracle import ToleranceNotMetError, adaptive_integrate
-
-
-class TestSolveDense:
-    def test_identity(self):
-        p = solve_dense(np.eye(3), [1.0, 2.0, 3.0])
-        assert np.allclose(p, [1.0, 2.0, 3.0], rtol=0, atol=1e-15)
-
-    def test_two_by_two(self):
-        p = solve_dense([[2.0, 1.0], [1.0, 3.0]], [3.0, 5.0])
-        assert np.allclose(p, [0.8, 1.4], rtol=1e-14)
-
-    def test_rank_deficient_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve_dense([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-    def test_non_finite_entry_raises_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_dense([[1.0, np.nan], [0.0, 1.0]], [1.0, 2.0])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            solve_dense(np.ones((2, 3)), [1.0, 2.0])
-
-    def test_random_well_conditioned_residual(self):
-        rng = np.random.default_rng(42)
-        for n in (5, 20, 100):
-            a = rng.standard_normal((n, n)) + n * np.eye(n)
-            assert np.linalg.cond(a) < 1e6
-            b = rng.standard_normal(n)
-            p = solve_dense(a, b)
-            residual = np.abs(a @ p - b).max() / np.abs(b).max()
-            assert residual <= 1e-12
 
 
 class TestAdaptiveIntegrate:

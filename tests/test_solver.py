@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from muntzquad import solver
 from muntzquad.classical import gauss_jacobi, gauss_legendre
 from muntzquad.cli import RuleFile, rule_to_file, validation_rows
 from muntzquad.errors import (
     ContinuationFailedError,
     DomainError,
+    NewtonDivergedError,
     NonFiniteSampleError,
+    SingularMatrixError,
 )
 from muntzquad.muntz import EvalConfig, moments
-from muntzquad.numerics import solve_dense
 from muntzquad.solver import (
     ContinuationConfig,
     NewtonConfig,
     RuleSpec,
     _polish,
+    _solve,
     apply_rule,
     assemble,
     compute_rule,
@@ -49,6 +52,22 @@ class TestContinuationExponents:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             continuation_exponents([0.0, 1.0], 1.5)
+
+
+class TestSolve:
+    def test_rank_deficient_raises(self):
+        with pytest.raises(SingularMatrixError):
+            _solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
+    def test_non_finite_entry_raises_singular(self):
+        with pytest.raises(SingularMatrixError):
+            _solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([1.0, 2.0]))
+
+    def test_singular_jacobian_diverges_newton(self, monkeypatch):
+        monkeypatch.setattr(solver, "assemble", lambda *args: (np.ones(2), np.zeros((2, 2))))
+        lam = np.array([0.0, 1.0])
+        with pytest.raises(NewtonDivergedError, match="singular"):
+            newton_solve([0.4], [0.9], lam, 0.0, moments(lam, 0.0))
 
 
 class TestAssemble:
@@ -111,7 +130,7 @@ class TestNewtonSolve:
         for _ in range(4):
             residual, jacobian = assemble(x, w, lam, beta, m)
             residuals.append(float(np.abs(residual).max()))
-            step = solve_dense(jacobian, -residual)
+            step = np.linalg.solve(jacobian, -residual)
             x = x + x / w * step[:3]
             w = w + step[3:]
         assert residuals[1] <= 1e3 * residuals[0] ** 2
@@ -206,7 +225,32 @@ class TestComputeRule:
         with pytest.raises(ContinuationFailedError) as info:
             compute_rule(RuleSpec(example1(4), -0.25), newton=weak, continuation=tight)
         assert info.value.alpha == 0.0
-        assert info.value.nodes is not None
+        # the alpha = 0 rule of the walk, in the caller's weight: exact for
+        # x**(k + min(lam)) against x**beta
+        x, w = info.value.nodes, info.value.weights
+        for k in range(8):
+            exact = 1.0 / (1.0 + k - 2.0 / 3.0 - 0.25)
+            assert abs(np.sum(w * x ** (k - 2.0 / 3.0)) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("lam, beta", [
+        pytest.param(np.repeat(np.arange(3.0) - 0.5, 2), 0.0, id="example2-n3"),
+        pytest.param(np.arange(10.0) - 5.0, 4.5, id="negative-ladder-large-beta"),
+    ])
+    def test_cancelled_pole_specs_build(self, lam, beta):
+        # a pair with lam_i + lam_j + beta + 1 = 0: a kernel numerator cancels
+        # a pole unless the walk runs on the canonical shift c = -min(lam)
+        spec = RuleSpec(lam, beta)
+        rule = compute_rule(spec)
+        assert rule.spec is spec
+        assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
+
+    def test_shift_invariance(self):
+        # (lam, beta) and (lam + c, beta - c) share nodes; weights scale by x**c
+        lam, beta, c = np.array([0.3, 1.1, 1.9, 2.4]), 0.2, 0.7
+        rule = compute_rule(RuleSpec(lam, beta))
+        shifted = compute_rule(RuleSpec(lam + c, beta - c))
+        assert np.abs(rule.nodes - shifted.nodes).max() <= 1e-14
+        assert np.abs(rule.weights - shifted.weights * rule.nodes**c).max() <= 1e-14 * rule.weights.max()
 
     def test_continuation_path_is_continuous(self):
         # nodes move O(step) along the blend path
