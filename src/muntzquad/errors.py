@@ -48,7 +48,10 @@ class ContinuationFailedError(MuntzQuadError):
     """The continuation step size shrank below its minimum.
 
     Carries the last successfully solved blend parameter and iterate so a
-    caller can inspect how far the path was tracked.
+    caller can inspect how far the path was tracked.  Past ``alpha = 0``
+    (the exact Gauss-Jacobi start) the iterate was solved only to the
+    walk's loose tolerance, on the walk's coarse evaluator (see
+    ``solver.compute_rule``).
     """
 
     def __init__(self, message: str, alpha: float, nodes=None, weights=None):

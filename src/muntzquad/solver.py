@@ -19,6 +19,10 @@ integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1
 with adaptive step control, re-solving at each stage from the previous
 rule.  At ``alpha = 0`` the basis degenerates to polynomials and the
 Gauss-Jacobi rule is already exact, so the path starts at a known root.
+The corrector is inexact by design: a rule with ``alpha < 1`` only seeds
+the next step, so those solves stop at a loose tolerance on a coarse
+contour evaluator, and only the ``alpha = 1`` solve and the polish run at
+the caller's accuracy.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -31,7 +35,7 @@ linear solve is one LAPACK call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -40,6 +44,7 @@ from .classical import gauss_jacobi
 from .errors import (
     ContinuationFailedError,
     DomainError,
+    LengthMismatchError,
     NewtonDivergedError,
     NonFiniteSampleError,
     SingularMatrixError,
@@ -64,7 +69,7 @@ class RuleSpec:
     def __post_init__(self):
         lam = ensure_admissible(self.exponents, self.beta)
         if lam.size % 2 != 0 or lam.size < 2:
-            raise ValueError(f"need an even number (>= 2) of exponents, got {lam.size}")
+            raise LengthMismatchError(f"need an even number (>= 2) of exponents, got {lam.size}")
         lam = lam.copy()
         lam.setflags(write=False)
         object.__setattr__(self, "exponents", lam)
@@ -111,7 +116,9 @@ class QuadratureRule:
 class NewtonConfig:
     """Damped-Newton controls.
 
-    The residual target is ``tolerance * max(1, max|moment|)``; damping uses
+    The residual target is ``tolerance * max(1, max|moment|)``.  In
+    ``compute_rule`` it governs the ``alpha = 1`` solve; the homotopy steps
+    before it stop at the looser ``max(tolerance, 1e-8)``.  Damping uses
     the schedule ``damping ** max(0, k - damping_onset)`` so the first
     ``damping_onset`` iterations take full steps.  When the residual stops
     improving for ``stall_iterations`` in a row, the best iterate is
@@ -355,6 +362,17 @@ def newton_solve(
     )
 
 
+# A rule with alpha < 1 only seeds the next homotopy step, so its Newton
+# solve stops at this residual tolerance (or the caller's, if looser) on the
+# evaluator of ``_coarse_eval_config``.
+_WALK_TOLERANCE = 1e-8
+
+
+def _coarse_eval_config(cfg: EvalConfig) -> EvalConfig:
+    """The walk's evaluator: a third of the caller's panel and Laguerre orders."""
+    return replace(cfg, panel_order=max(1, cfg.panel_order // 3), laguerre_order=max(1, cfg.laguerre_order // 3))
+
+
 def compute_rule(
     spec: RuleSpec,
     newton: NewtonConfig | None = None,
@@ -366,15 +384,22 @@ def compute_rule(
     Starts from the classical Gauss-Jacobi rule (the exact root for the
     integer-exponent blend), then advances the blend parameter with
     adaptive steps: shrink on a diverged Newton solve, grow after fast
-    convergence, and always land the final step exactly on 1.  Walk and
-    polish run on the canonically shifted spec; the weights return to the
-    caller's weight ``x**beta`` at the end, and ``rule.spec`` is ``spec``.
-    Raises ``ContinuationFailedError`` (carrying the last good state, in
-    the caller's weight) if the step size falls below its minimum.
+    convergence, and always land the final step exactly on 1.  Every step
+    with ``alpha < 1`` is solved to ``max(newton.tolerance, 1e-8)`` on a
+    coarse evaluator with a third of ``eval_config``'s panel and Laguerre
+    orders; the ``alpha = 1`` solve and the polish use ``newton`` and
+    ``eval_config`` as given.  Walk and polish run on the canonically
+    shifted spec; the weights return to the caller's weight ``x**beta`` at
+    the end, and ``rule.spec`` is ``spec``.  Raises
+    ``ContinuationFailedError`` if the step size falls below its minimum;
+    it carries the last good state in the caller's weight, solved only to
+    the walk tolerance.
     """
     ncfg = newton or NewtonConfig()
     ccfg = continuation or ContinuationConfig()
     cfg = eval_config or EvalConfig()
+    walk_ncfg = replace(ncfg, tolerance=max(ncfg.tolerance, _WALK_TOLERANCE))
+    walk_cfg = _coarse_eval_config(cfg)
 
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
@@ -402,8 +427,9 @@ def compute_rule(
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
         m_alpha = moments(lam_alpha, walk_spec.beta)
         x0, w0 = _predict(alpha, x, w, previous, alpha_next)
+        configs = (ncfg, cfg) if alpha_next == 1.0 else (walk_ncfg, walk_cfg)
         try:
-            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, ncfg, cfg)
+            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, *configs)
         except NewtonDivergedError:
             step *= ccfg.shrink
             cooldown = 3

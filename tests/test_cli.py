@@ -157,6 +157,12 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["lambda"] == [0.0, 1.0, 2.0, 3.0]
 
+    def test_odd_length_lambda_file_exits_2(self, tmp_path, capsys):
+        lam_file = tmp_path / "lambda.txt"
+        lam_file.write_text("0.0\n1.0\n2.0\n")
+        assert main(["rule", "--lambda-file", str(lam_file)]) == 2
+        assert "even number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["rule", "validate"])
     @pytest.mark.parametrize("name", ["missing.txt", "."])
     def test_unreadable_lambda_file_exits_2(self, command, name, tmp_path, capsys):

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from muntzquad import solver
 from muntzquad.classical import gauss_jacobi, gauss_legendre
-from muntzquad.cli import RuleFile, rule_to_file, validation_rows
+from muntzquad.cli import RuleFile, rule_to_file, sequence_family, validation_rows
 from muntzquad.errors import (
     ContinuationFailedError,
     DomainError,
+    LengthMismatchError,
     NewtonDivergedError,
     NonFiniteSampleError,
     SingularMatrixError,
@@ -27,6 +29,7 @@ from muntzquad.solver import (
     newton_solve,
     transform_to_unit_weight,
 )
+from test_domain import SPECS as DOMAIN_SPECS
 
 
 def example1(n_nodes):
@@ -268,6 +271,73 @@ class TestComputeRule:
             previous = x.copy()
 
 
+def _domain_spec(kind, index):
+    return next(RuleSpec(lam, beta) for k, i, lam, beta, _ in DOMAIN_SPECS if (k, i) == (kind, index))
+
+
+class TestCheapWalk:
+    """Steps with alpha < 1 are solved loosely on a coarse evaluator."""
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(RuleSpec(example1(10), -0.25), id="example1-n10"),
+        pytest.param(RuleSpec(sequence_family("case3", 10), 0.0), id="case3-n10"),
+        # a doubled exponent on the edge a + b = -1 - beta
+        pytest.param(_domain_spec("reflected_pair", 1), id="reflected_pair-1"),
+    ])
+    def test_cheap_walk_changes_no_rule(self, spec, monkeypatch):
+        cheap = compute_rule(spec)
+        monkeypatch.setattr(solver, "_WALK_TOLERANCE", 0.0)
+        monkeypatch.setattr(solver, "_coarse_eval_config", lambda cfg: cfg)
+        full = compute_rule(spec)
+        assert np.array_equal(cheap.nodes, full.nodes)
+        assert np.array_equal(cheap.weights, full.weights)
+
+    def test_only_alpha_one_and_polish_run_at_full_accuracy(self, monkeypatch):
+        spec = RuleSpec(example1(4), -0.25)
+        walk_end = np.sort(spec.exponents) - spec.exponents.min()
+        ncfg = NewtonConfig(tolerance=1e-13)
+        cfg = EvalConfig(panel_order=20, laguerre_order=40)
+        coarse = EvalConfig(panel_order=6, laguerre_order=13)
+        solves, assembles, polishes = [], [], []
+
+        def recording(target, log, record):
+            def wrapper(*args, **kwargs):
+                log.append(record(*args, **kwargs))
+                return target(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "newton_solve", recording(
+            newton_solve, solves,
+            lambda x, w, lam, beta, m, newton, eval_config: (np.array_equal(lam, walk_end), newton, eval_config)))
+        monkeypatch.setattr(solver, "assemble", recording(
+            assemble, assembles, lambda x, w, lam, beta, m, config: (np.array_equal(lam, walk_end), config)))
+        monkeypatch.setattr(solver, "_polish", recording(
+            _polish, polishes, lambda x, w, walk_spec, newton, eval_config, res: (newton, eval_config)))
+        compute_rule(spec, newton=ncfg, eval_config=cfg)
+
+        loose = replace(ncfg, tolerance=1e-8)
+        assert {(newton, config) for final, newton, config in solves if not final} == {(loose, coarse)}
+        assert {(newton, config) for final, newton, config in solves if final} == {(ncfg, cfg)}
+        assert polishes == [(ncfg, cfg)]
+        assert {config for final, config in assembles if not final} == {coarse}
+        assert {config for final, config in assembles if final} == {cfg}
+
+    def test_coarse_orders_stay_positive(self):
+        cfg = EvalConfig(panel_order=2, laguerre_order=4, panel_count=7)
+        assert solver._coarse_eval_config(cfg) == EvalConfig(panel_order=1, laguerre_order=1, panel_count=7)
+
+    def test_walk_keeps_a_looser_caller_tolerance(self, monkeypatch):
+        tolerances = []
+
+        def wrapper(*args):
+            tolerances.append(args[5].tolerance)
+            return newton_solve(*args)
+
+        monkeypatch.setattr(solver, "newton_solve", wrapper)
+        compute_rule(RuleSpec(example1(3), -0.25), newton=NewtonConfig(tolerance=1e-6))
+        assert set(tolerances) == {1e-6}
+
+
 class TestTransformToUnitWeight:
     def test_identity_at_zero_beta(self):
         rule = compute_rule(RuleSpec(np.array([0.0, 1.0, 2.0, 3.0]), 0.0))
@@ -322,7 +392,7 @@ class TestConfigValidation:
             EvalConfig(theta_min=1.0, theta_max=0.5)
 
     def test_rule_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatchError):  # also a ValueError
             RuleSpec(np.array([0.0, 1.0, 2.0]), 0.0)  # odd length
         with pytest.raises(ValueError):
             RuleSpec(np.array([0.0, -1.5]), 0.0)  # divergent moment
