@@ -17,11 +17,15 @@ by zooming into the bracket around each point's best candidate, serves
 every point of a batch at once.
 
 The vertical tail launched at ``t = a`` passes the integrand's poles, which
-sit on the imaginary axis at heights up to ``theta + w*(max(lam)-min(lam))``.
+sit on the imaginary axis at heights up to ``H = theta + w*(max(lam)-min(lam))``.
 If ``a`` is too short the tail integrand grows through many orders of
 magnitude before ``exp(-y)`` kills it and no fixed-order rule can resolve
 the cancellation, so the segment length doubles per evaluation point until
-the sampled tail is either bump-free or negligibly small.
+the sampled tail is either bump-free or negligibly small.  The doubling
+starts one level below the shortest segment that reaches ``H``: below that,
+the poles raise a bump in the tail integrand, and a point passes there only
+when the bump is damped below the negligible level, where a longer segment
+serves as well.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -297,22 +301,32 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
     its launch value (resolvable) or contributes below ``tail_negligible``
     relative to the output scale ``max(1, x**lam_min)`` (harmless).
 
+    A point is first tried at level ``max(0, p - 1)``, where ``p`` is the
+    shortest level whose segment reaches the highest pole height
+    ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
+    ``max_segment_doublings``), and then at each level above until it passes.
+
     Every sweep is also contracted into ``tails[i, n]``, the tail integral,
     overwritten while point i is pending, so it ends at the returned level.
     Overflowed samples lie in the damped-dead zone and are dropped.
     """
-    n_points = num_off.shape[0]
-    base = cfg.panel_width * cfg.panel_count
-    levels = np.full(n_points, cfg.max_segment_doublings, dtype=int)
-    pending = np.arange(n_points)
+    top = cfg.max_segment_doublings
+    segments = cfg.panel_width * cfg.panel_count * 2.0 ** np.arange(top + 1)
+    # p: the shortest segment reaching the highest pole, theta + w*(max lam - min lam)
+    reach = np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top)
+    start = np.maximum(reach - 1, 0)
+    levels = np.full(num_off.shape[0], top, dtype=int)
+    waiting = np.ones(num_off.shape[0], dtype=bool)
     damp = np.exp(-lag.nodes)
     # amplitude = x**lam_min * e**theta, so the output scale is amp * e**-theta
     dead_cut = cfg.tail_negligible * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
 
-    for level in range(cfg.max_segment_doublings + 1):
-        if pending.size == 0:
+    for level, segment in enumerate(segments):
+        if not np.any(waiting):
             break
-        segment = base * 2.0**level
+        pending = np.flatnonzero(waiting & (start <= level))
+        if pending.size == 0:
+            continue
         cut = dead_cut[pending]
         sweep = _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
         magnitudes = np.abs(sweep)
@@ -324,7 +338,7 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
         np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
         tails[pending] = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
         levels[pending[ok]] = level
-        pending = pending[~ok]
+        waiting[pending[ok]] = False
     return levels
 
 

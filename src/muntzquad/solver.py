@@ -248,7 +248,8 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
 
     Everything here runs in double precision; the final polish takes its
     residual from ``refine.exact_residual`` and only the Jacobian from here,
-    since Jacobian errors only perturb the Newton direction.
+    once, at its first iterate, since Jacobian errors only perturb the
+    Newton direction.
     """
     cfg = config or EvalConfig()
     nodes = np.asarray(nodes, dtype=float)
@@ -475,7 +476,9 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     to ~1e-11 relative away from the true rule.  The last Newton steps
     therefore use the bias-free residual of ``refine.exact_residual``, the
     arbitrary-precision pole expansion, which covers every exponent
-    multiplicity.  Newton directions stay in ordinary arithmetic; any
+    multiplicity; its exponent-only table is built once per call.  The
+    steps are simplified Newton: every one solves against the Jacobian
+    ``assemble`` returns at the first iterate, in ordinary arithmetic.  Any
     trouble aborts polishing and keeps the last accepted iterate.
 
     Progress is judged by the size of the Newton correction, relative to
@@ -488,18 +491,21 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     if ncfg.polish_iterations == 0:
         return x, w, res_norm, 0
 
-    m = moments(spec.exponents, spec.beta)
     beta = spec.beta
+    try:
+        _, jacobian = assemble(x, w, spec.exponents, beta, moments(spec.exponents, beta), cfg)
+    except DomainError:
+        return x, w, res_norm, 0
+    expansion = refine.pole_expansion(spec.exponents, beta)
     n = x.size
     best = (x, w, res_norm)
     previous = math.inf
     iterations = 0
     for _ in range(ncfg.polish_iterations):
+        residual = refine.exact_residual(x, w, expansion)
         try:
-            residual = refine.exact_residual(x, w, spec.exponents, beta)
-            _, jacobian = assemble(x, w, spec.exponents, beta, m, cfg)
             p_scaled = _solve(jacobian, -residual)
-        except (SingularMatrixError, DomainError):
+        except SingularMatrixError:
             break
         # dx / x and dw / w share the scale x**(beta/2) / w
         scale = x ** (0.5 * beta) / w

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from muntzquad import muntz
 from muntzquad.classical import gauss_laguerre
 from muntzquad.cli import sequence_family
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
@@ -21,6 +22,7 @@ from muntzquad.muntz import (
     _segment_levels,
     _theta_search,
 )
+from muntzquad.solver import RuleSpec, compute_rule, continuation_exponents
 from quad_oracle import adaptive_integrate
 
 
@@ -277,6 +279,74 @@ class TestSegmentLevels:
             np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
             fresh = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
             assert np.array_equal(tails[i], fresh[0]), (i, level)
+
+
+def level_zero_search(num_off, den_off, amplitude, theta, lag, tails, cfg):
+    """The tail search with every point starting at level 0: the oracle for start levels."""
+    n_points = num_off.shape[0]
+    base = cfg.panel_width * cfg.panel_count
+    levels = np.full(n_points, cfg.max_segment_doublings, dtype=int)
+    pending = np.arange(n_points)
+    damp = np.exp(-lag.nodes)
+    dead_cut = cfg.tail_negligible * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
+    for level in range(cfg.max_segment_doublings + 1):
+        if pending.size == 0:
+            break
+        segment = base * 2.0**level
+        cut = dead_cut[pending]
+        sweep = muntz._kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
+        magnitudes = np.abs(sweep)
+        launch = magnitudes[:, :, :1] + 1.0 / segment
+        bump_ok = magnitudes <= cfg.tail_bump_factor * launch
+        dead = magnitudes * damp[None, None, :] <= cut[:, None, None]
+        ok = np.all(bump_ok | dead, axis=(1, 2))
+        np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
+        tails[pending] = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
+        levels[pending[ok]] = level
+        pending = pending[~ok]
+    return levels
+
+
+class TestSegmentStartLevel:
+    """Starting each point one level below its closed-form reach changes nothing."""
+
+    @pytest.fixture(scope="class", params=[("example1", -0.25), ("case3", 0.0)], ids=["example1", "case3"])
+    def solved(self, request):
+        family, beta = request.param
+        spec = RuleSpec(sequence_family(family, 10), beta)
+        lam = np.sort(spec.exponents)
+        # the canonically shifted spec compute_rule walks, and its final nodes
+        return lam - lam[0], beta + lam[0], compute_rule(spec).nodes
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_same_levels_and_tails_in_fewer_sweeps(self, solved, alpha, monkeypatch):
+        walk, beta, nodes = solved
+        calls = []
+        monkeypatch.setattr(muntz, "_segment_levels", lambda *args: calls.append(args) or _segment_levels(*args))
+        _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes, EvalConfig())
+        (num_off, den_off, amplitude, theta, lag, _, cfg), = calls
+
+        rows = []
+        sweep = muntz._kernel_sweep
+        monkeypatch.setattr(muntz, "_kernel_sweep", lambda u, v, num, *rest: rows.append(num.shape[0]) or sweep(u, v, num, *rest))
+        # every point, then only those starting above level 0 (pole height
+        # beyond two base segments), where no sweep happens at level 0
+        far = np.max(-den_off, axis=1) > 2.0 * cfg.panel_width * cfg.panel_count
+        assert 0 < np.count_nonzero(far) < far.size
+        for points in (np.arange(far.size), np.flatnonzero(far)):
+            offsets = (num_off[points], den_off[points], amplitude[points], theta[points], lag)
+            expected_tails = np.empty((points.size, num_off.shape[1]), dtype=complex)
+            rows.clear()
+            expected = level_zero_search(*offsets, expected_tails, cfg)
+            oracle_rows = sum(rows)
+            got_tails = np.empty_like(expected_tails)
+            rows.clear()
+            got = _segment_levels(*offsets, got_tails, cfg)
+
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got_tails, expected_tails)
+            assert expected.max() >= 2
+            assert sum(rows) < oracle_rows
 
 
 class TestEvalAllWeighted:

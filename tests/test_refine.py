@@ -13,7 +13,7 @@ import pytest
 
 from muntzquad.classical import gauss_jacobi
 from muntzquad.cli import sequence_family
-from muntzquad.refine import exact_residual
+from muntzquad.refine import exact_residual, pole_expansion
 
 
 def _moments_mp(lam, beta_q):
@@ -106,8 +106,19 @@ def _perturbed_jacobi(n, beta, seed=7):
 def test_bit_identical_to_per_node_expansion(family, n, beta):
     lam = np.sort(sequence_family(family, n))
     nodes, weights = _perturbed_jacobi(n, beta)
-    assert np.array_equal(exact_residual(nodes, weights, lam, beta),
+    assert np.array_equal(exact_residual(nodes, weights, pole_expansion(lam, beta)),
                           per_node_residual(nodes, weights, lam, beta))
+
+
+def test_one_expansion_serves_any_node_set():
+    # the expansion depends on the exponents only: reused for two rules it
+    # must reproduce the oracle bit for bit at both
+    lam, beta = np.sort(sequence_family("example1", 6)), -0.25
+    expansion = pole_expansion(lam, beta)
+    for seed in (7, 8):
+        nodes, weights = _perturbed_jacobi(6, beta, seed)
+        assert np.array_equal(exact_residual(nodes, weights, expansion),
+                              per_node_residual(nodes, weights, lam, beta))
 
 
 HIGH_MULTIPLICITY = [
@@ -121,7 +132,7 @@ HIGH_MULTIPLICITY = [
 @pytest.mark.parametrize("lam, beta", HIGH_MULTIPLICITY)
 def test_matches_contour_oracle(lam, beta):
     nodes, weights = _perturbed_jacobi(lam.size // 2, beta)
-    got = exact_residual(nodes, weights, lam, beta)
+    got = exact_residual(nodes, weights, pole_expansion(lam, beta))
     want = contour_residual(nodes, weights, lam, beta)
     np.testing.assert_allclose(got, want, rtol=4e-16, atol=1e-30)
 
@@ -131,7 +142,7 @@ def test_matches_contour_oracle(lam, beta):
 ])
 def test_never_returns_none(lam, beta):
     nodes, weights = _perturbed_jacobi(lam.size // 2, beta)
-    residual = exact_residual(nodes, weights, lam, beta)
+    residual = exact_residual(nodes, weights, pole_expansion(lam, beta))
     assert isinstance(residual, np.ndarray)
     assert residual.shape == lam.shape
     assert np.all(np.isfinite(residual))
@@ -139,4 +150,4 @@ def test_never_returns_none(lam, beta):
 
 def test_vanishes_at_an_exact_rule():
     # one node, {x^0, x^1}: the midpoint rule is exact
-    assert np.array_equal(exact_residual([0.5], [1.0], [0.0, 1.0], 0.0), [0.0, 0.0])
+    assert np.array_equal(exact_residual([0.5], [1.0], pole_expansion([0.0, 1.0], 0.0)), [0.0, 0.0])

@@ -338,6 +338,30 @@ class TestCheapWalk:
         assert set(tolerances) == {1e-6}
 
 
+class TestPolishWork:
+    """The polish builds its pole expansion and its Jacobian once per rule."""
+
+    def test_one_expansion_and_one_jacobian_per_polish(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(solver, "_polish", lambda *args: captured.append(args) or _polish(*args))
+        compute_rule(RuleSpec(example1(5), -0.25))
+        (args,) = captured
+
+        counts = {"expansion": 0, "assemble": 0}
+
+        def counting(key, target):
+            def wrapper(*a, **k):
+                counts[key] += 1
+                return target(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(solver.refine, "pole_expansion", counting("expansion", solver.refine.pole_expansion))
+        monkeypatch.setattr(solver, "assemble", counting("assemble", assemble))
+        *_, iterations = _polish(*args)
+        assert iterations >= 1
+        assert counts == {"expansion": 1, "assemble": 1}
+
+
 class TestTransformToUnitWeight:
     def test_identity_at_zero_beta(self):
         rule = compute_rule(RuleSpec(np.array([0.0, 1.0, 2.0, 3.0]), 0.0))
