@@ -79,7 +79,7 @@ def _refined_rule(alpha, beta_coeffs, nodes0):
     alpha_pairs = [(alpha[0][k], alpha[1][k]) for k in range(order)]
     sqrt_beta = [dd.sqrt((beta_coeffs[0][k], beta_coeffs[1][k])) for k in range(order + 1)]
     x = dd.from_double(nodes0)
-    for _ in range(3):
+    for _ in range(2):
         p, dp, _ = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
         x = dd.add(x, dd.negate(dd.div(p, dp)))
     _, _, chris = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)

@@ -14,7 +14,9 @@ Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
 ``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
 minimizing a growth-versus-singularity estimate: one grid search, refined
 by zooming into the bracket around each point's best candidate, serves
-every point of a batch at once.
+every point of a batch at once.  A ``theta_tolerance`` at least as wide as
+the grid's widest bracket skips the zoom; the rule solver's homotopy walk
+evaluates that way, since its intermediate rules are thrown away.
 
 The vertical tail launched at ``t = a`` passes the integrand's poles, which
 sit on the imaginary axis at heights up to ``H = theta + w*(max(lam)-min(lam))``.
@@ -30,7 +32,8 @@ serves as well.
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
 cost of the last element.  The same sweep is batched across evaluation
-points, which is what the rule solver calls.
+points, which is what the rule solver calls; it runs basis-major, so each
+update multiplies one contiguous block of every point's samples.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
@@ -83,6 +86,8 @@ class EvalConfig:
             raise ValueError("quadrature orders must be >= 1")
         if not (0.0 < self.theta_min < self.theta_max):
             raise ValueError("theta bounds must satisfy 0 < theta_min < theta_max")
+        if not self.theta_tolerance > 0.0:
+            raise ValueError("theta_tolerance must be positive")
         if self.omega_floor < 0.0:
             raise ValueError("omega_floor must be >= 0")
         if self.max_segment_doublings < 0:
@@ -169,10 +174,12 @@ def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
     blows up as theta grows).  Any positive theta yields a valid contour;
     the minimizer only tunes conditioning.  The number of refinement rounds
     is fixed by the grid ratio and ``theta_tolerance``, so every final
-    bracket is narrower than the tolerance, and every operation is
-    elementwise per point: a point's theta does not depend on the other
-    points in the batch.  ``converged`` is False when the objective was
-    infinite at every candidate of some point.
+    bracket is narrower than the tolerance; a tolerance at least as wide as
+    the widest grid bracket makes no round, and every theta is then a point
+    of the log-spaced grid.  Every operation is elementwise per point: a
+    point's theta does not depend on the other points in the batch.
+    ``converged`` is False when the objective was infinite at every
+    candidate of some point.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
     # near-origin magnitude of the sampled integrand: numerator offsets
@@ -195,7 +202,7 @@ def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
     grid = np.geomspace(cfg.theta_min, cfg.theta_max, _THETA_GRID)
     # the widest first bracket spans the two grid steps below theta_max
     widest = cfg.theta_max * (1.0 - (grid[0] / grid[1]) ** 2)
-    rounds = max(0, math.ceil(math.log(widest / cfg.theta_tolerance) / math.log((_THETA_ZOOM - 1) / 2)))
+    rounds = math.ceil(math.log(max(1.0, widest / cfg.theta_tolerance)) / math.log((_THETA_ZOOM - 1) / 2))
     steps = np.linspace(0.0, 1.0, _THETA_ZOOM)
     candidates = np.broadcast_to(grid, (rows.size, grid.size))
     theta = np.full(rows.size, cfg.theta_min)
@@ -264,18 +271,19 @@ def _kernel_sweep(u, v, num_off, den_off, first):
     """Kernel products of every basis prefix at the contour samples ``u + iv``.
 
     Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``v = 0``;
-    tail: ``u`` the segment end).  Entry ``[i, n, k]`` is the product of the
+    tail: ``u`` the segment end).  Entry ``[n, i, k]`` is the product of the
     rational factors of prefix ``n`` for point ``i`` at sample ``k``, times
     ``first`` (the oscillatory phase on the panels, 1 on the tail).  Factors
     after the first are built in real arithmetic, divided through by ``u``;
-    a running product over the basis rows sweeps the whole basis.
-    Overflowed samples come out non-finite.
+    a running product over the basis rows sweeps the whole basis, one
+    contiguous ``(points, samples)`` slab per step.  Overflowed samples come
+    out non-finite.
     """
     n_points, n_basis = num_off.shape
-    factors = np.empty((n_points, n_basis, np.broadcast(u, v).size), dtype=complex)
-    factors[:, 0] = first / (u + 1j * (v + den_off[:, :1]))
-    a = num_off[:, :-1, None]
-    b = den_off[:, 1:, None]
+    factors = np.empty((n_basis, n_points, np.broadcast(u, v).size), dtype=complex)
+    factors[0] = first / (u + 1j * (v + den_off[:, :1]))
+    a = num_off.T[:-1, :, None]
+    b = den_off.T[1:, :, None]
     vb = v + b
     inv_u = 1.0 / u
     # (u + i(v+a)) / (u + i(v+b)) = (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
@@ -284,12 +292,21 @@ def _kernel_sweep(u, v, num_off, den_off, first):
     re = (v + a) * vb * inv_u
     re += u
     re /= den
-    factors.real[:, 1:] = re
-    np.divide(a - b, den, out=factors.imag[:, 1:])
+    factors.real[1:] = re
+    np.divide(a - b, den, out=factors.imag[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_basis):
-            np.multiply(factors[:, n], factors[:, n - 1], out=factors[:, n])
+            np.multiply(factors[n], factors[n - 1], out=factors[n])
     return factors
+
+
+def _contract(sweep, weights) -> np.ndarray:
+    """``sweep[n, i, :] @ weights`` for every basis row and point, as one 2-D matvec.
+
+    The stacked 3-D product rounds differently for a single-point batch, so
+    a point's integral would depend on the batch it came in.
+    """
+    return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
 
 
 def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalConfig) -> np.ndarray:
@@ -306,7 +323,7 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
     ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
     ``max_segment_doublings``), and then at each level above until it passes.
 
-    Every sweep is also contracted into ``tails[i, n]``, the tail integral,
+    Every sweep is also contracted into ``tails[n, i]``, the tail integral,
     overwritten while point i is pending, so it ends at the returned level.
     Overflowed samples lie in the damped-dead zone and are dropped.
     """
@@ -332,11 +349,11 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
         magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
         bump_ok = magnitudes <= cfg.tail_bump_factor * launch
-        dead = magnitudes * damp[None, None, :] <= cut[:, None, None]
-        ok = np.all(bump_ok | dead, axis=(1, 2))
+        dead = magnitudes * damp <= cut[:, None]
+        ok = np.all(bump_ok | dead, axis=(0, 2))
 
         np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
-        tails[pending] = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
+        tails[:, pending] = 1j * np.exp(1j * segment) * _contract(sweep, lag.weights)
         levels[pending[ok]] = level
         waiting[pending[ok]] = False
     return levels
@@ -377,7 +394,7 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
     den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
     amplitude = xa ** lam_min * np.exp(theta)
 
-    tails = np.empty((xa.size, nb), dtype=complex)
+    tails = np.empty((nb, xa.size), dtype=complex)
     levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(cfg.laguerre_order), tails, cfg)
 
     values[0, active] = xa ** lam[0]
@@ -386,10 +403,8 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
         segment = cfg.panel_width * cfg.panel_count * 2.0 ** int(level)
         first = _first_panel_width(cfg.panel_width, theta[in_level])
         t_panel, w_panel, phase = _panel_grid(first, segment, cfg.panel_order)
-        q_osc = _kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase) @ w_panel
-
-        amp = amplitude[in_level]
-        values[1:, active[in_level]] = (amp[:, None] / math.pi * (q_osc + tails[in_level])[:, 1:].imag).T
+        q_osc = _contract(_kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase), w_panel)
+        values[1:, active[in_level]] = amplitude[in_level] / math.pi * (q_osc + tails[:, in_level])[1:].imag
     return values
 
 

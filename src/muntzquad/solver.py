@@ -370,8 +370,16 @@ _WALK_TOLERANCE = 1e-8
 
 
 def _coarse_eval_config(cfg: EvalConfig) -> EvalConfig:
-    """The walk's evaluator: a third of the caller's panel and Laguerre orders."""
-    return replace(cfg, panel_order=max(1, cfg.panel_order // 3), laguerre_order=max(1, cfg.laguerre_order // 3))
+    """The walk's evaluator: a third of the caller's panel and Laguerre
+    orders, and theta from the search grid alone (a tolerance of
+    ``theta_max`` leaves no zoom round), since on the walk theta only tunes
+    the conditioning of rules that are thrown away."""
+    return replace(
+        cfg,
+        panel_order=max(1, cfg.panel_order // 3),
+        laguerre_order=max(1, cfg.laguerre_order // 3),
+        theta_tolerance=cfg.theta_max,
+    )
 
 
 def compute_rule(
@@ -388,10 +396,11 @@ def compute_rule(
     convergence, and always land the final step exactly on 1.  Every step
     with ``alpha < 1`` is solved to ``max(newton.tolerance, 1e-8)`` on a
     coarse evaluator with a third of ``eval_config``'s panel and Laguerre
-    orders; the ``alpha = 1`` solve and the polish use ``newton`` and
-    ``eval_config`` as given.  Walk and polish run on the canonically
-    shifted spec; the weights return to the caller's weight ``x**beta`` at
-    the end, and ``rule.spec`` is ``spec``.  Raises
+    orders and theta taken from the search grid without zooming; the
+    ``alpha = 1`` solve and the polish use ``newton`` and ``eval_config``
+    as given.  Walk and polish run on the canonically shifted spec; the
+    weights return to the caller's weight ``x**beta`` at the end, and
+    ``rule.spec`` is ``spec``.  Raises
     ``ContinuationFailedError`` if the step size falls below its minimum;
     it carries the last good state in the caller's weight, solved only to
     the walk tolerance.

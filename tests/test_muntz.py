@@ -120,6 +120,17 @@ class TestSelectTheta:
         chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]), EvalConfig())
         assert abs(chosen.theta[0] - best) <= 1e-4
 
+    def test_tolerance_wider_than_the_grid_leaves_the_grid(self):
+        lam = THETA_SEARCH_SEQUENCES["case3"]
+        lam_min = float(np.min(lam))
+        grid = np.geomspace(EvalConfig().theta_min, EvalConfig().theta_max, 97)
+        for tolerance in (EvalConfig().theta_max, math.inf):
+            found = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, EvalConfig(theta_tolerance=tolerance))
+            assert found.converged and np.all(np.isin(found.theta, grid))
+            for omega, theta in zip(THETA_SEARCH_OMEGAS, found.theta):
+                chosen = reference_theta_objective(lam, omega, [theta])[0]
+                assert chosen <= reference_theta_objective(lam, omega, grid).min() * (1.0 + 1e-12)
+
     def test_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -217,14 +228,14 @@ def contour_offsets(lam, xs, cfg=EvalConfig()):
 
 
 def reference_kernel_sweep(t, num_off, den_off, first):
-    """The kernel products by complex division and ``cumprod``, at complex ``t``."""
-    factors = np.empty((num_off.shape[0], num_off.shape[1], t.size), dtype=complex)
-    factors[:, 0, :] = first / (t[None, :] + 1j * den_off[:, :1])
-    factors[:, 1:, :] = (t[None, None, :] + 1j * num_off[:, :-1, None]) / (
-        t[None, None, :] + 1j * den_off[:, 1:, None]
+    """The kernel products ``[n, i, k]`` by complex division and ``cumprod``, at complex ``t``."""
+    factors = np.empty((num_off.shape[1], num_off.shape[0], t.size), dtype=complex)
+    factors[0] = first / (t[None, :] + 1j * den_off[:, :1])
+    factors[1:] = (t[None, None, :] + 1j * num_off.T[:-1, :, None]) / (
+        t[None, None, :] + 1j * den_off.T[1:, :, None]
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(factors, axis=1, out=factors)
+        np.cumprod(factors, axis=0, out=factors)
     return factors
 
 
@@ -247,7 +258,7 @@ class TestKernelSweep:
             expected = reference_kernel_sweep(segment + 1j * tau, num_off, den_off, 1.0)
         finite = np.isfinite(expected)
         assert np.array_equal(np.isfinite(swept), finite)
-        assert not np.any(finite[0, 3:]) and np.all(finite[1:])
+        assert not np.any(finite[3:, 0]) and np.all(finite[:, 1:])
         error = np.abs(swept[finite] - expected[finite]) / np.abs(expected[finite])
         assert error.max() <= 1e-14
 
@@ -264,7 +275,7 @@ class TestSegmentLevels:
         # the first point overflows from prefix 3 on and never passes
         num_off[0, 1:3] = 1e200
         lag = gauss_laguerre(cfg.laguerre_order)
-        tails = np.empty(num_off.shape, dtype=complex)
+        tails = np.empty(num_off.shape[::-1], dtype=complex)
         levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg)
 
         unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag, np.empty_like(tails), EvalConfig())
@@ -275,10 +286,15 @@ class TestSegmentLevels:
         base = cfg.panel_width * cfg.panel_count
         for i, level in enumerate(levels):
             segment = base * 2.0 ** int(level)
-            sweep = _kernel_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)
+            sweep = _kernel_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)[:, 0]
             np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
             fresh = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
-            assert np.array_equal(tails[i], fresh[0]), (i, level)
+            assert np.array_equal(tails[:, i], fresh), (i, level)
+            # a one-point batch gives the same level and the same tail bits
+            alone = np.empty((num_off.shape[1], 1), dtype=complex)
+            point = (num_off[i : i + 1], den_off[i : i + 1], amplitude[i : i + 1], theta[i : i + 1], lag)
+            assert _segment_levels(*point, alone, cfg)[0] == level
+            assert np.array_equal(alone[:, 0], tails[:, i]), (i, level)
 
 
 def level_zero_search(num_off, den_off, amplitude, theta, lag, tails, cfg):
@@ -298,10 +314,11 @@ def level_zero_search(num_off, den_off, amplitude, theta, lag, tails, cfg):
         magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
         bump_ok = magnitudes <= cfg.tail_bump_factor * launch
-        dead = magnitudes * damp[None, None, :] <= cut[:, None, None]
-        ok = np.all(bump_ok | dead, axis=(1, 2))
+        dead = magnitudes * damp[None, None, :] <= cut[None, :, None]
+        ok = np.all(bump_ok | dead, axis=(0, 2))
         np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
-        tails[pending] = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
+        flat = sweep.reshape(-1, sweep.shape[2]) @ lag.weights
+        tails[:, pending] = 1j * np.exp(1j * segment) * flat.reshape(sweep.shape[:2])
         levels[pending[ok]] = level
         pending = pending[~ok]
     return levels
@@ -335,7 +352,7 @@ class TestSegmentStartLevel:
         assert 0 < np.count_nonzero(far) < far.size
         for points in (np.arange(far.size), np.flatnonzero(far)):
             offsets = (num_off[points], den_off[points], amplitude[points], theta[points], lag)
-            expected_tails = np.empty((points.size, num_off.shape[1]), dtype=complex)
+            expected_tails = np.empty((num_off.shape[1], points.size), dtype=complex)
             rows.clear()
             expected = level_zero_search(*offsets, expected_tails, cfg)
             oracle_rows = sum(rows)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from muntzquad import solver
+from muntzquad import muntz, solver
 from muntzquad.classical import gauss_jacobi, gauss_legendre
 from muntzquad.cli import RuleFile, rule_to_file, sequence_family, validation_rows
 from muntzquad.errors import (
@@ -15,7 +15,7 @@ from muntzquad.errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from muntzquad.muntz import EvalConfig, moments
+from muntzquad.muntz import EvalConfig, _theta_search, moments
 from muntzquad.solver import (
     ContinuationConfig,
     NewtonConfig,
@@ -297,7 +297,7 @@ class TestCheapWalk:
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         ncfg = NewtonConfig(tolerance=1e-13)
         cfg = EvalConfig(panel_order=20, laguerre_order=40)
-        coarse = EvalConfig(panel_order=6, laguerre_order=13)
+        coarse = EvalConfig(panel_order=6, laguerre_order=13, theta_tolerance=40.0)
         solves, assembles, polishes = [], [], []
 
         def recording(target, log, record):
@@ -322,9 +322,40 @@ class TestCheapWalk:
         assert {config for final, config in assembles if not final} == {coarse}
         assert {config for final, config in assembles if final} == {cfg}
 
+    def test_walk_takes_theta_from_the_grid(self, monkeypatch):
+        spec = RuleSpec(example1(4), -0.25)
+        walk_end = np.sort(spec.exponents) - spec.exponents.min()
+        cfg = EvalConfig(theta_tolerance=1e-7)
+        at_end, searches = [], []
+
+        def assembling(x, w, lam, *rest):
+            at_end.append(np.array_equal(lam, walk_end))
+            return assemble(x, w, lam, *rest)
+
+        def searching(lam, lam_min, omega, config):
+            found = _theta_search(lam, lam_min, omega, config)
+            searches.append((at_end[-1], config, found.theta))
+            return found
+
+        monkeypatch.setattr(solver, "assemble", assembling)
+        monkeypatch.setattr(muntz, "_theta_search", searching)
+        compute_rule(spec, eval_config=cfg)
+
+        grid = np.geomspace(cfg.theta_min, cfg.theta_max, 97)
+        walk = [(config, theta) for final, config, theta in searches if not final]
+        end = [(config, theta) for final, config, theta in searches if final]
+        assert walk and end
+        assert {config.theta_tolerance for config, _ in walk} == {cfg.theta_max}
+        assert all(np.all(np.isin(theta, grid)) for _, theta in walk)
+        # the alpha = 1 solve and the polish zoom at the caller's tolerance
+        assert {config for config, _ in end} == {cfg}
+        assert not all(np.all(np.isin(theta, grid)) for _, theta in end)
+
     def test_coarse_orders_stay_positive(self):
         cfg = EvalConfig(panel_order=2, laguerre_order=4, panel_count=7)
-        assert solver._coarse_eval_config(cfg) == EvalConfig(panel_order=1, laguerre_order=1, panel_count=7)
+        assert solver._coarse_eval_config(cfg) == EvalConfig(
+            panel_order=1, laguerre_order=1, panel_count=7, theta_tolerance=40.0
+        )
 
     def test_walk_keeps_a_looser_caller_tolerance(self, monkeypatch):
         tolerances = []
@@ -414,6 +445,11 @@ class TestConfigValidation:
             EvalConfig(panel_count=0)
         with pytest.raises(ValueError):
             EvalConfig(theta_min=1.0, theta_max=0.5)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
+    def test_eval_config_rejects_a_theta_tolerance_that_is_not_positive(self, tolerance):
+        with pytest.raises(ValueError, match="theta_tolerance"):
+            EvalConfig(theta_tolerance=tolerance)
 
     def test_rule_spec_validation(self):
         with pytest.raises(LengthMismatchError):  # also a ValueError
