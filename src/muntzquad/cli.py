@@ -325,7 +325,8 @@ def cmd_validate(args) -> int:
     rows = validation_rows(rule_file)
     lines = [f"{'basis function':>18s}  relative error"]
     lines += [f"{label:>18s}  {err:.16e}" for label, err in rows]
-    worst = max(err for _, err in rows)
+    # np.max propagates NaN (a node outside (0, 1)); Python's max skips it
+    worst = float(np.max([err for _, err in rows]))
     lines.append(f"worst: {worst:.16e}  threshold: {args.threshold:g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if worst <= args.threshold else 1

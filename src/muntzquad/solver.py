@@ -15,14 +15,17 @@ nodes, or kill a weight.
 
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
-integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1
-with adaptive step control, re-solving at each stage from the previous
-rule.  At ``alpha = 0`` the basis degenerates to polynomials and the
-Gauss-Jacobi rule is already exact, so the path starts at a known root.
-The corrector is inexact by design: a rule with ``alpha < 1`` only seeds
-the next step, so those solves stop at a loose tolerance on a coarse
-contour evaluator, and only the ``alpha = 1`` solve and the polish run at
-the caller's accuracy.
+integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1,
+re-solving at each stage from the previous rule.  At ``alpha = 0`` the
+basis degenerates to polynomials and the Gauss-Jacobi rule is already
+exact, so the path starts at a known root.  The step size follows the
+observed Newton contraction (Deuflhard, *Newton Methods for Nonlinear
+Problems*, 2004): a solve whose second correction is at least twice its
+first is dropped at once, and the ratio of the first two corrections of an
+accepted solve sizes the next step.  The corrector is inexact by design: a
+rule with ``alpha < 1`` only seeds the next step, so those solves stop at
+a loose tolerance on a coarse contour evaluator, and only the
+``alpha = 1`` solve and the polish run at the caller's accuracy.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -82,12 +85,20 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class RuleDiagnostics:
-    """``residual`` is the final moment residual of the shifted problem the
-    walk solves (see ``compute_rule``), not of the caller's weight."""
+    """What the build of one rule cost.
+
+    ``residual`` is the final moment residual of the shifted problem the
+    walk solves (see ``compute_rule``), not of the caller's weight.
+    ``continuation_steps`` counts accepted homotopy steps and
+    ``rejected_steps`` the walk solves that diverged and were retried with
+    a shorter step.  ``newton_iterations`` counts the iterations of the
+    accepted solves plus the polish only, not those of rejected solves.
+    """
 
     residual: float
     continuation_steps: int
     newton_iterations: int
+    rejected_steps: int
 
 
 @dataclass(frozen=True)
@@ -116,9 +127,10 @@ class QuadratureRule:
 class NewtonConfig:
     """Damped-Newton controls.
 
-    The residual target is ``tolerance * max(1, max|moment|)``.  In
-    ``compute_rule`` it governs the ``alpha = 1`` solve; the homotopy steps
-    before it stop at the looser ``max(tolerance, 1e-8)``.  Damping uses
+    The residual target is ``tolerance * max(1, max|moment|)``, with
+    ``tolerance > 0``.  In ``compute_rule`` it governs the ``alpha = 1``
+    solve; the homotopy steps before it stop at the looser
+    ``max(tolerance, 1e-5)``.  Damping uses
     the schedule ``damping ** max(0, k - damping_onset)`` so the first
     ``damping_onset`` iterations take full steps.  When the residual stops
     improving for ``stall_iterations`` in a row, the best iterate is
@@ -139,6 +151,8 @@ class NewtonConfig:
     polish_iterations: int = 4
 
     def __post_init__(self):
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be > 0")
         if not (0.0 < self.damping < 1.0):
             raise ValueError("damping must lie in (0, 1)")
         if self.damping_onset < 0 or self.max_iterations < 1 or self.max_step_halvings < 0:
@@ -153,16 +167,17 @@ class NewtonConfig:
 class ContinuationConfig:
     """Adaptive blend-stepping controls for the homotopy walk.
 
-    A step counts as fast when its Newton solve needed at most
-    ``fast_iterations``; a quadratically convergent solve from an O(step)
-    start needs about five, so that is the growth trigger.
+    After an accepted step the step is multiplied by
+    ``sqrt(1/4 / contraction)`` (see ``NewtonResult.contraction``), bounded
+    to ``[shrink, growth]``; the first step after a rejection does not
+    grow.  A rejected step is multiplied by ``shrink``, and the walk fails
+    once the step falls below ``step_min``.
     """
 
     step_initial: float = 0.1
     step_min: float = 1e-4
     shrink: float = 0.5
     growth: float = 2.0
-    fast_iterations: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.step_min <= self.step_initial <= 1.0):
@@ -173,11 +188,21 @@ class ContinuationConfig:
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """A converged Newton solve.
+
+    ``residual_history`` holds the residual at the start and after every
+    iteration.  ``contraction`` is the ratio of the second Newton
+    correction to the first, each measured as the largest relative node or
+    weight change; it is 0 when the solve needed fewer than two
+    corrections.
+    """
+
     nodes: np.ndarray
     weights: np.ndarray
     iterations: int
     residual: float
     residual_history: tuple
+    contraction: float
 
 
 def continuation_exponents(exponents, alpha: float) -> np.ndarray:
@@ -209,6 +234,15 @@ def _solve(matrix, rhs) -> np.ndarray:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
+
+
+def _correction_size(x, w, beta, p_scaled) -> float:
+    """Size of a Newton correction, ``max(|dx / x|, |dw / w|)``, from the
+    rescaled solution ``p_scaled``: ``dx / x`` and ``dw / w`` share the scale
+    ``x**(beta/2) / w``."""
+    n = x.size
+    scale = x ** (0.5 * beta) / w
+    return float(np.max(scale * np.maximum(np.abs(p_scaled[:n]), np.abs(p_scaled[n:]))))
 
 
 def _predict(alpha, nodes, weights, previous, alpha_next):
@@ -290,7 +324,9 @@ def newton_solve(
     then applied with the damping schedule.  Any step that would leave the
     feasible region is halved up to ``max_step_halvings`` times before the
     iteration is declared divergent.  Raises ``NewtonDivergedError`` when
-    the iteration budget or the safeguard is exhausted.
+    the iteration budget or the safeguard is exhausted, and as soon as a
+    correction (``_correction_size``) is at least ``_DIVERGENCE_RATIO``
+    times the one before: a converging iteration shrinks its corrections.
     """
     ncfg = newton or NewtonConfig()
     cfg = eval_config or EvalConfig()
@@ -304,11 +340,13 @@ def newton_solve(
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
     if res_norm <= target:
-        return NewtonResult(x, w, 0, res_norm, tuple(history))
+        return NewtonResult(x, w, 0, res_norm, tuple(history), 0.0)
 
     best = (x.copy(), w.copy(), res_norm)
     stalled = 0
     beta = float(beta)
+    correction = None
+    contraction = 0.0
     for iteration in range(1, ncfg.max_iterations + 1):
         step_scale = ncfg.damping ** max(0, iteration - ncfg.damping_onset)
         try:
@@ -317,6 +355,17 @@ def newton_solve(
             raise NewtonDivergedError(
                 f"Jacobian became singular: {exc}", iterations=iteration, residual=res_norm
             ) from exc
+        size = _correction_size(x, w, beta, p_scaled)
+        if correction is not None:
+            if size >= _DIVERGENCE_RATIO * correction:
+                raise NewtonDivergedError(
+                    f"correction grew from {correction:.3e} to {size:.3e}",
+                    iterations=iteration,
+                    residual=res_norm,
+                )
+            if iteration == 2:
+                contraction = size / correction
+        correction = size
         dx = x ** (0.5 * beta + 1.0) / w * p_scaled[:n]
         dw = x ** (0.5 * beta) * p_scaled[n:]
 
@@ -340,7 +389,7 @@ def newton_solve(
             raise NewtonDivergedError("residual became non-finite", iterations=iteration, residual=res_norm)
         history.append(res_norm)
         if res_norm <= target:
-            return NewtonResult(x, w, iteration, res_norm, tuple(history))
+            return NewtonResult(x, w, iteration, res_norm, tuple(history), contraction)
 
         if res_norm < 0.9 * best[2]:
             best = (x.copy(), w.copy(), res_norm)
@@ -349,7 +398,7 @@ def newton_solve(
             stalled += 1
             if stalled >= ncfg.stall_iterations:
                 if best[2] <= ncfg.stall_factor * target:
-                    return NewtonResult(best[0], best[1], iteration, best[2], tuple(history))
+                    return NewtonResult(best[0], best[1], iteration, best[2], tuple(history), contraction)
                 raise NewtonDivergedError(
                     f"stalled at residual {best[2]:.3e} (target {target:.3e})",
                     iterations=iteration,
@@ -363,10 +412,19 @@ def newton_solve(
     )
 
 
+# A Newton solve is dropped once a correction is this many times the one
+# before.  Not 1: converging solves have grown a correction by up to 1.35x.
+_DIVERGENCE_RATIO = 2.0
+
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
 # solve stops at this residual tolerance (or the caller's, if looser) on the
-# evaluator of ``_coarse_eval_config``.
-_WALK_TOLERANCE = 1e-8
+# evaluator of ``_coarse_eval_config``.  On that evaluator Newton converges
+# only linearly, and the next step's predictor misses by far more anyway.
+_WALK_TOLERANCE = 1e-5
+
+# The walk sizes each step so that its solve's first two corrections would
+# contract by this ratio.
+_CONTRACTION_TARGET = 0.25
 
 
 def _coarse_eval_config(cfg: EvalConfig) -> EvalConfig:
@@ -392,15 +450,18 @@ def compute_rule(
 
     Starts from the classical Gauss-Jacobi rule (the exact root for the
     integer-exponent blend), then advances the blend parameter with
-    adaptive steps: shrink on a diverged Newton solve, grow after fast
-    convergence, and always land the final step exactly on 1.  Every step
-    with ``alpha < 1`` is solved to ``max(newton.tolerance, 1e-8)`` on a
-    coarse evaluator with a third of ``eval_config``'s panel and Laguerre
-    orders and theta taken from the search grid without zooming; the
-    ``alpha = 1`` solve and the polish use ``newton`` and ``eval_config``
-    as given.  Walk and polish run on the canonically shifted spec; the
-    weights return to the caller's weight ``x**beta`` at the end, and
-    ``rule.spec`` is ``spec``.  Raises
+    adaptive steps, and always lands the final step exactly on 1.  A
+    diverged Newton solve is retried with the step times
+    ``continuation.shrink``; after an accepted one the step is scaled by
+    ``sqrt(1/4 / contraction)`` within ``[shrink, growth]`` (no growth
+    right after a rejection), so that the next solve's corrections contract
+    by about 1/4.  Every step with ``alpha < 1`` is solved to
+    ``max(newton.tolerance, 1e-5)`` on a coarse evaluator with a third of
+    ``eval_config``'s panel and Laguerre orders and theta taken from the
+    search grid without zooming; the ``alpha = 1`` solve and the polish use
+    ``newton`` and ``eval_config`` as given.  Walk and polish run on the
+    canonically shifted spec; the weights return to the caller's weight
+    ``x**beta`` at the end, and ``rule.spec`` is ``spec``.  Raises
     ``ContinuationFailedError`` if the step size falls below its minimum;
     it carries the last good state in the caller's weight, solved only to
     the walk tolerance.
@@ -427,9 +488,10 @@ def compute_rule(
     alpha = 0.0
     step = ccfg.step_initial
     steps_taken = 0
+    rejected_steps = 0
+    rejected = False  # the last solve diverged
     total_iterations = 0
     res_norm = 0.0
-    cooldown = 0  # successes required before re-growing after a failed step
     previous = None  # (alpha, nodes, weights) of the step before the current one
 
     while alpha < 1.0:
@@ -441,8 +503,9 @@ def compute_rule(
         try:
             result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, *configs)
         except NewtonDivergedError:
+            rejected_steps += 1
+            rejected = True
             step *= ccfg.shrink
-            cooldown = 3
             if step < ccfg.step_min:
                 raise ContinuationFailedError(
                     f"step size fell below {ccfg.step_min} at alpha = {alpha}",
@@ -457,11 +520,11 @@ def compute_rule(
         steps_taken += 1
         total_iterations += result.iterations
         res_norm = result.residual
-        if result.iterations <= ccfg.fast_iterations:
-            if cooldown > 0:
-                cooldown -= 1
-            else:
-                step *= ccfg.growth
+        # the secant predictor misses by O(step**2), and so does the first
+        # contraction ratio
+        factor = math.sqrt(_CONTRACTION_TARGET / result.contraction) if result.contraction > 0 else math.inf
+        step *= min(1.0 if rejected else ccfg.growth, max(ccfg.shrink, factor))
+        rejected = False
 
     x, w, res_norm, polish_iters = _polish(x, w, walk_spec, ncfg, cfg, res_norm)
 
@@ -473,6 +536,7 @@ def compute_rule(
             residual=res_norm,
             continuation_steps=steps_taken,
             newton_iterations=total_iterations + polish_iters,
+            rejected_steps=rejected_steps,
         ),
     )
 
@@ -516,13 +580,12 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
             p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError:
             break
-        # dx / x and dw / w share the scale x**(beta/2) / w
-        scale = x ** (0.5 * beta) / w
-        correction = float(np.max(scale * np.maximum(np.abs(p_scaled[:n]), np.abs(p_scaled[n:]))))
+        correction = _correction_size(x, w, beta, p_scaled)
         if not correction < 0.25 * previous:
             break  # corrections stopped contracting; the floor is reached
         best = (x, w, float(np.abs(residual).max()))
         previous = correction
+        scale = x ** (0.5 * beta) / w
         x_trial = x + x * scale * p_scaled[:n]
         w_trial = w + w * scale * p_scaled[n:]
         if not _feasible(x_trial, w_trial):

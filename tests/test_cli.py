@@ -204,6 +204,14 @@ class TestCommands:
         assert main(["validate", str(path)]) == 2
         assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
+    def test_validate_fails_a_rule_with_a_negative_node(self, tmp_path, capsys):
+        # log of a negative node makes the x^0 log row NaN, which is not <= threshold
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(
+            {"beta": 0, "lambda": [0, 0], "nodes": [-0.36787944117144233], "weights": [1.0]}))
+        assert main(["validate", str(path)]) == 1
+        assert "worst: nan" in capsys.readouterr().out
+
     def test_validate_threshold_flag(self, tmp_path):
         out = tmp_path / "rule.json"
         main(["rule", "--family", "case2", "--n", "3", "--format", "json", "--out", str(out)])

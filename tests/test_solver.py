@@ -121,6 +121,41 @@ class TestNewtonSolve:
         assert abs(result.nodes[0] - 3**-0.5) <= 1e-12
         assert abs(result.weights[0] - 1.0) <= 1e-12
 
+    def test_drops_a_diverging_solve_after_two_corrections(self):
+        # straight from the alpha = 0 start to the shifted example1 n=6: the
+        # second correction is 3.3x the first; a stall test needs a third
+        beta = -0.25
+        lam = example1(6)
+        c = -lam.min()
+        shifted = np.sort(lam) + c
+        start = gauss_jacobi(6, beta - c)
+        with pytest.raises(NewtonDivergedError, match="correction grew") as info:
+            newton_solve(start.nodes, start.weights, shifted, beta - c, moments(shifted, beta - c))
+        assert info.value.iterations <= 2
+
+    def test_contraction_is_the_ratio_of_the_first_two_corrections(self, monkeypatch):
+        beta = -0.25
+        lam = continuation_exponents(example1(6), 0.1)
+        start = gauss_jacobi(6, beta)
+        iterates = []
+
+        def recording(x, w, *args):
+            iterates.append((np.array(x), np.array(w)))
+            return assemble(x, w, *args)
+
+        monkeypatch.setattr(solver, "assemble", recording)
+        result = newton_solve(start.nodes, start.weights, lam, beta, moments(lam, beta))
+        assert result.iterations >= 3  # full steps: no damping, no halving
+        sizes = [max(np.abs(x1 / x0 - 1.0).max(), np.abs(w1 / w0 - 1.0).max())
+                 for (x0, w0), (x1, w1) in zip(iterates, iterates[1:])]
+        assert result.contraction == pytest.approx(sizes[1] / sizes[0], rel=1e-9)
+        assert 0.0 < result.contraction < 0.25
+
+    def test_one_correction_reports_no_contraction(self):
+        lam = np.array([0.0, 1.0])
+        result = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
+        assert result.contraction == 0.0
+
     def test_local_quadratic_convergence(self):
         # undamped iteration from a perturbed solution: r_{k+1} <= C r_k^2
         beta = 0.0
@@ -222,6 +257,12 @@ class TestComputeRule:
         assert worst(x, w) <= 1e-15
         assert residual <= 2e-14
 
+    def test_contraction_control_rejects_fewer_steps(self):
+        # an iteration-count step rule (double after 3 fast solves) rejects 2
+        diagnostics = compute_rule(RuleSpec(example1(20), -0.25)).diagnostics
+        assert diagnostics.rejected_steps < 2
+        assert diagnostics.continuation_steps >= 1
+
     def test_continuation_failure_reports_last_alpha(self):
         weak = NewtonConfig(max_iterations=1, damping_onset=0)
         tight = ContinuationConfig(step_initial=0.1, step_min=0.06)
@@ -315,7 +356,7 @@ class TestCheapWalk:
             _polish, polishes, lambda x, w, walk_spec, newton, eval_config, res: (newton, eval_config)))
         compute_rule(spec, newton=ncfg, eval_config=cfg)
 
-        loose = replace(ncfg, tolerance=1e-8)
+        loose = replace(ncfg, tolerance=solver._WALK_TOLERANCE)
         assert {(newton, config) for final, newton, config in solves if not final} == {(loose, coarse)}
         assert {(newton, config) for final, newton, config in solves if final} == {(ncfg, cfg)}
         assert polishes == [(ncfg, cfg)]
@@ -365,8 +406,9 @@ class TestCheapWalk:
             return newton_solve(*args)
 
         monkeypatch.setattr(solver, "newton_solve", wrapper)
-        compute_rule(RuleSpec(example1(3), -0.25), newton=NewtonConfig(tolerance=1e-6))
-        assert set(tolerances) == {1e-6}
+        looser = 10 * solver._WALK_TOLERANCE
+        compute_rule(RuleSpec(example1(3), -0.25), newton=NewtonConfig(tolerance=looser))
+        assert set(tolerances) == {looser}
 
 
 class TestPolishWork:
@@ -433,6 +475,11 @@ class TestConfigValidation:
             NewtonConfig(damping=1.5)
         with pytest.raises(ValueError):
             NewtonConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
+    def test_newton_config_rejects_a_tolerance_that_is_not_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            NewtonConfig(tolerance=tolerance)
 
     def test_continuation_config_bounds(self):
         with pytest.raises(ValueError):
