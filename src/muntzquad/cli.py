@@ -179,11 +179,13 @@ def parse(text: str) -> RuleFile:
         raise ValueError("empty rule file")
     if stripped.startswith("{"):
         payload = json.loads(text)
+        if not isinstance(payload.get("meta", {}), dict):
+            raise ValueError("'meta' must be a JSON object")
         rf = RuleFile(
-            beta=float(payload["beta"]),
-            exponents=np.asarray(payload["lambda"], dtype=float),
-            nodes=np.asarray(payload["nodes"], dtype=float),
-            weights=np.asarray(payload["weights"], dtype=float),
+            beta=float(_json_numbers(payload, "beta", 0)),
+            exponents=_json_numbers(payload, "lambda", 1),
+            nodes=_json_numbers(payload, "nodes", 1),
+            weights=_json_numbers(payload, "weights", 1),
             meta=dict(payload.get("meta", {})),
         )
     elif stripped.startswith("#") or stripped.startswith("k,"):
@@ -194,6 +196,14 @@ def parse(text: str) -> RuleFile:
         raise ValueError("inconsistent lengths: need |nodes| = |weights| = |lambda|/2")
     ensure_admissible(rf.exponents, rf.beta)
     return rf
+
+
+def _json_numbers(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """``payload[key]``, a JSON number (``ndim`` 0) or flat list of numbers (1), as floats."""
+    items = payload[key] if ndim else [payload[key]]
+    if not isinstance(items, list) or not all(type(v) in (int, float) for v in items):
+        raise ValueError(f"{key!r} must be {'a list of numbers' if ndim else 'a number'}")
+    return np.asarray(payload[key], dtype=float)
 
 
 def _parse_table(text: str, fmt: str) -> RuleFile:
@@ -308,7 +318,7 @@ def cmd_validate(args) -> int:
         try:
             with open(args.rule_file) as fh:
                 rule_file = parse(fh.read())
-        except (OSError, ValueError, KeyError, MuntzQuadError) as exc:
+        except (OSError, ValueError, KeyError, OverflowError, MuntzQuadError) as exc:
             print(f"error: cannot parse rule file: {exc}", file=sys.stderr)
             return 2
     else:

@@ -27,12 +27,16 @@ reuses it at every polish iterate, contracting over the nodes first,
     residual_n = sum_{p,j} h_{n,p,m-1-j} T_{p,j} - mu_n,
     T_{p,j} = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!,
 
-for any multiplicity.  Working precision scales with the sequence length,
-since the expansion's cancellation grows with it; the moments ``mu_n`` come
-from ``muntz.moment_recurrence`` at that same precision.  The Newton directions
-themselves stay in ordinary double arithmetic: direction errors only
-perturb the path, not the limit, so the polish solves against one
-Jacobian throughout.
+for any multiplicity.  The node sums take one logarithm per node and walk
+the poles in ascending order: each power ``x_k**p`` is the one before times
+``exp(gap*log(x_k))``, one exponential per node and distinct gap.  Each row
+is one exact dot product (``mp.fdot``), rounded once.  Working precision
+scales with the sequence length, since the expansion's cancellation grows
+with it; the moments ``mu_n`` come from ``muntz.moment_recurrence`` at that
+same precision.  The Newton directions themselves stay in ordinary double
+arithmetic: direction errors only perturb the path, not the limit, so the
+polish solves against one Jacobian throughout, the one of the ``alpha = 1``
+solve.
 """
 
 from __future__ import annotations
@@ -45,19 +49,24 @@ import numpy as np
 from .muntz import moment_recurrence
 
 
-def _node_sums(orders, nodes, weights, beta_q):
-    """``T[p][j] = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!``."""
-    xs = [mp.mpf(float(x)) for x in nodes]
-    logs = [mp.log(x) for x in xs]
-    factors = [x ** (-beta_q / 2) * mp.mpf(float(w)) for x, w in zip(xs, weights)]
-    sums = {}
-    for p in orders:
-        terms = [f * x**p for f, x in zip(factors, xs)]
-        row = [mp.fsum(terms)]
-        for j in range(1, orders[p]):
-            terms = [term * ln_x / j for term, ln_x in zip(terms, logs)]
-            row.append(mp.fsum(terms))
-        sums[p] = row
+def _node_sums(poles, orders, nodes, weights, beta_q):
+    """``T[i][j] = sum_k x_k**(-beta/2) w_k x_k**p_i log(x_k)**j / j!`` for
+    the ascending poles ``p_i``, each power chained from the one before."""
+    logs = [mp.log(mp.mpf(float(x))) for x in nodes]
+    terms = [mp.exp((poles[0] - beta_q / 2) * ln_x) * mp.mpf(float(w)) for ln_x, w in zip(logs, weights)]
+    steps = {}  # gap -> exp(gap * log x_k) per node
+    sums = []
+    for i, order in enumerate(orders):
+        if i:
+            gap = poles[i] - poles[i - 1]
+            if gap not in steps:
+                steps[gap] = [mp.exp(gap * ln_x) for ln_x in logs]
+            terms = [term * step for term, step in zip(terms, steps[gap])]
+        row, powered = [mp.fsum(terms)], terms
+        for j in range(1, order):
+            powered = [term * ln_x / j for term, ln_x in zip(powered, logs)]
+            row.append(mp.fsum(powered))
+        sums.append(row)
     return sums
 
 
@@ -65,15 +74,17 @@ def _node_sums(orders, nodes, weights, beta_q):
 class PoleExpansion:
     """Everything of the polish residual that depends on the exponents only.
 
-    ``rows[n]`` lists, per pole ``p`` present in prefix ``n``, the pair
-    ``(p, [h_{m-1-j} for j < m])`` for the multiplicity ``m`` of ``p`` in
-    that prefix; ``orders`` holds each pole's final multiplicity and
-    ``moments`` the exact moments, all at ``digits`` working digits.
+    ``poles`` lists the distinct poles in ascending order and ``orders``
+    each one's final multiplicity.  ``rows[n]`` lists, per pole index ``i``
+    present in prefix ``n``, the pair ``(i, [h_{m-1-j} for j < m])`` for
+    the multiplicity ``m`` of that pole in the prefix; ``moments`` holds the
+    exact moments, all at ``digits`` working digits.
     """
 
     digits: int
     beta: mp.mpf
-    orders: dict
+    poles: list
+    orders: list
     rows: list
     moments: list
 
@@ -85,47 +96,41 @@ def pole_expansion(exponents, beta: float) -> PoleExpansion:
     digits = 30 + int(1.2 * lam.size)
     with mp.workdps(digits):
         beta_q = mp.mpf(beta)
-        shifted = [mp.mpf(v) + beta_q / 2 for v in lam]
-        poles = sorted(set(shifted))
-        orders = {p: shifted.count(p) for p in poles}  # final multiplicity = series length
+        distinct, at = np.unique(lam, return_inverse=True)
+        poles = [mp.mpf(v) + beta_q / 2 for v in distinct]
+        # the pole index of each exponent, and each pole's final multiplicity
+        at, orders = at.tolist(), np.bincount(at).tolist()
 
-        series = {p: [mp.mpf(1)] + [mp.mpf(0)] * (orders[p] - 1) for p in poles}
-        count = dict.fromkeys(poles, 0)
-
-        def denominator_step(value):
-            for p in poles:
-                if p == value:
-                    count[p] += 1
-                    continue
-                h, d = series[p], p - value
-                h[0] /= d
-                for i in range(1, len(h)):
-                    h[i] = (h[i] - h[i - 1]) / d
-
-        def numerator_step(value):
-            for p in poles:
-                h, c = series[p], p + value + 1
-                for i in range(len(h) - 1, 0, -1):
-                    h[i] = c * h[i] + h[i - 1]
-                h[0] *= c
-
+        series = [[mp.mpf(1)] + [mp.mpf(0)] * (m - 1) for m in orders]
+        count = [0] * len(poles)
         rows = []
-        for n in range(lam.size):
-            if n:
-                numerator_step(shifted[n - 1])
-            denominator_step(shifted[n])
-            rows.append([(p, series[p][count[p] - 1 :: -1]) for p in poles if count[p]])
+        for n, k in enumerate(at):
+            shift = poles[at[n - 1]] + 1 if n else None  # numerator factor t + shift
+            for i, (p, h) in enumerate(zip(poles, series)):
+                if n:
+                    c = p + shift
+                    for j in range(len(h) - 1, 0, -1):
+                        h[j] = c * h[j] + h[j - 1]
+                    h[0] *= c
+                if i == k:  # denominator factor t - p
+                    count[i] += 1
+                else:
+                    d = p - poles[k]
+                    h[0] /= d
+                    for j in range(1, len(h)):
+                        h[j] = (h[j] - h[j - 1]) / d
+            rows.append([(i, h[count[i] - 1 :: -1]) for i, h in enumerate(series) if count[i]])
         moments = moment_recurrence(lam, beta_q)
-    return PoleExpansion(digits, beta_q, orders, rows, moments)
+    return PoleExpansion(digits, beta_q, poles, orders, rows, moments)
 
 
 def exact_residual(nodes, weights, expansion: PoleExpansion) -> np.ndarray:
     """Moment-matching residual at a rule, from the table of ``pole_expansion``
     for its exponents; computed in arbitrary precision and rounded."""
     with mp.workdps(expansion.digits):
-        sums = _node_sums(expansion.orders, nodes, weights, expansion.beta)
+        sums = _node_sums(expansion.poles, expansion.orders, nodes, weights, expansion.beta)
         residual = np.empty(len(expansion.rows))
         for n, (row, moment) in enumerate(zip(expansion.rows, expansion.moments)):
-            q = mp.fsum(h[j] * sums[p][j] for p, h in row for j in range(len(h)))
+            q = mp.fdot((h[j], sums[i][j]) for i, h in row for j in range(len(h)))
             residual[n] = float(q - moment)
     return residual

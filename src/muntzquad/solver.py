@@ -194,7 +194,8 @@ class NewtonResult:
     iteration.  ``contraction`` is the ratio of the second Newton
     correction to the first, each measured as the largest relative node or
     weight change; it is 0 when the solve needed fewer than two
-    corrections.
+    corrections.  ``jacobian`` is the rescaled Jacobian ``assemble``
+    returned at the returned iterate.
     """
 
     nodes: np.ndarray
@@ -203,6 +204,7 @@ class NewtonResult:
     residual: float
     residual_history: tuple
     contraction: float
+    jacobian: np.ndarray
 
 
 def continuation_exponents(exponents, alpha: float) -> np.ndarray:
@@ -281,9 +283,9 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     nodes near 0.
 
     Everything here runs in double precision; the final polish takes its
-    residual from ``refine.exact_residual`` and only the Jacobian from here,
-    once, at its first iterate, since Jacobian errors only perturb the
-    Newton direction.
+    residual from ``refine.exact_residual`` and reuses the Jacobian the
+    ``alpha = 1`` solve assembled at its result, since Jacobian errors only
+    perturb the Newton direction.
     """
     cfg = config or EvalConfig()
     nodes = np.asarray(nodes, dtype=float)
@@ -340,9 +342,9 @@ def newton_solve(
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
     if res_norm <= target:
-        return NewtonResult(x, w, 0, res_norm, tuple(history), 0.0)
+        return NewtonResult(x, w, 0, res_norm, tuple(history), 0.0, jacobian)
 
-    best = (x.copy(), w.copy(), res_norm)
+    best = (x.copy(), w.copy(), res_norm, jacobian)
     stalled = 0
     beta = float(beta)
     correction = None
@@ -389,16 +391,16 @@ def newton_solve(
             raise NewtonDivergedError("residual became non-finite", iterations=iteration, residual=res_norm)
         history.append(res_norm)
         if res_norm <= target:
-            return NewtonResult(x, w, iteration, res_norm, tuple(history), contraction)
+            return NewtonResult(x, w, iteration, res_norm, tuple(history), contraction, jacobian)
 
         if res_norm < 0.9 * best[2]:
-            best = (x.copy(), w.copy(), res_norm)
+            best = (x.copy(), w.copy(), res_norm, jacobian)
             stalled = 0
         else:
             stalled += 1
             if stalled >= ncfg.stall_iterations:
                 if best[2] <= ncfg.stall_factor * target:
-                    return NewtonResult(best[0], best[1], iteration, best[2], tuple(history), contraction)
+                    return NewtonResult(*best[:2], iteration, best[2], tuple(history), contraction, best[3])
                 raise NewtonDivergedError(
                     f"stalled at residual {best[2]:.3e} (target {target:.3e})",
                     iterations=iteration,
@@ -458,10 +460,10 @@ def compute_rule(
     by about 1/4.  Every step with ``alpha < 1`` is solved to
     ``max(newton.tolerance, 1e-5)`` on a coarse evaluator with a third of
     ``eval_config``'s panel and Laguerre orders and theta taken from the
-    search grid without zooming; the ``alpha = 1`` solve and the polish use
-    ``newton`` and ``eval_config`` as given.  Walk and polish run on the
-    canonically shifted spec; the weights return to the caller's weight
-    ``x**beta`` at the end, and ``rule.spec`` is ``spec``.  Raises
+    search grid without zooming; the ``alpha = 1`` solve uses ``newton`` and
+    ``eval_config`` as given, and the polish ``newton`` and that solve's last
+    Jacobian.  Walk and polish run on the canonically shifted spec; the
+    weights return to ``x**beta`` at the end, and ``rule.spec`` is ``spec``.  Raises
     ``ContinuationFailedError`` if the step size falls below its minimum;
     it carries the last good state in the caller's weight, solved only to
     the walk tolerance.
@@ -526,7 +528,7 @@ def compute_rule(
         step *= min(1.0 if rejected else ccfg.growth, max(ccfg.shrink, factor))
         rejected = False
 
-    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, ncfg, cfg, res_norm)
+    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, ncfg, result.jacobian, res_norm)
 
     return QuadratureRule(
         nodes=x,
@@ -541,7 +543,7 @@ def compute_rule(
     )
 
 
-def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm: float):
+def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, jacobian: np.ndarray, res_norm: float):
     """Squeeze out the numerical noise floor at the solved rule.
 
     The residual at a near-converged rule lives in a near-null Jacobian
@@ -550,9 +552,10 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
     therefore use the bias-free residual of ``refine.exact_residual``, the
     arbitrary-precision pole expansion, which covers every exponent
     multiplicity; its exponent-only table is built once per call.  The
-    steps are simplified Newton: every one solves against the Jacobian
-    ``assemble`` returns at the first iterate, in ordinary arithmetic.  Any
-    trouble aborts polishing and keeps the last accepted iterate.
+    steps are simplified Newton: every one solves against ``jacobian``, the
+    rescaled Jacobian the ``alpha = 1`` solve assembled at ``(x, w)`` with
+    the caller's evaluator, in ordinary arithmetic.  Any trouble aborts
+    polishing and keeps the last accepted iterate.
 
     Progress is judged by the size of the Newton correction, relative to
     each node and weight, not by the residual: along that near-null
@@ -565,10 +568,6 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, cfg: EvalConfig, res_norm:
         return x, w, res_norm, 0
 
     beta = spec.beta
-    try:
-        _, jacobian = assemble(x, w, spec.exponents, beta, moments(spec.exponents, beta), cfg)
-    except DomainError:
-        return x, w, res_norm, 0
     expansion = refine.pole_expansion(spec.exponents, beta)
     n = x.size
     best = (x, w, res_norm)

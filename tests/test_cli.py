@@ -197,6 +197,24 @@ class TestCommands:
         bad.write_text("not a rule file at all\n")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param({"beta": None, "lambda": [0, 1], "nodes": [0.5], "weights": [1.0]},
+                     "'beta' must be a number", id="null-beta"),
+        pytest.param({"beta": 0, "lambda": [0, 1], "nodes": [0.5], "weights": [1.0], "meta": 5},
+                     "'meta' must be a JSON object", id="meta-not-an-object"),
+        pytest.param({"beta": 0, "lambda": [0, 1], "nodes": [[0.5]], "weights": [1.0]},
+                     "'nodes' must be a list of numbers", id="2-D-nodes"),
+        pytest.param({"beta": 0, "lambda": [0, "1"], "nodes": [0.5], "weights": [1.0]},
+                     "'lambda' must be a list of numbers", id="string-exponent"),
+        pytest.param({"beta": 0, "lambda": [0, 1], "nodes": [0.5], "weights": [None]},
+                     "'weights' must be a list of numbers", id="null-weight"),
+    ])
+    def test_validate_malformed_json_values_exit_2(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(payload))
+        assert main(["validate", str(path)]) == 2
+        assert f"cannot parse rule file: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam", [[-1.0, 0.0], [-3.0, 0.0]])
     def test_validate_inadmissible_rule_file_exits_2(self, tmp_path, capsys, lam):
         path = tmp_path / "rule.json"

@@ -121,6 +121,29 @@ def test_one_expansion_serves_any_node_set():
                               per_node_residual(nodes, weights, lam, beta))
 
 
+def _random_ladders(count=24, seed=11):
+    """Distinct exponents with gaps uniform in [0.1, 1.2): no gap repeats,
+    so every power in the chain of ``_node_sums`` takes its own step."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        n = int(rng.integers(2, 9))
+        beta = float(rng.uniform(-0.5, 1.5))
+        start = -1.0 - beta + float(rng.uniform(0.05, 1.0))
+        lam = start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.2, size=2 * n - 1))])
+        yield pytest.param(lam, beta, id=f"ladder-{index}")
+
+
+@pytest.mark.parametrize("lam, beta", list(_random_ladders()) + [
+    pytest.param(2.0 ** np.arange(16) - 1.0, 0.0, id="powers-of-2"),  # max lambda 32767
+    pytest.param(1.5 ** np.arange(20) - 1.0, 0.3, id="powers-of-1.5"),
+    pytest.param(np.arange(16.0) ** 2, -0.5, id="squares"),
+])
+def test_chained_powers_match_per_node_expansion(lam, beta):
+    nodes, weights = _perturbed_jacobi(lam.size // 2, beta)
+    assert np.array_equal(exact_residual(nodes, weights, pole_expansion(lam, beta)),
+                          per_node_residual(nodes, weights, lam, beta))
+
+
 HIGH_MULTIPLICITY = [
     pytest.param(sequence_family("case3", 4), 0.0, id="multiplicity-3"),
     pytest.param(np.repeat([0.0, 1.0], 4), 0.5, id="multiplicity-4"),

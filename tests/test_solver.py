@@ -156,6 +156,30 @@ class TestNewtonSolve:
         result = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
         assert result.contraction == 0.0
 
+    def test_result_carries_the_jacobian_at_its_iterate(self):
+        def check(result, lam, beta):
+            _, jacobian = assemble(result.nodes, result.weights, lam, beta, moments(lam, beta))
+            assert np.array_equal(result.jacobian, jacobian)
+
+        lam = np.array([0.0, 1.0])
+        exact = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
+        assert exact.iterations == 0
+        check(exact, lam, 0.0)
+        converged = newton_solve([0.4], [0.9], lam, 0.0, moments(lam, 0.0))
+        assert converged.iterations >= 1
+        check(converged, lam, 0.0)
+
+        # a target below the double-precision floor: the solve stalls and
+        # returns its best iterate, which is not its last
+        lam, beta = example1(4), -0.25
+        rule = compute_rule(RuleSpec(lam, beta))
+        m = moments(lam, beta)
+        ncfg = NewtonConfig(tolerance=1e-16, stall_factor=1e3)
+        stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m, ncfg)
+        assert stalled.residual > ncfg.tolerance * np.abs(m).max()
+        assert stalled.residual < stalled.residual_history[-1]
+        check(stalled, lam, beta)
+
     def test_local_quadratic_convergence(self):
         # undamped iteration from a perturbed solution: r_{k+1} <= C r_k^2
         beta = 0.0
@@ -253,7 +277,8 @@ class TestComputeRule:
             return max(err for _, err in rows)
 
         assert worst(x, w) > 1e-12
-        x, w, residual, _ = _polish(x, w, spec, NewtonConfig(), EvalConfig(), 2.1e-14)
+        _, jacobian = assemble(x, w, spec.exponents, spec.beta, moments(spec.exponents, spec.beta), EvalConfig())
+        x, w, residual, _ = _polish(x, w, spec, NewtonConfig(), jacobian, 2.1e-14)
         assert worst(x, w) <= 1e-15
         assert residual <= 2e-14
 
@@ -341,26 +366,36 @@ class TestCheapWalk:
         coarse = EvalConfig(panel_order=6, laguerre_order=13, theta_tolerance=40.0)
         solves, assembles, polishes = [], [], []
 
-        def recording(target, log, record):
-            def wrapper(*args, **kwargs):
-                log.append(record(*args, **kwargs))
-                return target(*args, **kwargs)
-            return wrapper
+        def solving(x, w, lam, beta, m, newton, eval_config):
+            first = len(assembles)
+            try:
+                return newton_solve(x, w, lam, beta, m, newton, eval_config)
+            finally:
+                solves.append((np.array_equal(lam, walk_end), newton, eval_config, range(first, len(assembles))))
 
-        monkeypatch.setattr(solver, "newton_solve", recording(
-            newton_solve, solves,
-            lambda x, w, lam, beta, m, newton, eval_config: (np.array_equal(lam, walk_end), newton, eval_config)))
-        monkeypatch.setattr(solver, "assemble", recording(
-            assemble, assembles, lambda x, w, lam, beta, m, config: (np.array_equal(lam, walk_end), config)))
-        monkeypatch.setattr(solver, "_polish", recording(
-            _polish, polishes, lambda x, w, walk_spec, newton, eval_config, res: (newton, eval_config)))
+        def assembling(x, w, lam, beta, m, config):
+            assembles.append((np.array_equal(lam, walk_end), config))
+            return assemble(x, w, lam, beta, m, config)
+
+        def polishing(x, w, walk_spec, newton, jacobian, res):
+            polishes.append(newton)
+            return _polish(x, w, walk_spec, newton, jacobian, res)
+
+        monkeypatch.setattr(solver, "newton_solve", solving)
+        monkeypatch.setattr(solver, "assemble", assembling)
+        monkeypatch.setattr(solver, "_polish", polishing)
         compute_rule(spec, newton=ncfg, eval_config=cfg)
 
         loose = replace(ncfg, tolerance=solver._WALK_TOLERANCE)
-        assert {(newton, config) for final, newton, config in solves if not final} == {(loose, coarse)}
-        assert {(newton, config) for final, newton, config in solves if final} == {(ncfg, cfg)}
-        assert polishes == [(ncfg, cfg)]
+        assert {(newton, config) for final, newton, config, _ in solves if not final} == {(loose, coarse)}
+        assert {(newton, config) for final, newton, config, _ in solves if final} == {(ncfg, cfg)}
+        assert polishes == [ncfg]
         assert {config for final, config in assembles if not final} == {coarse}
+        # every full-accuracy assemble belongs to the alpha = 1 solve; the
+        # polish reuses that solve's last Jacobian and assembles nothing
+        final_solves = [calls for final, _, _, calls in solves if final]
+        full = [k for k, (final, config) in enumerate(assembles) if config == cfg]
+        assert full == [k for calls in final_solves for k in calls]
         assert {config for final, config in assembles if final} == {cfg}
 
     def test_walk_takes_theta_from_the_grid(self, monkeypatch):
@@ -412,7 +447,8 @@ class TestCheapWalk:
 
 
 class TestPolishWork:
-    """The polish builds its pole expansion and its Jacobian once per rule."""
+    """The polish builds its pole expansion once per rule and takes its
+    Jacobian from the alpha = 1 solve."""
 
     def test_one_expansion_and_one_jacobian_per_polish(self, monkeypatch):
         captured = []
@@ -432,7 +468,7 @@ class TestPolishWork:
         monkeypatch.setattr(solver, "assemble", counting("assemble", assemble))
         *_, iterations = _polish(*args)
         assert iterations >= 1
-        assert counts == {"expansion": 1, "assemble": 1}
+        assert counts == {"expansion": 1, "assemble": 0}
 
 
 class TestTransformToUnitWeight:
