@@ -3,7 +3,7 @@
 Builds (N+1)-point rules on (0, 1) that integrate 2N+2 prescribed power
 functions ``x**lam_k`` (repeats bring in log factors) exactly against the
 weight ``x**beta``, by homotopy continuation from classical Gauss-Jacobi
-with a damped Newton corrector on the orthogonal-basis moment equations.
+with a Newton corrector on the orthogonal-basis moment equations.
 """
 
 __version__ = "0.1.0"
@@ -30,8 +30,6 @@ from .muntz import (
     scaled_derivatives,
 )
 from .solver import (
-    ContinuationConfig,
-    NewtonConfig,
     QuadratureRule,
     RuleDiagnostics,
     RuleSpec,
@@ -46,7 +44,6 @@ from .solver import (
 __all__ = [
     "__version__",
     "ClassicalRule",
-    "ContinuationConfig",
     "ContinuationFailedError",
     "DomainError",
     "EvalConfig",
@@ -56,7 +53,6 @@ __all__ = [
     "InvalidOrderError",
     "LengthMismatchError",
     "MuntzQuadError",
-    "NewtonConfig",
     "NewtonDivergedError",
     "NonFiniteSampleError",
     "QuadratureRule",

@@ -45,13 +45,13 @@ class NewtonDivergedError(MuntzQuadError):
 
 
 class ContinuationFailedError(MuntzQuadError):
-    """The continuation step size shrank below its minimum.
+    """The continuation step size shrank below ``solver._STEP_MIN``.
 
     Carries the last successfully solved blend parameter and iterate so a
     caller can inspect how far the path was tracked.  Past ``alpha = 0``
-    (the exact Gauss-Jacobi start) the iterate was solved only to the
-    walk's loose tolerance, on the walk's coarse evaluator (see
-    ``solver.compute_rule``).
+    (the exact Gauss-Jacobi start) the iterate was solved only to
+    ``solver._WALK_TOLERANCE``, on the coarse evaluator
+    ``solver._WALK_EVAL`` (see ``solver.compute_rule``).
     """
 
     def __init__(self, message: str, alpha: float, nodes=None, weights=None):

@@ -121,7 +121,10 @@ def _as_exponents(exponents) -> np.ndarray:
 
 def ensure_admissible(exponents, beta: float) -> np.ndarray:
     lam = _as_exponents(exponents)
-    if np.min(lam) + float(beta) <= -1.0:
+    beta = float(beta)
+    if not math.isfinite(beta):
+        raise InadmissibleSequenceError(f"beta must be finite, got {beta}")
+    if np.min(lam) + beta <= -1.0:
         raise InadmissibleSequenceError(
             f"min exponent {np.min(lam)} with beta {beta} gives a divergent weighted moment; "
             "need min(lambda) + beta > -1"

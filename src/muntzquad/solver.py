@@ -8,10 +8,9 @@ root of the moment-matching map
 where ``z`` stacks the N+1 nodes and weights.  Newton's equation is solved
 in a rescaled variable: the Jacobian columns are premultiplied by powers of
 ``x`` and ``w`` so that nothing blows up when nodes crowd the origin, which
-is the whole point of these rules.  The step is damped by a geometric
-schedule after a configurable number of full steps, and a feasibility
-safeguard halves any step that would push a node out of (0, 1), cross two
-nodes, or kill a weight.
+is the whole point of these rules.  Every Newton step is taken in full
+unless a feasibility safeguard halves it: one that would push a node out of
+(0, 1), cross two nodes, or kill a weight.
 
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
@@ -25,7 +24,7 @@ first is dropped at once, and the ratio of the first two corrections of an
 accepted solve sizes the next step.  The corrector is inexact by design: a
 rule with ``alpha < 1`` only seeds the next step, so those solves stop at
 a loose tolerance on a coarse contour evaluator, and only the
-``alpha = 1`` solve and the polish run at the caller's accuracy.
+``alpha = 1`` solve and the polish run at full accuracy.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -38,7 +37,7 @@ linear solve is one LAPACK call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,7 +102,11 @@ class RuleDiagnostics:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes in (0, 1), positive weights, and the spec they are exact for."""
+    """Nodes in (0, 1), positive weights, and the spec they are exact for.
+
+    Raises ``DomainError`` when the nodes and weights break that
+    feasibility, as a weight that underflows to 0 does.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -116,74 +119,14 @@ class QuadratureRule:
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
         if not _feasible(nodes, weights):
-            raise ValueError("rule violates feasibility: nodes ascending in (0,1), weights > 0")
+            raise DomainError(
+                "rule violates feasibility: nodes ascending in (0,1), weights > 0 "
+                "(a node or weight may have under- or overflowed in double precision)"
+            )
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Damped-Newton controls.
-
-    The residual target is ``tolerance * max(1, max|moment|)``, with
-    ``tolerance > 0``.  In ``compute_rule`` it governs the ``alpha = 1``
-    solve; the homotopy steps before it stop at the looser
-    ``max(tolerance, 1e-5)``.  Damping uses
-    the schedule ``damping ** max(0, k - damping_onset)`` so the first
-    ``damping_onset`` iterations take full steps.  When the residual stops
-    improving for ``stall_iterations`` in a row, the best iterate is
-    accepted if it sits within ``stall_factor`` of the target, otherwise
-    the solve is declared divergent without burning the remaining budget.
-    The evaluator's noise floor rises when continuation paths carry
-    near-coincident exponents, so the stall window is generous; the final
-    polish restores full accuracy at the end of the walk.
-    """
-
-    tolerance: float = 1e-14
-    max_iterations: int = 50
-    damping: float = 0.5
-    damping_onset: int = 8
-    max_step_halvings: int = 30
-    stall_iterations: int = 3
-    stall_factor: float = 50.0
-    polish_iterations: int = 4
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping must lie in (0, 1)")
-        if self.damping_onset < 0 or self.max_iterations < 1 or self.max_step_halvings < 0:
-            raise ValueError("iteration controls must be non-negative (max_iterations >= 1)")
-        if self.stall_iterations < 1 or self.stall_factor < 1.0:
-            raise ValueError("need stall_iterations >= 1 and stall_factor >= 1")
-        if self.polish_iterations < 0:
-            raise ValueError("polish_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Adaptive blend-stepping controls for the homotopy walk.
-
-    After an accepted step the step is multiplied by
-    ``sqrt(1/4 / contraction)`` (see ``NewtonResult.contraction``), bounded
-    to ``[shrink, growth]``; the first step after a rejection does not
-    grow.  A rejected step is multiplied by ``shrink``, and the walk fails
-    once the step falls below ``step_min``.
-    """
-
-    step_initial: float = 0.1
-    step_min: float = 1e-4
-    shrink: float = 0.5
-    growth: float = 2.0
-
-    def __post_init__(self):
-        if not (0.0 < self.step_min <= self.step_initial <= 1.0):
-            raise ValueError("need 0 < step_min <= step_initial <= 1")
-        if not (0.0 < self.shrink < 1.0 <= self.growth):
-            raise ValueError("need 0 < shrink < 1 <= growth")
 
 
 @dataclass(frozen=True)
@@ -307,36 +250,87 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     return residual, jacobian
 
 
+# Residual tolerance of the alpha = 1 solve, relative to max(1, max|moment|).
+_TOLERANCE = 1e-14
+
+# A rule with alpha < 1 only seeds the next homotopy step, so its Newton
+# solve stops at this residual tolerance on the evaluator ``_WALK_EVAL``.  On
+# that evaluator Newton converges only linearly, and the next step's
+# predictor misses by far more anyway.
+_WALK_TOLERANCE = 1e-5
+
+# The walk's evaluator: a third of the default panel and Laguerre orders, and
+# theta from the search grid alone (a tolerance of ``theta_max`` leaves no
+# zoom round), since on the walk theta only tunes the conditioning of rules
+# that are thrown away.
+_WALK_EVAL = EvalConfig(panel_order=8, laguerre_order=16, theta_tolerance=40.0)
+
+# A Newton solve gives up after this many iterations, or once one step has
+# been halved this many times and is still infeasible.
+_MAX_ITERATIONS = 50
+_MAX_STEP_HALVINGS = 30
+
+# When the residual has not fallen below 0.9 times the best one for this many
+# iterations in a row, the best iterate is accepted if it sits within
+# ``_STALL_FACTOR`` of the target; otherwise the solve is declared divergent.
+# The evaluator's noise floor rises when continuation paths carry
+# near-coincident exponents, so the stall window is generous.
+_STALL_ITERATIONS = 3
+_STALL_FACTOR = 50.0
+
+# A Newton solve is dropped once a correction is this many times the one
+# before.  Not 1: converging solves have grown a correction by up to 1.35x.
+_DIVERGENCE_RATIO = 2.0
+
+# The walk's first step and the step below which it fails.  A diverged solve
+# is retried with the step times ``_SHRINK``; after an accepted one the step
+# is scaled so that its solve's first two corrections would contract by
+# ``_CONTRACTION_TARGET``, within ``[_SHRINK, _GROWTH]``.
+_STEP_INITIAL = 0.1
+_STEP_MIN = 1e-4
+_SHRINK = 0.5
+_GROWTH = 2.0
+_CONTRACTION_TARGET = 0.25
+
+# The polish takes at most this many exact-residual Newton steps.
+_POLISH_ITERATIONS = 4
+
+
 def newton_solve(
     nodes,
     weights,
     exponents,
     beta,
     moment_vector,
-    newton: NewtonConfig | None = None,
-    eval_config: EvalConfig | None = None,
+    tolerance: float = _TOLERANCE,
+    config: EvalConfig | None = None,
 ) -> NewtonResult:
-    """Damped Newton iteration on the moment-matching map.
+    """Newton iteration on the moment-matching map.
 
-    The rescaled Newton equation is solved directly; the physical update
-    directions are recovered through the same diagonal scalings,
+    The residual target is ``tolerance * max(1, max|moment|)``, with
+    ``tolerance > 0``, and ``config`` is the contour evaluator of every
+    ``assemble`` call (``EvalConfig()`` if omitted).  The rescaled Newton
+    equation is solved directly; the physical update directions are
+    recovered through the same diagonal scalings,
 
         dx = x**(beta/2+1) / w * p_nodes,     dw = x**(beta/2) * p_weights,
 
-    then applied with the damping schedule.  Any step that would leave the
-    feasible region is halved up to ``max_step_halvings`` times before the
-    iteration is declared divergent.  Raises ``NewtonDivergedError`` when
-    the iteration budget or the safeguard is exhausted, and as soon as a
-    correction (``_correction_size``) is at least ``_DIVERGENCE_RATIO``
-    times the one before: a converging iteration shrinks its corrections.
+    and applied in full.  Any step that would leave the feasible region is
+    halved up to ``_MAX_STEP_HALVINGS`` times before the iteration is
+    declared divergent.  Raises ``NewtonDivergedError`` when the iteration
+    budget or the safeguard is exhausted, when the residual stalls short of
+    ``_STALL_FACTOR`` times the target, and as soon as a correction
+    (``_correction_size``) is at least ``_DIVERGENCE_RATIO`` times the one
+    before: a converging iteration shrinks its corrections.
     """
-    ncfg = newton or NewtonConfig()
-    cfg = eval_config or EvalConfig()
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be > 0")
+    cfg = config or EvalConfig()
     x = np.array(nodes, dtype=float, copy=True)
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    target = ncfg.tolerance * max(1.0, float(np.abs(m).max()))
+    target = tolerance * max(1.0, float(np.abs(m).max()))
 
     residual, jacobian = assemble(x, w, exponents, beta, m, cfg)
     res_norm = float(np.abs(residual).max())
@@ -349,8 +343,7 @@ def newton_solve(
     beta = float(beta)
     correction = None
     contraction = 0.0
-    for iteration in range(1, ncfg.max_iterations + 1):
-        step_scale = ncfg.damping ** max(0, iteration - ncfg.damping_onset)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         try:
             p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError as exc:
@@ -371,6 +364,7 @@ def newton_solve(
         dx = x ** (0.5 * beta + 1.0) / w * p_scaled[:n]
         dw = x ** (0.5 * beta) * p_scaled[n:]
 
+        step_scale = 1.0
         halvings = 0
         while True:
             x_trial = x + step_scale * dx
@@ -378,7 +372,7 @@ def newton_solve(
             if _feasible(x_trial, w_trial):
                 break
             halvings += 1
-            if halvings > ncfg.max_step_halvings:
+            if halvings > _MAX_STEP_HALVINGS:
                 raise NewtonDivergedError(
                     "feasibility safeguard exhausted", iterations=iteration, residual=res_norm
                 )
@@ -398,8 +392,8 @@ def newton_solve(
             stalled = 0
         else:
             stalled += 1
-            if stalled >= ncfg.stall_iterations:
-                if best[2] <= ncfg.stall_factor * target:
+            if stalled >= _STALL_ITERATIONS:
+                if best[2] <= _STALL_FACTOR * target:
                     return NewtonResult(*best[:2], iteration, best[2], tuple(history), contraction, best[3])
                 raise NewtonDivergedError(
                     f"stalled at residual {best[2]:.3e} (target {target:.3e})",
@@ -408,72 +402,34 @@ def newton_solve(
                 )
 
     raise NewtonDivergedError(
-        f"no convergence in {ncfg.max_iterations} iterations (residual {res_norm:.3e})",
-        iterations=ncfg.max_iterations,
+        f"no convergence in {_MAX_ITERATIONS} iterations (residual {res_norm:.3e})",
+        iterations=_MAX_ITERATIONS,
         residual=res_norm,
     )
 
 
-# A Newton solve is dropped once a correction is this many times the one
-# before.  Not 1: converging solves have grown a correction by up to 1.35x.
-_DIVERGENCE_RATIO = 2.0
-
-# A rule with alpha < 1 only seeds the next homotopy step, so its Newton
-# solve stops at this residual tolerance (or the caller's, if looser) on the
-# evaluator of ``_coarse_eval_config``.  On that evaluator Newton converges
-# only linearly, and the next step's predictor misses by far more anyway.
-_WALK_TOLERANCE = 1e-5
-
-# The walk sizes each step so that its solve's first two corrections would
-# contract by this ratio.
-_CONTRACTION_TARGET = 0.25
-
-
-def _coarse_eval_config(cfg: EvalConfig) -> EvalConfig:
-    """The walk's evaluator: a third of the caller's panel and Laguerre
-    orders, and theta from the search grid alone (a tolerance of
-    ``theta_max`` leaves no zoom round), since on the walk theta only tunes
-    the conditioning of rules that are thrown away."""
-    return replace(
-        cfg,
-        panel_order=max(1, cfg.panel_order // 3),
-        laguerre_order=max(1, cfg.laguerre_order // 3),
-        theta_tolerance=cfg.theta_max,
-    )
-
-
-def compute_rule(
-    spec: RuleSpec,
-    newton: NewtonConfig | None = None,
-    continuation: ContinuationConfig | None = None,
-    eval_config: EvalConfig | None = None,
-) -> QuadratureRule:
+def compute_rule(spec: RuleSpec) -> QuadratureRule:
     """Build the generalized Gaussian rule for ``spec`` by homotopy walking.
 
     Starts from the classical Gauss-Jacobi rule (the exact root for the
     integer-exponent blend), then advances the blend parameter with
     adaptive steps, and always lands the final step exactly on 1.  A
-    diverged Newton solve is retried with the step times
-    ``continuation.shrink``; after an accepted one the step is scaled by
-    ``sqrt(1/4 / contraction)`` within ``[shrink, growth]`` (no growth
-    right after a rejection), so that the next solve's corrections contract
-    by about 1/4.  Every step with ``alpha < 1`` is solved to
-    ``max(newton.tolerance, 1e-5)`` on a coarse evaluator with a third of
-    ``eval_config``'s panel and Laguerre orders and theta taken from the
-    search grid without zooming; the ``alpha = 1`` solve uses ``newton`` and
-    ``eval_config`` as given, and the polish ``newton`` and that solve's last
-    Jacobian.  Walk and polish run on the canonically shifted spec; the
-    weights return to ``x**beta`` at the end, and ``rule.spec`` is ``spec``.  Raises
-    ``ContinuationFailedError`` if the step size falls below its minimum;
-    it carries the last good state in the caller's weight, solved only to
-    the walk tolerance.
+    diverged Newton solve is retried with half the step; after an accepted
+    one the step is scaled by ``sqrt(1/4 / contraction)`` within
+    ``[1/2, 2]`` (no growth right after a rejection), so that the next
+    solve's corrections contract by about 1/4.  Every step with
+    ``alpha < 1`` is solved to ``_WALK_TOLERANCE`` (1e-5) on ``_WALK_EVAL``,
+    which has a third of the default panel and Laguerre orders and takes
+    theta from the search grid without zooming; the ``alpha = 1`` solve runs
+    to ``_TOLERANCE`` (1e-14) on ``EvalConfig()``, and the polish reuses that
+    solve's last Jacobian.  Walk and polish run on the canonically shifted
+    spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
+    ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
+    ``_STEP_MIN``; it carries the last good state in the caller's weight,
+    solved only to the walk tolerance.  Raises ``DomainError`` if a weight
+    under- or overflows in doubles when the factor ``x**c`` maps it back to
+    the caller's weight.
     """
-    ncfg = newton or NewtonConfig()
-    ccfg = continuation or ContinuationConfig()
-    cfg = eval_config or EvalConfig()
-    walk_ncfg = replace(ncfg, tolerance=max(ncfg.tolerance, _WALK_TOLERANCE))
-    walk_cfg = _coarse_eval_config(cfg)
-
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
     # (crossings create near-coincident exponents whose basis is nearly
@@ -488,7 +444,7 @@ def compute_rule(
     w = start.weights.copy()
 
     alpha = 0.0
-    step = ccfg.step_initial
+    step = _STEP_INITIAL
     steps_taken = 0
     rejected_steps = 0
     rejected = False  # the last solve diverged
@@ -501,16 +457,16 @@ def compute_rule(
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
         m_alpha = moments(lam_alpha, walk_spec.beta)
         x0, w0 = _predict(alpha, x, w, previous, alpha_next)
-        configs = (ncfg, cfg) if alpha_next == 1.0 else (walk_ncfg, walk_cfg)
+        settings = (_TOLERANCE, EvalConfig()) if alpha_next == 1.0 else (_WALK_TOLERANCE, _WALK_EVAL)
         try:
-            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, *configs)
+            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, *settings)
         except NewtonDivergedError:
             rejected_steps += 1
             rejected = True
-            step *= ccfg.shrink
-            if step < ccfg.step_min:
+            step *= _SHRINK
+            if step < _STEP_MIN:
                 raise ContinuationFailedError(
-                    f"step size fell below {ccfg.step_min} at alpha = {alpha}",
+                    f"step size fell below {_STEP_MIN} at alpha = {alpha}",
                     alpha=alpha,
                     nodes=x,
                     weights=w * x**c,
@@ -525,10 +481,10 @@ def compute_rule(
         # the secant predictor misses by O(step**2), and so does the first
         # contraction ratio
         factor = math.sqrt(_CONTRACTION_TARGET / result.contraction) if result.contraction > 0 else math.inf
-        step *= min(1.0 if rejected else ccfg.growth, max(ccfg.shrink, factor))
+        step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
-    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, ncfg, result.jacobian, res_norm)
+    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, result.jacobian, res_norm)
 
     return QuadratureRule(
         nodes=x,
@@ -543,7 +499,7 @@ def compute_rule(
     )
 
 
-def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, jacobian: np.ndarray, res_norm: float):
+def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
     """Squeeze out the numerical noise floor at the solved rule.
 
     The residual at a near-converged rule lives in a near-null Jacobian
@@ -554,7 +510,7 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, jacobian: np.ndarray, res_
     multiplicity; its exponent-only table is built once per call.  The
     steps are simplified Newton: every one solves against ``jacobian``, the
     rescaled Jacobian the ``alpha = 1`` solve assembled at ``(x, w)`` with
-    the caller's evaluator, in ordinary arithmetic.  Any trouble aborts
+    the full evaluator, in ordinary arithmetic.  Any trouble aborts
     polishing and keeps the last accepted iterate.
 
     Progress is judged by the size of the Newton correction, relative to
@@ -562,18 +518,16 @@ def _polish(x, w, spec: RuleSpec, ncfg: NewtonConfig, jacobian: np.ndarray, res_
     direction an iterate 1e-11 off can show a smaller residual than the
     true rule rounded to doubles.  Steps continue while each correction is
     under a quarter of the one before; the result is the last iterate that
-    passed, with its exact residual.
+    passed, with its exact residual; at most ``_POLISH_ITERATIONS`` steps
+    are taken.
     """
-    if ncfg.polish_iterations == 0:
-        return x, w, res_norm, 0
-
     beta = spec.beta
     expansion = refine.pole_expansion(spec.exponents, beta)
     n = x.size
     best = (x, w, res_norm)
     previous = math.inf
     iterations = 0
-    for _ in range(ncfg.polish_iterations):
+    for _ in range(_POLISH_ITERATIONS):
         residual = refine.exact_residual(x, w, expansion)
         try:
             p_scaled = _solve(jacobian, -residual)

@@ -18,6 +18,7 @@ from muntzquad import cli
 from muntzquad.errors import DomainError, InadmissibleSequenceError, NewtonDivergedError
 from muntzquad.solver import RuleSpec, compute_rule
 from quad_oracle import adaptive_integrate
+from test_solver import UNDERFLOW_SPECS
 
 
 class TestSequenceFamilies:
@@ -146,6 +147,12 @@ class TestCommands:
         assert main(["rule", "--family", "case1", "--n", "3", "--beta", "-2"]) == 2
         assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rule", "validate"])
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exits_2(self, command, beta, capsys):
+        assert main([command, "--family", "case1", "--n", "2", "--beta", beta]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
     def test_rule_requires_spec_source(self):
         assert main(["rule", "--n", "3"]) == 2
 
@@ -222,6 +229,12 @@ class TestCommands:
         assert main(["validate", str(path)]) == 2
         assert "min(lambda) + beta > -1" in capsys.readouterr().err
 
+    def test_validate_non_finite_beta_rule_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rule.json"
+        path.write_text('{"beta": NaN, "lambda": [0, 1], "nodes": [0.5], "weights": [1.0]}')
+        assert main(["validate", str(path)]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
     def test_validate_fails_a_rule_with_a_negative_node(self, tmp_path, capsys):
         # log of a negative node makes the x^0 log row NaN, which is not <= threshold
         path = tmp_path / "rule.json"
@@ -243,6 +256,14 @@ class TestCommands:
         monkeypatch.setattr(cli, "compute_rule", diverge)
         assert main([command, "--family", "case1", "--n", "2"]) == 1
         assert "no convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rule", "validate"])
+    @pytest.mark.parametrize("lam, beta", UNDERFLOW_SPECS)
+    def test_weight_underflow_exits_1(self, command, lam, beta, tmp_path, capsys):
+        lam_file = tmp_path / "lambda.txt"
+        lam_file.write_text("\n".join(repr(float(v)) for v in lam) + "\n")
+        assert main([command, "--lambda-file", str(lam_file), "--beta", repr(beta)]) == 1
+        assert "rule construction failed" in capsys.readouterr().err
 
     def test_convergence_table(self, capsys):
         code = main(["convergence", "--family", "case2", "--integrand", "psi",

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from muntzquad.cli import RuleFile, rule_to_file, sequence_family, validation_ro
 from muntzquad.errors import (
     ContinuationFailedError,
     DomainError,
+    InadmissibleSequenceError,
     LengthMismatchError,
     NewtonDivergedError,
     NonFiniteSampleError,
@@ -17,8 +17,6 @@ from muntzquad.errors import (
 )
 from muntzquad.muntz import EvalConfig, _theta_search, moments
 from muntzquad.solver import (
-    ContinuationConfig,
-    NewtonConfig,
     RuleSpec,
     _polish,
     _solve,
@@ -30,6 +28,14 @@ from muntzquad.solver import (
     transform_to_unit_weight,
 )
 from test_domain import SPECS as DOMAIN_SPECS
+
+
+# admissible specs (min lam + beta = -0.99 and -0.9999) whose smallest
+# weight underflows in doubles
+UNDERFLOW_SPECS = [
+    pytest.param(np.array([-80.99, -80.5, -80.0, -79.5]), 80.0, id="beta80"),
+    pytest.param(np.array([-20.9999, -20.9, -20.8, -20.7, -20.6, -20.5]), 20.0, id="beta20"),
+]
 
 
 def example1(n_nodes):
@@ -156,7 +162,7 @@ class TestNewtonSolve:
         result = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
         assert result.contraction == 0.0
 
-    def test_result_carries_the_jacobian_at_its_iterate(self):
+    def test_result_carries_the_jacobian_at_its_iterate(self, monkeypatch):
         def check(result, lam, beta):
             _, jacobian = assemble(result.nodes, result.weights, lam, beta, moments(lam, beta))
             assert np.array_equal(result.jacobian, jacobian)
@@ -174,9 +180,10 @@ class TestNewtonSolve:
         lam, beta = example1(4), -0.25
         rule = compute_rule(RuleSpec(lam, beta))
         m = moments(lam, beta)
-        ncfg = NewtonConfig(tolerance=1e-16, stall_factor=1e3)
-        stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m, ncfg)
-        assert stalled.residual > ncfg.tolerance * np.abs(m).max()
+        monkeypatch.setattr(solver, "_STALL_FACTOR", 1e3)
+        tolerance = 1e-16
+        stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m, tolerance)
+        assert stalled.residual > tolerance * np.abs(m).max()
         assert stalled.residual < stalled.residual_history[-1]
         check(stalled, lam, beta)
 
@@ -278,7 +285,7 @@ class TestComputeRule:
 
         assert worst(x, w) > 1e-12
         _, jacobian = assemble(x, w, spec.exponents, spec.beta, moments(spec.exponents, spec.beta), EvalConfig())
-        x, w, residual, _ = _polish(x, w, spec, NewtonConfig(), jacobian, 2.1e-14)
+        x, w, residual, _ = _polish(x, w, spec, jacobian, 2.1e-14)
         assert worst(x, w) <= 1e-15
         assert residual <= 2e-14
 
@@ -288,11 +295,11 @@ class TestComputeRule:
         assert diagnostics.rejected_steps < 2
         assert diagnostics.continuation_steps >= 1
 
-    def test_continuation_failure_reports_last_alpha(self):
-        weak = NewtonConfig(max_iterations=1, damping_onset=0)
-        tight = ContinuationConfig(step_initial=0.1, step_min=0.06)
+    def test_continuation_failure_reports_last_alpha(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "_STEP_MIN", 0.06)
         with pytest.raises(ContinuationFailedError) as info:
-            compute_rule(RuleSpec(example1(4), -0.25), newton=weak, continuation=tight)
+            compute_rule(RuleSpec(example1(4), -0.25))
         assert info.value.alpha == 0.0
         # the alpha = 0 rule of the walk, in the caller's weight: exact for
         # x**(k + min(lam)) against x**beta
@@ -312,6 +319,13 @@ class TestComputeRule:
         rule = compute_rule(spec)
         assert rule.spec is spec
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
+
+    @pytest.mark.parametrize("lam, beta", UNDERFLOW_SPECS)
+    def test_weight_underflow_raises_a_typed_error(self, lam, beta):
+        # admissible, and the shifted walk solves it, but w * x**c rounds the
+        # smallest weight to 0 in the caller's weight
+        with pytest.raises(DomainError, match="feasibility"):
+            compute_rule(RuleSpec(lam, beta))
 
     def test_shift_invariance(self):
         # (lam, beta) and (lam + c, beta - c) share nodes; weights scale by x**c
@@ -352,8 +366,8 @@ class TestCheapWalk:
     ])
     def test_cheap_walk_changes_no_rule(self, spec, monkeypatch):
         cheap = compute_rule(spec)
-        monkeypatch.setattr(solver, "_WALK_TOLERANCE", 0.0)
-        monkeypatch.setattr(solver, "_coarse_eval_config", lambda cfg: cfg)
+        monkeypatch.setattr(solver, "_WALK_TOLERANCE", solver._TOLERANCE)
+        monkeypatch.setattr(solver, "_WALK_EVAL", EvalConfig())
         full = compute_rule(spec)
         assert np.array_equal(cheap.nodes, full.nodes)
         assert np.array_equal(cheap.weights, full.weights)
@@ -361,47 +375,46 @@ class TestCheapWalk:
     def test_only_alpha_one_and_polish_run_at_full_accuracy(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
-        ncfg = NewtonConfig(tolerance=1e-13)
-        cfg = EvalConfig(panel_order=20, laguerre_order=40)
-        coarse = EvalConfig(panel_order=6, laguerre_order=13, theta_tolerance=40.0)
+        full_eval = EvalConfig()
+        coarse = EvalConfig(panel_order=8, laguerre_order=16, theta_tolerance=40.0)
         solves, assembles, polishes = [], [], []
 
-        def solving(x, w, lam, beta, m, newton, eval_config):
+        def solving(x, w, lam, beta, m, tolerance, config):
             first = len(assembles)
             try:
-                return newton_solve(x, w, lam, beta, m, newton, eval_config)
+                return newton_solve(x, w, lam, beta, m, tolerance, config)
             finally:
-                solves.append((np.array_equal(lam, walk_end), newton, eval_config, range(first, len(assembles))))
+                solves.append((np.array_equal(lam, walk_end), tolerance, config, range(first, len(assembles))))
 
         def assembling(x, w, lam, beta, m, config):
             assembles.append((np.array_equal(lam, walk_end), config))
             return assemble(x, w, lam, beta, m, config)
 
-        def polishing(x, w, walk_spec, newton, jacobian, res):
-            polishes.append(newton)
-            return _polish(x, w, walk_spec, newton, jacobian, res)
+        def polishing(*args):
+            polishes.append(args)
+            return _polish(*args)
 
         monkeypatch.setattr(solver, "newton_solve", solving)
         monkeypatch.setattr(solver, "assemble", assembling)
         monkeypatch.setattr(solver, "_polish", polishing)
-        compute_rule(spec, newton=ncfg, eval_config=cfg)
+        compute_rule(spec)
 
-        loose = replace(ncfg, tolerance=solver._WALK_TOLERANCE)
-        assert {(newton, config) for final, newton, config, _ in solves if not final} == {(loose, coarse)}
-        assert {(newton, config) for final, newton, config, _ in solves if final} == {(ncfg, cfg)}
-        assert polishes == [ncfg]
+        assert solver._WALK_EVAL == coarse
+        assert {(tol, config) for final, tol, config, _ in solves if not final} == {(solver._WALK_TOLERANCE, coarse)}
+        assert {(tol, config) for final, tol, config, _ in solves if final} == {(solver._TOLERANCE, full_eval)}
+        assert len(polishes) == 1
         assert {config for final, config in assembles if not final} == {coarse}
         # every full-accuracy assemble belongs to the alpha = 1 solve; the
         # polish reuses that solve's last Jacobian and assembles nothing
         final_solves = [calls for final, _, _, calls in solves if final]
-        full = [k for k, (final, config) in enumerate(assembles) if config == cfg]
+        full = [k for k, (final, config) in enumerate(assembles) if config == full_eval]
         assert full == [k for calls in final_solves for k in calls]
-        assert {config for final, config in assembles if final} == {cfg}
+        assert {config for final, config in assembles if final} == {full_eval}
 
     def test_walk_takes_theta_from_the_grid(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
-        cfg = EvalConfig(theta_tolerance=1e-7)
+        cfg = EvalConfig()
         at_end, searches = [], []
 
         def assembling(x, w, lam, *rest):
@@ -415,7 +428,7 @@ class TestCheapWalk:
 
         monkeypatch.setattr(solver, "assemble", assembling)
         monkeypatch.setattr(muntz, "_theta_search", searching)
-        compute_rule(spec, eval_config=cfg)
+        compute_rule(spec)
 
         grid = np.geomspace(cfg.theta_min, cfg.theta_max, 97)
         walk = [(config, theta) for final, config, theta in searches if not final]
@@ -423,27 +436,9 @@ class TestCheapWalk:
         assert walk and end
         assert {config.theta_tolerance for config, _ in walk} == {cfg.theta_max}
         assert all(np.all(np.isin(theta, grid)) for _, theta in walk)
-        # the alpha = 1 solve and the polish zoom at the caller's tolerance
+        # the alpha = 1 solve and the polish zoom at the default tolerance
         assert {config for config, _ in end} == {cfg}
         assert not all(np.all(np.isin(theta, grid)) for _, theta in end)
-
-    def test_coarse_orders_stay_positive(self):
-        cfg = EvalConfig(panel_order=2, laguerre_order=4, panel_count=7)
-        assert solver._coarse_eval_config(cfg) == EvalConfig(
-            panel_order=1, laguerre_order=1, panel_count=7, theta_tolerance=40.0
-        )
-
-    def test_walk_keeps_a_looser_caller_tolerance(self, monkeypatch):
-        tolerances = []
-
-        def wrapper(*args):
-            tolerances.append(args[5].tolerance)
-            return newton_solve(*args)
-
-        monkeypatch.setattr(solver, "newton_solve", wrapper)
-        looser = 10 * solver._WALK_TOLERANCE
-        compute_rule(RuleSpec(example1(3), -0.25), newton=NewtonConfig(tolerance=looser))
-        assert set(tolerances) == {looser}
 
 
 class TestPolishWork:
@@ -506,22 +501,11 @@ class TestApplyRule:
 
 
 class TestConfigValidation:
-    def test_newton_config_bounds(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(damping=1.5)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iterations=0)
-
     @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
-    def test_newton_config_rejects_a_tolerance_that_is_not_positive(self, tolerance):
+    def test_newton_solve_rejects_a_tolerance_which_is_not_positive(self, tolerance):
+        lam = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="tolerance"):
-            NewtonConfig(tolerance=tolerance)
-
-    def test_continuation_config_bounds(self):
-        with pytest.raises(ValueError):
-            ContinuationConfig(step_initial=0.0)
-        with pytest.raises(ValueError):
-            ContinuationConfig(shrink=1.0)
+            newton_solve([0.4], [0.9], lam, 0.0, moments(lam, 0.0), tolerance)
 
     def test_eval_config_bounds(self):
         with pytest.raises(ValueError):
@@ -539,3 +523,11 @@ class TestConfigValidation:
             RuleSpec(np.array([0.0, 1.0, 2.0]), 0.0)  # odd length
         with pytest.raises(ValueError):
             RuleSpec(np.array([0.0, -1.5]), 0.0)  # divergent moment
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_inadmissible(self, beta):
+        # min(lam) + nan <= -1 is False, so NaN used to pass the moment check
+        with pytest.raises(InadmissibleSequenceError, match="beta must be finite"):
+            RuleSpec(np.array([0.0, 1.0]), beta)
+        with pytest.raises(InadmissibleSequenceError, match="beta must be finite"):
+            moments([0.0, 1.0], beta)
