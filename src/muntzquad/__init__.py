@@ -21,14 +21,7 @@ from .errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from .muntz import (
-    EvalConfig,
-    EvalResult,
-    eval_all,
-    eval_all_weighted,
-    moments,
-    scaled_derivatives,
-)
+from .muntz import eval_all, moments, scaled_derivatives
 from .solver import (
     QuadratureRule,
     RuleDiagnostics,
@@ -46,8 +39,6 @@ __all__ = [
     "ClassicalRule",
     "ContinuationFailedError",
     "DomainError",
-    "EvalConfig",
-    "EvalResult",
     "InadmissibleSequenceError",
     "InvalidBetaError",
     "InvalidOrderError",
@@ -64,7 +55,6 @@ __all__ = [
     "compute_rule",
     "continuation_exponents",
     "eval_all",
-    "eval_all_weighted",
     "gauss_jacobi",
     "gauss_laguerre",
     "gauss_legendre",

@@ -16,6 +16,7 @@ reads are safe and accidental mutation raises.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,16 @@ class ClassicalRule:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_order(order) -> int:
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise InvalidOrderError(f"order must be an integer, got {order!r}") from None
+    if order < 1:
+        raise InvalidOrderError(f"order must be >= 1, got {order}")
+    return order
 
 
 def _orthonormal_eval(x, alpha, sqrt_beta, order):
@@ -100,8 +111,7 @@ def gauss_legendre(order: int) -> ClassicalRule:
 
     Exact for polynomials of degree <= 2*order - 1.
     """
-    if order < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {order}")
+    order = _check_order(order)
     k = np.arange(order + 1, dtype=float)
     alpha = dd.from_double(np.full(order, 0.5))
     beta = dd.div(dd.from_double(k**2), dd.from_double(4.0 * (4.0 * k**2 - 1.0)))
@@ -112,8 +122,7 @@ def gauss_legendre(order: int) -> ClassicalRule:
 @lru_cache(maxsize=None)
 def gauss_laguerre(order: int) -> ClassicalRule:
     """Gauss-Laguerre rule on (0, inf) with weight exp(-y)."""
-    if order < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {order}")
+    order = _check_order(order)
     k = np.arange(order, dtype=float)
     alpha = dd.from_double(2.0 * k + 1.0)
     beta = dd.from_double(np.arange(order + 1, dtype=float) ** 2)
@@ -129,8 +138,7 @@ def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
     [-1, 1] are affine-mapped to [0, 1]; the zeroth moment there is
     1/(1+beta), so the weights sum to exactly that.
     """
-    if order < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {order}")
+    order = _check_order(order)
     beta = float(beta)
     if not np.isfinite(beta) or beta <= -1.0:
         raise InvalidBetaError(f"beta must be > -1, got {beta}")

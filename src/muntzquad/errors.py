@@ -16,7 +16,7 @@ class SingularMatrixError(MuntzQuadError):
 
 
 class InvalidOrderError(MuntzQuadError, ValueError):
-    """A quadrature order below 1 was requested."""
+    """A quadrature order that is not an integer >= 1 was requested."""
 
 
 class InvalidBetaError(MuntzQuadError, ValueError):
@@ -50,8 +50,8 @@ class ContinuationFailedError(MuntzQuadError):
     Carries the last successfully solved blend parameter and iterate so a
     caller can inspect how far the path was tracked.  Past ``alpha = 0``
     (the exact Gauss-Jacobi start) the iterate was solved only to
-    ``solver._WALK_TOLERANCE``, on the coarse evaluator
-    ``solver._WALK_EVAL`` (see ``solver.compute_rule``).
+    ``solver._WALK_TOLERANCE``, on the evaluator's walk tier
+    ``muntz._WALK`` (see ``solver.compute_rule``).
     """
 
     def __init__(self, message: str, alpha: float, nodes=None, weights=None):

@@ -14,9 +14,10 @@ Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
 ``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
 minimizing a growth-versus-singularity estimate: one grid search, refined
 by zooming into the bracket around each point's best candidate, serves
-every point of a batch at once.  A ``theta_tolerance`` at least as wide as
-the grid's widest bracket skips the zoom; the rule solver's homotopy walk
-evaluates that way, since its intermediate rules are thrown away.
+every point of a batch at once.  The evaluator has two tiers: the full one,
+and the walk tier of the rule solver's homotopy walk, whose intermediate
+rules are thrown away; it skips the zoom and uses a third of the
+quadrature orders.
 
 The vertical tail launched at ``t = a`` passes the integrand's poles, which
 sit on the imaginary axis at heights up to ``H = theta + w*(max(lam)-min(lam))``.
@@ -56,49 +57,26 @@ from .classical import gauss_laguerre, gauss_legendre
 from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Contour-evaluation parameters.
+# Contour-evaluation constants.  ``_PANEL_WIDTH * _PANEL_COUNT`` is the base
+# length of the oscillatory segment; it doubles (up to
+# ``_MAX_SEGMENT_DOUBLINGS`` times) at evaluation points whose tail integrand
+# would otherwise be unresolvable.  The tail beyond the segment decays like
+# ``exp(-y)`` and goes to Gauss-Laguerre.  Every function reads these at call
+# time.
+_PANEL_WIDTH = 1.0
+_PANEL_COUNT = 32
+_THETA_MIN = 1e-6
+_THETA_MAX = 40.0
+_OMEGA_FLOOR = 1e-14
+_MAX_SEGMENT_DOUBLINGS = 5
+_TAIL_BUMP_FACTOR = 64.0
+_TAIL_NEGLIGIBLE = 1e-18
 
-    ``panel_width * panel_count`` is the base length of the oscillatory
-    segment; it doubles (up to ``max_segment_doublings`` times) at
-    evaluation points whose tail integrand would otherwise be unresolvable.
-    The tail beyond the segment decays like ``exp(-y)`` and goes to
-    Gauss-Laguerre.
-    """
-
-    panel_width: float = 1.0
-    panel_count: int = 32
-    panel_order: int = 24
-    laguerre_order: int = 48
-    theta_min: float = 1e-6
-    theta_max: float = 40.0
-    theta_tolerance: float = 1e-6
-    omega_floor: float = 1e-14
-    max_segment_doublings: int = 5
-    tail_bump_factor: float = 64.0
-    tail_negligible: float = 1e-18
-
-    def __post_init__(self):
-        if not (self.panel_width > 0.0 and self.panel_count >= 1):
-            raise ValueError("panel_width must be positive and panel_count >= 1")
-        if self.panel_order < 1 or self.laguerre_order < 1:
-            raise ValueError("quadrature orders must be >= 1")
-        if not (0.0 < self.theta_min < self.theta_max):
-            raise ValueError("theta bounds must satisfy 0 < theta_min < theta_max")
-        if not self.theta_tolerance > 0.0:
-            raise ValueError("theta_tolerance must be positive")
-        if self.omega_floor < 0.0:
-            raise ValueError("omega_floor must be >= 0")
-        if self.max_segment_doublings < 0:
-            raise ValueError("max_segment_doublings must be >= 0")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Basis values ``L_0(x), ..., L_N(x)`` at one point."""
-
-    values: np.ndarray
+# The two evaluator tiers as (Gauss-Legendre panel order, Gauss-Laguerre tail
+# order, theta zoom rounds).  Eight rounds narrow every theta bracket below
+# 1e-6; the walk takes theta from the search grid alone.
+_FULL = (24, 48, 8)
+_WALK = (8, 16, 0)
 
 
 @dataclass(frozen=True)
@@ -113,9 +91,9 @@ class ThetaSelection:
 def _as_exponents(exponents) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(exponents, dtype=float))
     if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("exponent sequence must be a non-empty 1-D array")
+        raise LengthMismatchError("exponent sequence must be a non-empty 1-D array")
     if not np.all(np.isfinite(lam)):
-        raise ValueError("exponents must be finite")
+        raise InadmissibleSequenceError("exponents must be finite")
     return lam
 
 
@@ -160,7 +138,7 @@ def moments(exponents, beta: float) -> np.ndarray:
         return np.array([float(m) for m in moment_recurrence(lam, float(beta))])
 
 
-# Theta search: a log-spaced grid over [theta_min, theta_max], then rounds of
+# Theta search: a log-spaced grid over [_THETA_MIN, _THETA_MAX], then rounds of
 # a linear grid over the bracket around each point's best candidate.  A round
 # keeps the two neighbours of its best candidate, shrinking the bracket by
 # (_THETA_ZOOM - 1) / 2.
@@ -168,19 +146,17 @@ _THETA_GRID = 97
 _THETA_ZOOM = 17
 
 
-def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
+def _theta_search(lam, lam_min, omega, rounds: int) -> ThetaSelection:
     """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
 
     Minimizes the sum of a near-origin magnitude estimate of the sampled
     integrand (which blows up as theta shrinks) and the amplification
     ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
     blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning.  The number of refinement rounds
-    is fixed by the grid ratio and ``theta_tolerance``, so every final
-    bracket is narrower than the tolerance; a tolerance at least as wide as
-    the widest grid bracket makes no round, and every theta is then a point
-    of the log-spaced grid.  Every operation is elementwise per point: a
-    point's theta does not depend on the other points in the batch.
+    the minimizer only tunes conditioning.  ``rounds`` zoom rounds follow
+    the grid, each narrowing every bracket eightfold; with none, every theta
+    is a point of the log-spaced grid.  Every operation is elementwise per
+    point: a point's theta does not depend on the other points in the batch.
     ``converged`` is False when the objective was infinite at every
     candidate of some point.
     """
@@ -202,13 +178,10 @@ def _theta_search(lam, lam_min, omega, cfg: EvalConfig) -> ThetaSelection:
         return np.where(np.isfinite(value), value, np.inf)
 
     rows = np.arange(omega.shape[0])
-    grid = np.geomspace(cfg.theta_min, cfg.theta_max, _THETA_GRID)
-    # the widest first bracket spans the two grid steps below theta_max
-    widest = cfg.theta_max * (1.0 - (grid[0] / grid[1]) ** 2)
-    rounds = math.ceil(math.log(max(1.0, widest / cfg.theta_tolerance)) / math.log((_THETA_ZOOM - 1) / 2))
+    grid = np.geomspace(_THETA_MIN, _THETA_MAX, _THETA_GRID)
     steps = np.linspace(0.0, 1.0, _THETA_ZOOM)
     candidates = np.broadcast_to(grid, (rows.size, grid.size))
-    theta = np.full(rows.size, cfg.theta_min)
+    theta = np.full(rows.size, _THETA_MIN)
     best_value = np.full(rows.size, np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(rounds + 1):
@@ -262,12 +235,12 @@ def _panel_grid(first: float, segment: float, order: int):
     return t, w, phase
 
 
-def _first_panel_width(width: float, theta_group: np.ndarray) -> float:
+def _first_panel_width(theta_group: np.ndarray) -> float:
     """First-panel width resolving the pole at distance theta from the origin."""
-    scale = float(min(width, np.min(theta_group)))
-    if scale >= width:
-        return width
-    return max(2.0 ** math.floor(math.log2(scale)), width / 256.0)
+    scale = float(min(_PANEL_WIDTH, np.min(theta_group)))
+    if scale >= _PANEL_WIDTH:
+        return _PANEL_WIDTH
+    return max(2.0 ** math.floor(math.log2(scale)), _PANEL_WIDTH / 256.0)
 
 
 def _kernel_sweep(u, v, num_off, den_off, first):
@@ -312,26 +285,26 @@ def _contract(sweep, weights) -> np.ndarray:
     return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
 
 
-def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalConfig) -> np.ndarray:
+def _segment_levels(num_off, den_off, amplitude, theta, lag, tails) -> np.ndarray:
     """Per-point segment-doubling level that makes the Laguerre tail usable.
 
     For each candidate segment length the tail integrand is swept through
     the basis recurrence at the Laguerre ordinates ``lag.nodes``; a point is
-    accepted when every sample either stays within ``tail_bump_factor`` of
-    its launch value (resolvable) or contributes below ``tail_negligible``
+    accepted when every sample either stays within ``_TAIL_BUMP_FACTOR`` of
+    its launch value (resolvable) or contributes below ``_TAIL_NEGLIGIBLE``
     relative to the output scale ``max(1, x**lam_min)`` (harmless).
 
     A point is first tried at level ``max(0, p - 1)``, where ``p`` is the
     shortest level whose segment reaches the highest pole height
     ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
-    ``max_segment_doublings``), and then at each level above until it passes.
+    ``_MAX_SEGMENT_DOUBLINGS``), and then at each level above until it passes.
 
     Every sweep is also contracted into ``tails[n, i]``, the tail integral,
     overwritten while point i is pending, so it ends at the returned level.
     Overflowed samples lie in the damped-dead zone and are dropped.
     """
-    top = cfg.max_segment_doublings
-    segments = cfg.panel_width * cfg.panel_count * 2.0 ** np.arange(top + 1)
+    top = _MAX_SEGMENT_DOUBLINGS
+    segments = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** np.arange(top + 1)
     # p: the shortest segment reaching the highest pole, theta + w*(max lam - min lam)
     reach = np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top)
     start = np.maximum(reach - 1, 0)
@@ -339,7 +312,7 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
     waiting = np.ones(num_off.shape[0], dtype=bool)
     damp = np.exp(-lag.nodes)
     # amplitude = x**lam_min * e**theta, so the output scale is amp * e**-theta
-    dead_cut = cfg.tail_negligible * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
+    dead_cut = _TAIL_NEGLIGIBLE * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
 
     for level, segment in enumerate(segments):
         if not np.any(waiting):
@@ -351,7 +324,7 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
         sweep = _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
         magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
-        bump_ok = magnitudes <= cfg.tail_bump_factor * launch
+        bump_ok = magnitudes <= _TAIL_BUMP_FACTOR * launch
         dead = magnitudes * damp <= cut[:, None]
         ok = np.all(bump_ok | dead, axis=(0, 2))
 
@@ -362,11 +335,12 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg: EvalCon
     return levels
 
 
-def _basis_batch(shifted, xs, cfg: EvalConfig):
+def _basis_batch(shifted, xs, walk: bool = False):
     """Basis values for the (already shifted) exponents at many points.
 
     Returns ``values`` where ``values[n, i]`` is the n-th basis element at
-    ``xs[i]``.  Points equal to 1 short-circuit to exact ones; a
+    ``xs[i]``, from the walk tier ``_WALK`` if ``walk`` and the full tier
+    ``_FULL`` otherwise.  Points equal to 1 short-circuit to exact ones; a
     single-element sequence bypasses the contour entirely.  The Laguerre
     tails come from ``_segment_levels``; only the panels are swept here.
     """
@@ -388,8 +362,9 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
         values[0, active] = xa ** lam[0]
         return values
 
-    omega = np.maximum(-np.log(xa), cfg.omega_floor)
-    theta = _theta_search(lam, lam_min, omega, cfg).theta
+    panel_order, laguerre_order, rounds = _WALK if walk else _FULL
+    omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
+    theta = _theta_search(lam, lam_min, omega, rounds).theta
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
@@ -398,14 +373,14 @@ def _basis_batch(shifted, xs, cfg: EvalConfig):
     amplitude = xa ** lam_min * np.exp(theta)
 
     tails = np.empty((nb, xa.size), dtype=complex)
-    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(cfg.laguerre_order), tails, cfg)
+    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails)
 
     values[0, active] = xa ** lam[0]
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)
-        segment = cfg.panel_width * cfg.panel_count * 2.0 ** int(level)
-        first = _first_panel_width(cfg.panel_width, theta[in_level])
-        t_panel, w_panel, phase = _panel_grid(first, segment, cfg.panel_order)
+        segment = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** int(level)
+        first = _first_panel_width(theta[in_level])
+        t_panel, w_panel, phase = _panel_grid(first, segment, panel_order)
         q_osc = _contract(_kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase), w_panel)
         values[1:, active[in_level]] = amplitude[in_level] / math.pi * (q_osc + tails[:, in_level])[1:].imag
     return values
@@ -418,24 +393,17 @@ def _check_point(x: float) -> float:
     return x
 
 
-def eval_all(exponents, x: float, config: EvalConfig | None = None) -> EvalResult:
-    """All basis values ``L_0(x), ..., L_N(x)`` for the unit-weight family."""
-    cfg = config or EvalConfig()
-    x = _check_point(x)
-    return EvalResult(values=_basis_batch(exponents, np.array([x]), cfg)[:, 0])
-
-
-def eval_all_weighted(exponents, beta: float, x: float, config: EvalConfig | None = None) -> EvalResult:
-    """Basis values for the family orthogonal under weight ``x**beta``.
+def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
+    """Basis values ``L_0(x), ..., L_N(x)`` of the family orthogonal under
+    weight ``x**beta``.
 
     These are ``x**(-beta/2)`` times the unit-weight basis of the exponents
     shifted by ``beta/2``; at ``x = 1`` every value is exactly 1.
     """
-    cfg = config or EvalConfig()
     lam = ensure_admissible(exponents, beta)
     x = _check_point(x)
-    values = _basis_batch(lam + 0.5 * float(beta), np.array([x]), cfg)[:, 0]
-    return EvalResult(values=values * x ** (-0.5 * float(beta)))
+    values = _basis_batch(lam + 0.5 * float(beta), np.array([x]))[:, 0]
+    return values * x ** (-0.5 * float(beta))
 
 
 def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:

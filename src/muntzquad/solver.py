@@ -53,7 +53,6 @@ from .errors import (
 )
 from . import refine
 from .muntz import (
-    EvalConfig,
     _basis_batch,
     ensure_admissible,
     moments,
@@ -212,12 +211,13 @@ def _predict(alpha, nodes, weights, previous, alpha_next):
     return nodes, weights
 
 
-def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig | None = None):
+def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False):
     """Residual vector F and rescaled Jacobian for the current iterate.
 
-    One batched basis sweep per call serves every row: the value matrix
-    gives both F and the right Jacobian block, and the scaled-derivative
-    recurrence turns the same values into the left block
+    The basis comes from the evaluator's walk tier if ``walk`` and from its
+    full tier otherwise.  One batched basis sweep per call serves every row:
+    the value matrix gives both F and the right Jacobian block, and the
+    scaled-derivative recurrence turns the same values into the left block
 
         [ x L' - (beta/2) L  |  L ].
 
@@ -230,7 +230,6 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     ``alpha = 1`` solve assembled at its result, since Jacobian errors only
     perturb the Newton direction.
     """
-    cfg = config or EvalConfig()
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     lam = np.asarray(exponents, dtype=float)
@@ -238,11 +237,11 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     if not _feasible(nodes, weights):
         raise DomainError("iterate is infeasible: need ascending nodes in (0,1) and positive weights")
     if lam.size != 2 * nodes.size or moment_vector.size != lam.size:
-        raise ValueError("need len(exponents) = len(moments) = 2 * len(nodes)")
+        raise LengthMismatchError("need len(exponents) = len(moments) = 2 * len(nodes)")
 
     beta = float(beta)
     shifted = lam + 0.5 * beta
-    basis = _basis_batch(shifted, nodes, cfg)
+    basis = _basis_batch(shifted, nodes, walk)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
     residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
@@ -250,20 +249,16 @@ def assemble(nodes, weights, exponents, beta, moment_vector, config: EvalConfig 
     return residual, jacobian
 
 
-# Residual tolerance of the alpha = 1 solve, relative to max(1, max|moment|).
+# Residual tolerance of a Newton solve on the evaluator's full tier, relative
+# to max(1, max|moment|).
 _TOLERANCE = 1e-14
 
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
-# solve stops at this residual tolerance on the evaluator ``_WALK_EVAL``.  On
-# that evaluator Newton converges only linearly, and the next step's
-# predictor misses by far more anyway.
+# solve runs on the evaluator's walk tier (``muntz._WALK``: a third of the
+# full tier's quadrature orders, and theta from the search grid alone) and
+# stops at this tolerance.  On that tier Newton converges only linearly, and
+# the next step's predictor misses by far more anyway.
 _WALK_TOLERANCE = 1e-5
-
-# The walk's evaluator: a third of the default panel and Laguerre orders, and
-# theta from the search grid alone (a tolerance of ``theta_max`` leaves no
-# zoom round), since on the walk theta only tunes the conditioning of rules
-# that are thrown away.
-_WALK_EVAL = EvalConfig(panel_order=8, laguerre_order=16, theta_tolerance=40.0)
 
 # A Newton solve gives up after this many iterations, or once one step has
 # been halved this many times and is still infeasible.
@@ -296,22 +291,14 @@ _CONTRACTION_TARGET = 0.25
 _POLISH_ITERATIONS = 4
 
 
-def newton_solve(
-    nodes,
-    weights,
-    exponents,
-    beta,
-    moment_vector,
-    tolerance: float = _TOLERANCE,
-    config: EvalConfig | None = None,
-) -> NewtonResult:
+def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = False) -> NewtonResult:
     """Newton iteration on the moment-matching map.
 
-    The residual target is ``tolerance * max(1, max|moment|)``, with
-    ``tolerance > 0``, and ``config`` is the contour evaluator of every
-    ``assemble`` call (``EvalConfig()`` if omitted).  The rescaled Newton
-    equation is solved directly; the physical update directions are
-    recovered through the same diagonal scalings,
+    Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
+    its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
+    (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
+    The rescaled Newton equation is solved directly; the physical update
+    directions are recovered through the same diagonal scalings,
 
         dx = x**(beta/2+1) / w * p_nodes,     dw = x**(beta/2) * p_weights,
 
@@ -323,16 +310,13 @@ def newton_solve(
     (``_correction_size``) is at least ``_DIVERGENCE_RATIO`` times the one
     before: a converging iteration shrinks its corrections.
     """
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be > 0")
-    cfg = config or EvalConfig()
     x = np.array(nodes, dtype=float, copy=True)
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    target = tolerance * max(1.0, float(np.abs(m).max()))
+    target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
 
-    residual, jacobian = assemble(x, w, exponents, beta, m, cfg)
+    residual, jacobian = assemble(x, w, exponents, beta, m, walk)
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
     if res_norm <= target:
@@ -379,7 +363,7 @@ def newton_solve(
             step_scale *= 0.5
 
         x, w = x_trial, w_trial
-        residual, jacobian = assemble(x, w, exponents, beta, m, cfg)
+        residual, jacobian = assemble(x, w, exponents, beta, m, walk)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
             raise NewtonDivergedError("residual became non-finite", iterations=iteration, residual=res_norm)
@@ -418,13 +402,13 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     one the step is scaled by ``sqrt(1/4 / contraction)`` within
     ``[1/2, 2]`` (no growth right after a rejection), so that the next
     solve's corrections contract by about 1/4.  Every step with
-    ``alpha < 1`` is solved to ``_WALK_TOLERANCE`` (1e-5) on ``_WALK_EVAL``,
-    which has a third of the default panel and Laguerre orders and takes
-    theta from the search grid without zooming; the ``alpha = 1`` solve runs
-    to ``_TOLERANCE`` (1e-14) on ``EvalConfig()``, and the polish reuses that
-    solve's last Jacobian.  Walk and polish run on the canonically shifted
-    spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
-    ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
+    ``alpha < 1`` is solved to ``_WALK_TOLERANCE`` (1e-5) on the evaluator's
+    walk tier, which has a third of the full tier's panel and Laguerre orders
+    and takes theta from the search grid without zooming; the ``alpha = 1``
+    solve runs to ``_TOLERANCE`` (1e-14) on the full tier, and the polish
+    reuses that solve's last Jacobian.  Walk and polish run on the
+    canonically shifted spec; the weights return to ``x**beta`` at the end,
+    and ``rule.spec`` is ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
     solved only to the walk tolerance.  Raises ``DomainError`` if a weight
     under- or overflows in doubles when the factor ``x**c`` maps it back to
@@ -457,9 +441,8 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
         m_alpha = moments(lam_alpha, walk_spec.beta)
         x0, w0 = _predict(alpha, x, w, previous, alpha_next)
-        settings = (_TOLERANCE, EvalConfig()) if alpha_next == 1.0 else (_WALK_TOLERANCE, _WALK_EVAL)
         try:
-            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, *settings)
+            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, alpha_next < 1.0)
         except NewtonDivergedError:
             rejected_steps += 1
             rejected = True
@@ -509,9 +492,9 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
     arbitrary-precision pole expansion, which covers every exponent
     multiplicity; its exponent-only table is built once per call.  The
     steps are simplified Newton: every one solves against ``jacobian``, the
-    rescaled Jacobian the ``alpha = 1`` solve assembled at ``(x, w)`` with
-    the full evaluator, in ordinary arithmetic.  Any trouble aborts
-    polishing and keeps the last accepted iterate.
+    rescaled Jacobian the ``alpha = 1`` solve assembled at ``(x, w)`` on the
+    full tier, in ordinary arithmetic.  Any trouble aborts polishing and
+    keeps the last accepted iterate.
 
     Progress is judged by the size of the Newton correction, relative to
     each node and weight, not by the residual: along that near-null

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from muntzquad import muntz
 from muntzquad.classical import gauss_legendre
 from muntzquad.cli import (
     PSI_EXACT,
@@ -21,7 +22,7 @@ from muntzquad.cli import (
     sequence_family,
     validation_rows,
 )
-from muntzquad.muntz import EvalConfig, _basis_batch, eval_all_weighted, moments
+from muntzquad.muntz import _basis_batch, eval_all, moments
 from muntzquad.solver import (
     RuleSpec,
     apply_rule,
@@ -195,11 +196,18 @@ def _random_spec(rng):
     return RuleSpec(lam, beta)
 
 
+def _fine_basis(shifted, xs):
+    """``_basis_batch`` on half-width panels over the same segment, at higher orders."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(muntz, "_PANEL_WIDTH", 0.5)
+        patch.setattr(muntz, "_PANEL_COUNT", 64)
+        patch.setattr(muntz, "_FULL", (32, 64, muntz._FULL[2]))
+        return _basis_batch(shifted, xs)
+
+
 def test_criterion_7_property_suite_on_random_specs():
     started = time.time()
     rng = np.random.default_rng(2026)
-    cfg_a = EvalConfig()
-    cfg_b = EvalConfig(panel_width=0.5, panel_count=64, panel_order=32, laguerre_order=64)
     checked = {"feasibility": 0, "permutation": 0, "moments": 0, "orthogonality": 0,
                "partition": 0, "config": 0}
 
@@ -229,7 +237,7 @@ def test_criterion_7_property_suite_on_random_specs():
         def basis(xs):
             key = xs.tobytes()
             if key not in cache:
-                values = _basis_batch(shifted, xs, cfg_a)
+                values = _basis_batch(shifted, xs)
                 cache[key] = values * xs[None, :] ** (-beta / 2.0)
             return cache[key]
 
@@ -257,12 +265,12 @@ def test_criterion_7_property_suite_on_random_specs():
                     assert abs(value) <= 1e-8
         checked["orthogonality"] += 1
 
-        assert np.all(eval_all_weighted(lam, beta, 1.0).values == 1.0)
+        assert np.all(eval_all(lam, 1.0, beta) == 1.0)
         checked["partition"] += 1
 
         for x in (1e-6, 1e-3, 0.1, 0.5, 0.9):
-            va = _basis_batch(shifted, np.array([x]), cfg_a)
-            vb = _basis_batch(shifted, np.array([x]), cfg_b)
+            va = _basis_batch(shifted, np.array([x]))
+            vb = _fine_basis(shifted, np.array([x]))
             # basis values near 0 reach the hundreds for these random draws,
             # so the agreement bound scales with the value magnitude
             scale = max(1.0, float(np.abs(vb).max()))

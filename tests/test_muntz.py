@@ -9,9 +9,7 @@ from muntzquad.classical import gauss_laguerre
 from muntzquad.cli import sequence_family
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
-    EvalConfig,
     eval_all,
-    eval_all_weighted,
     moment_recurrence,
     moments,
     scaled_derivatives,
@@ -54,10 +52,14 @@ def residue_sum_basis(lam, x):
     return np.array(out)
 
 
-CONFIGS = {
-    "default": EvalConfig(panel_width=1.0, panel_count=32, panel_order=24),
-    "fine": EvalConfig(panel_width=0.5, panel_count=64, panel_order=32),
-}
+FULL_ROUNDS = muntz._FULL[2]
+
+
+def use_fine_discretization(monkeypatch):
+    """Half-width panels over the same segment, at a higher panel order."""
+    monkeypatch.setattr(muntz, "_PANEL_WIDTH", 0.5)
+    monkeypatch.setattr(muntz, "_PANEL_COUNT", 64)
+    monkeypatch.setattr(muntz, "_FULL", (32, *muntz._FULL[1:]))
 
 
 # Shifted sequences (lam + beta/2) the theta search must handle: the two
@@ -93,23 +95,22 @@ class TestSelectTheta:
     @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
     def test_no_worse_than_dense_grid(self, name):
         lam = THETA_SEARCH_SEQUENCES[name]
-        cfg = EvalConfig()
-        dense = np.geomspace(cfg.theta_min, cfg.theta_max, 10**4)
-        found = _theta_search(lam, float(np.min(lam)), THETA_SEARCH_OMEGAS, cfg)
+        dense = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 10**4)
+        found = _theta_search(lam, float(np.min(lam)), THETA_SEARCH_OMEGAS, FULL_ROUNDS)
         assert found.converged
         for omega, theta in zip(THETA_SEARCH_OMEGAS, found.theta):
             chosen = reference_theta_objective(lam, omega, [theta])[0]
             floor = reference_theta_objective(lam, omega, dense).min()
-            assert cfg.theta_min <= theta <= cfg.theta_max
+            assert muntz._THETA_MIN <= theta <= muntz._THETA_MAX
             assert chosen <= floor * (1.0 + 1e-9), (omega, theta, chosen, floor)
 
     @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
     def test_batch_matches_single_points(self, name):
         lam = THETA_SEARCH_SEQUENCES[name]
         lam_min = float(np.min(lam))
-        batch = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, EvalConfig())
+        batch = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, FULL_ROUNDS)
         for i, omega in enumerate(THETA_SEARCH_OMEGAS):
-            single = _theta_search(lam, lam_min, np.array([omega]), EvalConfig())
+            single = _theta_search(lam, lam_min, np.array([omega]), FULL_ROUNDS)
             assert single.theta[0] == batch.theta[i]
             assert single.objective[0] == batch.objective[i]
 
@@ -117,32 +118,21 @@ class TestSelectTheta:
         grid = np.arange(1e-5, 10.0, 1e-5)
         values = math.e / grid + np.exp(grid) / np.sqrt(grid)
         best = grid[np.argmin(values)]
-        chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]), EvalConfig())
+        chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]), FULL_ROUNDS)
         assert abs(chosen.theta[0] - best) <= 1e-4
-
-    def test_tolerance_wider_than_the_grid_leaves_the_grid(self):
-        lam = THETA_SEARCH_SEQUENCES["case3"]
-        lam_min = float(np.min(lam))
-        grid = np.geomspace(EvalConfig().theta_min, EvalConfig().theta_max, 97)
-        for tolerance in (EvalConfig().theta_max, math.inf):
-            found = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, EvalConfig(theta_tolerance=tolerance))
-            assert found.converged and np.all(np.isin(found.theta, grid))
-            for omega, theta in zip(THETA_SEARCH_OMEGAS, found.theta):
-                chosen = reference_theta_objective(lam, omega, [theta])[0]
-                assert chosen <= reference_theta_objective(lam, omega, grid).min() * (1.0 + 1e-12)
 
     def test_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = np.sort(rng.uniform(-0.45, 3.0, size=6))
             omega = float(rng.uniform(0.01, 30.0))
-            assert _theta_search(lam, lam[0], np.array([omega]), EvalConfig()).theta[0] > 0.0
+            assert _theta_search(lam, lam[0], np.array([omega]), FULL_ROUNDS).theta[0] > 0.0
 
     def test_descent_from_start(self):
         lam = np.array([0.0, 1.0, 2.0])
         omega = 2.0
         lam_min = 0.0
-        theta = _theta_search(lam, lam_min, np.array([omega]), EvalConfig()).theta[0]
+        theta = _theta_search(lam, lam_min, np.array([omega]), FULL_ROUNDS).theta[0]
 
         def objective(theta):
             ratios = np.abs(theta - omega * (lam_min + lam[:-1] + 1.0)) / np.abs(
@@ -157,23 +147,23 @@ class TestSelectTheta:
 
 class TestEvalAll:
     def test_exactly_one_at_right_endpoint(self):
-        values = eval_all([0.3, 1.7, 2.5, 2.5], 1.0).values
+        values = eval_all([0.3, 1.7, 2.5, 2.5], 1.0)
         assert np.all(values == 1.0)
 
     def test_first_degree_element(self):
-        values = eval_all([0.0, 1.0], 0.3).values
+        values = eval_all([0.0, 1.0], 0.3)
         assert values[0] == pytest.approx(1.0, abs=1e-15)
         assert values[1] == pytest.approx(-0.4, abs=1e-14)
 
     def test_repeated_exponent_log_element(self):
         grid = np.linspace(0.02, 0.99, 50)
         for x in grid:
-            value = eval_all([0.5, 0.5], x).values[1]
+            value = eval_all([0.5, 0.5], x)[1]
             exact = math.sqrt(x) * (1.0 + 2.0 * math.log(x))
             assert abs(value - exact) <= 1e-11
 
     def test_single_exponent_short_circuit(self):
-        assert eval_all([1.7], 0.42).values[0] == pytest.approx(0.42**1.7, abs=0)
+        assert eval_all([1.7], 0.42)[0] == pytest.approx(0.42**1.7, abs=0)
 
     def test_domain_errors(self):
         for x in (0.0, -0.5, 1.0000001):
@@ -183,26 +173,30 @@ class TestEvalAll:
     def test_integer_ladder_matches_shifted_legendre(self):
         lam = np.arange(16.0)
         for x in (0.07, 0.37, 0.81):
-            values = eval_all(lam, x).values
+            values = eval_all(lam, x)
             y = 2 * x - 1
             ref = [1.0, y]
             for k in range(1, 15):
                 ref.append(((2 * k + 1) * y * ref[k] - k * ref[k - 1]) / (k + 1))
             assert np.abs(values - np.array(ref)).max() <= 1e-10
 
-    def test_config_consistency(self):
+    def test_config_consistency(self, monkeypatch):
         lam = example1_prefix(21)
-        for x in (1e-3, 0.1, 0.5, 0.9):
-            va = eval_all(lam, x, CONFIGS["default"]).values
-            vb = eval_all(lam, x, CONFIGS["fine"]).values
+        xs = (1e-3, 0.1, 0.5, 0.9)
+        default = [eval_all(lam, x) for x in xs]
+        use_fine_discretization(monkeypatch)
+        for va, x in zip(default, xs):
+            vb = eval_all(lam, x)
             assert np.abs(va - vb).max() <= 1e-12
 
-    @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_matches_residue_sum(self, config):
+    @pytest.mark.parametrize("config", ["default", "fine"])
+    def test_matches_residue_sum(self, config, monkeypatch):
+        if config == "fine":
+            use_fine_discretization(monkeypatch)
         lam = example1_prefix(21)
         for x in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
             exact = residue_sum_basis(lam, x)
-            values = eval_all(lam, x, CONFIGS[config]).values
+            values = eval_all(lam, x)
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 1e-13, (x, error.max())
 
@@ -212,16 +206,16 @@ class TestEvalAll:
         lam = example1_prefix(40) - 0.125
         for x in np.append(np.geomspace(1e-12, 0.999, 12), 7.94e-6):
             exact = residue_sum_basis(lam, x)
-            values = eval_all(lam, x).values
+            values = eval_all(lam, x)
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 1e-12, (x, error.max())
 
 
-def contour_offsets(lam, xs, cfg=EvalConfig()):
+def contour_offsets(lam, xs):
     """theta and the numerator/denominator offsets ``_basis_batch`` sweeps with."""
     lam_min = float(np.min(lam))
     omega = -np.log(xs)
-    theta = _theta_search(lam, lam_min, omega, cfg).theta
+    theta = _theta_search(lam, lam_min, omega, FULL_ROUNDS).theta
     num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
     den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
     return theta, num_off, den_off
@@ -243,17 +237,17 @@ class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @pytest.mark.parametrize("where", ["panel", "tail"])
     def test_matches_complex_division(self, name, where):
-        cfg = EvalConfig()
+        panel_order, laguerre_order, _ = muntz._FULL
         theta, num_off, den_off = contour_offsets(THETA_SEARCH_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9))
         # force point 0 to overflow from prefix 3 on
         num_off[0, 1:3] = 1e200
         segment = 64.0
         if where == "panel":
-            t, _, phase = _panel_grid(_first_panel_width(cfg.panel_width, theta), segment, cfg.panel_order)
+            t, _, phase = _panel_grid(_first_panel_width(theta), segment, panel_order)
             swept = _kernel_sweep(t, 0.0, num_off, den_off, phase)
             expected = reference_kernel_sweep(t.astype(complex), num_off, den_off, phase)
         else:
-            tau = gauss_laguerre(cfg.laguerre_order).nodes
+            tau = gauss_laguerre(laguerre_order).nodes
             swept = _kernel_sweep(segment, tau, num_off, den_off, 1.0)
             expected = reference_kernel_sweep(segment + 1j * tau, num_off, den_off, 1.0)
         finite = np.isfinite(expected)
@@ -264,26 +258,27 @@ class TestKernelSweep:
 
 
 class TestSegmentLevels:
-    def test_tails_match_a_fresh_sweep_at_the_returned_level(self):
-        # at most two doublings: the points that need three stay at level 2
-        # without passing, so their tails come from the last overwrite
-        cfg = EvalConfig(max_segment_doublings=2)
+    def test_tails_match_a_fresh_sweep_at_the_returned_level(self, monkeypatch):
         lam = THETA_SEARCH_SEQUENCES["example1"]
         xs = np.geomspace(1e-9, 0.99, 12)
-        theta, num_off, den_off = contour_offsets(lam, xs, cfg)
+        theta, num_off, den_off = contour_offsets(lam, xs)
         amplitude = xs ** np.min(lam) * np.exp(theta)
         # the first point overflows from prefix 3 on and never passes
         num_off[0, 1:3] = 1e200
-        lag = gauss_laguerre(cfg.laguerre_order)
+        lag = gauss_laguerre(muntz._FULL[1])
         tails = np.empty(num_off.shape[::-1], dtype=complex)
-        levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails, cfg)
+        unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag, np.empty_like(tails))
+        # at most two doublings: the points that need three stay at level 2
+        # without passing, so their tails come from the last overwrite
+        top = 2
+        monkeypatch.setattr(muntz, "_MAX_SEGMENT_DOUBLINGS", top)
+        levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails)
 
-        unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag, np.empty_like(tails), EvalConfig())
-        assert np.any(unbounded[1:] > cfg.max_segment_doublings)
-        assert np.array_equal(levels, np.minimum(unbounded, cfg.max_segment_doublings))
-        assert 0 in levels and levels[0] == cfg.max_segment_doublings
+        assert np.any(unbounded[1:] > top)
+        assert np.array_equal(levels, np.minimum(unbounded, top))
+        assert 0 in levels and levels[0] == top
         assert np.all(np.isfinite(tails))
-        base = cfg.panel_width * cfg.panel_count
+        base = muntz._PANEL_WIDTH * muntz._PANEL_COUNT
         for i, level in enumerate(levels):
             segment = base * 2.0 ** int(level)
             sweep = _kernel_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)[:, 0]
@@ -293,19 +288,19 @@ class TestSegmentLevels:
             # a one-point batch gives the same level and the same tail bits
             alone = np.empty((num_off.shape[1], 1), dtype=complex)
             point = (num_off[i : i + 1], den_off[i : i + 1], amplitude[i : i + 1], theta[i : i + 1], lag)
-            assert _segment_levels(*point, alone, cfg)[0] == level
+            assert _segment_levels(*point, alone)[0] == level
             assert np.array_equal(alone[:, 0], tails[:, i]), (i, level)
 
 
-def level_zero_search(num_off, den_off, amplitude, theta, lag, tails, cfg):
+def level_zero_search(num_off, den_off, amplitude, theta, lag, tails):
     """The tail search with every point starting at level 0: the oracle for start levels."""
     n_points = num_off.shape[0]
-    base = cfg.panel_width * cfg.panel_count
-    levels = np.full(n_points, cfg.max_segment_doublings, dtype=int)
+    base = muntz._PANEL_WIDTH * muntz._PANEL_COUNT
+    levels = np.full(n_points, muntz._MAX_SEGMENT_DOUBLINGS, dtype=int)
     pending = np.arange(n_points)
     damp = np.exp(-lag.nodes)
-    dead_cut = cfg.tail_negligible * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
-    for level in range(cfg.max_segment_doublings + 1):
+    dead_cut = muntz._TAIL_NEGLIGIBLE * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
+    for level in range(muntz._MAX_SEGMENT_DOUBLINGS + 1):
         if pending.size == 0:
             break
         segment = base * 2.0**level
@@ -313,7 +308,7 @@ def level_zero_search(num_off, den_off, amplitude, theta, lag, tails, cfg):
         sweep = muntz._kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
         magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
-        bump_ok = magnitudes <= cfg.tail_bump_factor * launch
+        bump_ok = magnitudes <= muntz._TAIL_BUMP_FACTOR * launch
         dead = magnitudes * damp[None, None, :] <= cut[None, :, None]
         ok = np.all(bump_ok | dead, axis=(0, 2))
         np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
@@ -340,25 +335,25 @@ class TestSegmentStartLevel:
         walk, beta, nodes = solved
         calls = []
         monkeypatch.setattr(muntz, "_segment_levels", lambda *args: calls.append(args) or _segment_levels(*args))
-        _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes, EvalConfig())
-        (num_off, den_off, amplitude, theta, lag, _, cfg), = calls
+        _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes)
+        (num_off, den_off, amplitude, theta, lag, _), = calls
 
         rows = []
         sweep = muntz._kernel_sweep
         monkeypatch.setattr(muntz, "_kernel_sweep", lambda u, v, num, *rest: rows.append(num.shape[0]) or sweep(u, v, num, *rest))
         # every point, then only those starting above level 0 (pole height
         # beyond two base segments), where no sweep happens at level 0
-        far = np.max(-den_off, axis=1) > 2.0 * cfg.panel_width * cfg.panel_count
+        far = np.max(-den_off, axis=1) > 2.0 * muntz._PANEL_WIDTH * muntz._PANEL_COUNT
         assert 0 < np.count_nonzero(far) < far.size
         for points in (np.arange(far.size), np.flatnonzero(far)):
             offsets = (num_off[points], den_off[points], amplitude[points], theta[points], lag)
             expected_tails = np.empty((num_off.shape[1], points.size), dtype=complex)
             rows.clear()
-            expected = level_zero_search(*offsets, expected_tails, cfg)
+            expected = level_zero_search(*offsets, expected_tails)
             oracle_rows = sum(rows)
             got_tails = np.empty_like(expected_tails)
             rows.clear()
-            got = _segment_levels(*offsets, got_tails, cfg)
+            got = _segment_levels(*offsets, got_tails)
 
             assert np.array_equal(got, expected)
             assert np.array_equal(got_tails, expected_tails)
@@ -367,40 +362,34 @@ class TestSegmentStartLevel:
 
 
 class TestEvalAllWeighted:
-    def test_zero_beta_degenerates(self):
-        lam = [0.2, 1.1, 2.3]
-        a = eval_all(lam, 0.6).values
-        b = eval_all_weighted(lam, 0.0, 0.6).values
-        assert np.abs(a - b).max() <= 1e-14
-
     def test_exactly_one_at_right_endpoint(self):
-        values = eval_all_weighted([0.1, 0.9, 2.2], 1.4, 1.0).values
+        values = eval_all([0.1, 0.9, 2.2], 1.0, 1.4)
         assert np.all(values == 1.0)
 
     def test_weighted_first_element(self):
         # residue expansion of the shifted pair {1/2, 3/2}: -2 sqrt(x) + 3 x^(3/2)
-        value = eval_all_weighted([0.0, 1.0], 1.0, 0.5).values[1]
+        value = eval_all([0.0, 1.0], 0.5, 1.0)[1]
         assert value == pytest.approx(-0.5, abs=1e-13)
 
     def test_weighted_orthogonality_oracle(self):
         lam, beta = [0.0, 1.0], 1.0
         product = adaptive_integrate(
-            lambda x: np.prod(eval_all_weighted(lam, beta, x).values) * x**beta, 1e-10
+            lambda x: np.prod(eval_all(lam, x, beta)) * x**beta, 1e-10
         )
         assert abs(product) <= 1e-9
 
     def test_inadmissible(self):
         with pytest.raises(InadmissibleSequenceError):
-            eval_all_weighted([0.0, 1.0], -1.0, 0.5)
+            eval_all([0.0, 1.0], 0.5, -1.0)
 
 
 class TestScaledDerivatives:
     def test_monomial(self):
-        values = eval_all([2.0], 0.5).values
+        values = eval_all([2.0], 0.5)
         assert scaled_derivatives(values, [2.0])[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_first_degree(self):
-        values = eval_all([0.0, 1.0], 0.3).values
+        values = eval_all([0.0, 1.0], 0.3)
         out = scaled_derivatives(values, [0.0, 1.0])
         assert out[1] == pytest.approx(0.6, abs=1e-13)
 
@@ -439,7 +428,7 @@ class TestMoments:
         m = moments(lam, beta)
         for n in range(lam.size):
             oracle = adaptive_integrate(
-                lambda x, n=n: eval_all_weighted(lam[: n + 1], beta, x).values[n] * x**beta,
+                lambda x, n=n: eval_all(lam[: n + 1], x, beta)[n] * x**beta,
                 1e-12,
             )
             assert abs(m[n] - oracle) <= max(1e-9 * abs(m[n]), 3e-13)
@@ -466,7 +455,7 @@ class TestOrthogonalityFamily:
         def basis(xs):
             key = xs.tobytes()
             if key not in basis_cache:
-                vals = _basis_batch(lam + beta / 2, xs, EvalConfig())
+                vals = _basis_batch(lam + beta / 2, xs)
                 basis_cache[key] = vals * xs[None, :] ** (-beta / 2)
             return basis_cache[key]
 
@@ -491,6 +480,6 @@ class TestPartitionOfUnity:
             size = int(rng.integers(2, 41))
             lam = rng.uniform(-0.45, 0.4, size=size)
             beta = float(rng.uniform(-0.5, 0.4))
-            values = eval_all_weighted(lam, beta, 1.0 - 1e-8).values
+            values = eval_all(lam, 1.0 - 1e-8, beta)
             assert np.abs(values - 1.0).max() <= 1e-6
-            assert np.all(eval_all_weighted(lam, beta, 1.0).values == 1.0)
+            assert np.all(eval_all(lam, 1.0, beta) == 1.0)

@@ -15,7 +15,7 @@ from muntzquad.errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from muntzquad.muntz import EvalConfig, _theta_search, moments
+from muntzquad.muntz import _theta_search, moments
 from muntzquad.solver import (
     RuleSpec,
     _polish,
@@ -181,9 +181,9 @@ class TestNewtonSolve:
         rule = compute_rule(RuleSpec(lam, beta))
         m = moments(lam, beta)
         monkeypatch.setattr(solver, "_STALL_FACTOR", 1e3)
-        tolerance = 1e-16
-        stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m, tolerance)
-        assert stalled.residual > tolerance * np.abs(m).max()
+        monkeypatch.setattr(solver, "_TOLERANCE", 1e-16)
+        stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m)
+        assert stalled.residual > 1e-16 * np.abs(m).max()
         assert stalled.residual < stalled.residual_history[-1]
         check(stalled, lam, beta)
 
@@ -284,7 +284,7 @@ class TestComputeRule:
             return max(err for _, err in rows)
 
         assert worst(x, w) > 1e-12
-        _, jacobian = assemble(x, w, spec.exponents, spec.beta, moments(spec.exponents, spec.beta), EvalConfig())
+        _, jacobian = assemble(x, w, spec.exponents, spec.beta, moments(spec.exponents, spec.beta))
         x, w, residual, _ = _polish(x, w, spec, jacobian, 2.1e-14)
         assert worst(x, w) <= 1e-15
         assert residual <= 2e-14
@@ -367,7 +367,7 @@ class TestCheapWalk:
     def test_cheap_walk_changes_no_rule(self, spec, monkeypatch):
         cheap = compute_rule(spec)
         monkeypatch.setattr(solver, "_WALK_TOLERANCE", solver._TOLERANCE)
-        monkeypatch.setattr(solver, "_WALK_EVAL", EvalConfig())
+        monkeypatch.setattr(muntz, "_WALK", muntz._FULL)
         full = compute_rule(spec)
         assert np.array_equal(cheap.nodes, full.nodes)
         assert np.array_equal(cheap.weights, full.weights)
@@ -375,20 +375,18 @@ class TestCheapWalk:
     def test_only_alpha_one_and_polish_run_at_full_accuracy(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
-        full_eval = EvalConfig()
-        coarse = EvalConfig(panel_order=8, laguerre_order=16, theta_tolerance=40.0)
         solves, assembles, polishes = [], [], []
 
-        def solving(x, w, lam, beta, m, tolerance, config):
+        def solving(x, w, lam, beta, m, walk):
             first = len(assembles)
             try:
-                return newton_solve(x, w, lam, beta, m, tolerance, config)
+                return newton_solve(x, w, lam, beta, m, walk)
             finally:
-                solves.append((np.array_equal(lam, walk_end), tolerance, config, range(first, len(assembles))))
+                solves.append((np.array_equal(lam, walk_end), walk, range(first, len(assembles))))
 
-        def assembling(x, w, lam, beta, m, config):
-            assembles.append((np.array_equal(lam, walk_end), config))
-            return assemble(x, w, lam, beta, m, config)
+        def assembling(x, w, lam, beta, m, walk):
+            assembles.append((np.array_equal(lam, walk_end), walk))
+            return assemble(x, w, lam, beta, m, walk)
 
         def polishing(*args):
             polishes.append(args)
@@ -399,45 +397,44 @@ class TestCheapWalk:
         monkeypatch.setattr(solver, "_polish", polishing)
         compute_rule(spec)
 
-        assert solver._WALK_EVAL == coarse
-        assert {(tol, config) for final, tol, config, _ in solves if not final} == {(solver._WALK_TOLERANCE, coarse)}
-        assert {(tol, config) for final, tol, config, _ in solves if final} == {(solver._TOLERANCE, full_eval)}
+        assert muntz._WALK == (8, 16, 0) and muntz._FULL == (24, 48, 8)
+        assert {walk for final, walk, _ in solves if not final} == {True}
+        assert {walk for final, walk, _ in solves if final} == {False}
         assert len(polishes) == 1
-        assert {config for final, config in assembles if not final} == {coarse}
+        assert {walk for final, walk in assembles if not final} == {True}
         # every full-accuracy assemble belongs to the alpha = 1 solve; the
         # polish reuses that solve's last Jacobian and assembles nothing
-        final_solves = [calls for final, _, _, calls in solves if final]
-        full = [k for k, (final, config) in enumerate(assembles) if config == full_eval]
+        final_solves = [calls for final, _, calls in solves if final]
+        full = [k for k, (final, walk) in enumerate(assembles) if not walk]
         assert full == [k for calls in final_solves for k in calls]
-        assert {config for final, config in assembles if final} == {full_eval}
+        assert {walk for final, walk in assembles if final} == {False}
 
     def test_walk_takes_theta_from_the_grid(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
-        cfg = EvalConfig()
         at_end, searches = [], []
 
         def assembling(x, w, lam, *rest):
             at_end.append(np.array_equal(lam, walk_end))
             return assemble(x, w, lam, *rest)
 
-        def searching(lam, lam_min, omega, config):
-            found = _theta_search(lam, lam_min, omega, config)
-            searches.append((at_end[-1], config, found.theta))
+        def searching(lam, lam_min, omega, rounds):
+            found = _theta_search(lam, lam_min, omega, rounds)
+            searches.append((at_end[-1], rounds, found.theta))
             return found
 
         monkeypatch.setattr(solver, "assemble", assembling)
         monkeypatch.setattr(muntz, "_theta_search", searching)
         compute_rule(spec)
 
-        grid = np.geomspace(cfg.theta_min, cfg.theta_max, 97)
-        walk = [(config, theta) for final, config, theta in searches if not final]
-        end = [(config, theta) for final, config, theta in searches if final]
+        grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
+        walk = [(rounds, theta) for final, rounds, theta in searches if not final]
+        end = [(rounds, theta) for final, rounds, theta in searches if final]
         assert walk and end
-        assert {config.theta_tolerance for config, _ in walk} == {cfg.theta_max}
+        assert {rounds for rounds, _ in walk} == {0}
         assert all(np.all(np.isin(theta, grid)) for _, theta in walk)
-        # the alpha = 1 solve and the polish zoom at the default tolerance
-        assert {config for config, _ in end} == {cfg}
+        # the alpha = 1 solve zooms in the full tier's rounds
+        assert {rounds for rounds, _ in end} == {muntz._FULL[2]}
         assert not all(np.all(np.isin(theta, grid)) for _, theta in end)
 
 
@@ -501,23 +498,6 @@ class TestApplyRule:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
-    def test_newton_solve_rejects_a_tolerance_which_is_not_positive(self, tolerance):
-        lam = np.array([0.0, 1.0])
-        with pytest.raises(ValueError, match="tolerance"):
-            newton_solve([0.4], [0.9], lam, 0.0, moments(lam, 0.0), tolerance)
-
-    def test_eval_config_bounds(self):
-        with pytest.raises(ValueError):
-            EvalConfig(panel_count=0)
-        with pytest.raises(ValueError):
-            EvalConfig(theta_min=1.0, theta_max=0.5)
-
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
-    def test_eval_config_rejects_a_theta_tolerance_that_is_not_positive(self, tolerance):
-        with pytest.raises(ValueError, match="theta_tolerance"):
-            EvalConfig(theta_tolerance=tolerance)
-
     def test_rule_spec_validation(self):
         with pytest.raises(LengthMismatchError):  # also a ValueError
             RuleSpec(np.array([0.0, 1.0, 2.0]), 0.0)  # odd length
