@@ -139,7 +139,10 @@ def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
     1/(1+beta), so the weights sum to exactly that.
     """
     order = _check_order(order)
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise InvalidBetaError(f"beta must be a real number, got {beta!r}") from None
     if not np.isfinite(beta) or beta <= -1.0:
         raise InvalidBetaError(f"beta must be > -1, got {beta}")
     k = np.arange(1, order, dtype=float)

@@ -262,13 +262,15 @@ def validation_rows(rule_file: RuleFile):
     weights = rule_file.weights
     distinct, counts = np.unique(rule_file.exponents, return_counts=True)
     rows = []
-    log_nodes = np.log(nodes)
-    for lam, count in zip(distinct, counts):
-        for j in range(int(count)):
-            exact = (-1.0) ** j * math.factorial(j) / (1.0 + lam + beta) ** (j + 1)
-            approx = float(np.sum(weights * nodes**lam * log_nodes**j))
-            label = f"x^{lam:g}" + (f" log^{j}" if j > 1 else " log" if j == 1 else "")
-            rows.append((label, abs((exact - approx) / exact)))
+    # a node <= 0 makes its rows NaN (or infinite), which fails any threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_nodes = np.log(nodes)
+        for lam, count in zip(distinct, counts):
+            for j in range(int(count)):
+                exact = (-1.0) ** j * math.factorial(j) / (1.0 + lam + beta) ** (j + 1)
+                approx = float(np.sum(weights * nodes**lam * log_nodes**j))
+                label = f"x^{lam:g}" + (f" log^{j}" if j > 1 else " log" if j == 1 else "")
+                rows.append((label, abs((exact - approx) / exact)))
     return rows
 
 

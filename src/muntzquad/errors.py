@@ -20,7 +20,7 @@ class InvalidOrderError(MuntzQuadError, ValueError):
 
 
 class InvalidBetaError(MuntzQuadError, ValueError):
-    """A power-weight exponent beta <= -1 was requested."""
+    """A power-weight exponent that is not a real number > -1 was requested."""
 
 
 class DomainError(MuntzQuadError, ValueError):

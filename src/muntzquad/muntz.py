@@ -99,7 +99,10 @@ def _as_exponents(exponents) -> np.ndarray:
 
 def ensure_admissible(exponents, beta: float) -> np.ndarray:
     lam = _as_exponents(exponents)
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise InadmissibleSequenceError(f"beta must be a real number, got {beta!r}") from None
     if not math.isfinite(beta):
         raise InadmissibleSequenceError(f"beta must be finite, got {beta}")
     if np.min(lam) + beta <= -1.0:

@@ -15,13 +15,15 @@ unless a feasibility safeguard halves it: one that would push a node out of
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
 integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1,
-re-solving at each stage from the previous rule.  At ``alpha = 0`` the
-basis degenerates to polynomials and the Gauss-Jacobi rule is already
-exact, so the path starts at a known root.  The step size follows the
-observed Newton contraction (Deuflhard, *Newton Methods for Nonlinear
-Problems*, 2004): a solve whose second correction is at least twice its
-first is dropped at once, and the ratio of the first two corrections of an
-accepted solve sizes the next step.  The corrector is inexact by design: a
+re-solving at each stage from a prediction: the quadratic through the last
+three accepted rules, extrapolated in ``log x`` and ``log w`` (Allgower &
+Georg, *Introduction to Numerical Continuation Methods*, 2003, ch. 6).  At
+``alpha = 0`` the basis degenerates to polynomials and the Gauss-Jacobi
+rule is already exact, so the path starts at a known root.  The step size
+follows the observed Newton contraction (Deuflhard, *Newton Methods for
+Nonlinear Problems*, 2004): a solve whose second correction is at least
+twice its first is dropped at once, and the ratio of the first two
+corrections of an accepted solve sizes the next step.  The corrector is inexact by design: a
 rule with ``alpha < 1`` only seeds the next step, so those solves stop at
 a loose tolerance on a coarse contour evaluator, and only the
 ``alpha = 1`` solve and the polish run at full accuracy.
@@ -116,7 +118,7 @@ class QuadratureRule:
         nodes = np.asarray(self.nodes, dtype=float).copy()
         weights = np.asarray(self.weights, dtype=float).copy()
         if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
+            raise LengthMismatchError("nodes and weights must be 1-D arrays of equal length")
         if not _feasible(nodes, weights):
             raise DomainError(
                 "rule violates feasibility: nodes ascending in (0,1), weights > 0 "
@@ -154,7 +156,7 @@ def continuation_exponents(exponents, alpha: float) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(exponents, dtype=float))
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha * lam + (1.0 - alpha) * np.arange(lam.size, dtype=float)
 
 
@@ -189,23 +191,40 @@ def _correction_size(x, w, beta, p_scaled) -> float:
     return float(np.max(scale * np.maximum(np.abs(p_scaled[:n]), np.abs(p_scaled[n:]))))
 
 
-def _predict(alpha, nodes, weights, previous, alpha_next):
-    """Secant extrapolation of the path to the next blend value.
+def _predict(path, alpha_next):
+    """Extrapolate the accepted path to the next blend value.
 
-    Nodes near the origin decay roughly exponentially in alpha, so the
-    extrapolation runs in log space, which also preserves positivity.
-    Falls back to the current iterate when there is no usable history or
-    the prediction leaves the feasible region.
+    ``path`` holds the last accepted ``(alpha, nodes, weights)`` points,
+    oldest first, at most three; the last one is the current iterate.  Nodes
+    near the origin decay roughly exponentially in alpha, so the
+    extrapolation runs on ``log x`` and ``log w``, which also preserves
+    positivity.  It is the polynomial through every point, in Newton
+    divided-difference form: the secant through the last two points plus,
+    once three exist (numbered 0, 1, 2 from the oldest), the curvature term
+
+        (alpha_next - alpha_2)(alpha_next - alpha_1) f[alpha_2, alpha_1, alpha_0],
+
+    so its miss falls from O(step**2) to O(step**3).  Falls back to the
+    current iterate when there is no earlier point or the prediction
+    leaves the feasible region.
     """
-    if previous is None:
+    alpha, nodes, weights = path[-1]
+    if len(path) == 1:
         return nodes, weights
-    alpha_prev, nodes_prev, weights_prev = previous
-    gap = alpha - alpha_prev
-    if gap <= 0.0:
-        return nodes, weights
-    ratio = (alpha_next - alpha) / gap
-    x_pred = np.exp(np.log(nodes) + ratio * (np.log(nodes) - np.log(nodes_prev)))
-    w_pred = np.exp(np.log(weights) + ratio * (np.log(weights) - np.log(weights_prev)))
+    alpha_prev = path[-2][0]
+    ratio = (alpha_next - alpha) / (alpha - alpha_prev)
+
+    def extrapolate(column):
+        f2, f1 = np.log(path[-1][column]), np.log(path[-2][column])
+        log_pred = f2 + ratio * (f2 - f1)
+        if len(path) == 3:
+            alpha_first, f0 = path[0][0], np.log(path[0][column])
+            slope, slope_prev = (f2 - f1) / (alpha - alpha_prev), (f1 - f0) / (alpha_prev - alpha_first)
+            curvature = (slope - slope_prev) / (alpha - alpha_first)
+            log_pred = log_pred + (alpha_next - alpha) * (alpha_next - alpha_prev) * curvature
+        return np.exp(log_pred)
+
+    x_pred, w_pred = extrapolate(1), extrapolate(2)
     if _feasible(x_pred, w_pred):
         return x_pred, w_pred
     return nodes, weights
@@ -234,10 +253,13 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
     weights = np.asarray(weights, dtype=float)
     lam = np.asarray(exponents, dtype=float)
     moment_vector = np.asarray(moment_vector, dtype=float)
+    sizes = {lam.size, moment_vector.size, 2 * nodes.size, 2 * weights.size}
+    if nodes.size == 0 or len(sizes) != 1:
+        raise LengthMismatchError(
+            "need len(exponents) = len(moments) = 2 * len(nodes) = 2 * len(weights) > 0"
+        )
     if not _feasible(nodes, weights):
         raise DomainError("iterate is infeasible: need ascending nodes in (0,1) and positive weights")
-    if lam.size != 2 * nodes.size or moment_vector.size != lam.size:
-        raise LengthMismatchError("need len(exponents) = len(moments) = 2 * len(nodes)")
 
     beta = float(beta)
     shifted = lam + 0.5 * beta
@@ -314,9 +336,8 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
-
     residual, jacobian = assemble(x, w, exponents, beta, m, walk)
+    target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
     if res_norm <= target:
@@ -397,7 +418,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
 
     Starts from the classical Gauss-Jacobi rule (the exact root for the
     integer-exponent blend), then advances the blend parameter with
-    adaptive steps, and always lands the final step exactly on 1.  A
+    adaptive steps, and always lands the final step exactly on 1.  Each
+    solve starts from ``_predict``'s extrapolation of the last three
+    accepted rules: the first from the Gauss-Jacobi rule itself, the second
+    from the secant.  A
     diverged Newton solve is retried with half the step; after an accepted
     one the step is scaled by ``sqrt(1/4 / contraction)`` within
     ``[1/2, 2]`` (no growth right after a rejection), so that the next
@@ -434,13 +458,13 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     rejected = False  # the last solve diverged
     total_iterations = 0
     res_norm = 0.0
-    previous = None  # (alpha, nodes, weights) of the step before the current one
+    path = [(alpha, x, w)]  # the last three accepted (alpha, nodes, weights), oldest first
 
     while alpha < 1.0:
         alpha_next = min(alpha + step, 1.0)
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
         m_alpha = moments(lam_alpha, walk_spec.beta)
-        x0, w0 = _predict(alpha, x, w, previous, alpha_next)
+        x0, w0 = _predict(path, alpha_next)
         try:
             result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, alpha_next < 1.0)
         except NewtonDivergedError:
@@ -455,14 +479,16 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
                     weights=w * x**c,
                 )
             continue
-        previous = (alpha, x, w)
         x, w = result.nodes, result.weights
         alpha = alpha_next
+        path = (path + [(alpha, x, w)])[-3:]
         steps_taken += 1
         total_iterations += result.iterations
         res_norm = result.residual
-        # the secant predictor misses by O(step**2), and so does the first
-        # contraction ratio
+        # the first contraction ratio follows the predictor's miss: O(step**2)
+        # for the secant of the second step, O(step**3) once three path points
+        # exist; a cube-root rule for the latter saved no assemble calls, so
+        # the square root stays
         factor = math.sqrt(_CONTRACTION_TARGET / result.contraction) if result.contraction > 0 else math.inf
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False

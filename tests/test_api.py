@@ -8,10 +8,15 @@ import pytest
 
 import muntzquad
 from muntzquad import (
+    DomainError,
     InadmissibleSequenceError,
+    InvalidBetaError,
     InvalidOrderError,
     LengthMismatchError,
+    QuadratureRule,
+    RuleDiagnostics,
     RuleSpec,
+    continuation_exponents,
     eval_all,
     gauss_jacobi,
     gauss_laguerre,
@@ -68,6 +73,7 @@ def test_no_public_callable_takes_a_setting(name):
 
 
 FOUR = np.array([0.0, 1.0, 2.0, 3.0])
+DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterations=0, rejected_steps=0)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -80,8 +86,19 @@ FOUR = np.array([0.0, 1.0, 2.0, 3.0])
     (lambda: gauss_legendre(2.5), InvalidOrderError),
     (lambda: gauss_laguerre(2.5), InvalidOrderError),
     (lambda: gauss_jacobi(2.5, 0.0), InvalidOrderError),
+    (lambda: newton_solve([], [], [], 0.0, []), LengthMismatchError),
+    (lambda: newton_solve([0.5], [0.5, 0.3], [0.0, 1.0], 0.0, [1.0, 0.0]), LengthMismatchError),
+    (lambda: QuadratureRule([0.5], [0.5, 0.3], RuleSpec(FOUR), DIAGNOSTICS), LengthMismatchError),
+    (lambda: continuation_exponents(FOUR, 1.5), DomainError),
+    (lambda: continuation_exponents(FOUR, np.nan), DomainError),
+    (lambda: RuleSpec(FOUR, None), InadmissibleSequenceError),
+    (lambda: moments(FOUR, "a"), InadmissibleSequenceError),
+    (lambda: eval_all(FOUR, 0.5, "a"), InadmissibleSequenceError),
+    (lambda: gauss_jacobi(3, "x"), InvalidBetaError),
 ], ids=["nan-exponent", "inf-exponent", "unit-weight-divergent", "empty-sequence", "2d-sequence",
-        "short-rule", "legendre-order", "laguerre-order", "jacobi-order"])
+        "short-rule", "legendre-order", "laguerre-order", "jacobi-order", "empty-rule",
+        "weights-longer-than-nodes", "rule-weights-longer-than-nodes", "alpha-above-one", "alpha-nan",
+        "rule-spec-beta-none", "moments-beta-string", "eval-all-beta-string", "jacobi-beta-string"])
 def test_bad_input_raises_a_typed_value_error(call, error):
     with pytest.raises(error):
         call()

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from muntzquad.errors import DomainError, InadmissibleSequenceError, NewtonDiver
 from muntzquad.solver import RuleSpec, compute_rule
 from quad_oracle import adaptive_integrate
 from test_solver import UNDERFLOW_SPECS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSequenceFamilies:
@@ -242,6 +248,13 @@ class TestCommands:
             {"beta": 0, "lambda": [0, 0], "nodes": [-0.36787944117144233], "weights": [1.0]}))
         assert main(["validate", str(path)]) == 1
         assert "worst: nan" in capsys.readouterr().out
+        # in a fresh interpreter, where numpy's warnings reach stderr
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "muntzquad", "validate", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert "worst: nan" in run.stdout
+        assert "RuntimeWarning" not in run.stderr
 
     def test_validate_threshold_flag(self, tmp_path):
         out = tmp_path / "rule.json"

@@ -19,6 +19,7 @@ from muntzquad.muntz import _theta_search, moments
 from muntzquad.solver import (
     RuleSpec,
     _polish,
+    _predict,
     _solve,
     apply_rule,
     assemble,
@@ -436,6 +437,63 @@ class TestCheapWalk:
         # the alpha = 1 solve zooms in the full tier's rounds
         assert {rounds for rounds, _ in end} == {muntz._FULL[2]}
         assert not all(np.all(np.isin(theta, grid)) for _, theta in end)
+
+
+class TestPredict:
+    """The walk's predictor: the polynomial through the last accepted path
+    points, in log space."""
+
+    def test_two_points_give_the_secant(self):
+        x1, w1 = np.array([0.05, 0.3, 0.7]), np.array([0.2, 0.5, 0.3])
+        x2, w2 = np.array([0.04, 0.32, 0.71]), np.array([0.18, 0.52, 0.31])
+        alpha1, alpha2, alpha_next = 0.1, 0.25, 0.45
+        x_pred, w_pred = _predict([(alpha1, x1, w1), (alpha2, x2, w2)], alpha_next)
+        ratio = (alpha_next - alpha2) / (alpha2 - alpha1)
+        assert np.array_equal(x_pred, np.exp(np.log(x2) + ratio * (np.log(x2) - np.log(x1))))
+        assert np.array_equal(w_pred, np.exp(np.log(w2) + ratio * (np.log(w2) - np.log(w1))))
+
+    def test_three_points_are_exact_on_a_quadratic_log_path(self):
+        base_x, base_w = np.array([0.1, 0.4, 0.8]), np.array([0.3, 0.5, 0.2])
+        slope, curve = np.array([-0.5, -0.2, -0.1]), np.array([0.3, 0.1, 0.05])
+
+        def point(alpha):
+            drift = slope * alpha + curve * alpha**2
+            return alpha, base_x * np.exp(drift), base_w * np.exp(-2.0 * drift)
+
+        path = [point(alpha) for alpha in (0.2, 0.35, 0.6)]  # unequal spacing
+        _, x_exact, w_exact = point(0.85)
+        x_pred, w_pred = _predict(path, 0.85)
+        assert np.abs(x_pred / x_exact - 1.0).max() <= 1e-13
+        assert np.abs(w_pred / w_exact - 1.0).max() <= 1e-13
+        # the secant through the last two points misses
+        x_secant, _ = _predict(path[1:], 0.85)
+        assert np.abs(x_secant / x_exact - 1.0).max() > 1e-3
+
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_an_infeasible_prediction_returns_the_current_iterate(self, points):
+        # the first node rises and the second falls: extrapolated to 0.5,
+        # they cross inside (0, 1): 0.64 against 0.20 (secant) or 0.095 (quadratic)
+        w = np.array([0.5, 0.5])
+        nodes = ([0.02, 0.55], [0.04, 0.5], [0.08, 0.4])
+        path = [(0.1 * k, np.array(x), w) for k, x in enumerate(nodes)]
+        x_pred, w_pred = _predict(path[-points:], 0.5)
+        assert x_pred is path[-1][1] and w_pred is path[-1][2]
+
+    @pytest.mark.parametrize("spec, most", [
+        # 30 and 52 walk assembles with the secant predictor
+        pytest.param(RuleSpec(example1(20), -0.25), 24, id="example1-n20"),
+        pytest.param(RuleSpec(sequence_family("case3", 20), 0.0), 44, id="case3-n20"),
+    ])
+    def test_walk_assembles_fewer_bases(self, spec, most, monkeypatch):
+        walk_calls = []
+
+        def assembling(*args):
+            walk_calls.append(args[5])
+            return assemble(*args)
+
+        monkeypatch.setattr(solver, "assemble", assembling)
+        compute_rule(spec)
+        assert sum(walk_calls) <= most
 
 
 class TestPolishWork:
