@@ -2,7 +2,7 @@
 
 Gauss-Legendre on [0, 1] (panel quadrature for the oscillatory contour
 integral), Gauss-Laguerre on (0, inf) (the exponential tail), and
-Gauss-Jacobi on [0, 1] with weight x**beta (the continuation start point).
+Gauss-Jacobi on [0, 1] with weight x**beta.
 
 Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
 (numpy's dense symmetric eigensolver).  They are Newton-polished against the
@@ -11,7 +11,8 @@ Christoffel sum in the same arithmetic, so the cached rules are correctly
 rounded: every downstream quadrature inherits the rule's accuracy, and the
 plain eigensolver only carries ~1e-13 of it.  Rules are cached per
 (kind, order, beta) and returned with read-only arrays, so concurrent
-reads are safe and accidental mutation raises.
+reads are safe and accidental mutation raises.  The rule solver's start,
+``_jacobi_start``, skips the polish and the cache.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dd
-from .errors import InvalidBetaError, InvalidOrderError
+from .errors import InvalidBetaError, InvalidOrderError, _as_real
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,6 @@ class ClassicalRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_order(order) -> int:
@@ -78,101 +74,118 @@ def _orthonormal_eval(x, alpha, sqrt_beta, order):
     return p_cur, dp_cur, chris
 
 
-def _refined_rule(alpha, beta_coeffs, nodes0):
-    """Correctly rounded nodes/weights from eigensolver estimates.
+def _rule(alpha, beta_coeffs, newton_steps):
+    """Nodes and weights from the recurrence coefficients.
 
     ``alpha``/``beta_coeffs`` are dd pairs of the monic recurrence
-    coefficients with ``beta_coeffs[0]`` the zeroth moment.  Two dd Newton
-    steps on the orthonormal polynomial move each node to ~1e-30, and the
-    weights follow as the reciprocal Christoffel sums.
+    coefficients with ``beta_coeffs[0]`` the zeroth moment.  The nodes start
+    as the eigenvalues of the Jacobi matrix, and ``newton_steps`` dd Newton
+    steps on the orthonormal polynomial follow (two move each node to
+    ~1e-30).  The weights are the reciprocal Christoffel sums at the result.
+    Both arrays come back read-only.
     """
-    order = nodes0.size
+    order = alpha[0].size
+    sqrt_off = np.sqrt(dd.to_double((beta_coeffs[0][1:-1], beta_coeffs[1][1:-1])))
+    jacobi = np.diag(dd.to_double(alpha)) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
     alpha_pairs = [(alpha[0][k], alpha[1][k]) for k in range(order)]
     sqrt_beta = [dd.sqrt((beta_coeffs[0][k], beta_coeffs[1][k])) for k in range(order + 1)]
-    x = dd.from_double(nodes0)
-    for _ in range(2):
+    x = dd.from_double(np.linalg.eigvalsh(jacobi))
+    for _ in range(newton_steps):
         p, dp, _ = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
         x = dd.add(x, dd.negate(dd.div(p, dp)))
     _, _, chris = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
-    weights = 1.0 / dd.to_double(chris)
-    return dd.to_double(x), weights
+    nodes, weights = dd.to_double(x), 1.0 / dd.to_double(chris)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _build(alpha_dd, beta_dd) -> ClassicalRule:
-    sqrt_off = np.sqrt(dd.to_double((beta_dd[0][1:-1], beta_dd[1][1:-1])))
-    jacobi = np.diag(dd.to_double(alpha_dd)) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
-    nodes, weights = _refined_rule(alpha_dd, beta_dd, np.linalg.eigvalsh(jacobi))
-    return ClassicalRule(nodes=_freeze(nodes), weights=_freeze(weights))
-
-
-@lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> ClassicalRule:
     """Gauss-Legendre rule on [0, 1] with unit weight.
 
     Exact for polynomials of degree <= 2*order - 1.
     """
-    order = _check_order(order)
+    return _gauss_legendre(_check_order(order))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> ClassicalRule:
     k = np.arange(order + 1, dtype=float)
     alpha = dd.from_double(np.full(order, 0.5))
     beta = dd.div(dd.from_double(k**2), dd.from_double(4.0 * (4.0 * k**2 - 1.0)))
     beta[0][0], beta[1][0] = 1.0, 0.0  # zeroth moment of the unit weight
-    return _build(alpha, beta)
+    return ClassicalRule(*_rule(alpha, beta, 2))
+
+
+def gauss_laguerre(order: int) -> ClassicalRule:
+    """Gauss-Laguerre rule on (0, inf) with weight exp(-y)."""
+    return _gauss_laguerre(_check_order(order))
 
 
 @lru_cache(maxsize=None)
-def gauss_laguerre(order: int) -> ClassicalRule:
-    """Gauss-Laguerre rule on (0, inf) with weight exp(-y)."""
-    order = _check_order(order)
+def _gauss_laguerre(order: int) -> ClassicalRule:
     k = np.arange(order, dtype=float)
     alpha = dd.from_double(2.0 * k + 1.0)
     beta = dd.from_double(np.arange(order + 1, dtype=float) ** 2)
     beta[0][0] = 1.0  # zeroth moment of exp(-y)
-    return _build(alpha, beta)
+    return ClassicalRule(*_rule(alpha, beta, 2))
 
 
-@lru_cache(maxsize=None)
 def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
     """Gauss rule on [0, 1] with weight x**beta, beta > -1.
 
-    The recurrence coefficients for the Jacobi weight (1+t)**beta on
-    [-1, 1] are affine-mapped to [0, 1]; the zeroth moment there is
-    1/(1+beta), so the weights sum to exactly that.
+    The weights sum to exactly the zeroth moment 1/(1+beta).
     """
     order = _check_order(order)
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise InvalidBetaError(f"beta must be a real number, got {beta!r}") from None
+    beta = _as_real(beta, InvalidBetaError, "beta")
     if not np.isfinite(beta) or beta <= -1.0:
         raise InvalidBetaError(f"beta must be > -1, got {beta}")
+    return _gauss_jacobi(order, beta)
+
+
+@lru_cache(maxsize=None)
+def _gauss_jacobi(order: int, beta: float) -> ClassicalRule:
+    return ClassicalRule(*_rule(*_jacobi_coefficients(order, beta), 2))
+
+
+def _jacobi_start(order: int, beta: float):
+    """Nodes and weights of the Gauss rule for x**beta on [0, 1], unrefined.
+
+    The rule solver's walk starts here and its first solve stops at 1e-5,
+    so the eigenvalue nodes go unpolished.  One dd Christoffel pass keeps
+    every weight within ~1e-10 relative, where the eigenvectors' smallest
+    weights lose every digit.  ``beta`` must already be valid.
+    """
+    return _rule(*_jacobi_coefficients(order, beta), 0)
+
+
+def _jacobi_coefficients(order: int, beta: float):
+    """Monic recurrence coefficients of x**beta on [0, 1] as dd pairs.
+
+    The coefficients for the Jacobi weight (1+t)**beta on [-1, 1] are
+    affine-mapped to [0, 1]; the zeroth moment there is 1/(1+beta).
+    """
     k = np.arange(1, order, dtype=float)
     b = dd.from_double(np.float64(beta))
     two_k_b = dd.add_double(dd.from_double(2.0 * k), beta)
 
     alpha_hi = np.empty(order)
     alpha_lo = np.empty(order)
-    first = dd.div(dd.add_double(b, 1.0), dd.add_double(b, 2.0))
-    alpha_hi[0], alpha_lo[0] = first
+    alpha_hi[0], alpha_lo[0] = dd.div(dd.add_double(b, 1.0), dd.add_double(b, 2.0))
     if order > 1:
-        ratio = dd.div(
-            dd.mul(b, b),
-            dd.mul(two_k_b, dd.add_double(two_k_b, 2.0)),
-        )
-        rest = dd.mul_double(dd.add_double(ratio, 1.0), 0.5)
-        alpha_hi[1:], alpha_lo[1:] = rest
+        ratio = dd.div(dd.mul(b, b), dd.mul(two_k_b, dd.add_double(two_k_b, 2.0)))
+        alpha_hi[1:], alpha_lo[1:] = dd.mul_double(dd.add_double(ratio, 1.0), 0.5)
 
     beta_hi = np.zeros(order + 1)
     beta_lo = np.zeros(order + 1)
-    mu0 = dd.div(dd.from_double(np.float64(1.0)), dd.add_double(b, 1.0))
-    beta_hi[0], beta_lo[0] = mu0
+    # the zeroth moment
+    beta_hi[0], beta_lo[0] = dd.div(dd.from_double(np.float64(1.0)), dd.add_double(b, 1.0))
     if order > 1:
         k_b = dd.add_double(dd.from_double(k), beta)
         num = dd.mul(dd.from_double(k**2), dd.mul(k_b, k_b))
         sq = dd.mul(two_k_b, two_k_b)
-        den = dd.mul(sq, dd.add_double(sq, -1.0))
-        vals = dd.div(num, den)
-        beta_hi[1:order], beta_lo[1:order] = vals
+        beta_hi[1:order], beta_lo[1:order] = dd.div(num, dd.mul(sq, dd.add_double(sq, -1.0)))
     # beta_coeffs[order] only normalizes the last orthonormal element; any
     # positive value works, reuse 1
     beta_hi[order] = 1.0
-    return _build((alpha_hi, alpha_lo), (beta_hi, beta_lo))
+    return (alpha_hi, alpha_lo), (beta_hi, beta_lo)

@@ -11,6 +11,13 @@ class MuntzQuadError(Exception):
     """Base class for all package errors."""
 
 
+def _as_real(value, error: type, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a real number, got {value!r}") from None
+
+
 class SingularMatrixError(MuntzQuadError):
     """A dense linear solve met a singular or non-finite system."""
 
@@ -48,8 +55,8 @@ class ContinuationFailedError(MuntzQuadError):
     """The continuation step size shrank below ``solver._STEP_MIN``.
 
     Carries the last successfully solved blend parameter and iterate so a
-    caller can inspect how far the path was tracked.  Past ``alpha = 0``
-    (the exact Gauss-Jacobi start) the iterate was solved only to
+    caller can inspect how far the path was tracked.  Past the unrefined
+    Gauss-Jacobi start at ``alpha = 0`` the iterate was solved only to
     ``solver._WALK_TOLERANCE``, on the evaluator's walk tier
     ``muntz._WALK`` (see ``solver.compute_rule``).
     """

@@ -12,12 +12,11 @@ with ``w = -log x``.  The half-line splits into unit panels handled by
 Gauss-Legendre plus an exponentially damped vertical tail handled by
 Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
 ``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
-minimizing a growth-versus-singularity estimate: one grid search, refined
-by zooming into the bracket around each point's best candidate, serves
-every point of a batch at once.  The evaluator has two tiers: the full one,
-and the walk tier of the rule solver's homotopy walk, whose intermediate
-rules are thrown away; it skips the zoom and uses a third of the
-quadrature orders.
+minimizing a growth-versus-singularity estimate over one log-spaced grid,
+searched for every point of a batch at once.  The evaluator has two tiers:
+the full one, and the walk tier of the rule solver's homotopy walk, whose
+intermediate rules are thrown away; it uses a third of the quadrature
+orders.
 
 The vertical tail launched at ``t = a`` passes the integrand's poles, which
 sit on the imaginary axis at heights up to ``H = theta + w*(max(lam)-min(lam))``.
@@ -54,7 +53,7 @@ import mpmath as mp
 import numpy as np
 
 from .classical import gauss_laguerre, gauss_legendre
-from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError
+from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError, _as_real
 
 
 # Contour-evaluation constants.  ``_PANEL_WIDTH * _PANEL_COUNT`` is the base
@@ -73,10 +72,9 @@ _TAIL_BUMP_FACTOR = 64.0
 _TAIL_NEGLIGIBLE = 1e-18
 
 # The two evaluator tiers as (Gauss-Legendre panel order, Gauss-Laguerre tail
-# order, theta zoom rounds).  Eight rounds narrow every theta bracket below
-# 1e-6; the walk takes theta from the search grid alone.
-_FULL = (24, 48, 8)
-_WALK = (8, 16, 0)
+# order).
+_FULL = (24, 48)
+_WALK = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,7 @@ def _as_exponents(exponents) -> np.ndarray:
 
 def ensure_admissible(exponents, beta: float) -> np.ndarray:
     lam = _as_exponents(exponents)
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise InadmissibleSequenceError(f"beta must be a real number, got {beta!r}") from None
+    beta = _as_real(beta, InadmissibleSequenceError, "beta")
     if not math.isfinite(beta):
         raise InadmissibleSequenceError(f"beta must be finite, got {beta}")
     if np.min(lam) + beta <= -1.0:
@@ -141,27 +136,23 @@ def moments(exponents, beta: float) -> np.ndarray:
         return np.array([float(m) for m in moment_recurrence(lam, float(beta))])
 
 
-# Theta search: a log-spaced grid over [_THETA_MIN, _THETA_MAX], then rounds of
-# a linear grid over the bracket around each point's best candidate.  A round
-# keeps the two neighbours of its best candidate, shrinking the bracket by
-# (_THETA_ZOOM - 1) / 2.
+# Theta search: a log-spaced grid over [_THETA_MIN, _THETA_MAX], about 20%
+# between neighbours.
 _THETA_GRID = 97
-_THETA_ZOOM = 17
 
 
-def _theta_search(lam, lam_min, omega, rounds: int) -> ThetaSelection:
+def _theta_search(lam, lam_min, omega) -> ThetaSelection:
     """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
 
     Minimizes the sum of a near-origin magnitude estimate of the sampled
     integrand (which blows up as theta shrinks) and the amplification
     ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
     blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning.  ``rounds`` zoom rounds follow
-    the grid, each narrowing every bracket eightfold; with none, every theta
-    is a point of the log-spaced grid.  Every operation is elementwise per
-    point: a point's theta does not depend on the other points in the batch.
-    ``converged`` is False when the objective was infinite at every
-    candidate of some point.
+    the minimizer only tunes conditioning, so every theta is the best point
+    of the log-spaced grid, with no refinement between grid points.  Every
+    operation is elementwise per point: a point's theta does not depend on
+    the other points in the batch.  ``converged`` is False when the
+    objective was infinite at every grid point of some point.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
     # near-origin magnitude of the sampled integrand: numerator offsets
@@ -174,29 +165,15 @@ def _theta_search(lam, lam_min, omega, rounds: int) -> ThetaSelection:
     prefactor = np.exp(np.sqrt(omega))
     growth_exponent = -lam_min * omega
 
-    def objective(theta):  # theta[i, j]: candidate j for point i
-        ratios = np.abs((theta[:, :, None] - num_centers) / (theta[:, :, None] + den_centers))
+    theta = np.geomspace(_THETA_MIN, _THETA_MAX, _THETA_GRID)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # value[i, j]: point i, theta[j]
+        ratios = np.abs((theta[:, None] - num_centers) / (theta[:, None] + den_centers))
         magnitude = np.prod(ratios, axis=2) / np.abs(theta + last_center)
         value = prefactor * magnitude + np.exp(np.minimum(theta + growth_exponent, 700.0)) / np.sqrt(theta)
-        return np.where(np.isfinite(value), value, np.inf)
-
-    rows = np.arange(omega.shape[0])
-    grid = np.geomspace(_THETA_MIN, _THETA_MAX, _THETA_GRID)
-    steps = np.linspace(0.0, 1.0, _THETA_ZOOM)
-    candidates = np.broadcast_to(grid, (rows.size, grid.size))
-    theta = np.full(rows.size, _THETA_MIN)
-    best_value = np.full(rows.size, np.inf)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(rounds + 1):
-            values = objective(candidates)
-            best = np.argmin(values, axis=1)
-            improved = values[rows, best] < best_value
-            theta = np.where(improved, candidates[rows, best], theta)
-            best_value = np.where(improved, values[rows, best], best_value)
-            lo = candidates[rows, np.maximum(best - 1, 0)]
-            hi = candidates[rows, np.minimum(best + 1, candidates.shape[1] - 1)]
-            candidates = lo[:, None] + (hi - lo)[:, None] * steps
-    return ThetaSelection(theta=theta, objective=best_value, converged=bool(np.all(np.isfinite(best_value))))
+    value = np.where(np.isfinite(value), value, np.inf)
+    best = np.argmin(value, axis=1)  # 0, so _THETA_MIN, where every value is infinite
+    best_value = value[np.arange(best.size), best]
+    return ThetaSelection(theta=theta[best], objective=best_value, converged=bool(np.all(np.isfinite(best_value))))
 
 
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
@@ -365,9 +342,9 @@ def _basis_batch(shifted, xs, walk: bool = False):
         values[0, active] = xa ** lam[0]
         return values
 
-    panel_order, laguerre_order, rounds = _WALK if walk else _FULL
+    panel_order, laguerre_order = _WALK if walk else _FULL
     omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
-    theta = _theta_search(lam, lam_min, omega, rounds).theta
+    theta = _theta_search(lam, lam_min, omega).theta
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
@@ -390,7 +367,7 @@ def _basis_batch(shifted, xs, walk: bool = False):
 
 
 def _check_point(x: float) -> float:
-    x = float(x)
+    x = _as_real(x, DomainError, "evaluation point")
     if not (0.0 < x <= 1.0) or not np.isfinite(x):
         raise DomainError(f"evaluation point must lie in (0, 1], got {x}")
     return x
@@ -424,7 +401,7 @@ def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != lam.size:
         raise LengthMismatchError(f"{vals.shape[0]} values for {lam.size} exponents")
-    shifted = lam + 0.5 * float(beta)
+    shifted = lam + 0.5 * _as_real(beta, InadmissibleSequenceError, "beta")
     out = np.empty_like(vals)
     out[0] = shifted[0] * vals[0]
     for n in range(1, lam.size):

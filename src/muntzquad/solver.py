@@ -18,15 +18,16 @@ integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1,
 re-solving at each stage from a prediction: the quadratic through the last
 three accepted rules, extrapolated in ``log x`` and ``log w`` (Allgower &
 Georg, *Introduction to Numerical Continuation Methods*, 2003, ch. 6).  At
-``alpha = 0`` the basis degenerates to polynomials and the Gauss-Jacobi
-rule is already exact, so the path starts at a known root.  The step size
+``alpha = 0`` the basis degenerates to polynomials and the Gauss-Jacobi rule
+is the root; the walk starts from it unrefined (Golub & Welsch, *Math.
+Comp.* 23, 1969), since the first solve is loose anyway.  The step size
 follows the observed Newton contraction (Deuflhard, *Newton Methods for
 Nonlinear Problems*, 2004): a solve whose second correction is at least
 twice its first is dropped at once, and the ratio of the first two
-corrections of an accepted solve sizes the next step.  The corrector is inexact by design: a
-rule with ``alpha < 1`` only seeds the next step, so those solves stop at
-a loose tolerance on a coarse contour evaluator, and only the
-``alpha = 1`` solve and the polish run at full accuracy.
+corrections of an accepted solve sizes the next step.  The corrector is
+inexact by design: a rule with ``alpha < 1`` only seeds the next step, so
+those solves stop at a loose tolerance on a coarse contour evaluator, and
+only the ``alpha = 1`` solve and the polish run at full accuracy.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -44,14 +45,16 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import gauss_jacobi
+from .classical import _jacobi_start
 from .errors import (
     ContinuationFailedError,
     DomainError,
+    InadmissibleSequenceError,
     LengthMismatchError,
     NewtonDivergedError,
     NonFiniteSampleError,
     SingularMatrixError,
+    _as_real,
 )
 from . import refine
 from .muntz import (
@@ -154,7 +157,7 @@ class NewtonResult:
 def continuation_exponents(exponents, alpha: float) -> np.ndarray:
     """Blend toward the integer ladder: ``alpha*lam_n + (1-alpha)*n``."""
     lam = np.atleast_1d(np.asarray(exponents, dtype=float))
-    alpha = float(alpha)
+    alpha = _as_real(alpha, DomainError, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha * lam + (1.0 - alpha) * np.arange(lam.size, dtype=float)
@@ -261,7 +264,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
     if not _feasible(nodes, weights):
         raise DomainError("iterate is infeasible: need ascending nodes in (0,1) and positive weights")
 
-    beta = float(beta)
+    beta = _as_real(beta, InadmissibleSequenceError, "beta")
     shifted = lam + 0.5 * beta
     basis = _basis_batch(shifted, nodes, walk)
     x_derivative = scaled_derivatives(basis, lam, beta)
@@ -277,9 +280,9 @@ _TOLERANCE = 1e-14
 
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
 # solve runs on the evaluator's walk tier (``muntz._WALK``: a third of the
-# full tier's quadrature orders, and theta from the search grid alone) and
-# stops at this tolerance.  On that tier Newton converges only linearly, and
-# the next step's predictor misses by far more anyway.
+# full tier's quadrature orders) and stops at this tolerance.  On that tier
+# Newton converges only linearly, and the next step's predictor misses by
+# far more anyway.
 _WALK_TOLERANCE = 1e-5
 
 # A Newton solve gives up after this many iterations, or once one step has
@@ -416,23 +419,23 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
 def compute_rule(spec: RuleSpec) -> QuadratureRule:
     """Build the generalized Gaussian rule for ``spec`` by homotopy walking.
 
-    Starts from the classical Gauss-Jacobi rule (the exact root for the
-    integer-exponent blend), then advances the blend parameter with
-    adaptive steps, and always lands the final step exactly on 1.  Each
-    solve starts from ``_predict``'s extrapolation of the last three
-    accepted rules: the first from the Gauss-Jacobi rule itself, the second
-    from the secant.  A
-    diverged Newton solve is retried with half the step; after an accepted
-    one the step is scaled by ``sqrt(1/4 / contraction)`` within
-    ``[1/2, 2]`` (no growth right after a rejection), so that the next
-    solve's corrections contract by about 1/4.  Every step with
-    ``alpha < 1`` is solved to ``_WALK_TOLERANCE`` (1e-5) on the evaluator's
-    walk tier, which has a third of the full tier's panel and Laguerre orders
-    and takes theta from the search grid without zooming; the ``alpha = 1``
-    solve runs to ``_TOLERANCE`` (1e-14) on the full tier, and the polish
-    reuses that solve's last Jacobian.  Walk and polish run on the
-    canonically shifted spec; the weights return to ``x**beta`` at the end,
-    and ``rule.spec`` is ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
+    Starts from the classical Gauss-Jacobi rule (the root for the
+    integer-exponent blend) unrefined, ``classical._jacobi_start``, then
+    advances the blend parameter with adaptive steps, and always lands the
+    final step exactly on 1.  Each solve starts from ``_predict``'s
+    extrapolation of the last three accepted rules: the first from the
+    Gauss-Jacobi rule itself, the second from the secant.  A diverged Newton
+    solve is retried with half the step; after an accepted one the step is
+    scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
+    right after a rejection), so that the next solve's corrections contract
+    by about 1/4.  Every step with ``alpha < 1`` is solved to
+    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, which has a
+    third of the full tier's panel and Laguerre orders; both tiers take
+    theta from the same search grid.  The ``alpha = 1`` solve runs to
+    ``_TOLERANCE`` (1e-14) on the full tier, and the polish reuses that
+    solve's last Jacobian.  Walk and polish run on the canonically shifted
+    spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
+    ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
     solved only to the walk tolerance.  Raises ``DomainError`` if a weight
     under- or overflows in doubles when the factor ``x**c`` maps it back to
@@ -447,9 +450,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     c = -lam[0]
     walk_spec = RuleSpec(lam + c, spec.beta - c)
 
-    start = gauss_jacobi(spec.n_nodes, walk_spec.beta)
-    x = start.nodes.copy()
-    w = start.weights.copy()
+    x, w = _jacobi_start(spec.n_nodes, walk_spec.beta)
 
     alpha = 0.0
     step = _STEP_INITIAL

@@ -201,7 +201,7 @@ def _fine_basis(shifted, xs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(muntz, "_PANEL_WIDTH", 0.5)
         patch.setattr(muntz, "_PANEL_COUNT", 64)
-        patch.setattr(muntz, "_FULL", (32, 64, muntz._FULL[2]))
+        patch.setattr(muntz, "_FULL", (32, 64))
         return _basis_batch(shifted, xs)
 
 

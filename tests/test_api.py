@@ -16,6 +16,7 @@ from muntzquad import (
     QuadratureRule,
     RuleDiagnostics,
     RuleSpec,
+    assemble,
     continuation_exponents,
     eval_all,
     gauss_jacobi,
@@ -23,6 +24,7 @@ from muntzquad import (
     gauss_legendre,
     moments,
     newton_solve,
+    scaled_derivatives,
 )
 
 PUBLIC_NAMES = [
@@ -95,10 +97,19 @@ DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterati
     (lambda: moments(FOUR, "a"), InadmissibleSequenceError),
     (lambda: eval_all(FOUR, 0.5, "a"), InadmissibleSequenceError),
     (lambda: gauss_jacobi(3, "x"), InvalidBetaError),
+    (lambda: gauss_legendre([3]), InvalidOrderError),
+    (lambda: gauss_jacobi(3, [0.5]), InvalidBetaError),
+    (lambda: assemble([0.5], [0.5], [0.0, 1.0], "a", [1.0, 0.0]), InadmissibleSequenceError),
+    (lambda: newton_solve([0.5], [0.5], [0.0, 1.0], "a", [1.0, 0.0]), InadmissibleSequenceError),
+    (lambda: scaled_derivatives([1.0, 1.0], [0.0, 1.0], "a"), InadmissibleSequenceError),
+    (lambda: continuation_exponents(FOUR, "a"), DomainError),
+    (lambda: eval_all(FOUR, "a"), DomainError),
 ], ids=["nan-exponent", "inf-exponent", "unit-weight-divergent", "empty-sequence", "2d-sequence",
         "short-rule", "legendre-order", "laguerre-order", "jacobi-order", "empty-rule",
         "weights-longer-than-nodes", "rule-weights-longer-than-nodes", "alpha-above-one", "alpha-nan",
-        "rule-spec-beta-none", "moments-beta-string", "eval-all-beta-string", "jacobi-beta-string"])
+        "rule-spec-beta-none", "moments-beta-string", "eval-all-beta-string", "jacobi-beta-string",
+        "legendre-order-list", "jacobi-beta-list", "assemble-beta-string", "newton-beta-string",
+        "derivatives-beta-string", "alpha-string", "eval-all-point-string"])
 def test_bad_input_raises_a_typed_value_error(call, error):
     with pytest.raises(error):
         call()

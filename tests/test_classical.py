@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from muntzquad.classical import gauss_jacobi, gauss_laguerre, gauss_legendre
+from muntzquad.classical import _jacobi_start, gauss_jacobi, gauss_laguerre, gauss_legendre
 from muntzquad.errors import InvalidBetaError, InvalidOrderError
 
 
@@ -114,3 +114,16 @@ def test_rules_are_cached_and_immutable():
     assert a is b
     with pytest.raises(ValueError):
         a.nodes[0] = 0.1
+
+
+@pytest.mark.parametrize("beta", [-0.9999, -0.5, 0.0, 3.0, 20.0, 100.0, 1e3, 1e4])
+def test_walk_start_is_feasible_and_close_to_gauss_jacobi(beta):
+    # eigenvalue nodes and one Christoffel pass: feasible, and within the
+    # eigensolver's accuracy of the correctly rounded rule
+    for order in range(1, 101):
+        nodes, weights = _jacobi_start(order, beta)
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0, order
+        assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0), order
+        rule = gauss_jacobi(order, beta)
+        assert np.abs(nodes / rule.nodes - 1.0).max() <= 1e-11, order
+        assert np.abs(weights / rule.weights - 1.0).max() <= 1e-9, order

@@ -52,9 +52,6 @@ def residue_sum_basis(lam, x):
     return np.array(out)
 
 
-FULL_ROUNDS = muntz._FULL[2]
-
-
 def use_fine_discretization(monkeypatch):
     """Half-width panels over the same segment, at a higher panel order."""
     monkeypatch.setattr(muntz, "_PANEL_WIDTH", 0.5)
@@ -93,46 +90,43 @@ def reference_theta_objective(lam, omega, theta):
 
 class TestSelectTheta:
     @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
-    def test_no_worse_than_dense_grid(self, name):
+    def test_takes_the_best_grid_point(self, name):
         lam = THETA_SEARCH_SEQUENCES[name]
-        dense = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 10**4)
-        found = _theta_search(lam, float(np.min(lam)), THETA_SEARCH_OMEGAS, FULL_ROUNDS)
+        grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
+        found = _theta_search(lam, float(np.min(lam)), THETA_SEARCH_OMEGAS)
         assert found.converged
         for omega, theta in zip(THETA_SEARCH_OMEGAS, found.theta):
-            chosen = reference_theta_objective(lam, omega, [theta])[0]
-            floor = reference_theta_objective(lam, omega, dense).min()
-            assert muntz._THETA_MIN <= theta <= muntz._THETA_MAX
-            assert chosen <= floor * (1.0 + 1e-9), (omega, theta, chosen, floor)
+            assert theta == grid[np.argmin(reference_theta_objective(lam, omega, grid))], omega
 
     @pytest.mark.parametrize("name", sorted(THETA_SEARCH_SEQUENCES))
     def test_batch_matches_single_points(self, name):
         lam = THETA_SEARCH_SEQUENCES[name]
         lam_min = float(np.min(lam))
-        batch = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, FULL_ROUNDS)
+        batch = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS)
         for i, omega in enumerate(THETA_SEARCH_OMEGAS):
-            single = _theta_search(lam, lam_min, np.array([omega]), FULL_ROUNDS)
+            single = _theta_search(lam, lam_min, np.array([omega]))
             assert single.theta[0] == batch.theta[i]
             assert single.objective[0] == batch.objective[i]
 
     def test_matches_grid_search(self):
-        grid = np.arange(1e-5, 10.0, 1e-5)
+        # one exponent at omega = 1: the objective is e/theta + e**theta/sqrt(theta)
+        grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
         values = math.e / grid + np.exp(grid) / np.sqrt(grid)
-        best = grid[np.argmin(values)]
-        chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]), FULL_ROUNDS)
-        assert abs(chosen.theta[0] - best) <= 1e-4
+        chosen = _theta_search(np.array([0.0]), 0.0, np.array([1.0]))
+        assert chosen.theta[0] == grid[np.argmin(values)]
 
     def test_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = np.sort(rng.uniform(-0.45, 3.0, size=6))
             omega = float(rng.uniform(0.01, 30.0))
-            assert _theta_search(lam, lam[0], np.array([omega]), FULL_ROUNDS).theta[0] > 0.0
+            assert _theta_search(lam, lam[0], np.array([omega])).theta[0] > 0.0
 
     def test_descent_from_start(self):
         lam = np.array([0.0, 1.0, 2.0])
         omega = 2.0
         lam_min = 0.0
-        theta = _theta_search(lam, lam_min, np.array([omega]), FULL_ROUNDS).theta[0]
+        theta = _theta_search(lam, lam_min, np.array([omega])).theta[0]
 
         def objective(theta):
             ratios = np.abs(theta - omega * (lam_min + lam[:-1] + 1.0)) / np.abs(
@@ -215,7 +209,7 @@ def contour_offsets(lam, xs):
     """theta and the numerator/denominator offsets ``_basis_batch`` sweeps with."""
     lam_min = float(np.min(lam))
     omega = -np.log(xs)
-    theta = _theta_search(lam, lam_min, omega, FULL_ROUNDS).theta
+    theta = _theta_search(lam, lam_min, omega).theta
     num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
     den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
     return theta, num_off, den_off
@@ -237,7 +231,7 @@ class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @pytest.mark.parametrize("where", ["panel", "tail"])
     def test_matches_complex_division(self, name, where):
-        panel_order, laguerre_order, _ = muntz._FULL
+        panel_order, laguerre_order = muntz._FULL
         theta, num_off, den_off = contour_offsets(THETA_SEARCH_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9))
         # force point 0 to overflow from prefix 3 on
         num_off[0, 1:3] = 1e200

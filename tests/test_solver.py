@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from muntzquad import muntz, solver
-from muntzquad.classical import gauss_jacobi, gauss_legendre
+from muntzquad import classical, muntz, solver
+from muntzquad.classical import gauss_jacobi, gauss_laguerre, gauss_legendre
 from muntzquad.cli import RuleFile, rule_to_file, sequence_family, validation_rows
 from muntzquad.errors import (
     ContinuationFailedError,
@@ -177,12 +177,14 @@ class TestNewtonSolve:
         check(converged, lam, 0.0)
 
         # a target below the double-precision floor: the solve stalls and
-        # returns its best iterate, which is not its last
+        # returns its best iterate, which is not its last (with the divergence
+        # test on, a noise-level correction grows first and ends the solve)
         lam, beta = example1(4), -0.25
         rule = compute_rule(RuleSpec(lam, beta))
         m = moments(lam, beta)
         monkeypatch.setattr(solver, "_STALL_FACTOR", 1e3)
         monkeypatch.setattr(solver, "_TOLERANCE", 1e-16)
+        monkeypatch.setattr(solver, "_DIVERGENCE_RATIO", math.inf)
         stalled = newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m)
         assert stalled.residual > 1e-16 * np.abs(m).max()
         assert stalled.residual < stalled.residual_history[-1]
@@ -208,6 +210,23 @@ class TestNewtonSolve:
 
 
 class TestComputeRule:
+    def test_the_start_takes_one_christoffel_pass(self, monkeypatch):
+        # no Newton refinement of the Gauss-Jacobi start: one pass of the
+        # orthonormal recurrence, for its weights, once the panel rules exist
+        for panel_order, laguerre_order in (muntz._FULL, muntz._WALK):
+            gauss_legendre(panel_order)
+            gauss_laguerre(laguerre_order)
+        passes = []
+        orthonormal_eval = classical._orthonormal_eval
+
+        def counting(*args):
+            passes.append(args[3])
+            return orthonormal_eval(*args)
+
+        monkeypatch.setattr(classical, "_orthonormal_eval", counting)
+        compute_rule(RuleSpec(example1(6), -0.25))
+        assert passes == [6]
+
     def test_integer_ladder_is_gauss_legendre(self):
         for n_nodes in (2, 5):
             rule = compute_rule(RuleSpec(np.arange(2.0 * n_nodes), 0.0))
@@ -398,7 +417,7 @@ class TestCheapWalk:
         monkeypatch.setattr(solver, "_polish", polishing)
         compute_rule(spec)
 
-        assert muntz._WALK == (8, 16, 0) and muntz._FULL == (24, 48, 8)
+        assert muntz._WALK == (8, 16) and muntz._FULL == (24, 48)
         assert {walk for final, walk, _ in solves if not final} == {True}
         assert {walk for final, walk, _ in solves if final} == {False}
         assert len(polishes) == 1
@@ -419,9 +438,9 @@ class TestCheapWalk:
             at_end.append(np.array_equal(lam, walk_end))
             return assemble(x, w, lam, *rest)
 
-        def searching(lam, lam_min, omega, rounds):
-            found = _theta_search(lam, lam_min, omega, rounds)
-            searches.append((at_end[-1], rounds, found.theta))
+        def searching(lam, lam_min, omega):
+            found = _theta_search(lam, lam_min, omega)
+            searches.append((at_end[-1], found.theta))
             return found
 
         monkeypatch.setattr(solver, "assemble", assembling)
@@ -429,14 +448,9 @@ class TestCheapWalk:
         compute_rule(spec)
 
         grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
-        walk = [(rounds, theta) for final, rounds, theta in searches if not final]
-        end = [(rounds, theta) for final, rounds, theta in searches if final]
-        assert walk and end
-        assert {rounds for rounds, _ in walk} == {0}
-        assert all(np.all(np.isin(theta, grid)) for _, theta in walk)
-        # the alpha = 1 solve zooms in the full tier's rounds
-        assert {rounds for rounds, _ in end} == {muntz._FULL[2]}
-        assert not all(np.all(np.isin(theta, grid)) for _, theta in end)
+        # the walk solves and the alpha = 1 solve alike
+        assert {final for final, _ in searches} == {False, True}
+        assert all(np.all(np.isin(theta, grid)) for _, theta in searches)
 
 
 class TestPredict:

@@ -1,0 +1,171 @@
+"""Compare the rules two source trees of muntzquad build on one traffic set.
+
+    python tools/rule_diff.py PARENT_SRC CHANGE_SRC
+
+Each ``*_SRC`` is a directory holding the ``muntzquad`` package (the
+``src`` directory of a checkout).  Both trees build the same 370 specs,
+each side in its own process with one BLAS thread:
+
+- ``reference`` and ``triple``: the bench workloads' fixed specs (5);
+- ``sweep``: ``bench/workloads.sweep_specs`` for seeds 1..8 and the pool
+  seed 2026 (216);
+- ``domain``: the 44 specs of ``tests/test_domain.py``;
+- ``criterion7``: the 50 random specs of the acceptance suite's criterion 7
+  and their permuted builds (100);
+- ``scale``: ``example1``/``example2`` n=40, ``case1``/``case2`` n=30 and
+  ``example1`` n=60 (5).
+
+The report lists outcome changes, the count of rules whose nodes and
+weights are bit-identical, every moved rule with its worst relative node
+and weight change, the worst ``validation_rows`` error per side, and the
+``assemble`` calls per group on the walk and the full evaluator tier.  The
+specs come from this checkout's ``bench/`` and ``tests/``, which are only
+read; a side whose spec list differs from the other's stops the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
+         ("case2", 30, 0.0), ("example1", 60, -0.25))
+
+
+def traffic_specs():
+    """``(group, label, exponents, beta)`` for every spec, with the package on the path."""
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+    import workloads
+    from test_acceptance import _random_spec
+    from test_domain import SPECS as DOMAIN_SPECS
+    from muntzquad.cli import sequence_family
+
+    specs = []
+    for workload in ("reference", "triple"):
+        specs += [(workload, s["label"], s["exponents"], s["beta"]) for s in workloads.specs_for(workload, 1)]
+    for seed in (*range(1, 9), workloads.SWEEP_POOL_SEED):
+        specs += [("sweep", f"{seed}/{s['label']}", s["exponents"], s["beta"]) for s in workloads.sweep_specs(seed)]
+    specs += [("domain", f"{kind}-{index}", lam, beta) for kind, index, lam, beta, _ in DOMAIN_SPECS]
+    rng = np.random.default_rng(2026)  # the draws of criterion 7, in its order
+    for index in range(50):
+        spec = _random_spec(rng)
+        permuted = np.array(spec.exponents)
+        rng.shuffle(permuted)
+        specs += [("criterion7", f"draw{index}", spec.exponents, spec.beta),
+                  ("criterion7", f"draw{index}-permuted", permuted, spec.beta)]
+    specs += [("scale", f"{family}-n{n}", sequence_family(family, n), beta) for family, n, beta in SCALE]
+    return [(group, label, [float(v) for v in lam], float(beta)) for group, label, lam, beta in specs]
+
+
+def build_side() -> list:
+    """Builds every spec with the package on ``sys.path``; one record per spec."""
+    from muntzquad import MuntzQuadError, RuleSpec, compute_rule, solver
+    from muntzquad.cli import rule_to_file, validation_rows
+
+    tiers = {"walk": 0, "full": 0}
+    assemble = solver.assemble
+
+    def counting(*args, **kwargs):
+        walk = args[5] if len(args) > 5 else kwargs.get("walk", False)
+        tiers["walk" if walk else "full"] += 1
+        return assemble(*args, **kwargs)
+
+    solver.assemble = counting
+    records = []
+    for group, label, lam, beta in traffic_specs():
+        tiers.update(walk=0, full=0)
+        record = {"group": group, "label": label, "exponents": lam, "beta": beta}
+        try:
+            rule = compute_rule(RuleSpec(np.array(lam), beta))
+        except MuntzQuadError as exc:
+            record["outcome"] = type(exc).__name__
+        else:
+            record.update(outcome="ok", nodes=rule.nodes.tolist(), weights=rule.weights.tolist(),
+                          diagnostics=vars(rule.diagnostics),
+                          validation=max(err for _, err in validation_rows(rule_to_file(rule))))
+        record.update(tiers)
+        records.append(record)
+    return records
+
+
+def run_side(src: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, __file__, "--side"], env=env, stdout=subprocess.PIPE, text=True)
+
+
+def relative_change(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(b - a) / np.abs(a)))
+
+
+def report(parent: list, change: list) -> int:
+    key = [(r["group"], r["label"], r["exponents"], r["beta"]) for r in parent]
+    if key != [(r["group"], r["label"], r["exponents"], r["beta"]) for r in change]:
+        print("the two sides built different spec lists")
+        return 1
+    outcomes, moved, identical = [], [], 0
+    walk, full = defaultdict(lambda: [0, 0]), defaultdict(lambda: [0, 0])
+    worst = [0.0, 0.0]
+    for before, after in zip(parent, change):
+        name = f"{before['group']}:{before['label']}"
+        for side, record in enumerate((before, after)):
+            walk[record["group"]][side] += record["walk"]
+            full[record["group"]][side] += record["full"]
+            if record["outcome"] == "ok":
+                worst[side] = max(worst[side], record["validation"])
+        if before["outcome"] != after["outcome"]:
+            outcomes.append(f"  {name}: {before['outcome']} -> {after['outcome']}")
+        elif before["outcome"] == "ok":
+            if before["nodes"] == after["nodes"] and before["weights"] == after["weights"]:
+                identical += 1
+            else:
+                changed = [field for field, value in before["diagnostics"].items()
+                           if after["diagnostics"].get(field) != value]
+                moved.append((relative_change(before["nodes"], after["nodes"]),
+                              relative_change(before["weights"], after["weights"]), name, changed))
+    built = sum(r["outcome"] == "ok" for r in change)
+    print(f"{len(parent)} specs; {built} build with the change, {sum(r['outcome'] == 'ok' for r in parent)} at the parent")
+    print(f"outcome changes: {len(outcomes)}", *outcomes, sep="\n")
+    print(f"bit-identical rules: {identical} of {built}")
+    print(f"moved rules: {len(moved)} (relative node / weight change; diagnostics that changed)")
+    for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
+        print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
+    print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
+    print("assemble calls per group, walk / full tier (parent -> change):")
+    for group in walk:
+        print(f"  {group}: {walk[group][0]} / {full[group][0]} -> {walk[group][1]} / {full[group][1]}")
+    total = [sum(counts[side] for counts in walk.values()) for side in (0, 1)]
+    print(f"  all: {total[0]} / {sum(c[0] for c in full.values())} -> {total[1]} / {sum(c[1] for c in full.values())}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", nargs="?")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("--side", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side:
+        json.dump(build_side(), sys.stdout)
+        return 0
+    if not (args.parent_src and args.change_src):
+        parser.error("give PARENT_SRC and CHANGE_SRC")
+    sides = [run_side(src) for src in (args.parent_src, args.change_src)]
+    outputs = [side.communicate()[0] for side in sides]
+    if any(side.returncode for side in sides):
+        print("a side failed to build its specs", file=sys.stderr)
+        return 1
+    return report(*(json.loads(out) for out in outputs))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
