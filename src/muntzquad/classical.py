@@ -45,17 +45,18 @@ def _check_order(order) -> int:
     return order
 
 
-def _orthonormal_eval(x, alpha, sqrt_beta, order):
+def _orthonormal_eval(x, alpha, sqrt_beta, order, derivative=True):
     """Orthonormal-polynomial values/derivatives at ``x`` plus the Christoffel sum.
 
     ``sqrt_beta[0]`` is sqrt of the zeroth moment.  Returns ``(p, dp, s)``
     for the degree-``order`` element, with ``s = sum_{k<order} p_k(x)**2``.
-    All quantities are dd pairs over the node axis.
+    All quantities are dd pairs over the node axis.  Without ``derivative``
+    the derivative recurrence is skipped and ``dp`` is None.
     """
     zero = dd.from_double(np.zeros_like(x[0]))
     p_prev, dp_prev = zero, zero
     p_cur = dd.div(dd.from_double(np.ones_like(x[0])), sqrt_beta[0])
-    dp_cur = zero
+    dp_cur = zero if derivative else None
     chris = dd.mul(p_cur, p_cur)
     for k in range(order):
         shift = dd.add(x, dd.negate(alpha[k]))
@@ -63,12 +64,13 @@ def _orthonormal_eval(x, alpha, sqrt_beta, order):
             dd.add(dd.mul(shift, p_cur), dd.negate(dd.mul(sqrt_beta[k], p_prev))),
             sqrt_beta[k + 1],
         )
-        dp_next = dd.div(
-            dd.add(dd.add(p_cur, dd.mul(shift, dp_cur)), dd.negate(dd.mul(sqrt_beta[k], dp_prev))),
-            sqrt_beta[k + 1],
-        )
-        p_prev, dp_prev = p_cur, dp_cur
-        p_cur, dp_cur = p_next, dp_next
+        if derivative:
+            dp_next = dd.div(
+                dd.add(dd.add(p_cur, dd.mul(shift, dp_cur)), dd.negate(dd.mul(sqrt_beta[k], dp_prev))),
+                sqrt_beta[k + 1],
+            )
+            dp_prev, dp_cur = dp_cur, dp_next
+        p_prev, p_cur = p_cur, p_next
         if k < order - 1:
             chris = dd.add(chris, dd.mul(p_cur, p_cur))
     return p_cur, dp_cur, chris
@@ -93,7 +95,7 @@ def _rule(alpha, beta_coeffs, newton_steps):
     for _ in range(newton_steps):
         p, dp, _ = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
         x = dd.add(x, dd.negate(dd.div(p, dp)))
-    _, _, chris = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
+    _, _, chris = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order, False)
     nodes, weights = dd.to_double(x), 1.0 / dd.to_double(chris)
     nodes.setflags(write=False)
     weights.setflags(write=False)

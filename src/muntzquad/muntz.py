@@ -38,9 +38,10 @@ update multiplies one contiguous block of every point's samples.
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
 closed-form ratio recurrence, written once in ``moment_recurrence`` and run
-in arbitrary precision: ``moments`` rounds it to doubles for the solver and
-the polish residual of ``refine`` runs it at its own working precision, so
-no numerical integration enters the solver anywhere.
+in arbitrary precision on raw ``mpmath.libmp`` kernels: ``moments`` rounds
+it to doubles for the solver and the polish residual of ``refine`` runs it
+at its own working precision, so no numerical integration enters the solver
+anywhere.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
+from mpmath.libmp import mpf_add, mpf_div, mpf_mul
 
 from .classical import gauss_laguerre, gauss_legendre
 from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError, _as_real
@@ -61,7 +63,8 @@ from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError,
 # ``_MAX_SEGMENT_DOUBLINGS`` times) at evaluation points whose tail integrand
 # would otherwise be unresolvable.  The tail beyond the segment decays like
 # ``exp(-y)`` and goes to Gauss-Laguerre.  Every function reads these at call
-# time.
+# time, except the theta grid, which is built from ``_THETA_MIN`` and
+# ``_THETA_MAX`` at import.
 _PANEL_WIDTH = 1.0
 _PANEL_COUNT = 32
 _THETA_MIN = 1e-6
@@ -108,20 +111,32 @@ def ensure_admissible(exponents, beta: float) -> np.ndarray:
     return lam
 
 
-def moment_recurrence(exponents, beta) -> list:
-    """Weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` as mpmath
-    numbers at the caller's working precision.
+def moment_recurrence(exponents, beta: float, prec: int) -> list:
+    """Weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` as raw
+    ``mpmath.libmp`` numbers, each operation rounded to nearest at ``prec`` bits.
 
     Closed-form ratio recurrence: the first moment is ``1/(1+lam_0+beta)``
     and each later one is the previous scaled by ``-lam_{n-1}/(1+lam_n+beta)``.
     A leading exponent equal to zero therefore kills every later moment,
-    which is orthogonality to constants.
+    which is orthogonality to constants.  The raw kernels round exactly as
+    mpmath numbers at the same precision would, without their per-object
+    overhead.
     """
-    beta_q = mp.mpf(beta)
-    out = [1 / (1 + mp.mpf(exponents[0]) + beta_q)]
-    for previous, current in zip(exponents[:-1], exponents[1:]):
-        out.append(out[-1] * -mp.mpf(previous) / (1 + mp.mpf(current) + beta_q))
+    rnd = libmp.round_nearest
+    lam = [libmp.from_float(float(v)) for v in exponents]
+    beta_q = libmp.from_float(float(beta))
+
+    def denominator(v):
+        return mpf_add(mpf_add(v, libmp.fone, prec, rnd), beta_q, prec, rnd)
+
+    out = [mpf_div(libmp.fone, denominator(lam[0]), prec, rnd)]
+    for previous, current in zip(lam[:-1], lam[1:]):
+        scaled = mpf_mul(out[-1], libmp.mpf_neg(previous), prec, rnd)
+        out.append(mpf_div(scaled, denominator(current), prec, rnd))
     return out
+
+
+_MOMENT_PREC = libmp.dps_to_prec(40)
 
 
 def moments(exponents, beta: float) -> np.ndarray:
@@ -132,13 +147,13 @@ def moments(exponents, beta: float) -> np.ndarray:
     solver's smallest weight.
     """
     lam = ensure_admissible(exponents, beta)
-    with mp.workdps(40):
-        return np.array([float(m) for m in moment_recurrence(lam, float(beta))])
+    rnd = libmp.round_nearest
+    return np.array([libmp.to_float(m, rnd=rnd) for m in moment_recurrence(lam, beta, _MOMENT_PREC)])
 
 
 # Theta search: a log-spaced grid over [_THETA_MIN, _THETA_MAX], about 20%
-# between neighbours.
-_THETA_GRID = 97
+# between neighbours, built once.
+_THETA_GRID = np.geomspace(_THETA_MIN, _THETA_MAX, 97)
 
 
 def _theta_search(lam, lam_min, omega) -> ThetaSelection:
@@ -159,16 +174,18 @@ def _theta_search(lam, lam_min, omega) -> ThetaSelection:
     # omega*(lam_min+lam+1) - theta against denominator distances
     # theta + omega*(lam - lam_min), which is |omega*(sigma - lam_v)| for
     # sigma = lam_min - theta/omega
-    num_centers = (omega * (lam_min + lam[:-1] + 1.0))[:, None, :]
-    den_centers = (omega * (lam[:-1] - lam_min))[:, None, :]
+    num_centers = (omega * (lam_min + lam[:-1] + 1.0))[:, :, None]
+    den_centers = (omega * (lam[:-1] - lam_min))[:, :, None]
     last_center = omega * (lam[-1] - lam_min)
     prefactor = np.exp(np.sqrt(omega))
     growth_exponent = -lam_min * omega
 
-    theta = np.geomspace(_THETA_MIN, _THETA_MAX, _THETA_GRID)
+    theta = _THETA_GRID
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # value[i, j]: point i, theta[j]
-        ratios = np.abs((theta[:, None] - num_centers) / (theta[:, None] + den_centers))
-        magnitude = np.prod(ratios, axis=2) / np.abs(theta + last_center)
+        ratios = theta - num_centers  # ratios[i, v, j]: point i, exponent v, theta[j]
+        ratios /= theta + den_centers
+        np.abs(ratios, out=ratios)
+        magnitude = np.prod(ratios, axis=1) / np.abs(theta + last_center)
         value = prefactor * magnitude + np.exp(np.minimum(theta + growth_exponent, 700.0)) / np.sqrt(theta)
     value = np.where(np.isfinite(value), value, np.inf)
     best = np.argmin(value, axis=1)  # 0, so _THETA_MIN, where every value is infinite

@@ -30,42 +30,62 @@ reuses it at every polish iterate, contracting over the nodes first,
 for any multiplicity.  The node sums take one logarithm per node and walk
 the poles in ascending order: each power ``x_k**p`` is the one before times
 ``exp(gap*log(x_k))``, one exponential per node and distinct gap.  Each row
-is one exact dot product (``mp.fdot``), rounded once.  Working precision
-scales with the sequence length, since the expansion's cancellation grows
-with it; the moments ``mu_n`` come from ``muntz.moment_recurrence`` at that
-same precision.  The Newton directions themselves stay in ordinary double
-arithmetic: direction errors only perturb the path, not the limit, so the
-polish solves against one Jacobian throughout, the one of the ``alpha = 1``
-solve.
+is one exact dot product, rounded once: the sum (``mpf_sum``) of exact
+products, as ``mp.fdot`` forms it.  Working precision scales with the
+sequence length, since the expansion's cancellation grows with it; the
+moments ``mu_n`` come from ``muntz.moment_recurrence`` at that same
+precision.  A pole that stays simple keeps a one-coefficient series and
+skips the series loops.
+
+Every operation calls a raw ``mpmath.libmp`` kernel (``mpf_mul``,
+``mpf_add``, ``mpf_div``, ``mpf_exp``, ``mpf_log``, ``mpf_sum``) on number
+tuples, rounded to nearest at the working precision: the results are those
+of mpmath numbers bit for bit, without their per-object overhead.  The
+difference of a row and its moment is rounded to a double as ``float`` of
+an mpmath number does, to nearest.
+
+The Newton directions themselves stay in ordinary double arithmetic:
+direction errors only perturb the path, not the limit, so the polish solves
+against one Jacobian throughout, the one of the ``alpha = 1`` solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
+from mpmath.libmp import from_float, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_sub, mpf_sum
 
 from .muntz import moment_recurrence
 
+# Every arbitrary-precision operation rounds to nearest, as mpmath numbers do.
+_RND = libmp.round_nearest
 
-def _node_sums(poles, orders, nodes, weights, beta_q):
+
+def _node_sums(poles, orders, nodes, weights, beta_q, prec):
     """``T[i][j] = sum_k x_k**(-beta/2) w_k x_k**p_i log(x_k)**j / j!`` for
     the ascending poles ``p_i``, each power chained from the one before."""
-    logs = [mp.log(mp.mpf(float(x))) for x in nodes]
-    terms = [mp.exp((poles[0] - beta_q / 2) * ln_x) * mp.mpf(float(w)) for ln_x, w in zip(logs, weights)]
+    logs = [mpf_log(from_float(float(x)), prec, _RND) for x in nodes]
+    lead = mpf_sub(poles[0], libmp.mpf_shift(beta_q, -1), prec, _RND)
+    terms = [
+        mpf_mul(mpf_exp(mpf_mul(lead, ln_x, prec, _RND), prec, _RND), from_float(float(w)), prec, _RND)
+        for ln_x, w in zip(logs, weights)
+    ]
     steps = {}  # gap -> exp(gap * log x_k) per node
     sums = []
     for i, order in enumerate(orders):
         if i:
-            gap = poles[i] - poles[i - 1]
+            gap = mpf_sub(poles[i], poles[i - 1], prec, _RND)
             if gap not in steps:
-                steps[gap] = [mp.exp(gap * ln_x) for ln_x in logs]
-            terms = [term * step for term, step in zip(terms, steps[gap])]
-        row, powered = [mp.fsum(terms)], terms
+                steps[gap] = [mpf_exp(mpf_mul(gap, ln_x, prec, _RND), prec, _RND) for ln_x in logs]
+            terms = [mpf_mul(term, step, prec, _RND) for term, step in zip(terms, steps[gap])]
+        row, powered = [mpf_sum(terms, prec, _RND)], terms
         for j in range(1, order):
-            powered = [term * ln_x / j for term, ln_x in zip(powered, logs)]
-            row.append(mp.fsum(powered))
+            divisor = libmp.from_int(j)
+            powered = [mpf_div(mpf_mul(term, ln_x, prec, _RND), divisor, prec, _RND)
+                       for term, ln_x in zip(powered, logs)]
+            row.append(mpf_sum(powered, prec, _RND))
         sums.append(row)
     return sums
 
@@ -78,11 +98,12 @@ class PoleExpansion:
     each one's final multiplicity.  ``rows[n]`` lists, per pole index ``i``
     present in prefix ``n``, the pair ``(i, [h_{m-1-j} for j < m])`` for
     the multiplicity ``m`` of that pole in the prefix; ``moments`` holds the
-    exact moments, all at ``digits`` working digits.
+    exact moments.  ``beta`` and every number of the table are raw
+    ``mpmath.libmp`` values at ``prec`` bits.
     """
 
-    digits: int
-    beta: mp.mpf
+    prec: int
+    beta: tuple
     poles: list
     orders: list
     rows: list
@@ -93,44 +114,54 @@ def pole_expansion(exponents, beta: float) -> PoleExpansion:
     """The residual's exponent-only table: working precision, poles with their
     multiplicities, each row's Taylor coefficients and the exact moments."""
     lam = np.asarray(exponents, dtype=float)
-    digits = 30 + int(1.2 * lam.size)
-    with mp.workdps(digits):
-        beta_q = mp.mpf(beta)
-        distinct, at = np.unique(lam, return_inverse=True)
-        poles = [mp.mpf(v) + beta_q / 2 for v in distinct]
-        # the pole index of each exponent, and each pole's final multiplicity
-        at, orders = at.tolist(), np.bincount(at).tolist()
+    prec = libmp.dps_to_prec(30 + int(1.2 * lam.size))
+    beta_q = from_float(float(beta))
+    half_beta = libmp.mpf_shift(beta_q, -1)
+    distinct, at = np.unique(lam, return_inverse=True)
+    poles = [mpf_add(from_float(float(v)), half_beta, prec, _RND) for v in distinct]
+    # the pole index of each exponent, and each pole's final multiplicity
+    at, orders = at.tolist(), np.bincount(at).tolist()
 
-        series = [[mp.mpf(1)] + [mp.mpf(0)] * (m - 1) for m in orders]
-        count = [0] * len(poles)
-        rows = []
-        for n, k in enumerate(at):
-            shift = poles[at[n - 1]] + 1 if n else None  # numerator factor t + shift
-            for i, (p, h) in enumerate(zip(poles, series)):
-                if n:
-                    c = p + shift
-                    for j in range(len(h) - 1, 0, -1):
-                        h[j] = c * h[j] + h[j - 1]
-                    h[0] *= c
-                if i == k:  # denominator factor t - p
+    series = [[libmp.fone] + [libmp.fzero] * (m - 1) for m in orders]
+    count = [0] * len(poles)
+    rows = []
+    for n, k in enumerate(at):
+        shift = mpf_add(poles[at[n - 1]], libmp.fone, prec, _RND) if n else None  # numerator t + shift
+        pole_k = poles[k]
+        for i, (p, h) in enumerate(zip(poles, series)):
+            if len(h) == 1:  # a simple pole: the series is one coefficient
+                h0 = mpf_mul(h[0], mpf_add(p, shift, prec, _RND), prec, _RND) if n else h[0]
+                if i == k:
                     count[i] += 1
                 else:
-                    d = p - poles[k]
-                    h[0] /= d
-                    for j in range(1, len(h)):
-                        h[j] = (h[j] - h[j - 1]) / d
-            rows.append([(i, h[count[i] - 1 :: -1]) for i, h in enumerate(series) if count[i]])
-        moments = moment_recurrence(lam, beta_q)
-    return PoleExpansion(digits, beta_q, poles, orders, rows, moments)
+                    h0 = mpf_div(h0, mpf_sub(p, pole_k, prec, _RND), prec, _RND)
+                h[0] = h0
+                continue
+            if n:
+                c = mpf_add(p, shift, prec, _RND)
+                for j in range(len(h) - 1, 0, -1):
+                    h[j] = mpf_add(mpf_mul(c, h[j], prec, _RND), h[j - 1], prec, _RND)
+                h[0] = mpf_mul(h[0], c, prec, _RND)
+            if i == k:  # denominator factor t - p
+                count[i] += 1
+            else:
+                d = mpf_sub(p, pole_k, prec, _RND)
+                h[0] = mpf_div(h[0], d, prec, _RND)
+                for j in range(1, len(h)):
+                    h[j] = mpf_div(mpf_sub(h[j], h[j - 1], prec, _RND), d, prec, _RND)
+        rows.append([(i, h[count[i] - 1 :: -1]) for i, h in enumerate(series) if count[i]])
+    moments = moment_recurrence(lam, beta, prec)
+    return PoleExpansion(prec, beta_q, poles, orders, rows, moments)
 
 
 def exact_residual(nodes, weights, expansion: PoleExpansion) -> np.ndarray:
     """Moment-matching residual at a rule, from the table of ``pole_expansion``
     for its exponents; computed in arbitrary precision and rounded."""
-    with mp.workdps(expansion.digits):
-        sums = _node_sums(expansion.poles, expansion.orders, nodes, weights, expansion.beta)
-        residual = np.empty(len(expansion.rows))
-        for n, (row, moment) in enumerate(zip(expansion.rows, expansion.moments)):
-            q = mp.fdot((h[j], sums[i][j]) for i, h in row for j in range(len(h)))
-            residual[n] = float(q - moment)
+    prec = expansion.prec
+    sums = _node_sums(expansion.poles, expansion.orders, nodes, weights, expansion.beta, prec)
+    residual = np.empty(len(expansion.rows))
+    for n, (row, moment) in enumerate(zip(expansion.rows, expansion.moments)):
+        # exact products, one rounding for the whole row, as ``mp.fdot``
+        q = mpf_sum([mpf_mul(h[j], sums[i][j]) for i, h in row for j in range(len(h))], prec, _RND)
+        residual[n] = libmp.to_float(mpf_sub(q, moment, prec, _RND), rnd=_RND)
     return residual

@@ -312,8 +312,10 @@ _SHRINK = 0.5
 _GROWTH = 2.0
 _CONTRACTION_TARGET = 0.25
 
-# The polish takes at most this many exact-residual Newton steps.
+# The polish takes at most this many exact-residual Newton steps, and stops
+# at a correction of one ulp: that step moves the rule by rounding only.
 _POLISH_ITERATIONS = 4
+_POLISH_FLOOR = float(np.finfo(float).eps)
 
 
 def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = False) -> NewtonResult:
@@ -462,6 +464,15 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     path = [(alpha, x, w)]  # the last three accepted (alpha, nodes, weights), oldest first
 
     while alpha < 1.0:
+        # checked after every step change: an accepted solve can shrink the
+        # step too, down to where alpha + step rounds to alpha
+        if step < _STEP_MIN:
+            raise ContinuationFailedError(
+                f"step size fell below {_STEP_MIN} at alpha = {alpha}",
+                alpha=alpha,
+                nodes=x,
+                weights=w * x**c,
+            )
         alpha_next = min(alpha + step, 1.0)
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
         m_alpha = moments(lam_alpha, walk_spec.beta)
@@ -472,13 +483,6 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
             rejected_steps += 1
             rejected = True
             step *= _SHRINK
-            if step < _STEP_MIN:
-                raise ContinuationFailedError(
-                    f"step size fell below {_STEP_MIN} at alpha = {alpha}",
-                    alpha=alpha,
-                    nodes=x,
-                    weights=w * x**c,
-                )
             continue
         x, w = result.nodes, result.weights
         alpha = alpha_next
@@ -529,7 +533,10 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
     true rule rounded to doubles.  Steps continue while each correction is
     under a quarter of the one before; the result is the last iterate that
     passed, with its exact residual; at most ``_POLISH_ITERATIONS`` steps
-    are taken.
+    are taken.  A correction of at most one ulp (``_POLISH_FLOOR``) also
+    ends the polish at once, without taking it: such a step moves the rule
+    by rounding only, and another exact residual would only show that the
+    corrections stopped contracting.
     """
     beta = spec.beta
     expansion = refine.pole_expansion(spec.exponents, beta)
@@ -547,6 +554,8 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
         if not correction < 0.25 * previous:
             break  # corrections stopped contracting; the floor is reached
         best = (x, w, float(np.abs(residual).max()))
+        if correction <= _POLISH_FLOOR:
+            break  # the step would move the rule by rounding only
         previous = correction
         scale = x ** (0.5 * beta) / w
         x_trial = x + x * scale * p_scaled[:n]

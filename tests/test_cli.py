@@ -22,7 +22,7 @@ from muntzquad import cli
 from muntzquad.errors import DomainError, InadmissibleSequenceError, NewtonDivergedError
 from muntzquad.solver import RuleSpec, compute_rule
 from quad_oracle import adaptive_integrate
-from test_solver import UNDERFLOW_SPECS
+from test_solver import UNDERFLOW_SPECS, UNREACHABLE_SPECS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -277,6 +277,15 @@ class TestCommands:
         lam_file.write_text("\n".join(repr(float(v)) for v in lam) + "\n")
         assert main([command, "--lambda-file", str(lam_file), "--beta", repr(beta)]) == 1
         assert "rule construction failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam, beta", UNREACHABLE_SPECS)
+    def test_unreachable_exponent_exits_1(self, lam, beta, tmp_path, capsys):
+        lam_file = tmp_path / "lambda.txt"
+        lam_file.write_text("\n".join(repr(float(v)) for v in lam) + "\n")
+        assert main(["rule", "--lambda-file", str(lam_file), "--beta", repr(beta)]) == 1
+        err = capsys.readouterr().err
+        assert "rule construction failed" in err
+        assert "Traceback" not in err
 
     def test_convergence_table(self, capsys):
         code = main(["convergence", "--family", "case2", "--integrand", "psi",

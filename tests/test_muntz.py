@@ -436,7 +436,7 @@ class TestMoments:
         # doubles are the 60-digit recurrence rounded once
         lam, beta = np.sort(sequence_family("example1", 20)), -0.25
         with mp.workdps(60):
-            exact = [float(m) for m in moment_recurrence(lam, beta)]
+            exact = [float(mp.mpf(m)) for m in moment_recurrence(lam, beta, mp.mp.prec)]
         assert np.array_equal(moments(lam, beta), exact)
 
 

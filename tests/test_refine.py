@@ -13,6 +13,7 @@ import pytest
 
 from muntzquad.classical import gauss_jacobi
 from muntzquad.cli import sequence_family
+from muntzquad.muntz import moment_recurrence
 from muntzquad.refine import exact_residual, pole_expansion
 
 
@@ -174,3 +175,17 @@ def test_never_returns_none(lam, beta):
 def test_vanishes_at_an_exact_rule():
     # one node, {x^0, x^1}: the midpoint rule is exact
     assert np.array_equal(exact_residual([0.5], [1.0], pole_expansion([0.0, 1.0], 0.0)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("lam, beta", [
+    pytest.param(np.sort(sequence_family("example1", 20)), -0.25, id="example1-n20"),
+    pytest.param(sequence_family("case3", 10), 0.0, id="case3-n10"),
+    pytest.param(np.arange(8.0), 0.5, id="leading-zero-exponent"),  # every later moment is 0
+] + list(_random_ladders(count=6, seed=5)))
+def test_raw_moment_recurrence_matches_mpmath_numbers(lam, beta):
+    # at the 40 digits of ``moments`` and at the polish's working digits
+    for digits in (40, 30 + int(1.2 * lam.size)):
+        with mp.workdps(digits):
+            want = _moments_mp(lam, mp.mpf(beta))
+        got = moment_recurrence(lam, beta, mp.libmp.dps_to_prec(digits))
+        assert got == [m._mpf_ for m in want]

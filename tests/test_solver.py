@@ -38,6 +38,14 @@ UNDERFLOW_SPECS = [
     pytest.param(np.array([-20.9999, -20.9, -20.8, -20.7, -20.6, -20.5]), 20.0, id="beta20"),
 ]
 
+# one exponent far beyond the rest: the walk's step falls below its floor
+# (at [0, 1e5] after an accepted solve, where alpha + step rounds to alpha)
+UNREACHABLE_SPECS = [
+    pytest.param(np.array([0.0, 1e5]), 0.0, id="0-1e5"),
+    pytest.param(np.array([0.0, 1e6]), 0.0, id="0-1e6"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e5]), 0.0, id="0-1-2-1e5"),
+]
+
 
 def example1(n_nodes):
     lam = np.empty(2 * n_nodes)
@@ -340,6 +348,16 @@ class TestComputeRule:
         assert rule.spec is spec
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
 
+    @pytest.mark.parametrize("lam, beta", UNREACHABLE_SPECS)
+    def test_unreachable_exponent_raises_a_typed_error(self, lam, beta):
+        with pytest.raises(ContinuationFailedError, match="step size fell below"):
+            compute_rule(RuleSpec(lam, beta))
+
+    @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4]], ids=["0-1e4", "0-1-2-1e4"])
+    def test_large_exponent_within_reach_builds(self, lam):
+        rule = compute_rule(RuleSpec(np.array(lam), 0.0))
+        assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
+
     @pytest.mark.parametrize("lam, beta", UNDERFLOW_SPECS)
     def test_weight_underflow_raises_a_typed_error(self, lam, beta):
         # admissible, and the shifted walk solves it, but w * x**c rounds the
@@ -533,6 +551,21 @@ class TestPolishWork:
         *_, iterations = _polish(*args)
         assert iterations >= 1
         assert counts == {"expansion": 1, "assemble": 0}
+
+    def test_polish_stops_at_the_rounding_floor(self, monkeypatch):
+        # the correction after the first step of example1 n=20 is below one
+        # ulp, so the polish ends there without another exact residual
+        captured = []
+        monkeypatch.setattr(solver, "_polish", lambda *args: captured.append(args) or _polish(*args))
+        compute_rule(RuleSpec(example1(20), -0.25))
+        (args,) = captured
+
+        calls = []
+        exact_residual = solver.refine.exact_residual
+        monkeypatch.setattr(solver.refine, "exact_residual",
+                            lambda *a: calls.append(a) or exact_residual(*a))
+        _polish(*args)
+        assert 1 <= len(calls) <= 2
 
 
 class TestTransformToUnitWeight:

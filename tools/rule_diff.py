@@ -17,8 +17,9 @@ each side in its own process with one BLAS thread:
 
 The report lists outcome changes, the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
-and weight change, the worst ``validation_rows`` error per side, and the
-``assemble`` calls per group on the walk and the full evaluator tier.  The
+and weight change, the worst ``validation_rows`` error per side, and per
+group the ``assemble`` calls on the walk and the full evaluator tier and
+the polish's ``refine.exact_residual`` calls.  The
 specs come from this checkout's ``bench/`` and ``tests/``, which are only
 read; a side whose spec list differs from the other's stops the run.
 """
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by tier, polish residual
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25))
 
@@ -67,21 +69,25 @@ def traffic_specs():
 
 def build_side() -> list:
     """Builds every spec with the package on ``sys.path``; one record per spec."""
-    from muntzquad import MuntzQuadError, RuleSpec, compute_rule, solver
+    from muntzquad import MuntzQuadError, RuleSpec, compute_rule, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
 
-    tiers = {"walk": 0, "full": 0}
-    assemble = solver.assemble
+    counts = dict.fromkeys(COUNTS, 0)
+    assemble, exact_residual = solver.assemble, refine.exact_residual
 
-    def counting(*args, **kwargs):
+    def counting_assemble(*args, **kwargs):
         walk = args[5] if len(args) > 5 else kwargs.get("walk", False)
-        tiers["walk" if walk else "full"] += 1
+        counts["walk" if walk else "full"] += 1
         return assemble(*args, **kwargs)
 
-    solver.assemble = counting
+    def counting_residual(*args, **kwargs):
+        counts["exact_residual"] += 1
+        return exact_residual(*args, **kwargs)
+
+    solver.assemble, refine.exact_residual = counting_assemble, counting_residual
     records = []
     for group, label, lam, beta in traffic_specs():
-        tiers.update(walk=0, full=0)
+        counts.update(dict.fromkeys(COUNTS, 0))
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
             rule = compute_rule(RuleSpec(np.array(lam), beta))
@@ -91,7 +97,7 @@ def build_side() -> list:
             record.update(outcome="ok", nodes=rule.nodes.tolist(), weights=rule.weights.tolist(),
                           diagnostics=vars(rule.diagnostics),
                           validation=max(err for _, err in validation_rows(rule_to_file(rule))))
-        record.update(tiers)
+        record.update(counts)
         records.append(record)
     return records
 
@@ -113,13 +119,13 @@ def report(parent: list, change: list) -> int:
         print("the two sides built different spec lists")
         return 1
     outcomes, moved, identical = [], [], 0
-    walk, full = defaultdict(lambda: [0, 0]), defaultdict(lambda: [0, 0])
+    totals = defaultdict(lambda: {key: [0, 0] for key in COUNTS})  # group -> key -> per side
     worst = [0.0, 0.0]
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
-            walk[record["group"]][side] += record["walk"]
-            full[record["group"]][side] += record["full"]
+            for key in COUNTS:
+                totals[record["group"]][key][side] += record[key]
             if record["outcome"] == "ok":
                 worst[side] = max(worst[side], record["validation"])
         if before["outcome"] != after["outcome"]:
@@ -140,11 +146,12 @@ def report(parent: list, change: list) -> int:
     for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
         print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
     print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
-    print("assemble calls per group, walk / full tier (parent -> change):")
-    for group in walk:
-        print(f"  {group}: {walk[group][0]} / {full[group][0]} -> {walk[group][1]} / {full[group][1]}")
-    total = [sum(counts[side] for counts in walk.values()) for side in (0, 1)]
-    print(f"  all: {total[0]} / {sum(c[0] for c in full.values())} -> {total[1]} / {sum(c[1] for c in full.values())}")
+    print("calls per group, walk assemble / full assemble / exact residual (parent -> change):")
+    totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
+                     for key in COUNTS}
+    for group, counts in totals.items():
+        print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in COUNTS)
+                                           for side in (0, 1)))
     return 0
 
 
