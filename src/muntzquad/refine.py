@@ -34,8 +34,7 @@ is one exact dot product, rounded once: the sum (``mpf_sum``) of exact
 products, as ``mp.fdot`` forms it.  Working precision scales with the
 sequence length, since the expansion's cancellation grows with it; the
 moments ``mu_n`` come from ``muntz.moment_recurrence`` at that same
-precision.  A pole that stays simple keeps a one-coefficient series and
-skips the series loops.
+precision.
 
 Every operation calls a raw ``mpmath.libmp`` kernel (``mpf_mul``,
 ``mpf_add``, ``mpf_div``, ``mpf_exp``, ``mpf_log``, ``mpf_sum``) on number
@@ -129,14 +128,6 @@ def pole_expansion(exponents, beta: float) -> PoleExpansion:
         shift = mpf_add(poles[at[n - 1]], libmp.fone, prec, _RND) if n else None  # numerator t + shift
         pole_k = poles[k]
         for i, (p, h) in enumerate(zip(poles, series)):
-            if len(h) == 1:  # a simple pole: the series is one coefficient
-                h0 = mpf_mul(h[0], mpf_add(p, shift, prec, _RND), prec, _RND) if n else h[0]
-                if i == k:
-                    count[i] += 1
-                else:
-                    h0 = mpf_div(h0, mpf_sub(p, pole_k, prec, _RND), prec, _RND)
-                h[0] = h0
-                continue
             if n:
                 c = mpf_add(p, shift, prec, _RND)
                 for j in range(len(h) - 1, 0, -1):

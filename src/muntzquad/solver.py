@@ -10,7 +10,9 @@ in a rescaled variable: the Jacobian columns are premultiplied by powers of
 ``x`` and ``w`` so that nothing blows up when nodes crowd the origin, which
 is the whole point of these rules.  Every Newton step is taken in full
 unless a feasibility safeguard halves it: one that would push a node out of
-(0, 1), cross two nodes, or kill a weight.
+(0, 1), cross two nodes, or kill a weight.  A solve either returns an iterate
+whose residual meets its target or raises ``NewtonDivergedError``; nothing
+short of the target is accepted.
 
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
@@ -90,8 +92,9 @@ class RuleSpec:
 class RuleDiagnostics:
     """What the build of one rule cost.
 
-    ``residual`` is the final moment residual of the shifted problem the
-    walk solves (see ``compute_rule``), not of the caller's weight.
+    ``residual`` is the exact moment residual (``refine.exact_residual``) at
+    the returned rule, in the shifted problem the walk solves (see
+    ``compute_rule``), not in the caller's weight.
     ``continuation_steps`` counts accepted homotopy steps and
     ``rejected_steps`` the walk solves that diverged and were retried with
     a shorter step.  ``newton_iterations`` counts the iterations of the
@@ -135,7 +138,7 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """A converged Newton solve.
+    """A converged Newton solve: ``residual`` meets the solve's target.
 
     ``residual_history`` holds the residual at the start and after every
     iteration.  ``contraction`` is the ratio of the second Newton
@@ -290,13 +293,11 @@ _WALK_TOLERANCE = 1e-5
 _MAX_ITERATIONS = 50
 _MAX_STEP_HALVINGS = 30
 
-# When the residual has not fallen below 0.9 times the best one for this many
-# iterations in a row, the best iterate is accepted if it sits within
-# ``_STALL_FACTOR`` of the target; otherwise the solve is declared divergent.
-# The evaluator's noise floor rises when continuation paths carry
-# near-coincident exponents, so the stall window is generous.
+# A solve whose residual has not fallen below 0.9 times the best one for this
+# many iterations in a row has stalled above its target and is declared
+# divergent, however close it got: the walk retries with a shorter step, and
+# at alpha = 1 only a residual at the target is a rule.
 _STALL_ITERATIONS = 3
-_STALL_FACTOR = 50.0
 
 # A Newton solve is dropped once a correction is this many times the one
 # before.  Not 1: converging solves have grown a correction by up to 1.35x.
@@ -331,11 +332,14 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
 
     and applied in full.  Any step that would leave the feasible region is
     halved up to ``_MAX_STEP_HALVINGS`` times before the iteration is
-    declared divergent.  Raises ``NewtonDivergedError`` when the iteration
-    budget or the safeguard is exhausted, when the residual stalls short of
-    ``_STALL_FACTOR`` times the target, and as soon as a correction
-    (``_correction_size``) is at least ``_DIVERGENCE_RATIO`` times the one
-    before: a converging iteration shrinks its corrections.
+    declared divergent.  The result is always an iterate whose residual
+    meets the target, the start itself (zero iterations) included.  Any
+    other end raises ``NewtonDivergedError``: the iteration budget or the
+    safeguard is exhausted, the Jacobian is singular, the residual turns
+    non-finite or stalls above the target for ``_STALL_ITERATIONS``
+    iterations, or a correction (``_correction_size``) is at least
+    ``_DIVERGENCE_RATIO`` times the one before: a converging iteration
+    shrinks its corrections.
     """
     x = np.array(nodes, dtype=float, copy=True)
     w = np.array(weights, dtype=float, copy=True)
@@ -345,30 +349,46 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
-    if res_norm <= target:
-        return NewtonResult(x, w, 0, res_norm, tuple(history), 0.0, jacobian)
-
-    best = (x.copy(), w.copy(), res_norm, jacobian)
-    stalled = 0
     beta = float(beta)
+    iterations = 0
+    best = math.inf
+    stalled = 0
     correction = None
     contraction = 0.0
-    for iteration in range(1, _MAX_ITERATIONS + 1):
+    while not res_norm <= target:  # a NaN residual has not converged either
+        if res_norm < 0.9 * best:
+            best = res_norm
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= _STALL_ITERATIONS:
+                raise NewtonDivergedError(
+                    f"stalled at residual {best:.3e} (target {target:.3e})",
+                    iterations=iterations,
+                    residual=best,
+                )
+        if iterations == _MAX_ITERATIONS:
+            raise NewtonDivergedError(
+                f"no convergence in {_MAX_ITERATIONS} iterations (residual {res_norm:.3e})",
+                iterations=_MAX_ITERATIONS,
+                residual=res_norm,
+            )
+        iterations += 1
         try:
             p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError as exc:
             raise NewtonDivergedError(
-                f"Jacobian became singular: {exc}", iterations=iteration, residual=res_norm
+                f"Jacobian became singular: {exc}", iterations=iterations, residual=res_norm
             ) from exc
         size = _correction_size(x, w, beta, p_scaled)
         if correction is not None:
             if size >= _DIVERGENCE_RATIO * correction:
                 raise NewtonDivergedError(
                     f"correction grew from {correction:.3e} to {size:.3e}",
-                    iterations=iteration,
+                    iterations=iterations,
                     residual=res_norm,
                 )
-            if iteration == 2:
+            if iterations == 2:
                 contraction = size / correction
         correction = size
         dx = x ** (0.5 * beta + 1.0) / w * p_scaled[:n]
@@ -384,7 +404,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
             halvings += 1
             if halvings > _MAX_STEP_HALVINGS:
                 raise NewtonDivergedError(
-                    "feasibility safeguard exhausted", iterations=iteration, residual=res_norm
+                    "feasibility safeguard exhausted", iterations=iterations, residual=res_norm
                 )
             step_scale *= 0.5
 
@@ -392,30 +412,9 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
         residual, jacobian = assemble(x, w, exponents, beta, m, walk)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
-            raise NewtonDivergedError("residual became non-finite", iterations=iteration, residual=res_norm)
+            raise NewtonDivergedError("residual became non-finite", iterations=iterations, residual=res_norm)
         history.append(res_norm)
-        if res_norm <= target:
-            return NewtonResult(x, w, iteration, res_norm, tuple(history), contraction, jacobian)
-
-        if res_norm < 0.9 * best[2]:
-            best = (x.copy(), w.copy(), res_norm, jacobian)
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _STALL_ITERATIONS:
-                if best[2] <= _STALL_FACTOR * target:
-                    return NewtonResult(*best[:2], iteration, best[2], tuple(history), contraction, best[3])
-                raise NewtonDivergedError(
-                    f"stalled at residual {best[2]:.3e} (target {target:.3e})",
-                    iterations=iteration,
-                    residual=best[2],
-                )
-
-    raise NewtonDivergedError(
-        f"no convergence in {_MAX_ITERATIONS} iterations (residual {res_norm:.3e})",
-        iterations=_MAX_ITERATIONS,
-        residual=res_norm,
-    )
+    return NewtonResult(x, w, iterations, res_norm, tuple(history), contraction, jacobian)
 
 
 def compute_rule(spec: RuleSpec) -> QuadratureRule:
@@ -460,7 +459,6 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     rejected_steps = 0
     rejected = False  # the last solve diverged
     total_iterations = 0
-    res_norm = 0.0
     path = [(alpha, x, w)]  # the last three accepted (alpha, nodes, weights), oldest first
 
     while alpha < 1.0:
@@ -489,7 +487,6 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         path = (path + [(alpha, x, w)])[-3:]
         steps_taken += 1
         total_iterations += result.iterations
-        res_norm = result.residual
         # the first contraction ratio follows the predictor's miss: O(step**2)
         # for the secant of the second step, O(step**3) once three path points
         # exist; a cube-root rule for the latter saved no assemble calls, so
@@ -498,7 +495,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
-    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, result.jacobian, res_norm)
+    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, result.jacobian)
 
     return QuadratureRule(
         nodes=x,
@@ -513,7 +510,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     )
 
 
-def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
+def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     """Squeeze out the numerical noise floor at the solved rule.
 
     The residual at a near-converged rule lives in a near-null Jacobian
@@ -532,20 +529,23 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
     direction an iterate 1e-11 off can show a smaller residual than the
     true rule rounded to doubles.  Steps continue while each correction is
     under a quarter of the one before; the result is the last iterate that
-    passed, with its exact residual; at most ``_POLISH_ITERATIONS`` steps
-    are taken.  A correction of at most one ulp (``_POLISH_FLOOR``) also
-    ends the polish at once, without taking it: such a step moves the rule
-    by rounding only, and another exact residual would only show that the
-    corrections stopped contracting.
+    passed, or ``(x, w)`` itself if none did, with its exact residual; at
+    most ``_POLISH_ITERATIONS`` steps are taken.  A correction of at most
+    one ulp (``_POLISH_FLOOR``) also ends the polish at once, without taking
+    it: such a step moves the rule by rounding only, and another exact
+    residual would only show that the corrections stopped contracting.
     """
     beta = spec.beta
     expansion = refine.pole_expansion(spec.exponents, beta)
     n = x.size
-    best = (x, w, res_norm)
+    best = None
     previous = math.inf
     iterations = 0
     for _ in range(_POLISH_ITERATIONS):
         residual = refine.exact_residual(x, w, expansion)
+        res_norm = float(np.abs(residual).max())
+        if best is None:
+            best = (x, w, res_norm)
         try:
             p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError:
@@ -553,7 +553,7 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray, res_norm: float):
         correction = _correction_size(x, w, beta, p_scaled)
         if not correction < 0.25 * previous:
             break  # corrections stopped contracting; the floor is reached
-        best = (x, w, float(np.abs(residual).max()))
+        best = (x, w, res_norm)
         if correction <= _POLISH_FLOOR:
             break  # the step would move the rule by rounding only
         previous = correction

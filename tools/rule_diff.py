@@ -19,9 +19,12 @@ The report lists outcome changes, the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error per side, and per
 group the ``assemble`` calls on the walk and the full evaluator tier and
-the polish's ``refine.exact_residual`` calls.  The
-specs come from this checkout's ``bench/`` and ``tests/``, which are only
-read; a side whose spec list differs from the other's stops the run.
+the polish's ``refine.exact_residual`` calls, and per tier how the
+``newton_solve`` calls ended: converged, converged at zero iterations, or
+diverged, by the reason its ``NewtonDivergedError`` gives ("no
+convergence" is the iteration cap).  The specs come from this checkout's
+``bench/`` and ``tests/``, which are only read; a side whose spec list
+differs from the other's stops the run.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by tier, polish residual
+TIERS = ("walk", "full")
+# why a Newton solve diverged: a phrase of its error message
+REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
+OUTCOMES = ("converged", "zero-iteration", *REASONS)
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25))
 
@@ -69,25 +76,41 @@ def traffic_specs():
 
 def build_side() -> list:
     """Builds every spec with the package on ``sys.path``; one record per spec."""
-    from muntzquad import MuntzQuadError, RuleSpec, compute_rule, refine, solver
+    from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
 
     counts = dict.fromkeys(COUNTS, 0)
-    assemble, exact_residual = solver.assemble, refine.exact_residual
+    newton = {}  # tier -> outcome -> solves
+    assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
+
+    def tier(args, kwargs):
+        """The evaluator tier of an ``assemble`` or ``newton_solve`` call."""
+        return "walk" if (args[5] if len(args) > 5 else kwargs.get("walk", False)) else "full"
 
     def counting_assemble(*args, **kwargs):
-        walk = args[5] if len(args) > 5 else kwargs.get("walk", False)
-        counts["walk" if walk else "full"] += 1
+        counts[tier(args, kwargs)] += 1
         return assemble(*args, **kwargs)
 
     def counting_residual(*args, **kwargs):
         counts["exact_residual"] += 1
         return exact_residual(*args, **kwargs)
 
+    def counting_solve(*args, **kwargs):
+        outcomes = newton[tier(args, kwargs)]
+        try:
+            result = newton_solve(*args, **kwargs)
+        except NewtonDivergedError as exc:
+            outcomes[next(reason for reason in REASONS if reason in str(exc))] += 1
+            raise
+        outcomes["converged" if result.iterations else "zero-iteration"] += 1
+        return result
+
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
+    solver.newton_solve = counting_solve
     records = []
     for group, label, lam, beta in traffic_specs():
         counts.update(dict.fromkeys(COUNTS, 0))
+        newton.update({t: dict.fromkeys(OUTCOMES, 0) for t in TIERS})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
             rule = compute_rule(RuleSpec(np.array(lam), beta))
@@ -97,7 +120,7 @@ def build_side() -> list:
             record.update(outcome="ok", nodes=rule.nodes.tolist(), weights=rule.weights.tolist(),
                           diagnostics=vars(rule.diagnostics),
                           validation=max(err for _, err in validation_rows(rule_to_file(rule))))
-        record.update(counts)
+        record.update(counts, newton={t: dict(newton[t]) for t in TIERS})
         records.append(record)
     return records
 
@@ -120,12 +143,16 @@ def report(parent: list, change: list) -> int:
         return 1
     outcomes, moved, identical = [], [], 0
     totals = defaultdict(lambda: {key: [0, 0] for key in COUNTS})  # group -> key -> per side
+    solves = {t: {outcome: [0, 0] for outcome in OUTCOMES} for t in TIERS}  # tier -> outcome -> per side
     worst = [0.0, 0.0]
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
             for key in COUNTS:
                 totals[record["group"]][key][side] += record[key]
+            for t in TIERS:
+                for outcome in OUTCOMES:
+                    solves[t][outcome][side] += record["newton"][t][outcome]
             if record["outcome"] == "ok":
                 worst[side] = max(worst[side], record["validation"])
         if before["outcome"] != after["outcome"]:
@@ -152,6 +179,9 @@ def report(parent: list, change: list) -> int:
     for group, counts in totals.items():
         print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in COUNTS)
                                            for side in (0, 1)))
+    print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change):")
+    for t, outcomes in solves.items():
+        print(f"  {t}: " + " -> ".join(" / ".join(str(outcomes[o][side]) for o in OUTCOMES) for side in (0, 1)))
     return 0
 
 
