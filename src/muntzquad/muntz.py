@@ -27,7 +27,15 @@ the sampled tail is either bump-free or negligibly small.  The doubling
 starts one level below the shortest segment that reaches ``H``: below that,
 the poles raise a bump in the tail integrand, and a point passes there only
 when the bump is damped below the negligible level, where a longer segment
-serves as well.
+serves as well.  The test runs in rounds, each one sweep of every pending
+point at its own level.
+
+A Newton solve evaluates the basis at nodes that barely move between its
+iterates, so it can carry a ``ContourPlan``: each point's theta grid index
+and segment level from the previous evaluation.  The theta search then
+descends from the earlier index instead of scanning the whole grid, and the
+tail test starts no lower than the earlier level.  Without a plan every
+evaluation starts from scratch.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -87,6 +95,22 @@ class ThetaSelection:
     theta: np.ndarray
     objective: np.ndarray
     converged: bool
+    index: np.ndarray  # each theta's position on the search grid
+
+
+@dataclass
+class ContourPlan:
+    """The contour choices of one Newton solve's previous evaluation.
+
+    ``theta_index`` holds each point's position on the theta grid and
+    ``levels`` its segment-doubling level, one entry per point off ``x = 1``;
+    both are None until the first evaluation.  ``_basis_batch`` starts its
+    theta search and its tail test from them and overwrites them, so a plan
+    serves one sequence of evaluations at a fixed number of points.
+    """
+
+    theta_index: np.ndarray | None = None
+    levels: np.ndarray | None = None
 
 
 def _as_exponents(exponents) -> np.ndarray:
@@ -156,15 +180,21 @@ def moments(exponents, beta: float) -> np.ndarray:
 _THETA_GRID = np.geomspace(_THETA_MIN, _THETA_MAX, 97)
 
 
-def _theta_search(lam, lam_min, omega) -> ThetaSelection:
+def _theta_search(lam, lam_min, omega, start=None) -> ThetaSelection:
     """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
 
     Minimizes the sum of a near-origin magnitude estimate of the sampled
     integrand (which blows up as theta shrinks) and the amplification
     ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
     blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning, so every theta is the best point
-    of the log-spaced grid, with no refinement between grid points.  Every
+    the minimizer only tunes conditioning, so every theta is a point of the
+    log-spaced grid, with no refinement between grid points.
+
+    Without ``start`` every point takes the grid's best point.  ``start``
+    holds one grid index per point: a point then moves from it to a
+    neighbouring grid point only while that neighbour's objective is
+    strictly smaller, and stops at the first local minimum; a point whose
+    objective at ``start`` is not finite searches the whole grid.  Every
     operation is elementwise per point: a point's theta does not depend on
     the other points in the batch.  ``converged`` is False when the
     objective was infinite at every grid point of some point.
@@ -180,17 +210,48 @@ def _theta_search(lam, lam_min, omega) -> ThetaSelection:
     prefactor = np.exp(np.sqrt(omega))
     growth_exponent = -lam_min * omega
 
-    theta = _THETA_GRID
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # value[i, j]: point i, theta[j]
-        ratios = theta - num_centers  # ratios[i, v, j]: point i, exponent v, theta[j]
-        ratios /= theta + den_centers
-        np.abs(ratios, out=ratios)
-        magnitude = np.prod(ratios, axis=1) / np.abs(theta + last_center)
-        value = prefactor * magnitude + np.exp(np.minimum(theta + growth_exponent, 700.0)) / np.sqrt(theta)
-    value = np.where(np.isfinite(value), value, np.inf)
-    best = np.argmin(value, axis=1)  # 0, so _THETA_MIN, where every value is infinite
-    best_value = value[np.arange(best.size), best]
-    return ThetaSelection(theta=theta[best], objective=best_value, converged=bool(np.all(np.isfinite(best_value))))
+    def objective(rows, theta):
+        """``value[r, j]``: the objective of point ``rows[r]`` at ``theta[r, j]``
+        (a single row of ``theta`` serves every point)."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = theta[:, None, :] - num_centers[rows]  # ratios[r, v, j]: point r, exponent v, theta j
+            ratios /= theta[:, None, :] + den_centers[rows]
+            np.abs(ratios, out=ratios)
+            magnitude = np.prod(ratios, axis=1) / np.abs(theta + last_center[rows])
+            value = prefactor[rows] * magnitude + np.exp(np.minimum(theta + growth_exponent[rows], 700.0)) / np.sqrt(theta)
+        return np.where(np.isfinite(value), value, np.inf)
+
+    grid = _THETA_GRID
+    n_points = omega.shape[0]
+    index, value = np.zeros(n_points, dtype=int), np.empty(n_points)
+    searched = np.arange(n_points)  # the points that search the whole grid
+    if start is not None:
+        index[:] = start
+
+        def neighbourhood(rows):
+            """The grid index of every point in ``rows``, then its two
+            neighbours, with their objective.  A grid end stands in for its
+            missing neighbour, so it ties with itself and is kept."""
+            around = index[rows, None] + np.array([0, -1, 1])
+            return around, objective(rows, grid.take(around, mode="clip"))
+
+        around, near = neighbourhood(searched)
+        finite = np.isfinite(near[:, 0])  # a start without a finite objective searches the grid
+        moving, around, near = searched[finite], around[finite], near[finite]
+        searched = searched[~finite]
+        while moving.size:
+            pick = np.argmin(near, axis=1)  # stay on a tie; the lower neighbour, as the grid's argmin
+            chosen = np.arange(moving.size), pick
+            index[moving], value[moving] = around[chosen], near[chosen]
+            moving = moving[pick != 0]
+            if moving.size:
+                around, near = neighbourhood(moving)
+    if searched.size:
+        values = objective(searched, grid[None, :])
+        best = np.argmin(values, axis=1)  # 0, so _THETA_MIN, where every value is infinite
+        index[searched] = best
+        value[searched] = values[np.arange(best.size), best]
+    return ThetaSelection(theta=grid[index], objective=value, converged=bool(np.all(np.isfinite(value))), index=index)
 
 
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
@@ -243,8 +304,10 @@ def _first_panel_width(theta_group: np.ndarray) -> float:
 def _kernel_sweep(u, v, num_off, den_off, first):
     """Kernel products of every basis prefix at the contour samples ``u + iv``.
 
-    Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``v = 0``;
-    tail: ``u`` the segment end).  Entry ``[n, i, k]`` is the product of the
+    Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``u`` the
+    abscissas, ``v = 0``; tail: ``v`` the Laguerre ordinates and ``u`` the
+    segment end, a scalar or one per point as a ``(points, 1)`` column).
+    Entry ``[n, i, k]`` is the product of the
     rational factors of prefix ``n`` for point ``i`` at sample ``k``, times
     ``first`` (the oscillatory phase on the panels, 1 on the tail).  Factors
     after the first are built in real arithmetic, divided through by ``u``;
@@ -253,7 +316,7 @@ def _kernel_sweep(u, v, num_off, den_off, first):
     out non-finite.
     """
     n_points, n_basis = num_off.shape
-    factors = np.empty((n_basis, n_points, np.broadcast(u, v).size), dtype=complex)
+    factors = np.empty((n_basis, n_points, np.broadcast(u, v).shape[-1]), dtype=complex)
     factors[0] = first / (u + 1j * (v + den_off[:, :1]))
     a = num_off.T[:-1, :, None]
     b = den_off.T[1:, :, None]
@@ -282,7 +345,7 @@ def _contract(sweep, weights) -> np.ndarray:
     return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
 
 
-def _segment_levels(num_off, den_off, amplitude, theta, lag, tails) -> np.ndarray:
+def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) -> np.ndarray:
     """Per-point segment-doubling level that makes the Laguerre tail usable.
 
     For each candidate segment length the tail integrand is swept through
@@ -291,10 +354,15 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails) -> np.ndarra
     its launch value (resolvable) or contributes below ``_TAIL_NEGLIGIBLE``
     relative to the output scale ``max(1, x**lam_min)`` (harmless).
 
-    A point is first tried at level ``max(0, p - 1)``, where ``p`` is the
-    shortest level whose segment reaches the highest pole height
+    A point is first tried at level ``max(0, p - 1, floor)``, where ``p`` is
+    the shortest level whose segment reaches the highest pole height
     ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
-    ``_MAX_SEGMENT_DOUBLINGS``), and then at each level above until it passes.
+    ``_MAX_SEGMENT_DOUBLINGS``) and ``floor`` an optional per-point level
+    (the level of a previous evaluation), and then at each level above until
+    it passes or has failed at ``_MAX_SEGMENT_DOUBLINGS``.  The test runs in
+    rounds: one ``_kernel_sweep`` call per round sweeps every pending point
+    at its own level, so there are as many calls as the most levels any one
+    point tries.
 
     Every sweep is also contracted into ``tails[n, i]``, the tail integral,
     overwritten while point i is pending, so it ends at the returned level.
@@ -304,19 +372,18 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails) -> np.ndarra
     segments = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** np.arange(top + 1)
     # p: the shortest segment reaching the highest pole, theta + w*(max lam - min lam)
     reach = np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top)
-    start = np.maximum(reach - 1, 0)
+    trying = np.maximum(reach - 1, 0)  # the level each pending point tries next
+    if floor is not None:
+        trying = np.maximum(trying, floor)
     levels = np.full(num_off.shape[0], top, dtype=int)
-    waiting = np.ones(num_off.shape[0], dtype=bool)
+    pending = np.arange(num_off.shape[0])
     damp = np.exp(-lag.nodes)
     # amplitude = x**lam_min * e**theta, so the output scale is amp * e**-theta
     dead_cut = _TAIL_NEGLIGIBLE * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
 
-    for level, segment in enumerate(segments):
-        if not np.any(waiting):
-            break
-        pending = np.flatnonzero(waiting & (start <= level))
-        if pending.size == 0:
-            continue
+    while pending.size:
+        at = trying[pending]
+        segment = segments[at][:, None]
         cut = dead_cut[pending]
         sweep = _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
         magnitudes = np.abs(sweep)
@@ -326,13 +393,14 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails) -> np.ndarra
         ok = np.all(bump_ok | dead, axis=(0, 2))
 
         np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
-        tails[:, pending] = 1j * np.exp(1j * segment) * _contract(sweep, lag.weights)
-        levels[pending[ok]] = level
-        waiting[pending[ok]] = False
+        tails[:, pending] = 1j * np.exp(1j * segment[:, 0]) * _contract(sweep, lag.weights)
+        levels[pending[ok]] = at[ok]
+        pending = pending[~ok & (at < top)]
+        trying[pending] += 1
     return levels
 
 
-def _basis_batch(shifted, xs, walk: bool = False):
+def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = None):
     """Basis values for the (already shifted) exponents at many points.
 
     Returns ``values`` where ``values[n, i]`` is the n-th basis element at
@@ -340,6 +408,12 @@ def _basis_batch(shifted, xs, walk: bool = False):
     ``_FULL`` otherwise.  Points equal to 1 short-circuit to exact ones; a
     single-element sequence bypasses the contour entirely.  The Laguerre
     tails come from ``_segment_levels``; only the panels are swept here.
+
+    Without ``plan`` every point searches the whole theta grid and starts
+    its tail test one level below its reach.  A ``plan`` that holds an
+    earlier evaluation's choices starts each point's theta search at its
+    earlier grid index and its tail test no lower than its earlier level;
+    the plan then takes this evaluation's choices.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -361,7 +435,10 @@ def _basis_batch(shifted, xs, walk: bool = False):
 
     panel_order, laguerre_order = _WALK if walk else _FULL
     omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
-    theta = _theta_search(lam, lam_min, omega).theta
+    if plan is None:
+        plan = ContourPlan()  # a throwaway: this evaluation starts from scratch
+    selection = _theta_search(lam, lam_min, omega, start=plan.theta_index)
+    theta = selection.theta
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
@@ -370,7 +447,8 @@ def _basis_batch(shifted, xs, walk: bool = False):
     amplitude = xa ** lam_min * np.exp(theta)
 
     tails = np.empty((nb, xa.size), dtype=complex)
-    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails)
+    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails, floor=plan.levels)
+    plan.theta_index, plan.levels = selection.index, levels
 
     values[0, active] = xa ** lam[0]
     for level in np.unique(levels):

@@ -60,6 +60,7 @@ from .errors import (
 )
 from . import refine
 from .muntz import (
+    ContourPlan,
     _basis_batch,
     ensure_admissible,
     moments,
@@ -236,11 +237,15 @@ def _predict(path, alpha_next):
     return nodes, weights
 
 
-def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False):
+def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False, *,
+             plan: ContourPlan | None = None):
     """Residual vector F and rescaled Jacobian for the current iterate.
 
     The basis comes from the evaluator's walk tier if ``walk`` and from its
-    full tier otherwise.  One batched basis sweep per call serves every row:
+    full tier otherwise.  A ``plan`` (``muntz.ContourPlan``) is passed to
+    the evaluator, which starts each node's theta search and tail test from
+    the choices it holds and stores this call's; without one the basis is
+    evaluated from scratch.  One batched basis sweep per call serves every row:
     the value matrix gives both F and the right Jacobian block, and the
     scaled-derivative recurrence turns the same values into the left block
 
@@ -269,7 +274,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
 
     beta = _as_real(beta, InadmissibleSequenceError, "beta")
     shifted = lam + 0.5 * beta
-    basis = _basis_batch(shifted, nodes, walk)
+    basis = _basis_batch(shifted, nodes, walk, plan=plan)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
     residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
@@ -325,6 +330,10 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
     its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
     (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
+    The solve's assemble calls share one private ``muntz.ContourPlan``:
+    each starts every node's theta search and tail test from the previous
+    call's choices, and the first starts from scratch, so no two solves
+    share choices.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -345,7 +354,8 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    residual, jacobian = assemble(x, w, exponents, beta, m, walk)
+    plan = ContourPlan()
+    residual, jacobian = assemble(x, w, exponents, beta, m, walk, plan=plan)
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
@@ -409,7 +419,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
             step_scale *= 0.5
 
         x, w = x_trial, w_trial
-        residual, jacobian = assemble(x, w, exponents, beta, m, walk)
+        residual, jacobian = assemble(x, w, exponents, beta, m, walk, plan=plan)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
             raise NewtonDivergedError("residual became non-finite", iterations=iterations, residual=res_norm)

@@ -313,24 +313,35 @@ def level_zero_search(num_off, den_off, amplitude, theta, lag, tails):
     return levels
 
 
+@pytest.fixture(scope="module", params=[("example1", -0.25), ("case3", 0.0)], ids=["example1", "case3"])
+def solved(request):
+    """The canonically shifted exponents and weight compute_rule walks for a
+    10-node spec, and the rule's nodes."""
+    family, beta = request.param
+    spec = RuleSpec(sequence_family(family, 10), beta)
+    lam = np.sort(spec.exponents)
+    return lam - lam[0], beta + lam[0], compute_rule(spec).nodes
+
+
+def tail_inputs(solved, alpha, monkeypatch):
+    """The arguments ``_basis_batch`` passes ``_segment_levels`` at the solved
+    nodes, for the walk's exponents at ``alpha``: offsets, amplitude, theta, rule."""
+    walk, beta, nodes = solved
+    calls = []
+    monkeypatch.setattr(muntz, "_segment_levels",
+                        lambda *args, **kwargs: calls.append(args) or _segment_levels(*args, **kwargs))
+    _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes)
+    monkeypatch.undo()
+    (*inputs, _), = calls
+    return inputs
+
+
 class TestSegmentStartLevel:
     """Starting each point one level below its closed-form reach changes nothing."""
 
-    @pytest.fixture(scope="class", params=[("example1", -0.25), ("case3", 0.0)], ids=["example1", "case3"])
-    def solved(self, request):
-        family, beta = request.param
-        spec = RuleSpec(sequence_family(family, 10), beta)
-        lam = np.sort(spec.exponents)
-        # the canonically shifted spec compute_rule walks, and its final nodes
-        return lam - lam[0], beta + lam[0], compute_rule(spec).nodes
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_same_levels_and_tails_in_fewer_sweeps(self, solved, alpha, monkeypatch):
-        walk, beta, nodes = solved
-        calls = []
-        monkeypatch.setattr(muntz, "_segment_levels", lambda *args: calls.append(args) or _segment_levels(*args))
-        _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes)
-        (num_off, den_off, amplitude, theta, lag, _), = calls
+        num_off, den_off, amplitude, theta, lag = tail_inputs(solved, alpha, monkeypatch)
 
         rows = []
         sweep = muntz._kernel_sweep
@@ -353,6 +364,101 @@ class TestSegmentStartLevel:
             assert np.array_equal(got_tails, expected_tails)
             assert expected.max() >= 2
             assert sum(rows) < oracle_rows
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_one_sweep_per_round(self, solved, alpha, monkeypatch):
+        inputs = tail_inputs(solved, alpha, monkeypatch)
+        den_off = inputs[1]
+        lag = inputs[-1]
+        top = muntz._MAX_SEGMENT_DOUBLINGS
+        segments = muntz._PANEL_WIDTH * muntz._PANEL_COUNT * 2.0 ** np.arange(top + 1)
+        start = np.maximum(np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top) - 1, 0)
+        # points that start at level 0 and points that start higher
+        assert start.min() == 0 < start.max()
+        calls = []
+        sweep = muntz._kernel_sweep
+        monkeypatch.setattr(muntz, "_kernel_sweep", lambda *args: calls.append(args) or sweep(*args))
+
+        levels = level_zero_search(*inputs, np.empty((den_off.shape[1], start.size), dtype=complex))
+        # without the points that climb from level 0, no point tries every
+        # level some point tries: one sweep per level would take more calls
+        split = np.flatnonzero((start > 0) | (levels == 0))
+        visited = np.unique(np.concatenate([np.arange(start[i], levels[i] + 1) for i in split]))
+        assert np.max(levels[split] - start[split] + 1) < visited.size
+        for points in (np.arange(start.size), split):
+            offsets = [item[points] for item in inputs[:-1]]
+            expected_tails = np.empty((den_off.shape[1], points.size), dtype=complex)
+            expected = level_zero_search(*offsets, lag, expected_tails)
+            tails = np.empty_like(expected_tails)
+            calls.clear()
+            got = _segment_levels(*offsets, lag, tails)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(tails, expected_tails)
+            # one call per round: as many as the most levels one point tries
+            assert len(calls) == np.max(got - start[points] + 1)
+
+            # started at the levels it returned, every point settles in one round
+            calls.clear()
+            again = np.empty_like(tails)
+            assert np.array_equal(_segment_levels(*offsets, lag, again, floor=got), got)
+            assert np.array_equal(again, tails)
+            assert len(calls) == 1
+
+
+class TestWarmStart:
+    """Theta searches started at a grid index, and the plan that carries each evaluation's choices."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_theta_from_every_grid_index_is_the_grid_minimum(self, solved, alpha):
+        walk, beta, nodes = solved
+        lam = continuation_exponents(walk, alpha) + 0.5 * beta
+        lam_min, omega = float(np.min(lam)), -np.log(nodes)
+        full = _theta_search(lam, lam_min, omega)
+        assert full.converged
+        # from both grid ends and every index between
+        for index in range(muntz._THETA_GRID.size):
+            warm = _theta_search(lam, lam_min, omega, start=np.full(omega.size, index))
+            assert np.array_equal(warm.theta, full.theta), index
+            assert np.array_equal(warm.objective, full.objective), index
+            assert np.array_equal(warm.index, full.index), index
+
+    @pytest.mark.parametrize("name", ["example1", "case3"])
+    def test_theta_descent_stops_at_a_grid_minimum(self, name):
+        # at omega <= 1e-3 these objectives also have local minima at small
+        # theta, where a start far below the grid minimum stops
+        lam = THETA_SEARCH_SEQUENCES[name]
+        lam_min, grid = float(np.min(lam)), muntz._THETA_GRID
+        full = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS)
+        stays = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, start=full.index)
+        assert np.array_equal(stays.theta, full.theta) and np.array_equal(stays.objective, full.objective)
+        for index in range(grid.size):
+            warm = _theta_search(lam, lam_min, THETA_SEARCH_OMEGAS, start=np.full(THETA_SEARCH_OMEGAS.size, index))
+            assert np.all(warm.objective >= full.objective)
+            for omega, at in zip(THETA_SEARCH_OMEGAS, warm.index):
+                values = reference_theta_objective(lam, omega, grid[max(at - 1, 0) : at + 2])
+                assert values.min() >= values[min(at, 1)] * (1.0 - 1e-12), (index, omega)
+
+    def test_a_start_without_a_finite_objective_searches_the_grid(self):
+        lam = THETA_SEARCH_SEQUENCES["example1"]
+        # e**sqrt(omega) overflows at omega = 1e6: infinite at every theta
+        omega = np.array([1e6, 0.5])
+        with np.errstate(over="ignore"):
+            full = _theta_search(lam, float(np.min(lam)), omega)
+            warm = _theta_search(lam, float(np.min(lam)), omega, start=np.array([50, 0]))
+        assert warm.index[0] == 0 and warm.objective[0] == np.inf and not warm.converged
+        assert warm.theta[1] == full.theta[1] and warm.objective[1] == full.objective[1]
+
+    def test_plan_takes_the_evaluations_choices(self, solved):
+        walk, beta, nodes = solved
+        lam = walk + 0.5 * beta
+        plan = muntz.ContourPlan()
+        cold = _basis_batch(lam, nodes, plan=plan)
+        index, levels = plan.theta_index, plan.levels
+        assert np.array_equal(cold, _basis_batch(lam, nodes))
+        assert np.array_equal(muntz._THETA_GRID[index], _theta_search(lam, float(np.min(lam)), -np.log(nodes)).theta)
+        # the same points again: the same choices and the same bits
+        assert np.array_equal(_basis_batch(lam, nodes, plan=plan), cold)
+        assert np.array_equal(plan.theta_index, index) and np.array_equal(plan.levels, levels)
 
 
 class TestEvalAllWeighted:

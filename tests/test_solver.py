@@ -83,7 +83,7 @@ class TestSolve:
             _solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([1.0, 2.0]))
 
     def test_singular_jacobian_diverges_newton(self, monkeypatch):
-        monkeypatch.setattr(solver, "assemble", lambda *args: (np.ones(2), np.zeros((2, 2))))
+        monkeypatch.setattr(solver, "assemble", lambda *args, **kwargs: (np.ones(2), np.zeros((2, 2))))
         lam = np.array([0.0, 1.0])
         with pytest.raises(NewtonDivergedError, match="singular"):
             newton_solve([0.4], [0.9], lam, 0.0, moments(lam, 0.0))
@@ -155,9 +155,9 @@ class TestNewtonSolve:
         start = gauss_jacobi(6, beta)
         iterates = []
 
-        def recording(x, w, *args):
+        def recording(x, w, *args, **kwargs):
             iterates.append((np.array(x), np.array(w)))
-            return assemble(x, w, *args)
+            return assemble(x, w, *args, **kwargs)
 
         monkeypatch.setattr(solver, "assemble", recording)
         result = newton_solve(start.nodes, start.weights, lam, beta, moments(lam, beta))
@@ -423,16 +423,16 @@ class TestCheapWalk:
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         solves, assembles, polishes = [], [], []
 
-        def solving(x, w, lam, beta, m, walk):
+        def solving(x, w, lam, beta, m, walk, **kwargs):
             first = len(assembles)
             try:
-                return newton_solve(x, w, lam, beta, m, walk)
+                return newton_solve(x, w, lam, beta, m, walk, **kwargs)
             finally:
                 solves.append((np.array_equal(lam, walk_end), walk, range(first, len(assembles))))
 
-        def assembling(x, w, lam, beta, m, walk):
+        def assembling(x, w, lam, beta, m, walk, **kwargs):
             assembles.append((np.array_equal(lam, walk_end), walk))
-            return assemble(x, w, lam, beta, m, walk)
+            return assemble(x, w, lam, beta, m, walk, **kwargs)
 
         def polishing(*args):
             polishes.append(args)
@@ -460,13 +460,13 @@ class TestCheapWalk:
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         at_end, searches = [], []
 
-        def assembling(x, w, lam, *rest):
+        def assembling(x, w, lam, *rest, **kwargs):
             at_end.append(np.array_equal(lam, walk_end))
-            return assemble(x, w, lam, *rest)
+            return assemble(x, w, lam, *rest, **kwargs)
 
-        def searching(lam, lam_min, omega):
-            found = _theta_search(lam, lam_min, omega)
-            searches.append((at_end[-1], found.theta))
+        def searching(lam, lam_min, omega, **kwargs):
+            found = _theta_search(lam, lam_min, omega, **kwargs)
+            searches.append((at_end[-1], found.theta, kwargs.get("start") is not None))
             return found
 
         monkeypatch.setattr(solver, "assemble", assembling)
@@ -474,9 +474,49 @@ class TestCheapWalk:
         compute_rule(spec)
 
         grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
-        # the walk solves and the alpha = 1 solve alike
-        assert {final for final, _ in searches} == {False, True}
-        assert all(np.all(np.isin(theta, grid)) for _, theta in searches)
+        # the walk solves and the alpha = 1 solve alike, cold and warm-started
+        assert {final for final, _, _ in searches} == {False, True}
+        assert {(final, warm) for final, _, warm in searches} == {(False, False), (False, True), (True, False), (True, True)}
+        assert all(np.all(np.isin(theta, grid)) for _, theta, _ in searches)
+
+
+class TestContourPlan:
+    """Each Newton solve starts theta and the tail test from its previous assemble."""
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(RuleSpec(sequence_family(family, n), beta), id=f"{family}-n{n}")
+        for family, n, beta in [("example1", 20, -0.25), ("example2", 20, -1.0 / 3.0),
+                                ("case3", 10, 0.0), ("case3", 20, 0.0), ("case3", 30, 0.0)]
+    ])
+    def test_plan_changes_no_rule(self, spec, monkeypatch):
+        warm = compute_rule(spec)
+        basis_batch = solver._basis_batch
+        monkeypatch.setattr(solver, "_basis_batch", lambda *args, plan=None: basis_batch(*args))
+        cold = compute_rule(spec)
+        assert np.array_equal(warm.nodes, cold.nodes)
+        assert np.array_equal(warm.weights, cold.weights)
+
+    def test_every_solve_starts_a_fresh_plan(self, monkeypatch):
+        plans = []  # per newton_solve call: (plan, started empty) per assemble
+
+        def solving(*args, **kwargs):
+            plans.append([])
+            return newton_solve(*args, **kwargs)
+
+        def assembling(*args, plan=None):
+            plans[-1].append((plan, plan.theta_index is None))
+            return assemble(*args, plan=plan)
+
+        monkeypatch.setattr(solver, "newton_solve", solving)
+        monkeypatch.setattr(solver, "assemble", assembling)
+        # example1 n=20 rejects steps, so retried solves are among them
+        rule = compute_rule(RuleSpec(example1(20), -0.25))
+        assert rule.diagnostics.rejected_steps > 0
+        assert len(plans) == rule.diagnostics.continuation_steps + rule.diagnostics.rejected_steps
+        for calls in plans:
+            assert [empty for _, empty in calls] == [True] + [False] * (len(calls) - 1)
+            assert len({id(plan) for plan, _ in calls}) == 1
+        assert len({id(calls[0][0]) for calls in plans}) == len(plans)
 
 
 class TestPredict:
@@ -527,9 +567,9 @@ class TestPredict:
     def test_walk_assembles_fewer_bases(self, spec, most, monkeypatch):
         walk_calls = []
 
-        def assembling(*args):
+        def assembling(*args, **kwargs):
             walk_calls.append(args[5])
-            return assemble(*args)
+            return assemble(*args, **kwargs)
 
         monkeypatch.setattr(solver, "assemble", assembling)
         compute_rule(spec)

@@ -18,8 +18,10 @@ each side in its own process with one BLAS thread:
 The report lists outcome changes, the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error per side, and per
-group the ``assemble`` calls on the walk and the full evaluator tier and
-the polish's ``refine.exact_residual`` calls, and per tier how the
+group the ``assemble`` calls on the walk and the full evaluator tier, the
+polish's ``refine.exact_residual`` calls, and the ``muntz._kernel_sweep``
+calls of the tail test and of the panels with the tail test's point-tests
+(the points its calls sweep, summed), and per tier how the
 ``newton_solve`` calls ended: converged, converged at zero iterations, or
 diverged, by the reason its ``NewtonDivergedError`` gives ("no
 convergence" is the iteration cap).  The specs come from this checkout's
@@ -41,6 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by tier, polish residual
+SWEEPS = ("tail", "tail_points", "panel")  # per-spec kernel sweeps: tail calls, their points, panel calls
 TIERS = ("walk", "full")
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
@@ -76,12 +79,13 @@ def traffic_specs():
 
 def build_side() -> list:
     """Builds every spec with the package on ``sys.path``; one record per spec."""
-    from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, refine, solver
+    from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, muntz, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
 
-    counts = dict.fromkeys(COUNTS, 0)
+    counts = dict.fromkeys(COUNTS + SWEEPS, 0)
     newton = {}  # tier -> outcome -> solves
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
+    kernel_sweep = muntz._kernel_sweep
 
     def tier(args, kwargs):
         """The evaluator tier of an ``assemble`` or ``newton_solve`` call."""
@@ -95,6 +99,14 @@ def build_side() -> list:
         counts["exact_residual"] += 1
         return exact_residual(*args, **kwargs)
 
+    def counting_sweep(u, v, num_off, *args, **kwargs):
+        if np.ndim(v):  # the tail test sweeps at the Laguerre ordinates, the panels at v = 0
+            counts["tail"] += 1
+            counts["tail_points"] += num_off.shape[0]
+        else:
+            counts["panel"] += 1
+        return kernel_sweep(u, v, num_off, *args, **kwargs)
+
     def counting_solve(*args, **kwargs):
         outcomes = newton[tier(args, kwargs)]
         try:
@@ -107,9 +119,10 @@ def build_side() -> list:
 
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
     solver.newton_solve = counting_solve
+    muntz._kernel_sweep = counting_sweep
     records = []
     for group, label, lam, beta in traffic_specs():
-        counts.update(dict.fromkeys(COUNTS, 0))
+        counts.update(dict.fromkeys(COUNTS + SWEEPS, 0))
         newton.update({t: dict.fromkeys(OUTCOMES, 0) for t in TIERS})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
@@ -142,13 +155,13 @@ def report(parent: list, change: list) -> int:
         print("the two sides built different spec lists")
         return 1
     outcomes, moved, identical = [], [], 0
-    totals = defaultdict(lambda: {key: [0, 0] for key in COUNTS})  # group -> key -> per side
+    totals = defaultdict(lambda: {key: [0, 0] for key in COUNTS + SWEEPS})  # group -> key -> per side
     solves = {t: {outcome: [0, 0] for outcome in OUTCOMES} for t in TIERS}  # tier -> outcome -> per side
     worst = [0.0, 0.0]
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
-            for key in COUNTS:
+            for key in COUNTS + SWEEPS:
                 totals[record["group"]][key][side] += record[key]
             for t in TIERS:
                 for outcome in OUTCOMES:
@@ -173,12 +186,14 @@ def report(parent: list, change: list) -> int:
     for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
         print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
     print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
-    print("calls per group, walk assemble / full assemble / exact residual (parent -> change):")
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
-                     for key in COUNTS}
-    for group, counts in totals.items():
-        print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in COUNTS)
-                                           for side in (0, 1)))
+                     for key in COUNTS + SWEEPS}
+    for title, keys in (("calls per group, walk assemble / full assemble / exact residual", COUNTS),
+                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls", SWEEPS)):
+        print(f"{title} (parent -> change):")
+        for group, counts in totals.items():
+            print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
+                                               for side in (0, 1)))
     print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change):")
     for t, outcomes in solves.items():
         print(f"  {t}: " + " -> ".join(" / ".join(str(outcomes[o][side]) for o in OUTCOMES) for side in (0, 1)))
