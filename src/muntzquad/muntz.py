@@ -41,7 +41,11 @@ Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
 cost of the last element.  The same sweep is batched across evaluation
 points, which is what the rule solver calls; it runs basis-major, so each
-update multiplies one contiguous block of every point's samples.
+update multiplies one contiguous ``(points, samples)`` slab.  The rows stream
+through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, and the
+last row of a block carries into the next: the panels contract each block as
+it comes and the tail test tests and contracts each block, so no
+``(basis, points, samples)`` array is ever formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
@@ -81,6 +85,9 @@ _OMEGA_FLOOR = 1e-14
 _MAX_SEGMENT_DOUBLINGS = 5
 _TAIL_BUMP_FACTOR = 64.0
 _TAIL_NEGLIGIBLE = 1e-18
+# The kernel sweep runs through blocks of basis rows holding about this many
+# complex samples (256 KB), so a block and its temporaries stay in cache.
+_BLOCK_SAMPLES = 16384
 
 # The two evaluator tiers as (Gauss-Legendre panel order, Gauss-Laguerre tail
 # order).
@@ -122,11 +129,17 @@ def _as_exponents(exponents) -> np.ndarray:
     return lam
 
 
-def ensure_admissible(exponents, beta: float) -> np.ndarray:
-    lam = _as_exponents(exponents)
+def _as_beta(beta) -> float:
+    """``beta`` as a float; ``InadmissibleSequenceError`` unless it is a finite real."""
     beta = _as_real(beta, InadmissibleSequenceError, "beta")
     if not math.isfinite(beta):
         raise InadmissibleSequenceError(f"beta must be finite, got {beta}")
+    return beta
+
+
+def ensure_admissible(exponents, beta: float) -> np.ndarray:
+    lam = _as_exponents(exponents)
+    beta = _as_beta(beta)
     if np.min(lam) + beta <= -1.0:
         raise InadmissibleSequenceError(
             f"min exponent {np.min(lam)} with beta {beta} gives a divergent weighted moment; "
@@ -302,45 +315,87 @@ def _first_panel_width(theta_group: np.ndarray) -> float:
 
 
 def _kernel_sweep(u, v, num_off, den_off, first):
-    """Kernel products of every basis prefix at the contour samples ``u + iv``.
+    """Kernel products of every basis prefix at the contour samples ``u + iv``,
+    one block of basis rows at a time.
 
     Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``u`` the
     abscissas, ``v = 0``; tail: ``v`` the Laguerre ordinates and ``u`` the
     segment end, a scalar or one per point as a ``(points, 1)`` column).
-    Entry ``[n, i, k]`` is the product of the
-    rational factors of prefix ``n`` for point ``i`` at sample ``k``, times
-    ``first`` (the oscillatory phase on the panels, 1 on the tail).  Factors
-    after the first are built in real arithmetic, divided through by ``u``;
-    a running product over the basis rows sweeps the whole basis, one
-    contiguous ``(points, samples)`` slab per step.  Overflowed samples come
-    out non-finite.
+    Yields ``(start, block)`` for consecutive blocks of rows: entry
+    ``block[j, i, k]`` is the product of the rational factors of prefix
+    ``start + j`` for point ``i`` at sample ``k``, times ``first`` (the
+    oscillatory phase on the panels, 1 on the tail).  Factors after the
+    first are built in real arithmetic, divided through by ``u``; a running
+    product over the basis rows sweeps the whole basis, one contiguous
+    ``(points, samples)`` slab per step, and the previous block's last row
+    carries into the next block's first.  Overflowed samples come out
+    non-finite.
+
+    A block holds about ``_BLOCK_SAMPLES`` samples and at least two rows: a
+    one-row remainder joins the first block, so no contraction of a block is
+    a one-row matvec (see ``_contract``).  One set of buffers serves every
+    block, so a block is valid only until the next one is requested; its
+    consumer may overwrite it.
     """
     n_points, n_basis = num_off.shape
-    factors = np.empty((n_basis, n_points, np.broadcast(u, v).shape[-1]), dtype=complex)
-    factors[0] = first / (u + 1j * (v + den_off[:, :1]))
+    n_samples = np.broadcast(u, v).shape[-1]
+    rows = max(2, _BLOCK_SAMPLES // (n_points * n_samples))
+    head = n_basis if n_basis <= rows + 1 else rows + (n_basis % rows == 1)
+    block = np.empty((head, n_points, n_samples), dtype=complex)
+    den, re = np.empty(block.shape), np.empty(block.shape)
+    # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
+    # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
     a = num_off.T[:-1, :, None]
     b = den_off.T[1:, :, None]
-    vb = v + b
+    a_minus_b = a - b
     inv_u = 1.0 / u
-    # (u + i(v+a)) / (u + i(v+b)) = (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
-    den = vb * vb * inv_u
-    den += u
-    re = (v + a) * vb * inv_u
-    re += u
-    re /= den
-    factors.real[1:] = re
-    np.divide(a - b, den, out=factors.imag[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_basis):
-            np.multiply(factors[n], factors[n - 1], out=factors[n])
-    return factors
+    block[0] = first / (u + 1j * (v + den_off[:, :1]))
+    carry = np.empty(block.shape[1:], dtype=complex) if head < n_basis else None
+    start, stop = 0, head
+    while start < n_basis:
+        out = block[: stop - start]
+        lo = max(start, 1)  # the block's first row with a rational factor
+        rational = slice(lo - 1, stop - 1)
+        vb = v + b[rational]
+        va = v + a[rational]
+        va *= vb
+        vb *= vb
+        den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
+        den_n += u
+        re_n = np.multiply(va, inv_u, out=re[: stop - lo])
+        re_n += u
+        re_n /= den_n
+        factors = out[lo - start :]
+        factors.real = re_n
+        np.divide(a_minus_b[rational], den_n, out=factors.imag)
+        # freed before the consumer runs, so that its temporaries can reuse the
+        # memory: a one-block sweep then holds no more than the block itself
+        del va, vb, den_n, re_n
+        if stop == n_basis:
+            del den, re
+        slabs = list(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if start:
+                np.multiply(slabs[0], carry, out=slabs[0])
+            for previous, slab in zip(slabs, slabs[1:]):
+                np.multiply(slab, previous, out=slab)
+        if stop < n_basis:  # copied before the consumer may overwrite the block
+            np.copyto(carry, slabs[-1])
+        yield start, out
+        start, stop = stop, min(stop + rows, n_basis)
 
 
 def _contract(sweep, weights) -> np.ndarray:
     """``sweep[n, i, :] @ weights`` for every basis row and point, as one 2-D matvec.
 
     The stacked 3-D product rounds differently for a single-point batch, so
-    a point's integral would depend on the batch it came in.
+    a point's integral would depend on the batch it came in.  A one-row
+    matrix rounds differently too: with OpenBLAS 0.3.31 a ``(1, K)`` matvec
+    differs from the same row inside a taller matrix for random complex rows
+    at every K from 2 to 399 and at 576, 1000, 1500 and 1728, while row
+    blocks of 2, 3, 5, 17, 64 or 257 rows match it.  So ``_kernel_sweep``
+    yields no block of one basis row, and a row's integral does not depend
+    on the block it was swept in.
     """
     return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
 
@@ -366,7 +421,9 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) 
 
     Every sweep is also contracted into ``tails[n, i]``, the tail integral,
     overwritten while point i is pending, so it ends at the returned level.
-    Overflowed samples lie in the damped-dead zone and are dropped.
+    Overflowed samples lie in the damped-dead zone and are dropped.  Both
+    tests, the dropping and the contraction run on each block of rows the
+    sweep yields, and a point passes a round only if it passes every block.
     """
     top = _MAX_SEGMENT_DOUBLINGS
     segments = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** np.arange(top + 1)
@@ -384,16 +441,19 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) 
     while pending.size:
         at = trying[pending]
         segment = segments[at][:, None]
-        cut = dead_cut[pending]
-        sweep = _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
-        magnitudes = np.abs(sweep)
-        launch = magnitudes[:, :, :1] + 1.0 / segment
-        bump_ok = magnitudes <= _TAIL_BUMP_FACTOR * launch
-        dead = magnitudes * damp <= cut[:, None]
-        ok = np.all(bump_ok | dead, axis=(0, 2))
-
-        np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
-        tails[:, pending] = 1j * np.exp(1j * segment[:, 0]) * _contract(sweep, lag.weights)
+        cut = dead_cut[pending][:, None]
+        launch_floor = 1.0 / segment
+        turn = 1j * np.exp(1j * segment[:, 0])
+        for start, block in _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0):
+            magnitudes = np.abs(block)
+            launch = magnitudes[:, :, :1] + launch_floor
+            bump_ok = magnitudes <= _TAIL_BUMP_FACTOR * launch
+            dead = magnitudes * damp <= cut
+            passed = (bump_ok | dead).all(axis=(0, 2))
+            ok = passed if start == 0 else ok & passed
+            if not np.isfinite(magnitudes).all():  # a finite |z| has finite parts
+                np.copyto(block, 0.0, where=~np.isfinite(block))
+            tails[start : start + len(block), pending] = turn * _contract(block, lag.weights)
         levels[pending[ok]] = at[ok]
         pending = pending[~ok & (at < top)]
         trying[pending] += 1
@@ -407,7 +467,8 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     ``xs[i]``, from the walk tier ``_WALK`` if ``walk`` and the full tier
     ``_FULL`` otherwise.  Points equal to 1 short-circuit to exact ones; a
     single-element sequence bypasses the contour entirely.  The Laguerre
-    tails come from ``_segment_levels``; only the panels are swept here.
+    tails come from ``_segment_levels``; only the panels are swept here, and
+    each block of panel rows goes straight into its rows of ``values``.
 
     Without ``plan`` every point searches the whole theta grid and starts
     its tail test one level below its reach.  A ``plan`` that holds an
@@ -450,14 +511,16 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails, floor=plan.levels)
     plan.theta_index, plan.levels = selection.index, levels
 
-    values[0, active] = xa ** lam[0]
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)
         segment = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** int(level)
         first = _first_panel_width(theta[in_level])
         t_panel, w_panel, phase = _panel_grid(first, segment, panel_order)
-        q_osc = _contract(_kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase), w_panel)
-        values[1:, active[in_level]] = amplitude[in_level] / math.pi * (q_osc + tails[:, in_level])[1:].imag
+        scale, columns = amplitude[in_level] / math.pi, active[in_level]
+        for start, block in _kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase):
+            rows = slice(start, start + len(block))
+            values[rows, columns] = scale * (_contract(block, w_panel) + tails[rows, in_level]).imag
+    values[0, active] = xa ** lam[0]  # overwrites the contour's row 0
     return values
 
 
@@ -496,7 +559,7 @@ def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != lam.size:
         raise LengthMismatchError(f"{vals.shape[0]} values for {lam.size} exponents")
-    shifted = lam + 0.5 * _as_real(beta, InadmissibleSequenceError, "beta")
+    shifted = lam + 0.5 * _as_beta(beta)
     out = np.empty_like(vals)
     out[0] = shifted[0] * vals[0]
     for n in range(1, lam.size):

@@ -51,7 +51,6 @@ from .classical import _jacobi_start
 from .errors import (
     ContinuationFailedError,
     DomainError,
-    InadmissibleSequenceError,
     LengthMismatchError,
     NewtonDivergedError,
     NonFiniteSampleError,
@@ -61,6 +60,7 @@ from .errors import (
 from . import refine
 from .muntz import (
     ContourPlan,
+    _as_beta,
     _basis_batch,
     ensure_admissible,
     moments,
@@ -272,7 +272,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
     if not _feasible(nodes, weights):
         raise DomainError("iterate is infeasible: need ascending nodes in (0,1) and positive weights")
 
-    beta = _as_real(beta, InadmissibleSequenceError, "beta")
+    beta = _as_beta(beta)
     shifted = lam + 0.5 * beta
     basis = _basis_batch(shifted, nodes, walk, plan=plan)
     x_derivative = scaled_derivatives(basis, lam, beta)
@@ -350,6 +350,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     ``_DIVERGENCE_RATIO`` times the one before: a converging iteration
     shrinks its corrections.
     """
+    beta = _as_beta(beta)
     x = np.array(nodes, dtype=float, copy=True)
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
@@ -359,7 +360,6 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
-    beta = float(beta)
     iterations = 0
     best = math.inf
     stalled = 0

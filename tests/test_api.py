@@ -104,13 +104,29 @@ DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterati
     (lambda: scaled_derivatives([1.0, 1.0], [0.0, 1.0], "a"), InadmissibleSequenceError),
     (lambda: continuation_exponents(FOUR, "a"), DomainError),
     (lambda: eval_all(FOUR, "a"), DomainError),
+    (lambda: scaled_derivatives([1.0, 1.0], [0.0, 1.0], np.nan), InadmissibleSequenceError),
+    (lambda: scaled_derivatives([1.0, 1.0], [0.0, 1.0], np.inf), InadmissibleSequenceError),
+    (lambda: assemble([0.5], [0.5], [0.0, 1.0], np.nan, [1.0, 0.0]), InadmissibleSequenceError),
+    (lambda: newton_solve([0.5], [0.5], [0.0, 1.0], np.nan, [1.0, 0.0]), InadmissibleSequenceError),
+    (lambda: newton_solve([0.5], [0.5], [0.0, 1.0], -np.inf, [1.0, 0.0]), InadmissibleSequenceError),
 ], ids=["nan-exponent", "inf-exponent", "unit-weight-divergent", "empty-sequence", "2d-sequence",
         "short-rule", "legendre-order", "laguerre-order", "jacobi-order", "empty-rule",
         "weights-longer-than-nodes", "rule-weights-longer-than-nodes", "alpha-above-one", "alpha-nan",
         "rule-spec-beta-none", "moments-beta-string", "eval-all-beta-string", "jacobi-beta-string",
         "legendre-order-list", "jacobi-beta-list", "assemble-beta-string", "newton-beta-string",
-        "derivatives-beta-string", "alpha-string", "eval-all-point-string"])
+        "derivatives-beta-string", "alpha-string", "eval-all-point-string", "derivatives-beta-nan",
+        "derivatives-beta-inf", "assemble-beta-nan", "newton-beta-nan", "newton-beta-minus-inf"])
 def test_bad_input_raises_a_typed_value_error(call, error):
     with pytest.raises(error):
         call()
     assert issubclass(error, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scaled_derivatives([1.0, 1.0], [0.0, 1.0], np.nan),
+    lambda: assemble([0.5], [0.5], [0.0, 1.0], np.nan, [1.0, 0.0]),
+    lambda: newton_solve([0.5], [0.5], [0.0, 1.0], np.inf, [1.0, 0.0]),
+], ids=["derivatives", "assemble", "newton"])
+def test_a_non_finite_beta_is_named(call):
+    with pytest.raises(InadmissibleSequenceError, match="beta must be finite"):
+        call()

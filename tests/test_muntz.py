@@ -227,6 +227,14 @@ def reference_kernel_sweep(t, num_off, den_off, first):
     return factors
 
 
+def full_sweep(*args):
+    """Every row of a ``_kernel_sweep`` in one ``[n, i, k]`` array.  The sweep
+    reuses its block buffers, so each block is copied out as it is yielded."""
+    blocks = [(start, block.copy()) for start, block in muntz._kernel_sweep(*args)]
+    assert [start for start, _ in blocks] == [sum(len(b) for _, b in blocks[:j]) for j in range(len(blocks))]
+    return np.concatenate([block for _, block in blocks])
+
+
 class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @pytest.mark.parametrize("where", ["panel", "tail"])
@@ -238,11 +246,11 @@ class TestKernelSweep:
         segment = 64.0
         if where == "panel":
             t, _, phase = _panel_grid(_first_panel_width(theta), segment, panel_order)
-            swept = _kernel_sweep(t, 0.0, num_off, den_off, phase)
+            swept = full_sweep(t, 0.0, num_off, den_off, phase)
             expected = reference_kernel_sweep(t.astype(complex), num_off, den_off, phase)
         else:
             tau = gauss_laguerre(laguerre_order).nodes
-            swept = _kernel_sweep(segment, tau, num_off, den_off, 1.0)
+            swept = full_sweep(segment, tau, num_off, den_off, 1.0)
             expected = reference_kernel_sweep(segment + 1j * tau, num_off, den_off, 1.0)
         finite = np.isfinite(expected)
         assert np.array_equal(np.isfinite(swept), finite)
@@ -275,7 +283,7 @@ class TestSegmentLevels:
         base = muntz._PANEL_WIDTH * muntz._PANEL_COUNT
         for i, level in enumerate(levels):
             segment = base * 2.0 ** int(level)
-            sweep = _kernel_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)[:, 0]
+            sweep = full_sweep(segment, lag.nodes, num_off[i : i + 1], den_off[i : i + 1], 1.0)[:, 0]
             np.copyto(sweep, 0.0, where=~np.isfinite(sweep))
             fresh = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
             assert np.array_equal(tails[:, i], fresh), (i, level)
@@ -299,7 +307,7 @@ def level_zero_search(num_off, den_off, amplitude, theta, lag, tails):
             break
         segment = base * 2.0**level
         cut = dead_cut[pending]
-        sweep = muntz._kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
+        sweep = full_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0)
         magnitudes = np.abs(sweep)
         launch = magnitudes[:, :, :1] + 1.0 / segment
         bump_ok = magnitudes <= muntz._TAIL_BUMP_FACTOR * launch
@@ -403,6 +411,90 @@ class TestSegmentStartLevel:
             assert np.array_equal(_segment_levels(*offsets, lag, again, floor=got), got)
             assert np.array_equal(again, tails)
             assert len(calls) == 1
+
+
+def record_blocks(monkeypatch):
+    """Patch ``muntz._kernel_sweep`` to record each call's block lengths; returns the record."""
+    lengths = []
+    sweep = muntz._kernel_sweep
+
+    def recording(*args):
+        lengths.append([])
+        for start, block in sweep(*args):
+            lengths[-1].append(len(block))
+            yield start, block
+
+    monkeypatch.setattr(muntz, "_kernel_sweep", recording)
+    return lengths
+
+
+ONE_BLOCK = 10**12  # a block size no sweep reaches
+
+
+class TestBlockedSweep:
+    """Any block size gives the bits of a sweep in one block."""
+
+    @pytest.mark.parametrize("length", [2, 3, 19, 20])
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("where", ["panel", "tail"])
+    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, where):
+        lam = THETA_SEARCH_SEQUENCES["case3"][:length]
+        xs = np.geomspace(1e-9, 0.99, 3)
+        theta, num_off, den_off = contour_offsets(lam, xs)
+        if where == "panel":
+            t, _, phase = _panel_grid(_first_panel_width(theta), 64.0, muntz._FULL[0])
+            args = (t, 0.0, num_off, den_off, phase)
+        else:
+            tau = gauss_laguerre(muntz._FULL[1]).nodes
+            args = (np.array([[32.0], [64.0], [128.0]]), tau, num_off, den_off, 1.0)
+        n_samples = np.broadcast(args[0], args[1]).shape[-1]
+        monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
+        whole = full_sweep(*args)
+        monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", rows * xs.size * n_samples)
+        lengths = record_blocks(monkeypatch)
+        blocked = full_sweep(*args)
+
+        (sizes,) = lengths
+        assert sum(sizes) == length and min(sizes) >= 2 and max(sizes) <= rows + 1
+        # a one-row remainder joins the first block, and only then is a block rows + 1 long
+        assert sizes[0] == (length if length <= rows + 1 else rows + (length % rows == 1))
+        assert all(size == rows for size in sizes[1:-1])
+        assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("name", ["example1", "case3"])
+    @pytest.mark.parametrize("points", [1, 9])
+    @pytest.mark.parametrize("samples", [0, 600])
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_basis_levels_and_tails_match_one_block(self, monkeypatch, name, points, samples, walk):
+        # odd length: blocks of two rows leave a one-row remainder
+        lam = THETA_SEARCH_SEQUENCES[name][:-1]
+        xs = np.geomspace(1e-9, 0.99, 9)[-points:]
+        theta, num_off, den_off = contour_offsets(lam, xs)
+        amplitude = xs ** np.min(lam) * np.exp(theta)
+        lag = gauss_laguerre((muntz._WALK if walk else muntz._FULL)[1])
+
+        def run(block_samples):
+            monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", block_samples)
+            tails = np.empty(num_off.shape[::-1], dtype=complex)
+            levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails)
+            return _basis_batch(lam, xs, walk), levels, tails
+
+        whole = run(ONE_BLOCK)
+        lengths = record_blocks(monkeypatch)
+        blocked = run(samples)
+        assert max(len(sizes) for sizes in lengths) > 2
+        if samples == 0:  # every sweep in blocks of two, and the first of three
+            assert all(sizes[0] == 3 and set(sizes[1:]) == {2} for sizes in lengths)
+        for got, expected in zip(blocked, whole):
+            assert np.array_equal(got, expected)
+
+    def test_default_size_splits_a_full_tier_level_3_panel_sweep(self):
+        lam = THETA_SEARCH_SEQUENCES["example1"]  # example1 n=20, shifted by beta/2
+        theta, num_off, den_off = contour_offsets(lam, np.array([0.3]))
+        segment = muntz._PANEL_WIDTH * muntz._PANEL_COUNT * 2.0**3
+        t, _, phase = _panel_grid(_first_panel_width(theta), segment, muntz._FULL[0])
+        sizes = [len(block) for _, block in _kernel_sweep(t, 0.0, num_off, den_off, phase)]
+        assert len(sizes) > 1 and sum(sizes) == lam.size
 
 
 class TestWarmStart:

@@ -21,7 +21,8 @@ and weight change, the worst ``validation_rows`` error per side, and per
 group the ``assemble`` calls on the walk and the full evaluator tier, the
 polish's ``refine.exact_residual`` calls, and the ``muntz._kernel_sweep``
 calls of the tail test and of the panels with the tail test's point-tests
-(the points its calls sweep, summed), and per tier how the
+(the points its calls sweep, summed) and the blocks of rows all sweeps
+yield (a sweep that returns one array counts as one block), and per tier how the
 ``newton_solve`` calls ended: converged, converged at zero iterations, or
 diverged, by the reason its ``NewtonDivergedError`` gives ("no
 convergence" is the iteration cap).  The specs come from this checkout's
@@ -43,7 +44,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by tier, polish residual
-SWEEPS = ("tail", "tail_points", "panel")  # per-spec kernel sweeps: tail calls, their points, panel calls
+# per-spec kernel sweeps: tail calls, their points, panel calls, blocks swept
+SWEEPS = ("tail", "tail_points", "panel", "blocks")
 TIERS = ("walk", "full")
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
@@ -99,13 +101,22 @@ def build_side() -> list:
         counts["exact_residual"] += 1
         return exact_residual(*args, **kwargs)
 
+    def counting_blocks(blocks):
+        for block in blocks:
+            counts["blocks"] += 1
+            yield block
+
     def counting_sweep(u, v, num_off, *args, **kwargs):
         if np.ndim(v):  # the tail test sweeps at the Laguerre ordinates, the panels at v = 0
             counts["tail"] += 1
             counts["tail_points"] += num_off.shape[0]
         else:
             counts["panel"] += 1
-        return kernel_sweep(u, v, num_off, *args, **kwargs)
+        swept = kernel_sweep(u, v, num_off, *args, **kwargs)
+        if isinstance(swept, np.ndarray):  # a tree whose sweep returns every row at once
+            counts["blocks"] += 1
+            return swept
+        return counting_blocks(swept)
 
     def counting_solve(*args, **kwargs):
         outcomes = newton[tier(args, kwargs)]
@@ -189,7 +200,7 @@ def report(parent: list, change: list) -> int:
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in COUNTS + SWEEPS}
     for title, keys in (("calls per group, walk assemble / full assemble / exact residual", COUNTS),
-                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls", SWEEPS)):
+                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls / blocks", SWEEPS)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
