@@ -288,9 +288,9 @@ _TOLERANCE = 1e-14
 
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
 # solve runs on the evaluator's walk tier (``muntz._WALK``: a third of the
-# full tier's quadrature orders) and stops at this tolerance.  On that tier
-# Newton converges only linearly, and the next step's predictor misses by
-# far more anyway.
+# full tier's panel order and half its Laguerre order) and stops at this
+# tolerance.  On that tier Newton converges only linearly, and the next
+# step's predictor misses by far more anyway.
 _WALK_TOLERANCE = 1e-5
 
 # A Newton solve gives up after this many iterations, or once one step has
@@ -441,10 +441,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     right after a rejection), so that the next solve's corrections contract
     by about 1/4.  Every step with ``alpha < 1`` is solved to
     ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, which has a
-    third of the full tier's panel and Laguerre orders; both tiers take
-    theta from the same search grid.  The ``alpha = 1`` solve runs to
-    ``_TOLERANCE`` (1e-14) on the full tier, and the polish reuses that
-    solve's last Jacobian.  Walk and polish run on the canonically shifted
+    third of the full tier's panel order and half its Laguerre order; both
+    tiers take theta from the same search grid.  The ``alpha = 1`` solve
+    runs to ``_TOLERANCE`` (1e-14) on the full tier, and the polish reuses
+    that solve's last Jacobian.  Walk and polish run on the canonically shifted
     spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,

@@ -443,7 +443,7 @@ class TestCheapWalk:
         monkeypatch.setattr(solver, "_polish", polishing)
         compute_rule(spec)
 
-        assert muntz._WALK == (8, 16) and muntz._FULL == (24, 48)
+        assert muntz._WALK == (8, 8) and muntz._FULL == (24, 16)
         assert {walk for final, walk, _ in solves if not final} == {True}
         assert {walk for final, walk, _ in solves if final} == {False}
         assert len(polishes) == 1

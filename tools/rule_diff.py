@@ -22,7 +22,9 @@ group the ``assemble`` calls on the walk and the full evaluator tier, the
 polish's ``refine.exact_residual`` calls, and the ``muntz._kernel_sweep``
 calls of the tail test and of the panels with the tail test's point-tests
 (the points its calls sweep, summed) and the blocks of rows all sweeps
-yield (a sweep that returns one array counts as one block), and per tier how the
+yield (a sweep that returns one array counts as one block), the samples
+swept (basis rows x points x contour samples, summed over the sweeps) by
+the tail test and by the panels on each evaluator tier, and per tier how the
 ``newton_solve`` calls ended: converged, converged at zero iterations, or
 diverged, by the reason its ``NewtonDivergedError`` gives ("no
 convergence" is the iteration cap).  The specs come from this checkout's
@@ -47,6 +49,9 @@ COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by
 # per-spec kernel sweeps: tail calls, their points, panel calls, blocks swept
 SWEEPS = ("tail", "tail_points", "panel", "blocks")
 TIERS = ("walk", "full")
+# per-spec samples swept (rows x points x samples), by sweep and evaluator tier
+SAMPLES = tuple(f"{where}_samples_{t}" for where in ("tail", "panel") for t in TIERS)
+KEYS = COUNTS + SWEEPS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "zero-iteration", *REASONS)
@@ -84,17 +89,19 @@ def build_side() -> list:
     from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, muntz, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
 
-    counts = dict.fromkeys(COUNTS + SWEEPS, 0)
+    counts = dict.fromkeys(KEYS, 0)
     newton = {}  # tier -> outcome -> solves
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
     kernel_sweep = muntz._kernel_sweep
+    evaluating = ["full"]  # the tier of the assemble under way, which the sweeps serve
 
     def tier(args, kwargs):
         """The evaluator tier of an ``assemble`` or ``newton_solve`` call."""
         return "walk" if (args[5] if len(args) > 5 else kwargs.get("walk", False)) else "full"
 
     def counting_assemble(*args, **kwargs):
-        counts[tier(args, kwargs)] += 1
+        evaluating[0] = tier(args, kwargs)
+        counts[evaluating[0]] += 1
         return assemble(*args, **kwargs)
 
     def counting_residual(*args, **kwargs):
@@ -107,11 +114,12 @@ def build_side() -> list:
             yield block
 
     def counting_sweep(u, v, num_off, *args, **kwargs):
-        if np.ndim(v):  # the tail test sweeps at the Laguerre ordinates, the panels at v = 0
-            counts["tail"] += 1
+        # the tail test sweeps at the Laguerre ordinates, the panels at v = 0
+        where = "tail" if np.ndim(v) else "panel"
+        counts[where] += 1
+        if where == "tail":
             counts["tail_points"] += num_off.shape[0]
-        else:
-            counts["panel"] += 1
+        counts[f"{where}_samples_{evaluating[0]}"] += num_off.size * np.broadcast(u, v).shape[-1]
         swept = kernel_sweep(u, v, num_off, *args, **kwargs)
         if isinstance(swept, np.ndarray):  # a tree whose sweep returns every row at once
             counts["blocks"] += 1
@@ -133,7 +141,7 @@ def build_side() -> list:
     muntz._kernel_sweep = counting_sweep
     records = []
     for group, label, lam, beta in traffic_specs():
-        counts.update(dict.fromkeys(COUNTS + SWEEPS, 0))
+        counts.update(dict.fromkeys(KEYS, 0))
         newton.update({t: dict.fromkeys(OUTCOMES, 0) for t in TIERS})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
@@ -166,13 +174,13 @@ def report(parent: list, change: list) -> int:
         print("the two sides built different spec lists")
         return 1
     outcomes, moved, identical = [], [], 0
-    totals = defaultdict(lambda: {key: [0, 0] for key in COUNTS + SWEEPS})  # group -> key -> per side
+    totals = defaultdict(lambda: {key: [0, 0] for key in KEYS})  # group -> key -> per side
     solves = {t: {outcome: [0, 0] for outcome in OUTCOMES} for t in TIERS}  # tier -> outcome -> per side
     worst = [0.0, 0.0]
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
-            for key in COUNTS + SWEEPS:
+            for key in KEYS:
                 totals[record["group"]][key][side] += record[key]
             for t in TIERS:
                 for outcome in OUTCOMES:
@@ -198,9 +206,10 @@ def report(parent: list, change: list) -> int:
         print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
     print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
-                     for key in COUNTS + SWEEPS}
+                     for key in KEYS}
     for title, keys in (("calls per group, walk assemble / full assemble / exact residual", COUNTS),
-                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls / blocks", SWEEPS)):
+                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls / blocks", SWEEPS),
+                        ("samples swept per group, tail walk / tail full / panel walk / panel full", SAMPLES)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
