@@ -31,11 +31,10 @@ serves as well.  The test runs in rounds, each one sweep of every pending
 point at its own level.
 
 A Newton solve evaluates the basis at nodes that barely move between its
-iterates, so it can carry a ``ContourPlan``: each point's theta grid index
-and segment level from the previous evaluation.  The theta search then
-descends from the earlier index instead of scanning the whole grid, and the
-tail test starts no lower than the earlier level.  Without a plan every
-evaluation starts from scratch.
+iterates, so it carries a ``ContourPlan``: the solve's first evaluation
+searches each point's theta and the solve keeps it, and each evaluation's
+tail test starts no lower than the previous one's levels.  Without a plan
+every evaluation searches theta and starts its tail test from scratch.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -101,26 +100,23 @@ _WALK = (8, 8)
 
 @dataclass(frozen=True)
 class ThetaSelection:
-    """Chosen contour offset and objective value, one entry per point."""
+    """Chosen contour offset, one entry per point."""
 
     theta: np.ndarray
-    objective: np.ndarray
     converged: bool
-    index: np.ndarray  # each theta's position on the search grid
 
 
 @dataclass
 class ContourPlan:
-    """The contour choices of one Newton solve's previous evaluation.
+    """The contour choices of one Newton solve, one entry per point off ``x = 1``.
 
-    ``theta_index`` holds each point's position on the theta grid and
-    ``levels`` its segment-doubling level, one entry per point off ``x = 1``;
-    both are None until the first evaluation.  ``_basis_batch`` starts its
-    theta search and its tail test from them and overwrites them, so a plan
-    serves one sequence of evaluations at a fixed number of points.
+    ``_basis_batch`` searches ``theta`` only while it is None and keeps it
+    for every later evaluation; each tail test starts no lower than
+    ``levels``, the previous evaluation's segment levels, and overwrites
+    them.  So a plan serves evaluations at a fixed number of points.
     """
 
-    theta_index: np.ndarray | None = None
+    theta: np.ndarray | None = None
     levels: np.ndarray | None = None
 
 
@@ -197,24 +193,18 @@ def moments(exponents, beta: float) -> np.ndarray:
 _THETA_GRID = np.geomspace(_THETA_MIN, _THETA_MAX, 97)
 
 
-def _theta_search(lam, lam_min, omega, start=None) -> ThetaSelection:
+def _theta_search(lam, lam_min, omega) -> ThetaSelection:
     """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
 
     Minimizes the sum of a near-origin magnitude estimate of the sampled
     integrand (which blows up as theta shrinks) and the amplification
     ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
     blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning, so every theta is a point of the
-    log-spaced grid, with no refinement between grid points.
-
-    Without ``start`` every point takes the grid's best point.  ``start``
-    holds one grid index per point: a point then moves from it to a
-    neighbouring grid point only while that neighbour's objective is
-    strictly smaller, and stops at the first local minimum; a point whose
-    objective at ``start`` is not finite searches the whole grid.  Every
-    operation is elementwise per point: a point's theta does not depend on
-    the other points in the batch.  ``converged`` is False when the
-    objective was infinite at every grid point of some point.
+    the minimizer only tunes conditioning, so every point takes the best
+    point of the log-spaced grid, with no refinement between grid points.
+    Every operation is elementwise per point: a point's theta does not
+    depend on the other points in the batch.  ``converged`` is False when
+    the objective was infinite at every grid point of some point.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
     # near-origin magnitude of the sampled integrand: numerator offsets
@@ -223,52 +213,16 @@ def _theta_search(lam, lam_min, omega, start=None) -> ThetaSelection:
     # sigma = lam_min - theta/omega
     num_centers = (omega * (lam_min + lam[:-1] + 1.0))[:, :, None]
     den_centers = (omega * (lam[:-1] - lam_min))[:, :, None]
-    last_center = omega * (lam[-1] - lam_min)
-    prefactor = np.exp(np.sqrt(omega))
-    growth_exponent = -lam_min * omega
-
-    def objective(rows, theta):
-        """``value[r, j]``: the objective of point ``rows[r]`` at ``theta[r, j]``
-        (a single row of ``theta`` serves every point)."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = theta[:, None, :] - num_centers[rows]  # ratios[r, v, j]: point r, exponent v, theta j
-            ratios /= theta[:, None, :] + den_centers[rows]
-            np.abs(ratios, out=ratios)
-            magnitude = np.prod(ratios, axis=1) / np.abs(theta + last_center[rows])
-            value = prefactor[rows] * magnitude + np.exp(np.minimum(theta + growth_exponent[rows], 700.0)) / np.sqrt(theta)
-        return np.where(np.isfinite(value), value, np.inf)
-
     grid = _THETA_GRID
-    n_points = omega.shape[0]
-    index, value = np.zeros(n_points, dtype=int), np.empty(n_points)
-    searched = np.arange(n_points)  # the points that search the whole grid
-    if start is not None:
-        index[:] = start
-
-        def neighbourhood(rows):
-            """The grid index of every point in ``rows``, then its two
-            neighbours, with their objective.  A grid end stands in for its
-            missing neighbour, so it ties with itself and is kept."""
-            around = index[rows, None] + np.array([0, -1, 1])
-            return around, objective(rows, grid.take(around, mode="clip"))
-
-        around, near = neighbourhood(searched)
-        finite = np.isfinite(near[:, 0])  # a start without a finite objective searches the grid
-        moving, around, near = searched[finite], around[finite], near[finite]
-        searched = searched[~finite]
-        while moving.size:
-            pick = np.argmin(near, axis=1)  # stay on a tie; the lower neighbour, as the grid's argmin
-            chosen = np.arange(moving.size), pick
-            index[moving], value[moving] = around[chosen], near[chosen]
-            moving = moving[pick != 0]
-            if moving.size:
-                around, near = neighbourhood(moving)
-    if searched.size:
-        values = objective(searched, grid[None, :])
-        best = np.argmin(values, axis=1)  # 0, so _THETA_MIN, where every value is infinite
-        index[searched] = best
-        value[searched] = values[np.arange(best.size), best]
-    return ThetaSelection(theta=grid[index], objective=value, converged=bool(np.all(np.isfinite(value))), index=index)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = grid - num_centers  # ratios[i, v, j]: point i, exponent v, grid point j
+        ratios /= grid + den_centers
+        np.abs(ratios, out=ratios)
+        magnitude = np.prod(ratios, axis=1) / np.abs(grid + omega * (lam[-1] - lam_min))
+        values = np.exp(np.sqrt(omega)) * magnitude + np.exp(np.minimum(grid - lam_min * omega, 700.0)) / np.sqrt(grid)
+    values = np.where(np.isfinite(values), values, np.inf)
+    best = np.argmin(values, axis=1)  # 0, so _THETA_MIN, where every value is infinite
+    return ThetaSelection(theta=grid[best], converged=bool(np.isfinite(values.min(axis=1)).all()))
 
 
 _MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
@@ -362,16 +316,19 @@ def _kernel_sweep(u, v, num_off, den_off, first):
         rational = slice(lo - 1, stop - 1)
         vb = v + b[rational]
         va = v + a[rational]
-        va *= vb
-        vb *= vb
-        den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
-        den_n += u
-        re_n = np.multiply(va, inv_u, out=re[: stop - lo])
-        re_n += u
-        re_n /= den_n
         factors = out[lo - start :]
-        factors.real = re_n
-        np.divide(a_minus_b[rational], den_n, out=factors.imag)
+        # a pole height |v + b| beyond 1e154 overflows its square, and the
+        # factor comes out 0 + 0i; its size is |u + i(v + a)| / |v + b|
+        with np.errstate(over="ignore"):
+            va *= vb
+            vb *= vb
+            den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
+            den_n += u
+            re_n = np.multiply(va, inv_u, out=re[: stop - lo])
+            re_n += u
+            re_n /= den_n
+            factors.real = re_n
+            np.divide(a_minus_b[rational], den_n, out=factors.imag)
         # freed before the consumer runs, so that its temporaries can reuse the
         # memory: a one-block sweep then holds no more than the block itself
         del va, vb, den_n, re_n
@@ -474,11 +431,10 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     tails come from ``_segment_levels``; only the panels are swept here, and
     each block of panel rows goes straight into its rows of ``values``.
 
-    Without ``plan`` every point searches the whole theta grid and starts
-    its tail test one level below its reach.  A ``plan`` that holds an
-    earlier evaluation's choices starts each point's theta search at its
-    earlier grid index and its tail test no lower than its earlier level;
-    the plan then takes this evaluation's choices.
+    A ``plan`` keeps its first evaluation's theta for every later one and
+    floors each point's tail test at its previous level (``ContourPlan``);
+    without one every point searches the theta grid and starts its tail
+    test one level below its reach.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -502,8 +458,9 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
     if plan is None:
         plan = ContourPlan()  # a throwaway: this evaluation starts from scratch
-    selection = _theta_search(lam, lam_min, omega, start=plan.theta_index)
-    theta = selection.theta
+    if plan.theta is None:
+        plan.theta = _theta_search(lam, lam_min, omega).theta
+    theta = plan.theta
 
     # All sigma-dependent quantities enter only through these offsets, so
     # sigma itself (which blows up as omega -> 0) is never formed here.
@@ -513,7 +470,7 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
 
     tails = np.empty((nb, xa.size), dtype=complex)
     levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails, floor=plan.levels)
-    plan.theta_index, plan.levels = selection.index, levels
+    plan.levels = levels
 
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)

@@ -100,12 +100,16 @@ class RuleDiagnostics:
     ``rejected_steps`` the walk solves that diverged and were retried with
     a shorter step.  ``newton_iterations`` counts the iterations of the
     accepted solves plus the polish only, not those of rejected solves.
+    ``floor_ratio`` is the largest ratio of a row's exact residual to its
+    rounding floor, in the same shifted problem (see ``_floor_ratio``); a
+    returned rule has it at most ``_FLOOR_RATIO_BOUND``.
     """
 
     residual: float
     continuation_steps: int
     newton_iterations: int
     rejected_steps: int
+    floor_ratio: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,8 @@ class NewtonResult:
     correction to the first, each measured as the largest relative node or
     weight change; it is 0 when the solve needed fewer than two
     corrections.  ``jacobian`` is the rescaled Jacobian ``assemble``
-    returned at the returned iterate.
+    returned at the returned iterate, on the theta the solve's first
+    ``assemble`` chose.
     """
 
     nodes: np.ndarray
@@ -243,9 +248,11 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 
     The basis comes from the evaluator's walk tier if ``walk`` and from its
     full tier otherwise.  A ``plan`` (``muntz.ContourPlan``) is passed to
-    the evaluator, which starts each node's theta search and tail test from
-    the choices it holds and stores this call's; without one the basis is
-    evaluated from scratch.  One batched basis sweep per call serves every row:
+    the evaluator: the first call with it searches each node's theta and
+    stores it, every later call reuses it, and each call's tail test starts
+    no lower than the previous call's levels; without one every call
+    searches theta and starts its tail test from scratch.  One batched basis
+    sweep per call serves every row:
     the value matrix gives both F and the right Jacobian block, and the
     scaled-derivative recurrence turns the same values into the left block
 
@@ -323,6 +330,12 @@ _CONTRACTION_TARGET = 0.25
 _POLISH_ITERATIONS = 4
 _POLISH_FLOOR = float(np.finfo(float).eps)
 
+# A polished rule is returned only if no row of its exact residual exceeds
+# this many times the row's rounding floor (``_floor_ratio``).  Over 370
+# traffic-set rules the ratio reads at most 1.06; the wrong rules of specs
+# with one exponent from 1e15 to 1e20 read 5e9 and more.
+_FLOOR_RATIO_BOUND = 8.0
+
 
 def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = False) -> NewtonResult:
     """Newton iteration on the moment-matching map.
@@ -330,10 +343,10 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
     its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
     (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
-    The solve's assemble calls share one private ``muntz.ContourPlan``:
-    each starts every node's theta search and tail test from the previous
-    call's choices, and the first starts from scratch, so no two solves
-    share choices.
+    The solve's assemble calls share one private ``muntz.ContourPlan``: the
+    first searches every node's theta and the rest reuse it, and each starts
+    its tail test from the previous call's levels, so no two solves share
+    choices.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -448,9 +461,11 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
-    solved only to the walk tolerance.  Raises ``DomainError`` if a weight
-    under- or overflows in doubles when the factor ``x**c`` maps it back to
-    the caller's weight.
+    solved only to the walk tolerance.  Raises ``NewtonDivergedError`` if
+    the polished rule's exact residual exceeds ``_FLOOR_RATIO_BOUND`` times
+    its rounding floor (``_floor_ratio``).  Raises ``DomainError`` if a
+    weight under- or overflows in doubles when the factor ``x**c`` maps it
+    back to the caller's weight.
     """
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
@@ -505,7 +520,16 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
-    x, w, res_norm, polish_iters = _polish(x, w, walk_spec, result.jacobian)
+    x, w, residual, polish_iters = _polish(x, w, walk_spec, result.jacobian)
+    res_norm = float(np.abs(residual).max())
+    floor_ratio = _floor_ratio(x, w, walk_spec.beta, result.jacobian, residual)
+    if not floor_ratio <= _FLOOR_RATIO_BOUND:  # a NaN ratio fails too
+        raise NewtonDivergedError(
+            f"polished residual is {floor_ratio:.3e} times its rounding floor "
+            f"(bound {_FLOOR_RATIO_BOUND:g})",
+            iterations=total_iterations + polish_iters,
+            residual=res_norm,
+        )
 
     return QuadratureRule(
         nodes=x,
@@ -516,6 +540,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
             continuation_steps=steps_taken,
             newton_iterations=total_iterations + polish_iters,
             rejected_steps=rejected_steps,
+            floor_ratio=floor_ratio,
         ),
     )
 
@@ -539,7 +564,7 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     direction an iterate 1e-11 off can show a smaller residual than the
     true rule rounded to doubles.  Steps continue while each correction is
     under a quarter of the one before; the result is the last iterate that
-    passed, or ``(x, w)`` itself if none did, with its exact residual; at
+    passed, or ``(x, w)`` itself if none did, with its exact residual vector; at
     most ``_POLISH_ITERATIONS`` steps are taken.  A correction of at most
     one ulp (``_POLISH_FLOOR``) also ends the polish at once, without taking
     it: such a step moves the rule by rounding only, and another exact
@@ -553,9 +578,8 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     iterations = 0
     for _ in range(_POLISH_ITERATIONS):
         residual = refine.exact_residual(x, w, expansion)
-        res_norm = float(np.abs(residual).max())
         if best is None:
-            best = (x, w, res_norm)
+            best = (x, w, residual)
         try:
             p_scaled = _solve(jacobian, -residual)
         except SingularMatrixError:
@@ -563,7 +587,7 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
         correction = _correction_size(x, w, beta, p_scaled)
         if not correction < 0.25 * previous:
             break  # corrections stopped contracting; the floor is reached
-        best = (x, w, res_norm)
+        best = (x, w, residual)
         if correction <= _POLISH_FLOOR:
             break  # the step would move the rule by rounding only
         previous = correction
@@ -575,6 +599,21 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
         iterations += 1
         x, w = x_trial, w_trial
     return best[0], best[1], best[2], iterations
+
+
+def _floor_ratio(x, w, beta, jacobian, residual) -> float:
+    """Largest ratio of a residual row to its rounding floor.
+
+    Row n's floor ``eps * sum_k (|J[n, k]| + |J[n, N+k]|) * w_k * x_k**(-beta/2)``
+    is how far the row moves when every node and weight moves by one ulp,
+    from the rescaled Jacobian ``J`` of ``assemble``.  A row whose floor is
+    0 scores 0 if its residual is 0 and infinity otherwise.
+    """
+    n = x.size
+    floor = float(np.finfo(float).eps) * ((np.abs(jacobian[:, :n]) + np.abs(jacobian[:, n:])) @ (w * x ** (-0.5 * beta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(residual == 0.0, 0.0, np.abs(residual) / floor)
+    return float(ratios.max())
 
 
 def transform_to_unit_weight(rule: QuadratureRule) -> QuadratureRule:

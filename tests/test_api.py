@@ -75,7 +75,8 @@ def test_no_public_callable_takes_a_setting(name):
 
 
 FOUR = np.array([0.0, 1.0, 2.0, 3.0])
-DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterations=0, rejected_steps=0)
+DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterations=0, rejected_steps=0,
+                              floor_ratio=0.0)
 
 
 @pytest.mark.parametrize("call, error", [

@@ -47,6 +47,16 @@ UNREACHABLE_SPECS = [
     pytest.param(np.array([0.0, 1.0, 2.0, 1e5]), 0.0, id="0-1-2-1e5"),
 ]
 
+# one exponent so far beyond the rest that the walk returns a wrong rule whose
+# residual, about 1/max(lam), meets the absolute Newton target; its residual
+# is 5e9 to 5e14 times its rounding floor
+OFF_FLOOR_SPECS = [
+    pytest.param(np.array([0.0, 1e15]), 0.0, id="0-1e15"),
+    pytest.param(np.array([0.0, 1e20]), 0.0, id="0-1e20"),
+    pytest.param(np.array([0.0, 1.0, 1e15, 1e15 + 1.0]), 0.0, id="0-1-1e15-1e15+1"),
+    pytest.param(np.array([-0.999, 1e15]), 0.0, id="-0.999-1e15"),
+]
+
 
 def example1(n_nodes):
     lam = np.empty(2 * n_nodes)
@@ -172,15 +182,25 @@ class TestNewtonSolve:
         result = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
         assert result.contraction == 0.0
 
-    def test_result_carries_the_jacobian_at_its_iterate(self):
+    def test_result_carries_the_jacobian_at_its_iterate(self, monkeypatch):
         lam = np.array([0.0, 1.0])
         m = moments(lam, 0.0)
+        plans = []
+
+        def assembling(*args, plan=None):
+            plans.append(plan)
+            return assemble(*args, plan=plan)
+
+        monkeypatch.setattr(solver, "assemble", assembling)
         exact = newton_solve([0.5], [1.0], lam, 0.0, m)
+        exact_plan = plans[-1]
         converged = newton_solve([0.4], [0.9], lam, 0.0, m)
         assert exact.iterations == 0
         assert converged.iterations >= 1
-        for result in (exact, converged):
-            _, jacobian = assemble(result.nodes, result.weights, lam, 0.0, m)
+        for result, plan in ((exact, exact_plan), (converged, plans[-1])):
+            # the solve's theta, and its last levels as the tail test's floor
+            held = muntz.ContourPlan(plan.theta, plan.levels)
+            _, jacobian = assemble(result.nodes, result.weights, lam, 0.0, m, plan=held)
             assert np.array_equal(result.jacobian, jacobian)
 
     def test_a_stall_near_the_target_diverges(self, monkeypatch):
@@ -313,7 +333,7 @@ class TestComputeRule:
         _, jacobian = assemble(x, w, spec.exponents, spec.beta, moments(spec.exponents, spec.beta))
         x, w, residual, _ = _polish(x, w, spec, jacobian)
         assert worst(x, w) <= 1e-15
-        assert residual <= 2e-14
+        assert np.abs(residual).max() <= 2e-14
 
     def test_contraction_control_rejects_fewer_steps(self):
         # an iteration-count step rule (double after 3 fast solves) rejects 2
@@ -349,6 +369,11 @@ class TestComputeRule:
     @pytest.mark.parametrize("lam, beta", UNREACHABLE_SPECS)
     def test_unreachable_exponent_raises_a_typed_error(self, lam, beta):
         with pytest.raises(ContinuationFailedError, match="step size fell below"):
+            compute_rule(RuleSpec(lam, beta))
+
+    @pytest.mark.parametrize("lam, beta", OFF_FLOOR_SPECS)
+    def test_rule_off_its_rounding_floor_raises_a_typed_error(self, lam, beta):
+        with pytest.raises(NewtonDivergedError, match="rounding floor"):
             compute_rule(RuleSpec(lam, beta))
 
     @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4]], ids=["0-1e4", "0-1-2-1e4"])
@@ -464,9 +489,9 @@ class TestCheapWalk:
             at_end.append(np.array_equal(lam, walk_end))
             return assemble(x, w, lam, *rest, **kwargs)
 
-        def searching(lam, lam_min, omega, **kwargs):
-            found = _theta_search(lam, lam_min, omega, **kwargs)
-            searches.append((at_end[-1], found.theta, kwargs.get("start") is not None))
+        def searching(lam, lam_min, omega):
+            found = _theta_search(lam, lam_min, omega)
+            searches.append((at_end[-1], found.theta))
             return found
 
         monkeypatch.setattr(solver, "assemble", assembling)
@@ -474,14 +499,14 @@ class TestCheapWalk:
         compute_rule(spec)
 
         grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
-        # the walk solves and the alpha = 1 solve alike, cold and warm-started
-        assert {final for final, _, _ in searches} == {False, True}
-        assert {(final, warm) for final, _, warm in searches} == {(False, False), (False, True), (True, False), (True, True)}
-        assert all(np.all(np.isin(theta, grid)) for _, theta, _ in searches)
+        # the walk solves and the alpha = 1 solve alike
+        assert {final for final, _ in searches} == {False, True}
+        assert all(np.all(np.isin(theta, grid)) for _, theta in searches)
 
 
 class TestContourPlan:
-    """Each Newton solve starts theta and the tail test from its previous assemble."""
+    """Each Newton solve keeps its first assemble's theta and starts each tail
+    test from its previous assemble's levels."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(RuleSpec(sequence_family(family, n), beta), id=f"{family}-n{n}")
@@ -504,7 +529,7 @@ class TestContourPlan:
             return newton_solve(*args, **kwargs)
 
         def assembling(*args, plan=None):
-            plans[-1].append((plan, plan.theta_index is None))
+            plans[-1].append((plan, plan.theta is None))
             return assemble(*args, plan=plan)
 
         monkeypatch.setattr(solver, "newton_solve", solving)
@@ -517,6 +542,33 @@ class TestContourPlan:
             assert [empty for _, empty in calls] == [True] + [False] * (len(calls) - 1)
             assert len({id(plan) for plan, _ in calls}) == 1
         assert len({id(calls[0][0]) for calls in plans}) == len(plans)
+
+    def test_one_theta_search_per_solve(self, monkeypatch):
+        searches, used = [], []  # each search's theta; the theta of each tail test
+        search, segment_levels = muntz._theta_search, muntz._segment_levels
+
+        def searching(*args):
+            found = search(*args)
+            searches.append(found.theta)
+            return found
+
+        def testing_tails(num_off, den_off, amplitude, theta, *rest, **kwargs):
+            used.append(theta)
+            return segment_levels(num_off, den_off, amplitude, theta, *rest, **kwargs)
+
+        monkeypatch.setattr(muntz, "_theta_search", searching)
+        monkeypatch.setattr(muntz, "_segment_levels", testing_tails)
+        beta = -0.25
+        lam = continuation_exponents(example1(6), 0.1)
+        start = gauss_jacobi(6, beta)
+        for walk in (True, False):
+            searches.clear()
+            used.clear()
+            result = newton_solve(start.nodes, start.weights, lam, beta, moments(lam, beta), walk)
+            assert result.iterations >= 2
+            (theta,) = searches
+            assert len(used) == result.iterations + 1
+            assert all(np.array_equal(theta, other) for other in used)
 
 
 class TestPredict:

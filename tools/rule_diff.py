@@ -17,7 +17,8 @@ each side in its own process with one BLAS thread:
 
 The report lists outcome changes, the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
-and weight change, the worst ``validation_rows`` error per side, and per
+and weight change, the worst ``validation_rows`` error and the largest
+``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
 group the ``assemble`` calls on the walk and the full evaluator tier, the
 polish's ``refine.exact_residual`` calls, and the ``muntz._kernel_sweep``
 calls of the tail test and of the panels with the tail test's point-tests
@@ -168,6 +169,12 @@ def relative_change(a, b) -> float:
     return float(np.max(np.abs(b - a) / np.abs(a)))
 
 
+def largest_floor_ratio(records: list) -> str:
+    ratios = [r["diagnostics"]["floor_ratio"] for r in records
+              if r["outcome"] == "ok" and "floor_ratio" in r["diagnostics"]]
+    return f"{max(ratios):.3g}" if ratios else "not reported"
+
+
 def report(parent: list, change: list) -> int:
     key = [(r["group"], r["label"], r["exponents"], r["beta"]) for r in parent]
     if key != [(r["group"], r["label"], r["exponents"], r["beta"]) for r in change]:
@@ -205,6 +212,8 @@ def report(parent: list, change: list) -> int:
     for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
         print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
     print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
+    print("largest floor ratio: " + ", ".join(f"{side} {largest_floor_ratio(records)}"
+                                              for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in KEYS}
     for title, keys in (("calls per group, walk assemble / full assemble / exact residual", COUNTS),
