@@ -286,7 +286,6 @@ def _spec_from_args(args) -> RuleSpec:
         exponents = sequence_family(args.family, args.n)
     else:
         raise ValueError("provide --family or --lambda-file")
-    ensure_admissible(exponents, args.beta)
     return RuleSpec(exponents=exponents, beta=args.beta)
 
 

@@ -28,13 +28,13 @@ starts one level below the shortest segment that reaches ``H``: below that,
 the poles raise a bump in the tail integrand, and a point passes there only
 when the bump is damped below the negligible level, where a longer segment
 serves as well.  The test runs in rounds, each one sweep of every pending
-point at its own level.
+point at its own level; the tails are then swept once at the chosen levels.
 
 A Newton solve evaluates the basis at nodes that barely move between its
 iterates, so it carries a ``ContourPlan``: the solve's first evaluation
-searches each point's theta and the solve keeps it, and each evaluation's
-tail test starts no lower than the previous one's levels.  Without a plan
-every evaluation searches theta and starts its tail test from scratch.
+chooses each point's theta and segment level and the solve keeps both, so
+within a solve the evaluated map is one smooth function of the iterate.
+Without a plan every evaluation chooses its contour afresh.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -42,8 +42,8 @@ cost of the last element.  The same sweep is batched across evaluation
 points, which is what the rule solver calls; it runs basis-major, so each
 update multiplies one contiguous ``(points, samples)`` slab.  The rows stream
 through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, and the
-last row of a block carries into the next: the panels contract each block as
-it comes and the tail test tests and contracts each block, so no
+last row of a block carries into the next: the panels and the tails contract
+each block as it comes and the tail test tests each block, so no
 ``(basis, points, samples)`` array is ever formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
@@ -108,12 +108,11 @@ class ThetaSelection:
 
 @dataclass
 class ContourPlan:
-    """The contour choices of one Newton solve, one entry per point off ``x = 1``.
+    """The contour of one Newton solve, one entry per point off ``x = 1``.
 
-    ``_basis_batch`` searches ``theta`` only while it is None and keeps it
-    for every later evaluation; each tail test starts no lower than
-    ``levels``, the previous evaluation's segment levels, and overwrites
-    them.  So a plan serves evaluations at a fixed number of points.
+    ``_basis_batch`` chooses ``theta`` and ``levels`` (the segment levels)
+    at its first evaluation with the plan and keeps both for every later
+    one, so a plan serves evaluations at a fixed number of points.
     """
 
     theta: np.ndarray | None = None
@@ -317,9 +316,9 @@ def _kernel_sweep(u, v, num_off, den_off, first):
         vb = v + b[rational]
         va = v + a[rational]
         factors = out[lo - start :]
-        # a pole height |v + b| beyond 1e154 overflows its square, and the
-        # factor comes out 0 + 0i; its size is |u + i(v + a)| / |v + b|
-        with np.errstate(over="ignore"):
+        # a pole height |v + b| beyond 1e154 overflows its square, and the factor
+        # comes out 0 + 0i (NaN if |v + a| overflows too); its size is |u + i(v + a)| / |v + b|
+        with np.errstate(over="ignore", invalid="ignore"):
             va *= vb
             vb *= vb
             den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
@@ -361,7 +360,7 @@ def _contract(sweep, weights) -> np.ndarray:
     return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
 
 
-def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) -> np.ndarray:
+def _segment_levels(num_off, den_off, amplitude, theta, lag) -> np.ndarray:
     """Per-point segment-doubling level that makes the Laguerre tail usable.
 
     For each candidate segment length the tail integrand is swept through
@@ -370,29 +369,21 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) 
     its launch value (resolvable) or contributes below ``_TAIL_NEGLIGIBLE``
     relative to the output scale ``max(1, x**lam_min)`` (harmless).
 
-    A point is first tried at level ``max(0, p - 1, floor)``, where ``p`` is
-    the shortest level whose segment reaches the highest pole height
+    A point is first tried at level ``max(0, p - 1)``, where ``p`` is the
+    shortest level whose segment reaches the highest pole height
     ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
-    ``_MAX_SEGMENT_DOUBLINGS``) and ``floor`` an optional per-point level
-    (the level of a previous evaluation), and then at each level above until
-    it passes or has failed at ``_MAX_SEGMENT_DOUBLINGS``.  The test runs in
+    ``_MAX_SEGMENT_DOUBLINGS``), and then at each level above until it
+    passes or has failed at ``_MAX_SEGMENT_DOUBLINGS``.  The test runs in
     rounds: one ``_kernel_sweep`` call per round sweeps every pending point
     at its own level, so there are as many calls as the most levels any one
-    point tries.
-
-    Every sweep is also contracted into ``tails[n, i]``, the tail integral,
-    overwritten while point i is pending, so it ends at the returned level.
-    Overflowed samples lie in the damped-dead zone and are dropped.  Both
-    tests, the dropping and the contraction run on each block of rows the
-    sweep yields, and a point passes a round only if it passes every block.
+    point tries.  Both tests run on each block of rows the sweep yields, and
+    a point passes a round only if it passes every block.
     """
     top = _MAX_SEGMENT_DOUBLINGS
     segments = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** np.arange(top + 1)
     # p: the shortest segment reaching the highest pole, theta + w*(max lam - min lam)
     reach = np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top)
     trying = np.maximum(reach - 1, 0)  # the level each pending point tries next
-    if floor is not None:
-        trying = np.maximum(trying, floor)
     levels = np.full(num_off.shape[0], top, dtype=int)
     pending = np.arange(num_off.shape[0])
     damp = np.exp(-lag.nodes)
@@ -404,7 +395,6 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) 
         segment = segments[at][:, None]
         cut = dead_cut[pending][:, None]
         launch_floor = 1.0 / segment
-        turn = 1j * np.exp(1j * segment[:, 0])
         for start, block in _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0):
             magnitudes = np.abs(block)
             launch = magnitudes[:, :, :1] + launch_floor
@@ -412,13 +402,24 @@ def _segment_levels(num_off, den_off, amplitude, theta, lag, tails, floor=None) 
             dead = magnitudes * damp <= cut
             passed = (bump_ok | dead).all(axis=(0, 2))
             ok = passed if start == 0 else ok & passed
-            if not np.isfinite(magnitudes).all():  # a finite |z| has finite parts
-                np.copyto(block, 0.0, where=~np.isfinite(block))
-            tails[start : start + len(block), pending] = turn * _contract(block, lag.weights)
         levels[pending[ok]] = at[ok]
         pending = pending[~ok & (at < top)]
         trying[pending] += 1
     return levels
+
+
+def _tail_integrals(num_off, den_off, levels, lag) -> np.ndarray:
+    """Tail integrals ``tails[n, i]`` launched at the end of point i's segment
+    at ``levels[i]``: one ``_kernel_sweep`` of every point, each block
+    contracted as it comes; overflowed samples (damped-dead) are dropped.
+    """
+    segment = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** levels
+    turn = 1j * np.exp(1j * segment)
+    tails = np.empty(num_off.shape[::-1], dtype=complex)
+    for start, block in _kernel_sweep(segment[:, None], lag.nodes, num_off, den_off, 1.0):
+        np.copyto(block, 0.0, where=~np.isfinite(block))
+        tails[start : start + len(block)] = turn * _contract(block, lag.weights)
+    return tails
 
 
 def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = None):
@@ -428,13 +429,13 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     ``xs[i]``, from the walk tier ``_WALK`` if ``walk`` and the full tier
     ``_FULL`` otherwise.  Points equal to 1 short-circuit to exact ones; a
     single-element sequence bypasses the contour entirely.  The Laguerre
-    tails come from ``_segment_levels``; only the panels are swept here, and
-    each block of panel rows goes straight into its rows of ``values``.
+    tails come from ``_tail_integrals`` at the segment levels; the panels are
+    swept per level, and each block of panel rows goes straight into its
+    rows of ``values``.
 
-    A ``plan`` keeps its first evaluation's theta for every later one and
-    floors each point's tail test at its previous level (``ContourPlan``);
-    without one every point searches the theta grid and starts its tail
-    test one level below its reach.
+    A ``plan`` keeps its first evaluation's theta and segment levels for
+    every later one (``ContourPlan``); without one every point searches the
+    theta grid and runs the tail test of ``_segment_levels``.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -455,9 +456,10 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
         return values
 
     panel_order, laguerre_order = _WALK if walk else _FULL
+    lag = gauss_laguerre(laguerre_order)
     omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
     if plan is None:
-        plan = ContourPlan()  # a throwaway: this evaluation starts from scratch
+        plan = ContourPlan()  # a throwaway: this evaluation chooses its own contour
     if plan.theta is None:
         plan.theta = _theta_search(lam, lam_min, omega).theta
     theta = plan.theta
@@ -468,9 +470,10 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
     den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
     amplitude = xa ** lam_min * np.exp(theta)
 
-    tails = np.empty((nb, xa.size), dtype=complex)
-    levels = _segment_levels(num_off, den_off, amplitude, theta, gauss_laguerre(laguerre_order), tails, floor=plan.levels)
-    plan.levels = levels
+    if plan.levels is None:
+        plan.levels = _segment_levels(num_off, den_off, amplitude, theta, lag)
+    levels = plan.levels
+    tails = _tail_integrals(num_off, den_off, levels, lag)
 
     for level in np.unique(levels):
         in_level = np.flatnonzero(levels == level)

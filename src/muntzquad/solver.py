@@ -150,7 +150,7 @@ class NewtonResult:
     correction to the first, each measured as the largest relative node or
     weight change; it is 0 when the solve needed fewer than two
     corrections.  ``jacobian`` is the rescaled Jacobian ``assemble``
-    returned at the returned iterate, on the theta the solve's first
+    returned at the returned iterate, on the contour the solve's first
     ``assemble`` chose.
     """
 
@@ -248,11 +248,9 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 
     The basis comes from the evaluator's walk tier if ``walk`` and from its
     full tier otherwise.  A ``plan`` (``muntz.ContourPlan``) is passed to
-    the evaluator: the first call with it searches each node's theta and
-    stores it, every later call reuses it, and each call's tail test starts
-    no lower than the previous call's levels; without one every call
-    searches theta and starts its tail test from scratch.  One batched basis
-    sweep per call serves every row:
+    the evaluator: the first call with it chooses each node's theta and
+    segment level and every later call reuses both; without one every call
+    chooses its own.  One batched basis sweep per call serves every row:
     the value matrix gives both F and the right Jacobian block, and the
     scaled-derivative recurrence turns the same values into the left block
 
@@ -344,9 +342,9 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
     (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
     The solve's assemble calls share one private ``muntz.ContourPlan``: the
-    first searches every node's theta and the rest reuse it, and each starts
-    its tail test from the previous call's levels, so no two solves share
-    choices.
+    first chooses every node's theta and segment level and the rest reuse
+    them, so within a solve the map is one smooth function of the iterate,
+    and no two solves share choices.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 

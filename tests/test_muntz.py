@@ -18,6 +18,7 @@ from muntzquad.muntz import (
     _kernel_sweep,
     _panel_grid,
     _segment_levels,
+    _tail_integrals,
     _theta_search,
 )
 from muntzquad.solver import RuleSpec, compute_rule, continuation_exponents
@@ -280,13 +281,13 @@ class TestSegmentLevels:
         # the first point overflows from prefix 3 on and never passes
         num_off[0, 1:3] = 1e200
         lag = gauss_laguerre(muntz._FULL[1])
-        tails = np.empty(num_off.shape[::-1], dtype=complex)
-        unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag, np.empty_like(tails))
+        unbounded = _segment_levels(num_off, den_off, amplitude, theta, lag)
         # at most two doublings: the points that need three stay at level 2
-        # without passing, so their tails come from the last overwrite
+        # without passing, and their tails are swept there
         top = 2
         monkeypatch.setattr(muntz, "_MAX_SEGMENT_DOUBLINGS", top)
-        levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails)
+        levels = _segment_levels(num_off, den_off, amplitude, theta, lag)
+        tails = _tail_integrals(num_off, den_off, levels, lag)
 
         assert np.any(unbounded[1:] > top)
         assert np.array_equal(levels, np.minimum(unbounded, top))
@@ -300,14 +301,16 @@ class TestSegmentLevels:
             fresh = 1j * np.exp(1j * segment) * (sweep @ lag.weights)
             assert np.array_equal(tails[:, i], fresh), (i, level)
             # a one-point batch gives the same level and the same tail bits
-            alone = np.empty((num_off.shape[1], 1), dtype=complex)
             point = (num_off[i : i + 1], den_off[i : i + 1], amplitude[i : i + 1], theta[i : i + 1], lag)
-            assert _segment_levels(*point, alone)[0] == level
+            assert _segment_levels(*point)[0] == level
+            alone = _tail_integrals(num_off[i : i + 1], den_off[i : i + 1], levels[i : i + 1], lag)
             assert np.array_equal(alone[:, 0], tails[:, i]), (i, level)
 
 
 def level_zero_search(num_off, den_off, amplitude, theta, lag, tails):
-    """The tail search with every point starting at level 0: the oracle for start levels."""
+    """The tail search with every point starting at level 0, contracting each
+    pending point's tail at every level it tries: the oracle for start levels
+    and for the tails swept at the levels found."""
     n_points = num_off.shape[0]
     base = muntz._PANEL_WIDTH * muntz._PANEL_COUNT
     levels = np.full(n_points, muntz._MAX_SEGMENT_DOUBLINGS, dtype=int)
@@ -352,7 +355,7 @@ def tail_inputs(solved, alpha, monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or _segment_levels(*args, **kwargs))
     _basis_batch(continuation_exponents(walk, alpha) + 0.5 * beta, nodes)
     monkeypatch.undo()
-    (*inputs, _), = calls
+    (inputs,) = calls
     return inputs
 
 
@@ -376,14 +379,14 @@ class TestSegmentStartLevel:
             rows.clear()
             expected = level_zero_search(*offsets, expected_tails)
             oracle_rows = sum(rows)
-            got_tails = np.empty_like(expected_tails)
             rows.clear()
-            got = _segment_levels(*offsets, got_tails)
+            got = _segment_levels(*offsets)
+            tested_rows = sum(rows)
 
             assert np.array_equal(got, expected)
-            assert np.array_equal(got_tails, expected_tails)
+            assert np.array_equal(_tail_integrals(num_off[points], den_off[points], got, lag), expected_tails)
             assert expected.max() >= 2
-            assert sum(rows) < oracle_rows
+            assert tested_rows < oracle_rows
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_one_sweep_per_round(self, solved, alpha, monkeypatch):
@@ -409,20 +412,12 @@ class TestSegmentStartLevel:
             offsets = [item[points] for item in inputs[:-1]]
             expected_tails = np.empty((den_off.shape[1], points.size), dtype=complex)
             expected = level_zero_search(*offsets, lag, expected_tails)
-            tails = np.empty_like(expected_tails)
             calls.clear()
-            got = _segment_levels(*offsets, lag, tails)
+            got = _segment_levels(*offsets, lag)
             assert np.array_equal(got, expected)
-            assert np.array_equal(tails, expected_tails)
             # one call per round: as many as the most levels one point tries
             assert len(calls) == np.max(got - start[points] + 1)
-
-            # started at the levels it returned, every point settles in one round
-            calls.clear()
-            again = np.empty_like(tails)
-            assert np.array_equal(_segment_levels(*offsets, lag, again, floor=got), got)
-            assert np.array_equal(again, tails)
-            assert len(calls) == 1
+            assert np.array_equal(_tail_integrals(offsets[0], offsets[1], got, lag), expected_tails)
 
 
 def record_blocks(monkeypatch):
@@ -487,9 +482,8 @@ class TestBlockedSweep:
 
         def run(block_samples):
             monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", block_samples)
-            tails = np.empty(num_off.shape[::-1], dtype=complex)
-            levels = _segment_levels(num_off, den_off, amplitude, theta, lag, tails)
-            return _basis_batch(lam, xs, walk), levels, tails
+            levels = _segment_levels(num_off, den_off, amplitude, theta, lag)
+            return _basis_batch(lam, xs, walk), levels, _tail_integrals(num_off, den_off, levels, lag)
 
         whole = run(ONE_BLOCK)
         lengths = record_blocks(monkeypatch)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from muntzquad.errors import (
     DomainError,
     InadmissibleSequenceError,
     LengthMismatchError,
+    MuntzQuadError,
     NewtonDivergedError,
     NonFiniteSampleError,
     SingularMatrixError,
@@ -55,6 +57,14 @@ OFF_FLOOR_SPECS = [
     pytest.param(np.array([0.0, 1e20]), 0.0, id="0-1e20"),
     pytest.param(np.array([0.0, 1.0, 1e15, 1e15 + 1.0]), 0.0, id="0-1-1e15-1e15+1"),
     pytest.param(np.array([-0.999, 1e15]), 0.0, id="-0.999-1e15"),
+]
+
+# two or more exponents beyond about 1e154: the squares of both the
+# numerator and the denominator offsets of a kernel factor overflow
+OVERFLOW_SPECS = [
+    pytest.param(np.array([0.0, 1e200, 2e200, 3e200]), 0.0, id="0-1e200-2e200-3e200"),
+    pytest.param(np.array([0.0, 1.0, 1e200, 1e200 + 1e190]), 0.0, id="0-1-1e200-1e200+1e190"),
+    pytest.param(np.array([0.0, 1e160, 2e160, 3e160]), 0.0, id="0-1e160-2e160-3e160"),
 ]
 
 
@@ -198,7 +208,7 @@ class TestNewtonSolve:
         assert exact.iterations == 0
         assert converged.iterations >= 1
         for result, plan in ((exact, exact_plan), (converged, plans[-1])):
-            # the solve's theta, and its last levels as the tail test's floor
+            # the solve's contour: its theta and segment levels
             held = muntz.ContourPlan(plan.theta, plan.levels)
             _, jacobian = assemble(result.nodes, result.weights, lam, 0.0, m, plan=held)
             assert np.array_equal(result.jacobian, jacobian)
@@ -376,6 +386,13 @@ class TestComputeRule:
         with pytest.raises(NewtonDivergedError, match="rounding floor"):
             compute_rule(RuleSpec(lam, beta))
 
+    @pytest.mark.parametrize("lam, beta", OVERFLOW_SPECS)
+    def test_overflowing_pole_heights_raise_a_typed_error_without_a_warning(self, lam, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MuntzQuadError):
+                compute_rule(RuleSpec(lam, beta))
+
     @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4]], ids=["0-1e4", "0-1-2-1e4"])
     def test_large_exponent_within_reach_builds(self, lam):
         rule = compute_rule(RuleSpec(np.array(lam), 0.0))
@@ -505,8 +522,7 @@ class TestCheapWalk:
 
 
 class TestContourPlan:
-    """Each Newton solve keeps its first assemble's theta and starts each tail
-    test from its previous assemble's levels."""
+    """Each Newton solve keeps its first assemble's theta and segment levels."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(RuleSpec(sequence_family(family, n), beta), id=f"{family}-n{n}")
@@ -544,31 +560,41 @@ class TestContourPlan:
         assert len({id(calls[0][0]) for calls in plans}) == len(plans)
 
     def test_one_theta_search_per_solve(self, monkeypatch):
-        searches, used = [], []  # each search's theta; the theta of each tail test
-        search, segment_levels = muntz._theta_search, muntz._segment_levels
+        # each search's theta; each tail test's theta and levels; the levels of each tail sweep
+        searches, tests, sweeps = [], [], []
+        search, segment_levels, tail_integrals = muntz._theta_search, muntz._segment_levels, muntz._tail_integrals
 
         def searching(*args):
             found = search(*args)
             searches.append(found.theta)
             return found
 
-        def testing_tails(num_off, den_off, amplitude, theta, *rest, **kwargs):
-            used.append(theta)
-            return segment_levels(num_off, den_off, amplitude, theta, *rest, **kwargs)
+        def testing_tails(num_off, den_off, amplitude, theta, lag):
+            levels = segment_levels(num_off, den_off, amplitude, theta, lag)
+            tests.append((theta, levels))
+            return levels
+
+        def sweeping_tails(num_off, den_off, levels, lag):
+            sweeps.append(levels)
+            return tail_integrals(num_off, den_off, levels, lag)
 
         monkeypatch.setattr(muntz, "_theta_search", searching)
         monkeypatch.setattr(muntz, "_segment_levels", testing_tails)
+        monkeypatch.setattr(muntz, "_tail_integrals", sweeping_tails)
         beta = -0.25
         lam = continuation_exponents(example1(6), 0.1)
         start = gauss_jacobi(6, beta)
         for walk in (True, False):
             searches.clear()
-            used.clear()
+            tests.clear()
+            sweeps.clear()
             result = newton_solve(start.nodes, start.weights, lam, beta, moments(lam, beta), walk)
             assert result.iterations >= 2
             (theta,) = searches
-            assert len(used) == result.iterations + 1
-            assert all(np.array_equal(theta, other) for other in used)
+            ((tested_theta, levels),) = tests
+            assert np.array_equal(tested_theta, theta)
+            assert len(sweeps) == result.iterations + 1
+            assert all(np.array_equal(levels, other) for other in sweeps)
 
 
 class TestPredict:

@@ -20,17 +20,20 @@ weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
 group the ``assemble`` calls on the walk and the full evaluator tier, the
-polish's ``refine.exact_residual`` calls, and the ``muntz._kernel_sweep``
-calls of the tail test and of the panels with the tail test's point-tests
-(the points its calls sweep, summed) and the blocks of rows all sweeps
-yield (a sweep that returns one array counts as one block), the samples
-swept (basis rows x points x contour samples, summed over the sweeps) by
-the tail test and by the panels on each evaluator tier, and per tier how the
-``newton_solve`` calls ended: converged, converged at zero iterations, or
-diverged, by the reason its ``NewtonDivergedError`` gives ("no
-convergence" is the iteration cap).  The specs come from this checkout's
-``bench/`` and ``tests/``, which are only read; a side whose spec list
-differs from the other's stops the run.
+``newton_solve`` calls, the tail tests (``muntz._segment_levels`` calls) and
+the polish's ``refine.exact_residual`` calls.  Each ``muntz._kernel_sweep``
+call is classed by the function that makes it: the tail test, the tail
+contraction (``muntz._tail_integrals``; a tree whose tail test contracts the
+tails itself has none) or the panels (``muntz._basis_batch``).  Per group
+the report gives those calls with the tail test's point-tests (the points
+its calls sweep, summed) and the blocks of rows all sweeps yield (a sweep
+that returns one array counts as one block), the samples swept (basis rows
+x points x contour samples, summed over the sweeps) by each class on each
+evaluator tier, and per tier how the ``newton_solve`` calls ended:
+converged, converged at zero iterations, or diverged, by the reason its
+``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  The
+specs come from this checkout's ``bench/`` and ``tests/``, which are only
+read; a side whose spec list differs from the other's stops the run.
 """
 
 from __future__ import annotations
@@ -46,12 +49,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNTS = ("walk", "full", "exact_residual")  # per-spec call counts: assemble by tier, polish residual
-# per-spec kernel sweeps: tail calls, their points, panel calls, blocks swept
-SWEEPS = ("tail", "tail_points", "panel", "blocks")
+# per-spec call counts: assemble by tier, Newton solves, tail tests, polish residual
+COUNTS = ("walk", "full", "solves", "tail_tests", "exact_residual")
+# the class of a kernel sweep, by the function that calls it
+CALLERS = {"_segment_levels": "test", "_tail_integrals": "tail", "_basis_batch": "panel"}
+# per-spec kernel sweeps: tail-test calls, their points, tail and panel calls, blocks swept
+SWEEPS = ("test", "test_points", "tail", "panel", "blocks")
 TIERS = ("walk", "full")
-# per-spec samples swept (rows x points x samples), by sweep and evaluator tier
-SAMPLES = tuple(f"{where}_samples_{t}" for where in ("tail", "panel") for t in TIERS)
+# per-spec samples swept (rows x points x samples), by sweep class and evaluator tier
+SAMPLES = tuple(f"{where}_samples_{t}" for where in CALLERS.values() for t in TIERS)
 KEYS = COUNTS + SWEEPS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
@@ -93,7 +99,7 @@ def build_side() -> list:
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # tier -> outcome -> solves
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
-    kernel_sweep = muntz._kernel_sweep
+    kernel_sweep, segment_levels = muntz._kernel_sweep, muntz._segment_levels
     evaluating = ["full"]  # the tier of the assemble under way, which the sweeps serve
 
     def tier(args, kwargs):
@@ -114,12 +120,15 @@ def build_side() -> list:
             counts["blocks"] += 1
             yield block
 
+    def counting_tests(*args, **kwargs):
+        counts["tail_tests"] += 1
+        return segment_levels(*args, **kwargs)
+
     def counting_sweep(u, v, num_off, *args, **kwargs):
-        # the tail test sweeps at the Laguerre ordinates, the panels at v = 0
-        where = "tail" if np.ndim(v) else "panel"
+        where = CALLERS[sys._getframe(1).f_code.co_name]
         counts[where] += 1
-        if where == "tail":
-            counts["tail_points"] += num_off.shape[0]
+        if where == "test":
+            counts["test_points"] += num_off.shape[0]
         counts[f"{where}_samples_{evaluating[0]}"] += num_off.size * np.broadcast(u, v).shape[-1]
         swept = kernel_sweep(u, v, num_off, *args, **kwargs)
         if isinstance(swept, np.ndarray):  # a tree whose sweep returns every row at once
@@ -128,6 +137,7 @@ def build_side() -> list:
         return counting_blocks(swept)
 
     def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
         outcomes = newton[tier(args, kwargs)]
         try:
             result = newton_solve(*args, **kwargs)
@@ -139,7 +149,7 @@ def build_side() -> list:
 
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
     solver.newton_solve = counting_solve
-    muntz._kernel_sweep = counting_sweep
+    muntz._kernel_sweep, muntz._segment_levels = counting_sweep, counting_tests
     records = []
     for group, label, lam, beta in traffic_specs():
         counts.update(dict.fromkeys(KEYS, 0))
@@ -216,9 +226,12 @@ def report(parent: list, change: list) -> int:
                                               for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in KEYS}
-    for title, keys in (("calls per group, walk assemble / full assemble / exact residual", COUNTS),
-                        ("kernel sweeps per group, tail calls / tail point-tests / panel calls / blocks", SWEEPS),
-                        ("samples swept per group, tail walk / tail full / panel walk / panel full", SAMPLES)):
+    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / tail test / exact residual",
+                         COUNTS),
+                        ("kernel sweeps per group, tail-test calls / tail-test point-tests / tail calls / panel calls"
+                         " / blocks", SWEEPS),
+                        ("samples swept per group, tail-test walk / tail-test full / tail walk / tail full"
+                         " / panel walk / panel full", SAMPLES)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
