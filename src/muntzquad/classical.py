@@ -2,29 +2,39 @@
 
 Gauss-Legendre on [0, 1] (panel quadrature for the oscillatory contour
 integral), Gauss-Laguerre on (0, inf) (the exponential tail), and
-Gauss-Jacobi on [0, 1] with weight x**beta.
+Gauss-Jacobi on [0, 1] with weight x**beta; Gauss-Legendre is the
+Gauss-Jacobi rule at beta = 0.
 
 Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
-(numpy's dense symmetric eigensolver).  They are Newton-polished against the
-orthonormal-polynomial recurrence in double-double, with weights from the
-Christoffel sum in the same arithmetic, so the cached rules are correctly
+(numpy's dense symmetric eigensolver).  One Newton step on the
+orthonormal-polynomial recurrence polishes them, and the weights are the
+reciprocal Christoffel sums at the result, so the cached rules are correctly
 rounded: every downstream quadrature inherits the rule's accuracy, and the
-plain eigensolver only carries ~1e-13 of it.  Rules are cached per
-(kind, order, beta) and returned with read-only arrays, so concurrent
-reads are safe and accidental mutation raises.  The rule solver's start,
-``_jacobi_start``, skips the polish and the cache.
+plain eigensolver only carries ~1e-13 of it.  The recurrence coefficients,
+the Newton step and the Christoffel sums call the raw ``mpmath.libmp``
+kernels on number tuples at ``_PREC`` bits, rounded to nearest, as
+``refine`` does.  Rules are cached per (kind, order, beta) and returned with
+read-only arrays, so concurrent reads are safe and accidental mutation
+raises.  The rule solver's start, ``_jacobi_start``, skips the Newton step
+and the cache.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+from mpmath import libmp
+from mpmath.libmp import fone, from_float, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
 
-from . import dd
 from .errors import InvalidBetaError, InvalidOrderError, _as_real
+
+# Working precision in bits: one Newton step from the eigenvalue seeds
+# lands every node well inside it, far below a double's rounding.
+_PREC = 113
+_RND = libmp.round_nearest
 
 
 @dataclass(frozen=True)
@@ -45,58 +55,67 @@ def _check_order(order) -> int:
     return order
 
 
-def _orthonormal_eval(x, alpha, sqrt_beta, order, derivative=True):
-    """Orthonormal-polynomial values/derivatives at ``x`` plus the Christoffel sum.
+def _to_float(value) -> float:
+    return libmp.to_float(value, rnd=_RND)
 
-    ``sqrt_beta[0]`` is sqrt of the zeroth moment.  Returns ``(p, dp, s)``
-    for the degree-``order`` element, with ``s = sum_{k<order} p_k(x)**2``.
-    All quantities are dd pairs over the node axis.  Without ``derivative``
-    the derivative recurrence is skipped and ``dp`` is None.
+
+def _orthonormal_eval(x, alpha, sqrt_beta, order, derivative=True):
+    """Orthonormal-polynomial values at every node of ``x``.
+
+    ``sqrt_beta[0]`` is sqrt of the zeroth moment.  With ``derivative``,
+    returns the Newton correction ``p/dp`` of the degree-``order`` element
+    per node; without it, the Christoffel sum ``sum_{k<order} p_k(x)**2``
+    per node.  Nodes, coefficients and results are raw ``libmp`` numbers.
     """
-    zero = dd.from_double(np.zeros_like(x[0]))
-    p_prev, dp_prev = zero, zero
-    p_cur = dd.div(dd.from_double(np.ones_like(x[0])), sqrt_beta[0])
-    dp_cur = zero if derivative else None
-    chris = dd.mul(p_cur, p_cur)
-    for k in range(order):
-        shift = dd.add(x, dd.negate(alpha[k]))
-        p_next = dd.div(
-            dd.add(dd.mul(shift, p_cur), dd.negate(dd.mul(sqrt_beta[k], p_prev))),
-            sqrt_beta[k + 1],
-        )
-        if derivative:
-            dp_next = dd.div(
-                dd.add(dd.add(p_cur, dd.mul(shift, dp_cur)), dd.negate(dd.mul(sqrt_beta[k], dp_prev))),
-                sqrt_beta[k + 1],
+    prec = _PREC
+    p_first = mpf_div(fone, sqrt_beta[0], prec, _RND)
+    out = []
+    for xi in x:
+        p_prev, p_cur = fzero, p_first
+        dp_prev = dp_cur = fzero
+        chris = mpf_mul(p_cur, p_cur, prec, _RND)
+        for k in range(order):
+            shift = mpf_sub(xi, alpha[k], prec, _RND)
+            p_next = mpf_div(
+                mpf_sub(mpf_mul(shift, p_cur, prec, _RND), mpf_mul(sqrt_beta[k], p_prev, prec, _RND), prec, _RND),
+                sqrt_beta[k + 1], prec, _RND,
             )
-            dp_prev, dp_cur = dp_cur, dp_next
-        p_prev, p_cur = p_cur, p_next
-        if k < order - 1:
-            chris = dd.add(chris, dd.mul(p_cur, p_cur))
-    return p_cur, dp_cur, chris
+            if derivative:
+                dp_next = mpf_add(p_cur, mpf_mul(shift, dp_cur, prec, _RND), prec, _RND)
+                dp_next = mpf_div(
+                    mpf_sub(dp_next, mpf_mul(sqrt_beta[k], dp_prev, prec, _RND), prec, _RND),
+                    sqrt_beta[k + 1], prec, _RND,
+                )
+                dp_prev, dp_cur = dp_cur, dp_next
+            elif k < order - 1:
+                chris = mpf_add(chris, mpf_mul(p_next, p_next, prec, _RND), prec, _RND)
+            p_prev, p_cur = p_cur, p_next
+        out.append(mpf_div(p_cur, dp_cur, prec, _RND) if derivative else chris)
+    return out
 
 
 def _rule(alpha, beta_coeffs, newton_steps):
     """Nodes and weights from the recurrence coefficients.
 
-    ``alpha``/``beta_coeffs`` are dd pairs of the monic recurrence
-    coefficients with ``beta_coeffs[0]`` the zeroth moment.  The nodes start
-    as the eigenvalues of the Jacobi matrix, and ``newton_steps`` dd Newton
-    steps on the orthonormal polynomial follow (two move each node to
-    ~1e-30).  The weights are the reciprocal Christoffel sums at the result.
+    ``alpha``/``beta_coeffs`` are lists of the monic recurrence
+    coefficients as ``libmp`` numbers, with ``beta_coeffs[0]`` the zeroth
+    moment.  The nodes start as the eigenvalues of the Jacobi matrix, and
+    ``newton_steps`` Newton steps on the orthonormal polynomial follow (the
+    seeds carry ~1e-13, so one quadratic step leaves ~1e-26).  The weights are the reciprocal Christoffel
+    sums at the result, each rounded to a double before its reciprocal.
     Both arrays come back read-only.
     """
-    order = alpha[0].size
-    sqrt_off = np.sqrt(dd.to_double((beta_coeffs[0][1:-1], beta_coeffs[1][1:-1])))
-    jacobi = np.diag(dd.to_double(alpha)) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
-    alpha_pairs = [(alpha[0][k], alpha[1][k]) for k in range(order)]
-    sqrt_beta = [dd.sqrt((beta_coeffs[0][k], beta_coeffs[1][k])) for k in range(order + 1)]
-    x = dd.from_double(np.linalg.eigvalsh(jacobi))
+    order = len(alpha)
+    sqrt_off = np.sqrt([_to_float(b) for b in beta_coeffs[1:-1]])
+    jacobi = np.diag([_to_float(a) for a in alpha]) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
+    sqrt_beta = [mpf_sqrt(b, _PREC, _RND) for b in beta_coeffs]
+    x = [from_float(float(v)) for v in np.linalg.eigvalsh(jacobi)]
     for _ in range(newton_steps):
-        p, dp, _ = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order)
-        x = dd.add(x, dd.negate(dd.div(p, dp)))
-    _, _, chris = _orthonormal_eval(x, alpha_pairs, sqrt_beta, order, False)
-    nodes, weights = dd.to_double(x), 1.0 / dd.to_double(chris)
+        corrections = _orthonormal_eval(x, alpha, sqrt_beta, order)
+        x = [mpf_sub(xi, dx, _PREC, _RND) for xi, dx in zip(x, corrections)]
+    chris = _orthonormal_eval(x, alpha, sqrt_beta, order, False)
+    nodes = np.array([_to_float(xi) for xi in x])
+    weights = 1.0 / np.array([_to_float(s) for s in chris])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -107,16 +126,7 @@ def gauss_legendre(order: int) -> ClassicalRule:
 
     Exact for polynomials of degree <= 2*order - 1.
     """
-    return _gauss_legendre(_check_order(order))
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> ClassicalRule:
-    k = np.arange(order + 1, dtype=float)
-    alpha = dd.from_double(np.full(order, 0.5))
-    beta = dd.div(dd.from_double(k**2), dd.from_double(4.0 * (4.0 * k**2 - 1.0)))
-    beta[0][0], beta[1][0] = 1.0, 0.0  # zeroth moment of the unit weight
-    return ClassicalRule(*_rule(alpha, beta, 2))
+    return _gauss_jacobi(_check_order(order), 0.0)
 
 
 def gauss_laguerre(order: int) -> ClassicalRule:
@@ -126,11 +136,9 @@ def gauss_laguerre(order: int) -> ClassicalRule:
 
 @lru_cache(maxsize=None)
 def _gauss_laguerre(order: int) -> ClassicalRule:
-    k = np.arange(order, dtype=float)
-    alpha = dd.from_double(2.0 * k + 1.0)
-    beta = dd.from_double(np.arange(order + 1, dtype=float) ** 2)
-    beta[0][0] = 1.0  # zeroth moment of exp(-y)
-    return ClassicalRule(*_rule(alpha, beta, 2))
+    alpha = [from_int(2 * k + 1) for k in range(order)]
+    beta = [fone] + [from_int(k * k) for k in range(1, order + 1)]  # zeroth moment of exp(-y) first
+    return ClassicalRule(*_rule(alpha, beta, 1))
 
 
 def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
@@ -147,14 +155,14 @@ def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
 
 @lru_cache(maxsize=None)
 def _gauss_jacobi(order: int, beta: float) -> ClassicalRule:
-    return ClassicalRule(*_rule(*_jacobi_coefficients(order, beta), 2))
+    return ClassicalRule(*_rule(*_jacobi_coefficients(order, beta), 1))
 
 
 def _jacobi_start(order: int, beta: float):
     """Nodes and weights of the Gauss rule for x**beta on [0, 1], unrefined.
 
     The rule solver's walk starts here and its first solve stops at 1e-5,
-    so the eigenvalue nodes go unpolished.  One dd Christoffel pass keeps
+    so the eigenvalue nodes go unpolished.  One Christoffel pass keeps
     every weight within ~1e-10 relative, where the eigenvectors' smallest
     weights lose every digit.  ``beta`` must already be valid.
     """
@@ -162,32 +170,21 @@ def _jacobi_start(order: int, beta: float):
 
 
 def _jacobi_coefficients(order: int, beta: float):
-    """Monic recurrence coefficients of x**beta on [0, 1] as dd pairs.
+    """Monic recurrence coefficients of x**beta on [0, 1] as ``libmp`` numbers.
 
     The coefficients for the Jacobi weight (1+t)**beta on [-1, 1] are
     affine-mapped to [0, 1]; the zeroth moment there is 1/(1+beta).
     """
-    k = np.arange(1, order, dtype=float)
-    b = dd.from_double(np.float64(beta))
-    two_k_b = dd.add_double(dd.from_double(2.0 * k), beta)
-
-    alpha_hi = np.empty(order)
-    alpha_lo = np.empty(order)
-    alpha_hi[0], alpha_lo[0] = dd.div(dd.add_double(b, 1.0), dd.add_double(b, 2.0))
-    if order > 1:
-        ratio = dd.div(dd.mul(b, b), dd.mul(two_k_b, dd.add_double(two_k_b, 2.0)))
-        alpha_hi[1:], alpha_lo[1:] = dd.mul_double(dd.add_double(ratio, 1.0), 0.5)
-
-    beta_hi = np.zeros(order + 1)
-    beta_lo = np.zeros(order + 1)
-    # the zeroth moment
-    beta_hi[0], beta_lo[0] = dd.div(dd.from_double(np.float64(1.0)), dd.add_double(b, 1.0))
-    if order > 1:
-        k_b = dd.add_double(dd.from_double(k), beta)
-        num = dd.mul(dd.from_double(k**2), dd.mul(k_b, k_b))
-        sq = dd.mul(two_k_b, two_k_b)
-        beta_hi[1:order], beta_lo[1:order] = dd.div(num, dd.mul(sq, dd.add_double(sq, -1.0)))
+    add, sub, mul, div = (partial(f, prec=_PREC, rnd=_RND) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div))
+    b = from_float(float(beta))
+    alpha = [div(add(b, fone), add(b, from_int(2)))]
+    beta_coeffs = [div(fone, add(b, fone))]  # the zeroth moment
+    for k in range(1, order):
+        two_k_b = add(from_int(2 * k), b)
+        ratio = div(mul(b, b), mul(two_k_b, add(two_k_b, from_int(2))))
+        alpha.append(mpf_shift(add(ratio, fone), -1))  # (1 + ratio) / 2
+        k_b, sq = add(from_int(k), b), mul(two_k_b, two_k_b)
+        beta_coeffs.append(div(mul(from_int(k * k), mul(k_b, k_b)), mul(sq, sub(sq, fone))))
     # beta_coeffs[order] only normalizes the last orthonormal element; any
-    # positive value works, reuse 1
-    beta_hi[order] = 1.0
-    return (alpha_hi, alpha_lo), (beta_hi, beta_lo)
+    # positive value works, take 1
+    return alpha, beta_coeffs + [fone]

@@ -463,7 +463,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     the polished rule's exact residual exceeds ``_FLOOR_RATIO_BOUND`` times
     its rounding floor (``_floor_ratio``).  Raises ``DomainError`` if a
     weight under- or overflows in doubles when the factor ``x**c`` maps it
-    back to the caller's weight.
+    back to the caller's weight, and before the walk if the exponent spread
+    ``max(lam) - min(lam)`` is so wide (beyond about 6.7e18) that
+    ``x**spread`` underflows to 0 at every double below 1: no rule in
+    doubles can then tell the widest exponents apart.
     """
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
@@ -473,6 +476,12 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     lam = np.sort(spec.exponents)
     c = -lam[0]
     walk_spec = RuleSpec(lam + c, spec.beta - c)
+    spread = float(walk_spec.exponents[-1])
+    if math.nextafter(1.0, 0.0) ** spread == 0.0:
+        raise DomainError(
+            f"exponent spread {spread:.3g} is too wide for double precision: "
+            "x**spread underflows to 0 at every double x < 1"
+        )
 
     x, w = _jacobi_start(spec.n_nodes, walk_spec.beta)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from muntzquad.classical import _jacobi_start, gauss_jacobi, gauss_laguerre, gauss_legendre
 from muntzquad.errors import InvalidBetaError, InvalidOrderError
@@ -95,6 +96,39 @@ def test_jacobi_power_moment_exactness():
             exact = 1.0 / (k + 1 + beta)
             value = float(rule.weights @ rule.nodes**k)
             assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def _reference_rule(kind, order, beta=0.0):
+    """The 50-digit ``mp.gauss_quadrature`` rule on [0, 1] (on (0, inf) for
+    Laguerre), rounded to nearest doubles, in ascending node order."""
+    with mp.workdps(50):
+        if kind == "laguerre":
+            pairs = zip(*mp.gauss_quadrature(order, "laguerre"))
+        else:
+            # (1 + t)**beta on [-1, 1] is 2**beta x**beta at x = (1 + t)/2
+            nodes, weights = mp.gauss_quadrature(order, kind, 0, beta)
+            scale = mp.mpf(2) ** -(mp.mpf(beta) + 1)
+            pairs = [((t + 1) / 2, w * scale) for t, w in zip(nodes, weights)]
+        pairs = sorted(pairs)
+        return np.array([float(x) for x, _ in pairs]), np.array([float(w) for _, w in pairs])
+
+
+@pytest.mark.parametrize("rule, kind, order, beta", [
+    pytest.param(gauss_legendre, "legendre", 8, 0.0, id="legendre-8"),
+    pytest.param(gauss_legendre, "legendre", 24, 0.0, id="legendre-24"),
+    pytest.param(gauss_laguerre, "laguerre", 8, 0.0, id="laguerre-8"),
+    pytest.param(gauss_laguerre, "laguerre", 16, 0.0, id="laguerre-16"),
+    pytest.param(gauss_jacobi, "jacobi", 7, -0.25, id="jacobi-7"),
+    pytest.param(gauss_jacobi, "jacobi", 20, 1.0 / 6.0, id="jacobi-20"),
+    pytest.param(gauss_jacobi, "jacobi", 12, 3.0, id="jacobi-12"),
+])
+def test_rules_are_correctly_rounded(rule, kind, order, beta):
+    # nodes rounded to nearest; each weight is the reciprocal of a rounded
+    # Christoffel sum, so it may sit one ulp off
+    built = rule(order, beta) if kind == "jacobi" else rule(order)
+    nodes, weights = _reference_rule(kind, order, beta)
+    assert np.array_equal(built.nodes, nodes)
+    assert np.all(np.abs(built.weights - weights) <= np.spacing(weights))
 
 
 def test_invalid_arguments():

@@ -22,7 +22,14 @@ from muntzquad import cli
 from muntzquad.errors import DomainError, InadmissibleSequenceError, NewtonDivergedError
 from muntzquad.solver import RuleSpec, compute_rule
 from quad_oracle import adaptive_integrate
-from test_solver import OFF_FLOOR_SPECS, OVERFLOW_SPECS, UNDERFLOW_SPECS, UNREACHABLE_SPECS
+from test_solver import (
+    HUGE_BETA_SPECS,
+    OFF_FLOOR_SPECS,
+    OVERFLOW_SPECS,
+    UNDERFLOW_SPECS,
+    UNREACHABLE_SPECS,
+    WIDE_SPREAD_SPECS,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -278,7 +285,10 @@ class TestCommands:
         assert main([command, "--lambda-file", str(lam_file), "--beta", repr(beta)]) == 1
         assert "rule construction failed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam, beta", UNREACHABLE_SPECS + OFF_FLOOR_SPECS + OVERFLOW_SPECS)
+    @pytest.mark.parametrize(
+        "lam, beta",
+        UNREACHABLE_SPECS + OFF_FLOOR_SPECS + OVERFLOW_SPECS + WIDE_SPREAD_SPECS + HUGE_BETA_SPECS,
+    )
     def test_unreachable_exponent_exits_1(self, lam, beta, tmp_path, capsys):
         lam_file = tmp_path / "lambda.txt"
         lam_file.write_text("\n".join(repr(float(v)) for v in lam) + "\n")

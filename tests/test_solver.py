@@ -51,12 +51,31 @@ UNREACHABLE_SPECS = [
 
 # one exponent so far beyond the rest that the walk returns a wrong rule whose
 # residual, about 1/max(lam), meets the absolute Newton target; its residual
-# is 5e9 to 5e14 times its rounding floor
+# is 3e11 to 5e14 times its rounding floor
 OFF_FLOOR_SPECS = [
     pytest.param(np.array([0.0, 1e15]), 0.0, id="0-1e15"),
-    pytest.param(np.array([0.0, 1e20]), 0.0, id="0-1e20"),
     pytest.param(np.array([0.0, 1.0, 1e15, 1e15 + 1.0]), 0.0, id="0-1-1e15-1e15+1"),
     pytest.param(np.array([-0.999, 1e15]), 0.0, id="-0.999-1e15"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e18]), 0.0, id="0-1-2-1e18"),
+]
+
+# an exponent spread beyond about 6.7e18: x**spread underflows to 0 at every
+# double below 1, so no double rule exists; beyond about 1e29 the rounding
+# floor check cannot see the wrong rule the walk returns
+WIDE_SPREAD_SPECS = [
+    pytest.param(np.array([0.0, 1e20]), 0.0, id="0-1e20"),
+    pytest.param(np.array([0.0, 1e200]), 0.0, id="0-1e200"),
+    pytest.param(np.array([0.0, 1e300]), 0.0, id="0-1e300"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e30]), 0.0, id="0-1-2-1e30"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e200]), 0.0, id="0-1-2-1e200"),
+]
+
+# beta beyond about 1e154: the start's nodes round to 1 in doubles, and the
+# squares in its recurrence coefficients would overflow double arithmetic
+HUGE_BETA_SPECS = [
+    pytest.param(np.arange(4.0), 1e154, id="0..3-beta1e154"),
+    pytest.param(np.arange(4.0), 1e200, id="0..3-beta1e200"),
+    pytest.param(np.arange(6.0), 1e300, id="0..5-beta1e300"),
 ]
 
 # two or more exponents beyond about 1e154: the squares of both the
@@ -386,7 +405,12 @@ class TestComputeRule:
         with pytest.raises(NewtonDivergedError, match="rounding floor"):
             compute_rule(RuleSpec(lam, beta))
 
-    @pytest.mark.parametrize("lam, beta", OVERFLOW_SPECS)
+    @pytest.mark.parametrize("lam, beta", WIDE_SPREAD_SPECS)
+    def test_spread_beyond_doubles_raises_a_domain_error(self, lam, beta):
+        with pytest.raises(DomainError, match="spread"):
+            compute_rule(RuleSpec(lam, beta))
+
+    @pytest.mark.parametrize("lam, beta", OVERFLOW_SPECS + HUGE_BETA_SPECS)
     def test_overflowing_pole_heights_raise_a_typed_error_without_a_warning(self, lam, beta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

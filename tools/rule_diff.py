@@ -31,9 +31,14 @@ that returns one array counts as one block), the samples swept (basis rows
 x points x contour samples, summed over the sweeps) by each class on each
 evaluator tier, and per tier how the ``newton_solve`` calls ended:
 converged, converged at zero iterations, or diverged, by the reason its
-``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  The
-specs come from this checkout's ``bench/`` and ``tests/``, which are only
-read; a side whose spec list differs from the other's stops the run.
+``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  Last
+it counts the classical arrays (nodes and weights) that are bit-identical
+between the sides, and names each one that is not: ``gauss_legendre`` and
+``gauss_laguerre`` at the orders of the evaluator tiers ``muntz._FULL`` and
+``muntz._WALK``, and each spec's walk start,
+``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
+checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
+list differs from the other's stops the run.
 """
 
 from __future__ import annotations
@@ -91,10 +96,30 @@ def traffic_specs():
     return [(group, label, [float(v) for v in lam], float(beta)) for group, label, lam, beta in specs]
 
 
-def build_side() -> list:
-    """Builds every spec with the package on ``sys.path``; one record per spec."""
+def classical_arrays(specs) -> dict:
+    """Name -> ``[nodes, weights]`` of the tier rules and each spec's walk start."""
+    from muntzquad import classical, muntz
+
+    arrays = {}
+    for rule, orders in ((classical.gauss_legendre, {muntz._FULL[0], muntz._WALK[0]}),
+                         (classical.gauss_laguerre, {muntz._FULL[1], muntz._WALK[1]})):
+        for order in sorted(orders):
+            built = rule(order)
+            arrays[f"{rule.__name__}({order})"] = [built.nodes.tolist(), built.weights.tolist()]
+    for group, label, lam, beta in specs:
+        start = classical._jacobi_start(len(lam), beta + min(lam))
+        arrays[f"{group}:{label} walk start"] = [a.tolist() for a in start]
+    return arrays
+
+
+def build_side() -> dict:
+    """Builds every spec with the package on ``sys.path``: one record per spec,
+    and the classical arrays."""
     from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, muntz, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
+
+    specs = traffic_specs()
+    classical = classical_arrays(specs)
 
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # tier -> outcome -> solves
@@ -151,7 +176,7 @@ def build_side() -> list:
     solver.newton_solve = counting_solve
     muntz._kernel_sweep, muntz._segment_levels = counting_sweep, counting_tests
     records = []
-    for group, label, lam, beta in traffic_specs():
+    for group, label, lam, beta in specs:
         counts.update(dict.fromkeys(KEYS, 0))
         newton.update({t: dict.fromkeys(OUTCOMES, 0) for t in TIERS})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
@@ -165,7 +190,7 @@ def build_side() -> list:
                           validation=max(err for _, err in validation_rows(rule_to_file(rule))))
         record.update(counts, newton={t: dict(newton[t]) for t in TIERS})
         records.append(record)
-    return records
+    return {"specs": records, "classical": classical}
 
 
 def run_side(src: str) -> subprocess.Popen:
@@ -185,7 +210,8 @@ def largest_floor_ratio(records: list) -> str:
     return f"{max(ratios):.3g}" if ratios else "not reported"
 
 
-def report(parent: list, change: list) -> int:
+def report(parent_side: dict, change_side: dict) -> int:
+    parent, change = parent_side["specs"], change_side["specs"]
     key = [(r["group"], r["label"], r["exponents"], r["beta"]) for r in parent]
     if key != [(r["group"], r["label"], r["exponents"], r["beta"]) for r in change]:
         print("the two sides built different spec lists")
@@ -239,6 +265,12 @@ def report(parent: list, change: list) -> int:
     print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change):")
     for t, outcomes in solves.items():
         print(f"  {t}: " + " -> ".join(" / ".join(str(outcomes[o][side]) for o in OUTCOMES) for side in (0, 1)))
+    differing = [f"{name} {field}" for name, pair in parent_side["classical"].items()
+                 for field, before, after in zip(("nodes", "weights"), pair, change_side["classical"][name])
+                 if before != after]
+    total = 2 * len(parent_side["classical"])
+    print(f"bit-identical classical arrays: {total - len(differing)} of {total}",
+          *(f"  differs: {name}" for name in differing), sep="\n")
     return 0
 
 
