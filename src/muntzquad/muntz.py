@@ -13,28 +13,37 @@ Gauss-Legendre plus an exponentially damped vertical tail handled by
 Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
 ``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
 minimizing a growth-versus-singularity estimate over one log-spaced grid,
-searched for every point of a batch at once.  The evaluator has two tiers:
-the full one, and the walk tier of the rule solver's homotopy walk, whose
-intermediate rules are thrown away; it uses a third of the full tier's
-panel order and half its Laguerre order.
+searched for every point of a batch at once.  That is the full tier of the
+evaluator.
 
-The vertical tail launched at ``t = a`` passes the integrand's poles, which
-sit on the imaginary axis at heights up to ``H = theta + w*(max(lam)-min(lam))``.
-If ``a`` is too short the tail integrand grows through many orders of
-magnitude before ``exp(-y)`` kills it and no fixed-order rule can resolve
-the cancellation, so the segment length doubles per evaluation point until
-the sampled tail is either bump-free or negligibly small.  The doubling
-starts one level below the shortest segment that reaches ``H``: below that,
-the poles raise a bump in the tail integrand, and a point passes there only
-when the bump is damped below the negligible level, where a longer segment
-serves as well.  The test runs in rounds, each one sweep of every pending
+The rule solver's homotopy walk throws its intermediate rules away, so its
+Newton solves stop at 1e-5 and run on a cheaper walk tier.  Substituting
+``t = -i*zeta`` (offsets at ``theta = 0``) turns the integral into the
+Bromwich form ``L_n(x) = x**lam_min (1/2 pi i) integral e**zeta F_n(zeta) dzeta``,
+whose poles ``-w*(lam - lam_min)`` lie on the negative real axis; the walk
+tier deforms the path to one hyperbola left of them and takes the midpoint
+rule in its parameter, which converges geometrically (Weideman & Trefethen,
+*Math. Comp.* 76, 2007; Trefethen, Weideman & Schmelzer, *BIT* 46, 2006).
+The shape follows the basis row count only, so the walk tier has no theta,
+no segment and no tail, and every point of a batch takes the same samples.
+
+On the full tier, the vertical tail launched at ``t = a`` passes the
+integrand's poles, which sit on the imaginary axis at heights up to
+``H = theta + w*(max(lam)-min(lam))``.  If ``a`` is too short the tail
+integrand grows through many orders of magnitude before ``exp(-y)`` kills
+it and no fixed-order rule can resolve the cancellation, so the segment
+length doubles per evaluation point until the sampled tail is either
+bump-free or negligibly small.  The doubling starts one level below the
+shortest segment that reaches ``H``: below that, the poles raise a bump in
+the tail integrand, and a point passes there only when the bump is damped
+below the negligible level, where a longer segment serves as well.  The test runs in rounds, each one sweep of every pending
 point at its own level; the tails are then swept once at the chosen levels.
 
-A Newton solve evaluates the basis at nodes that barely move between its
-iterates, so it carries a ``ContourPlan``: the solve's first evaluation
-chooses each point's theta and segment level and the solve keeps both, so
-within a solve the evaluated map is one smooth function of the iterate.
-Without a plan every evaluation chooses its contour afresh.
+A full-tier Newton solve evaluates the basis at nodes that barely move
+between its iterates, so it carries a ``ContourPlan``: the solve's first
+evaluation chooses each point's theta and segment level and the solve keeps
+both, so within a solve the evaluated map is one smooth function of the
+iterate.  Without a plan every evaluation chooses its contour afresh.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -42,9 +51,9 @@ cost of the last element.  The same sweep is batched across evaluation
 points, which is what the rule solver calls; it runs basis-major, so each
 update multiplies one contiguous ``(points, samples)`` slab.  The rows stream
 through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, and the
-last row of a block carries into the next: the panels and the tails contract
-each block as it comes and the tail test tests each block, so no
-``(basis, points, samples)`` array is ever formed.
+last row of a block carries into the next: the hyperbola, the panels and the
+tails contract each block as it comes and the tail test tests each block, so
+no ``(basis, points, samples)`` array is ever formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
@@ -88,14 +97,20 @@ _TAIL_NEGLIGIBLE = 1e-18
 # complex samples (256 KB), so a block and its temporaries stay in cache.
 _BLOCK_SAMPLES = 16384
 
-# The two evaluator tiers as (Gauss-Legendre panel order, Gauss-Laguerre tail
-# order).  The tail orders are sized to the error each tier already has: a
-# longer full-tier tail leaves the residue-sum errors of ``tests/test_muntz.py``
-# where they are, 12 nodes raise the 21-term prefix's worst over a 41-point
-# grid from 1.0e-14 to 2.9e-14, and the walk tier's error comes from its
-# 8-point panels.
+# The full evaluator tier as (Gauss-Legendre panel order, Gauss-Laguerre tail
+# order).  The tail order is sized to the tier's error: a longer tail leaves
+# the residue-sum errors of ``tests/test_muntz.py`` where they are, and 12
+# nodes raise the 21-term prefix's worst over a 41-point grid from 1.0e-14 to
+# 2.9e-14.
 _FULL = (24, 16)
-_WALK = (8, 8)
+
+# The walk tier's hyperbola crosses the real axis at ``_WALK_CROSSING`` and is
+# cut where ``Re(zeta)`` has fallen ``_WALK_DECAY`` below that, so the last
+# samples are damped by about e**-45.  Its (angle, samples) follow the basis
+# rows: (row bound, angle, samples), the first bound the row count meets.
+_WALK_CROSSING = 8.0
+_WALK_DECAY = 45.0
+_WALK_SHAPES = ((80, 0.5, 48), (120, 0.35, 64), (math.inf, 0.2, 128))
 
 
 @dataclass(frozen=True)
@@ -277,15 +292,16 @@ def _kernel_sweep(u, v, num_off, den_off, first):
 
     Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``u`` the
     abscissas, ``v = 0``; tail: ``v`` the Laguerre ordinates and ``u`` the
-    segment end, a scalar or one per point as a ``(points, 1)`` column).
+    segment end, a scalar or one per point as a ``(points, 1)`` column; walk
+    hyperbola: ``u`` and ``v`` both one per sample, the same for every point).
     Yields ``(start, block)`` for consecutive blocks of rows: entry
     ``block[j, i, k]`` is the product of the rational factors of prefix
     ``start + j`` for point ``i`` at sample ``k``, times ``first`` (the
-    oscillatory phase on the panels, 1 on the tail).  Factors after the
-    first are built in real arithmetic, divided through by ``u``; a running
-    product over the basis rows sweeps the whole basis, one contiguous
-    ``(points, samples)`` slab per step, and the previous block's last row
-    carries into the next block's first.  Overflowed samples come out
+    oscillatory phase on the panels, 1 on the tail and the hyperbola).
+    Factors after the first are built in real arithmetic, divided through by
+    ``u``; a running product over the basis rows sweeps the whole basis, one
+    contiguous ``(points, samples)`` slab per step, and the previous block's
+    last row carries into the next block's first.  Overflowed samples come out
     non-finite.
 
     A block holds about ``_BLOCK_SAMPLES`` samples and at least two rows: a
@@ -422,20 +438,51 @@ def _tail_integrals(num_off, den_off, levels, lag) -> np.ndarray:
     return tails
 
 
+def _walk_integrals(num_off, den_off) -> np.ndarray:
+    """Integrals ``[n, i]`` on the walk tier's hyperbola, for offsets taken at
+    ``theta = 0``: one ``_kernel_sweep`` of every point, each block contracted
+    as it comes.
+
+    The midpoint rule in ``phi`` on ``zeta(phi) = mu*(1 + sin(i*phi - angle))``,
+    ``0 < phi < phi_max``, the upper half of a contour that crosses the real
+    axis at ``_WALK_CROSSING`` and runs left of every pole (Weideman &
+    Trefethen, *Math. Comp.* 76, 2007), with the angle and sample count of
+    ``_WALK_SHAPES`` for the row count.  In the sweep's variable
+    ``-i*zeta = u + iv``, so ``u = Im(zeta) > 0`` and ``v = -Re(zeta)``; the
+    weights ``i*h*e**zeta*zeta'(phi)`` hold the exponential and the Jacobian,
+    and ``L_n(x)`` is ``-x**lam_min / pi`` times the integral's imaginary part.
+    """
+    angle, samples = next((angle, samples) for rows, angle, samples in _WALK_SHAPES
+                          if num_off.shape[1] <= rows)
+    mu = _WALK_CROSSING / (1.0 - math.sin(angle))
+    h = math.acosh(1.0 + _WALK_DECAY / (mu * math.sin(angle))) / samples
+    phi = h * (np.arange(samples) + 0.5)
+    zeta = mu * (1.0 + np.sin(1j * phi - angle))
+    weights = 1j * h * np.exp(zeta) * (1j * mu * np.cos(1j * phi - angle))  # i*h*e**zeta*zeta'
+    integrals = np.empty(num_off.shape[::-1], dtype=complex)
+    for start, block in _kernel_sweep(zeta.imag, -zeta.real, num_off, den_off, 1.0):
+        integrals[start : start + len(block)] = _contract(block, weights)
+    return integrals
+
+
 def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = None):
     """Basis values for the (already shifted) exponents at many points.
 
     Returns ``values`` where ``values[n, i]`` is the n-th basis element at
-    ``xs[i]``, from the walk tier ``_WALK`` if ``walk`` and the full tier
-    ``_FULL`` otherwise.  Points equal to 1 short-circuit to exact ones; a
-    single-element sequence bypasses the contour entirely.  The Laguerre
-    tails come from ``_tail_integrals`` at the segment levels; the panels are
-    swept per level, and each block of panel rows goes straight into its
-    rows of ``values``.
+    ``xs[i]``.  Points equal to 1 short-circuit to exact ones; a
+    single-element sequence bypasses the contour entirely.
 
-    A ``plan`` keeps its first evaluation's theta and segment levels for
-    every later one (``ContourPlan``); without one every point searches the
-    theta grid and runs the tail test of ``_segment_levels``.
+    The walk tier (``walk``) takes ``_walk_integrals`` on one hyperbola
+    whose shape follows the row count only, so it needs no theta, no
+    segment and no tail.
+
+    The full tier (``_FULL``) takes the Laguerre tails from
+    ``_tail_integrals`` at the segment levels; the panels are swept per
+    level, and each block of panel rows goes straight into its rows of
+    ``values``.  A ``plan`` keeps its first evaluation's theta and segment
+    levels for every later one (``ContourPlan``); without one every point
+    searches the theta grid and runs the tail test of ``_segment_levels``.
+    The walk tier ignores ``plan``.
     """
     lam = _as_exponents(shifted)
     nb = lam.size
@@ -455,19 +502,25 @@ def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = 
         values[0, active] = xa ** lam[0]
         return values
 
-    panel_order, laguerre_order = _WALK if walk else _FULL
-    lag = gauss_laguerre(laguerre_order)
     omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
+    # All sigma-dependent quantities enter only through these offsets, so
+    # sigma itself (which blows up as omega -> 0) is never formed here.
+    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
+    den_off = omega[:, None] * (lam_min - lam[None, :])
+    if walk:
+        values[:, active] = -(xa ** lam_min) / math.pi * _walk_integrals(num_off, den_off).imag
+        values[0, active] = xa ** lam[0]  # overwrites the contour's row 0
+        return values
+
+    panel_order, laguerre_order = _FULL
+    lag = gauss_laguerre(laguerre_order)
     if plan is None:
         plan = ContourPlan()  # a throwaway: this evaluation chooses its own contour
     if plan.theta is None:
         plan.theta = _theta_search(lam, lam_min, omega).theta
     theta = plan.theta
-
-    # All sigma-dependent quantities enter only through these offsets, so
-    # sigma itself (which blows up as omega -> 0) is never formed here.
-    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0) - theta[:, None]
-    den_off = omega[:, None] * (lam_min - lam[None, :]) - theta[:, None]
+    num_off -= theta[:, None]
+    den_off -= theta[:, None]
     amplitude = xa ** lam_min * np.exp(theta)
 
     if plan.levels is None:

@@ -234,7 +234,8 @@ def _predict(path, alpha_next):
             slope, slope_prev = (f2 - f1) / (alpha - alpha_prev), (f1 - f0) / (alpha_prev - alpha_first)
             curvature = (slope - slope_prev) / (alpha - alpha_first)
             log_pred = log_pred + (alpha_next - alpha) * (alpha_next - alpha_prev) * curvature
-        return np.exp(log_pred)
+        with np.errstate(over="ignore"):  # beyond log_pred ~ 709: inf, which _feasible rejects
+            return np.exp(log_pred)
 
     x_pred, w_pred = extrapolate(1), extrapolate(2)
     if _feasible(x_pred, w_pred):
@@ -248,11 +249,12 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 
     The basis comes from the evaluator's walk tier if ``walk`` and from its
     full tier otherwise.  A ``plan`` (``muntz.ContourPlan``) is passed to
-    the evaluator: the first call with it chooses each node's theta and
-    segment level and every later call reuses both; without one every call
-    chooses its own.  One batched basis sweep per call serves every row:
-    the value matrix gives both F and the right Jacobian block, and the
-    scaled-derivative recurrence turns the same values into the left block
+    the evaluator, whose full tier uses it: the first call with it chooses
+    each node's theta and segment level and every later call reuses both;
+    without one every call chooses its own.  One batched basis sweep per
+    call serves every row: the value matrix gives both F and the right
+    Jacobian block, and the scaled-derivative recurrence turns the same
+    values into the left block
 
         [ x L' - (beta/2) L  |  L ].
 
@@ -292,10 +294,9 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 _TOLERANCE = 1e-14
 
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
-# solve runs on the evaluator's walk tier (``muntz._WALK``: a third of the
-# full tier's panel order and half its Laguerre order) and stops at this
-# tolerance.  On that tier Newton converges only linearly, and the next
-# step's predictor misses by far more anyway.
+# solve runs on the evaluator's walk tier (one hyperbolic contour per batch,
+# ``muntz._walk_integrals``) and stops at this tolerance: the next step's
+# predictor misses by far more anyway.
 _WALK_TOLERANCE = 1e-5
 
 # A Newton solve gives up after this many iterations, or once one step has
@@ -341,10 +342,12 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
     its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
     (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
-    The solve's assemble calls share one private ``muntz.ContourPlan``: the
-    first chooses every node's theta and segment level and the rest reuse
-    them, so within a solve the map is one smooth function of the iterate,
-    and no two solves share choices.
+    On the full tier the solve's assemble calls share one private
+    ``muntz.ContourPlan``: the first chooses every node's theta and segment
+    level and the rest reuse them, so within a solve the map is one smooth
+    function of the iterate, and no two solves share choices.  The walk
+    tier's contour depends on the row count only, so its solves carry no
+    plan.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -366,7 +369,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    plan = ContourPlan()
+    plan = None if walk else ContourPlan()
     residual, jacobian = assemble(x, w, exponents, beta, m, walk, plan=plan)
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
@@ -451,10 +454,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
     by about 1/4.  Every step with ``alpha < 1`` is solved to
-    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, which has a
-    third of the full tier's panel order and half its Laguerre order; both
-    tiers take theta from the same search grid.  The ``alpha = 1`` solve
-    runs to ``_TOLERANCE`` (1e-14) on the full tier, and the polish reuses
+    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, one
+    hyperbolic contour per batch with no theta search and no tail.  The
+    ``alpha = 1`` solve runs to ``_TOLERANCE`` (1e-14) on the full tier,
+    whose contour is chosen per node, and the polish reuses
     that solve's last Jacobian.  Walk and polish run on the canonically shifted
     spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from muntzquad import muntz
-from muntzquad.classical import gauss_laguerre
+from muntzquad.classical import _jacobi_start, gauss_laguerre
 from muntzquad.cli import sequence_family
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
@@ -185,9 +185,8 @@ class TestEvalAll:
 
     @pytest.mark.parametrize("config", ["default", "fine", "walk"])
     def test_matches_residue_sum(self, config, monkeypatch):
-        # the walk tier's worst error is 1.8e-4, at x = 1e-3; it comes from
-        # its 8-point panels
-        bound = 5e-4 if config == "walk" else 1e-13
+        # the walk tier's hyperbola reads 1.3e-13 at worst, at x = 1e-6
+        bound = 1e-12 if config == "walk" else 1e-13
         if config == "fine":
             use_fine_discretization(monkeypatch)
         lam = example1_prefix(21)
@@ -216,6 +215,42 @@ class TestEvalAll:
             values = eval_all(lam, x)
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 1e-12, (x, error.max())
+
+
+class TestWalkTier:
+    """The walk tier's hyperbola against residue sums and the full tier;
+    errors relative to ``max(1, |L_n|)``."""
+
+    def test_long_prefix_small_x_matches_residue_sum(self):
+        # the grid of TestEvalAll's 40-term test: 5.7e-11 at worst, at x = 7.9e-6
+        lam = example1_prefix(40) - 0.125
+        for x in np.append(np.geomspace(1e-12, 0.999, 12), 7.94e-6):
+            exact = residue_sum_basis(lam, x)
+            values = _basis_batch(lam, np.array([x]), walk=True)[:, 0]
+            error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
+            assert error.max() <= 5e-10, (x, error.max())
+
+    @pytest.mark.parametrize("x", [1e-40, 1e-80, 1e-150])
+    def test_tiny_x_matches_residue_sum(self, x):
+        # at most 9.8e-14; panels of theta's contour read 1.0e-3, 3.8e-2 and 2.6
+        lam = np.array([0.0, 1.0])
+        exact = residue_sum_basis(lam, x)
+        values = _basis_batch(lam, np.array([x]), walk=True)[:, 0]
+        error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
+        assert error.max() <= 1e-12
+
+    @pytest.mark.parametrize("rows", [80, 120, 200])
+    def test_matches_the_full_tier_at_scale(self, rows):
+        # example1 n=100 as compute_rule walks it, at its Gauss-Jacobi start;
+        # 80 and 120 rows are the largest that the first two shapes serve.
+        # The hyperbola reads 8.4e-8, 4.5e-7 and 1.8e-7 against the full
+        # tier, where panels of theta's contour read 2.9e-4, 4.0e-3 and 2.7e-2
+        lam = np.sort(sequence_family("example1", 100))
+        beta = -0.25 + lam[0]
+        nodes, _ = _jacobi_start(100, beta)
+        shifted = (lam - lam[0] + 0.5 * beta)[:rows]
+        walk, full = _basis_batch(shifted, nodes, walk=True), _basis_batch(shifted, nodes)
+        assert (np.abs(walk - full) / np.maximum(1.0, np.abs(full))).max() <= 2e-6
 
 
 def contour_offsets(lam, xs):
@@ -478,10 +513,16 @@ class TestBlockedSweep:
         xs = np.geomspace(1e-9, 0.99, 9)[-points:]
         theta, num_off, den_off = contour_offsets(lam, xs)
         amplitude = xs ** np.min(lam) * np.exp(theta)
-        lag = gauss_laguerre((muntz._WALK if walk else muntz._FULL)[1])
+        lag = gauss_laguerre(muntz._FULL[1])
 
         def run(block_samples):
             monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", block_samples)
+            if walk:  # one sweep on the hyperbola: no levels and no tails
+                # the hyperbola's 48 samples per point against the panels'
+                # hundreds: half the budget splits case3's 19 rows into three
+                # blocks at one point, as the panel sweeps split theirs
+                monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", block_samples // 2)
+                return (_basis_batch(lam, xs, walk),)
             levels = _segment_levels(num_off, den_off, amplitude, theta, lag)
             return _basis_batch(lam, xs, walk), levels, _tail_integrals(num_off, den_off, levels, lag)
 

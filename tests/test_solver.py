@@ -268,9 +268,8 @@ class TestComputeRule:
     def test_the_start_takes_one_christoffel_pass(self, monkeypatch):
         # no Newton refinement of the Gauss-Jacobi start: one pass of the
         # orthonormal recurrence, for its weights, once the panel rules exist
-        for panel_order, laguerre_order in (muntz._FULL, muntz._WALK):
-            gauss_legendre(panel_order)
-            gauss_laguerre(laguerre_order)
+        gauss_legendre(muntz._FULL[0])
+        gauss_laguerre(muntz._FULL[1])
         passes = []
         orthonormal_eval = classical._orthonormal_eval
 
@@ -417,6 +416,17 @@ class TestComputeRule:
             with pytest.raises(MuntzQuadError):
                 compute_rule(RuleSpec(lam, beta))
 
+    @pytest.mark.parametrize("lam, beta", [
+        pytest.param(np.arange(4.0) / 2.0, -1.0 + 1e-5, id="0..1.5-beta-1+1e-5"),
+        pytest.param(np.arange(16.0) / 2.0, -1.0 + 1e-3, id="0..7.5-beta-1+1e-3"),
+    ])
+    def test_integrability_edge_builds(self, lam, beta):
+        # min(lam) + beta just above -1, two of the hard set of
+        # tools/rule_diff.py; the first fails without the Newton stall test
+        # and on a walk hyperbola of 24 samples up to 80 rows
+        rule = compute_rule(RuleSpec(lam, beta))
+        assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
+
     @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4]], ids=["0-1e4", "0-1-2-1e4"])
     def test_large_exponent_within_reach_builds(self, lam):
         rule = compute_rule(RuleSpec(np.array(lam), 0.0))
@@ -478,8 +488,9 @@ class TestCheapWalk:
     ])
     def test_cheap_walk_changes_no_rule(self, spec, monkeypatch):
         cheap = compute_rule(spec)
-        monkeypatch.setattr(solver, "_WALK_TOLERANCE", solver._TOLERANCE)
-        monkeypatch.setattr(muntz, "_WALK", muntz._FULL)
+        # every walk solve on the full tier, to the full tier's tolerance
+        solve = solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve", lambda *args: solve(*args[:5], False))
         full = compute_rule(spec)
         assert np.array_equal(cheap.nodes, full.nodes)
         assert np.array_equal(cheap.weights, full.weights)
@@ -509,7 +520,7 @@ class TestCheapWalk:
         monkeypatch.setattr(solver, "_polish", polishing)
         compute_rule(spec)
 
-        assert muntz._WALK == (8, 8) and muntz._FULL == (24, 16)
+        assert muntz._FULL == (24, 16)
         assert {walk for final, walk, _ in solves if not final} == {True}
         assert {walk for final, walk, _ in solves if final} == {False}
         assert len(polishes) == 1
@@ -521,7 +532,7 @@ class TestCheapWalk:
         assert full == [k for calls in final_solves for k in calls]
         assert {walk for final, walk in assembles if final} == {False}
 
-    def test_walk_takes_theta_from_the_grid(self, monkeypatch):
+    def test_only_the_full_tier_searches_theta(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         at_end, searches = [], []
@@ -540,13 +551,14 @@ class TestCheapWalk:
         compute_rule(spec)
 
         grid = np.geomspace(muntz._THETA_MIN, muntz._THETA_MAX, 97)
-        # the walk solves and the alpha = 1 solve alike
-        assert {final for final, _ in searches} == {False, True}
+        # the alpha = 1 solve only: the walk's hyperbola takes no theta
+        assert {final for final, _ in searches} == {True}
         assert all(np.all(np.isin(theta, grid)) for _, theta in searches)
 
 
 class TestContourPlan:
-    """Each Newton solve keeps its first assemble's theta and segment levels."""
+    """Each full-tier Newton solve keeps its first assemble's theta and
+    segment levels; a walk solve carries no plan."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(RuleSpec(sequence_family(family, n), beta), id=f"{family}-n{n}")
@@ -562,14 +574,14 @@ class TestContourPlan:
         assert np.array_equal(warm.weights, cold.weights)
 
     def test_every_solve_starts_a_fresh_plan(self, monkeypatch):
-        plans = []  # per newton_solve call: (plan, started empty) per assemble
+        plans = []  # per newton_solve call: (walk, plan, started empty) per assemble
 
         def solving(*args, **kwargs):
             plans.append([])
             return newton_solve(*args, **kwargs)
 
         def assembling(*args, plan=None):
-            plans[-1].append((plan, plan.theta is None))
+            plans[-1].append((args[5], plan, plan is not None and plan.theta is None))
             return assemble(*args, plan=plan)
 
         monkeypatch.setattr(solver, "newton_solve", solving)
@@ -578,10 +590,14 @@ class TestContourPlan:
         rule = compute_rule(RuleSpec(example1(20), -0.25))
         assert rule.diagnostics.rejected_steps > 0
         assert len(plans) == rule.diagnostics.continuation_steps + rule.diagnostics.rejected_steps
-        for calls in plans:
-            assert [empty for _, empty in calls] == [True] + [False] * (len(calls) - 1)
-            assert len({id(plan) for plan, _ in calls}) == 1
-        assert len({id(calls[0][0]) for calls in plans}) == len(plans)
+        walk = [calls for calls in plans if calls[0][0]]
+        full = [calls for calls in plans if not calls[0][0]]
+        assert walk and full
+        assert all(plan is None for calls in walk for _, plan, _ in calls)
+        for calls in full:
+            assert [empty for _, _, empty in calls] == [True] + [False] * (len(calls) - 1)
+            assert len({id(plan) for _, plan, _ in calls}) == 1
+        assert len({id(calls[0][1]) for calls in full}) == len(full)
 
     def test_one_theta_search_per_solve(self, monkeypatch):
         # each search's theta; each tail test's theta and levels; the levels of each tail sweep
@@ -614,6 +630,9 @@ class TestContourPlan:
             sweeps.clear()
             result = newton_solve(start.nodes, start.weights, lam, beta, moments(lam, beta), walk)
             assert result.iterations >= 2
+            if walk:  # the hyperbola: no theta search, no tail test, no tails
+                assert searches == tests == sweeps == []
+                continue
             (theta,) = searches
             ((tested_theta, levels),) = tests
             assert np.array_equal(tested_theta, theta)
@@ -659,6 +678,16 @@ class TestPredict:
         nodes = ([0.02, 0.55], [0.04, 0.5], [0.08, 0.4])
         path = [(0.1 * k, np.array(x), w) for k, x in enumerate(nodes)]
         x_pred, w_pred = _predict(path[-points:], 0.5)
+        assert x_pred is path[-1][1] and w_pred is path[-1][2]
+
+    def test_an_overflowing_prediction_returns_the_current_iterate(self):
+        # the first weight's log rises by 667 per 0.1 of alpha: extrapolated
+        # to 0.5 it passes 709, and exp overflows to inf
+        path = [(0.0, np.array([0.2, 0.6]), np.array([1e-300, 0.5])),
+                (0.1, np.array([0.2, 0.6]), np.array([1e-10, 0.5]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_pred, w_pred = _predict(path, 0.5)
         assert x_pred is path[-1][1] and w_pred is path[-1][2]
 
     @pytest.mark.parametrize("spec, most", [

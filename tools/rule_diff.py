@@ -13,9 +13,16 @@ each side in its own process with one BLAS thread:
 - ``criterion7``: the 50 random specs of the acceptance suite's criterion 7
   and their permuted builds (100);
 - ``scale``: ``example1``/``example2`` n=40, ``case1``/``case2`` n=30 and
-  ``example1`` n=60 (5).
+  ``example1`` n=60, 80 and 100 (7);
+- ``hard``: 42 specs at the edges of reach, for n = 2, 4 and 8:
+  ``0..2n-1`` and its halves at beta = -1 + 10**-k for k = 3..6,
+  ``0..2n-2`` plus 10**e for e = 3..7, and ``0..n/2-1`` four times at
+  beta = -0.99 (42).
 
-The report lists outcome changes, the count of rules whose nodes and
+So 372 specs come from traffic and scale and 42 from the hard set.
+
+The report lists outcome changes (with the ``validation_rows`` worst and the
+floor ratio of a side that builds), the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
@@ -23,19 +30,19 @@ group the ``assemble`` calls on the walk and the full evaluator tier, the
 ``newton_solve`` calls, the tail tests (``muntz._segment_levels`` calls) and
 the polish's ``refine.exact_residual`` calls.  Each ``muntz._kernel_sweep``
 call is classed by the function that makes it: the tail test, the tail
-contraction (``muntz._tail_integrals``; a tree whose tail test contracts the
-tails itself has none) or the panels (``muntz._basis_batch``).  Per group
-the report gives those calls with the tail test's point-tests (the points
-its calls sweep, summed) and the blocks of rows all sweeps yield (a sweep
-that returns one array counts as one block), the samples swept (basis rows
-x points x contour samples, summed over the sweeps) by each class on each
+contraction (``muntz._tail_integrals``), the panels (``muntz._basis_batch``)
+or the walk tier's hyperbola (``muntz._walk_integrals``); a caller the
+report does not know counts as ``other``.  Per group the report gives those
+calls with the tail test's point-tests (the points its calls sweep, summed)
+and the blocks of rows all sweeps yield, the samples swept (basis rows x
+points x contour samples, summed over the sweeps) by each class on each
 evaluator tier, and per tier how the ``newton_solve`` calls ended:
 converged, converged at zero iterations, or diverged, by the reason its
 ``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  Last
 it counts the classical arrays (nodes and weights) that are bit-identical
-between the sides, and names each one that is not: ``gauss_legendre`` and
-``gauss_laguerre`` at the orders of the evaluator tiers ``muntz._FULL`` and
-``muntz._WALK``, and each spec's walk start,
+between the sides, and names each one that is not: ``gauss_legendre`` at
+orders 8 and 24 and ``gauss_laguerre`` at 8 and 16 (the panel and tail
+orders the evaluator tiers have used), and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.
@@ -57,18 +64,36 @@ ROOT = Path(__file__).resolve().parent.parent
 # per-spec call counts: assemble by tier, Newton solves, tail tests, polish residual
 COUNTS = ("walk", "full", "solves", "tail_tests", "exact_residual")
 # the class of a kernel sweep, by the function that calls it
-CALLERS = {"_segment_levels": "test", "_tail_integrals": "tail", "_basis_batch": "panel"}
-# per-spec kernel sweeps: tail-test calls, their points, tail and panel calls, blocks swept
-SWEEPS = ("test", "test_points", "tail", "panel", "blocks")
+CALLERS = {"_segment_levels": "test", "_tail_integrals": "tail", "_basis_batch": "panel",
+           "_walk_integrals": "hyperbola"}
+CLASSES = (*CALLERS.values(), "other")
+# per-spec kernel sweeps: tail-test calls, their points, calls of the other classes, blocks swept
+SWEEPS = ("test", "test_points", *CLASSES[1:], "blocks")
 TIERS = ("walk", "full")
 # per-spec samples swept (rows x points x samples), by sweep class and evaluator tier
-SAMPLES = tuple(f"{where}_samples_{t}" for where in CALLERS.values() for t in TIERS)
+SAMPLES = tuple(f"{where}_samples_{t}" for where in CLASSES for t in TIERS)
 KEYS = COUNTS + SWEEPS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "zero-iteration", *REASONS)
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
-         ("case2", 30, 0.0), ("example1", 60, -0.25))
+         ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
+         ("example1", 100, -0.25))
+# the classical rules compared at fixed orders: (rule, orders)
+CLASSICAL_ORDERS = (("gauss_legendre", (8, 24)), ("gauss_laguerre", (8, 16)))
+
+
+def hard_specs():
+    """``(label, exponents, beta)`` of the 42-spec hard set."""
+    specs = []
+    for n in (2, 4, 8):
+        ladder = np.arange(2.0 * n)
+        for k in range(3, 7):
+            specs += [(f"0..{2 * n - 1}-beta-1+1e-{k}", ladder, -1.0 + 10.0**-k),
+                      (f"halves-0..{2 * n - 1}-beta-1+1e-{k}", ladder / 2.0, -1.0 + 10.0**-k)]
+        specs += [(f"0..{2 * n - 2}+1e{e}", np.append(ladder[:-1], 10.0**e), 0.0) for e in range(3, 8)]
+        specs.append((f"0..{n // 2 - 1}x4-beta-0.99", np.repeat(np.arange(n // 2, dtype=float), 4), -0.99))
+    return specs
 
 
 def traffic_specs():
@@ -93,19 +118,19 @@ def traffic_specs():
         specs += [("criterion7", f"draw{index}", spec.exponents, spec.beta),
                   ("criterion7", f"draw{index}-permuted", permuted, spec.beta)]
     specs += [("scale", f"{family}-n{n}", sequence_family(family, n), beta) for family, n, beta in SCALE]
+    specs += [("hard", label, lam, beta) for label, lam, beta in hard_specs()]
     return [(group, label, [float(v) for v in lam], float(beta)) for group, label, lam, beta in specs]
 
 
 def classical_arrays(specs) -> dict:
     """Name -> ``[nodes, weights]`` of the tier rules and each spec's walk start."""
-    from muntzquad import classical, muntz
+    from muntzquad import classical
 
     arrays = {}
-    for rule, orders in ((classical.gauss_legendre, {muntz._FULL[0], muntz._WALK[0]}),
-                         (classical.gauss_laguerre, {muntz._FULL[1], muntz._WALK[1]})):
-        for order in sorted(orders):
-            built = rule(order)
-            arrays[f"{rule.__name__}({order})"] = [built.nodes.tolist(), built.weights.tolist()]
+    for name, orders in CLASSICAL_ORDERS:
+        for order in orders:
+            built = getattr(classical, name)(order)
+            arrays[f"{name}({order})"] = [built.nodes.tolist(), built.weights.tolist()]
     for group, label, lam, beta in specs:
         start = classical._jacobi_start(len(lam), beta + min(lam))
         arrays[f"{group}:{label} walk start"] = [a.tolist() for a in start]
@@ -150,7 +175,7 @@ def build_side() -> dict:
         return segment_levels(*args, **kwargs)
 
     def counting_sweep(u, v, num_off, *args, **kwargs):
-        where = CALLERS[sys._getframe(1).f_code.co_name]
+        where = CALLERS.get(sys._getframe(1).f_code.co_name, "other")
         counts[where] += 1
         if where == "test":
             counts["test_points"] += num_off.shape[0]
@@ -219,7 +244,7 @@ def report(parent_side: dict, change_side: dict) -> int:
     outcomes, moved, identical = [], [], 0
     totals = defaultdict(lambda: {key: [0, 0] for key in KEYS})  # group -> key -> per side
     solves = {t: {outcome: [0, 0] for outcome in OUTCOMES} for t in TIERS}  # tier -> outcome -> per side
-    worst = [0.0, 0.0]
+    worst = defaultdict(lambda: [0.0, 0.0])  # group -> worst validation_rows error per side
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
@@ -229,9 +254,13 @@ def report(parent_side: dict, change_side: dict) -> int:
                 for outcome in OUTCOMES:
                     solves[t][outcome][side] += record["newton"][t][outcome]
             if record["outcome"] == "ok":
-                worst[side] = max(worst[side], record["validation"])
+                worst[record["group"]][side] = max(worst[record["group"]][side], record["validation"])
         if before["outcome"] != after["outcome"]:
-            outcomes.append(f"  {name}: {before['outcome']} -> {after['outcome']}")
+            built_side = after if after["outcome"] == "ok" else before
+            detail = (f" (validation_rows {built_side['validation']:.2e}, floor ratio "
+                      f"{built_side['diagnostics'].get('floor_ratio', float('nan')):.3g})"
+                      if built_side["outcome"] == "ok" else "")
+            outcomes.append(f"  {name}: {before['outcome']} -> {after['outcome']}{detail}")
         elif before["outcome"] == "ok":
             if before["nodes"] == after["nodes"] and before["weights"] == after["weights"]:
                 identical += 1
@@ -247,7 +276,8 @@ def report(parent_side: dict, change_side: dict) -> int:
     print(f"moved rules: {len(moved)} (relative node / weight change; diagnostics that changed)")
     for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
         print(f"  {name}: {node:.2e} / {weight:.2e}; {', '.join(changed) or 'none'}")
-    print(f"worst validation_rows error: parent {worst[0]:.2e}, change {worst[1]:.2e}")
+    print("worst validation_rows error per group (parent -> change): "
+          + ", ".join(f"{group} {pair[0]:.2e} -> {pair[1]:.2e}" for group, pair in worst.items()))
     print("largest floor ratio: " + ", ".join(f"{side} {largest_floor_ratio(records)}"
                                               for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
@@ -255,9 +285,9 @@ def report(parent_side: dict, change_side: dict) -> int:
     for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / tail test / exact residual",
                          COUNTS),
                         ("kernel sweeps per group, tail-test calls / tail-test point-tests / tail calls / panel calls"
-                         " / blocks", SWEEPS),
-                        ("samples swept per group, tail-test walk / tail-test full / tail walk / tail full"
-                         " / panel walk / panel full", SAMPLES)):
+                         " / hyperbola calls / other calls / blocks", SWEEPS),
+                        ("samples swept per group, " + " / ".join(key.replace("_samples_", " ") for key in SAMPLES),
+                         SAMPLES)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
