@@ -1,9 +1,8 @@
-"""Classical Gaussian rules used as building blocks.
+"""Classical Gaussian rules.
 
-Gauss-Legendre on [0, 1] (panel quadrature for the oscillatory contour
-integral), Gauss-Laguerre on (0, inf) (the exponential tail), and
-Gauss-Jacobi on [0, 1] with weight x**beta; Gauss-Legendre is the
-Gauss-Jacobi rule at beta = 0.
+Gauss-Legendre on [0, 1], Gauss-Laguerre on (0, inf), and Gauss-Jacobi on
+[0, 1] with weight x**beta, whose unrefined form starts the rule solver's
+homotopy walk; Gauss-Legendre is the Gauss-Jacobi rule at beta = 0.
 
 Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
 (numpy's dense symmetric eigensolver).  One Newton step on the

@@ -2,58 +2,42 @@
 
 A Muntz system ``{x**l0, ..., x**lN}`` generally admits no three-term
 recurrence, so the orthogonal basis elements are computed from their
-contour-integral representation: the integration path is deformed to a
-horizontal line ``Re(t) = sigma`` below every exponent, which turns each
-basis value into an oscillatory half-line integral
+contour-integral representation, a contour around the exponents of ``x**t``
+times a rational kernel.  Substituting ``t = lam_min - zeta/w`` with
+``w = -log x`` turns it into the Bromwich form
 
-    L_n(x) = (x**sigma / pi) * Im{ integral_0^inf f_n(t, w) e^{it} dt },
+    L_n(x) = -x**lam_min (1/2 pi i) integral e**zeta F_n(zeta) dzeta,
 
-with ``w = -log x``.  The half-line splits into unit panels handled by
-Gauss-Legendre plus an exponentially damped vertical tail handled by
-Gauss-Laguerre.  Writing ``sigma = lam_min - theta/w`` removes the
-``w -> 0`` singularity, and ``theta > 0`` is chosen per evaluation point by
-minimizing a growth-versus-singularity estimate over one log-spaced grid,
-searched for every point of a batch at once.  That is the full tier of the
-evaluator.
+whose poles ``-w*(lam - lam_min)`` lie on the negative real axis.  The path
+is deformed to a hyperbola left of them, ``zeta(phi) = mu*(1 + sin(i*phi - a))``,
+on which the midpoint rule in ``phi`` converges geometrically (Weideman &
+Trefethen, *Math. Comp.* 76, 2007; Trefethen, Weideman & Schmelzer, *BIT* 46,
+2006).  Nothing is singular as ``w -> 0``: the poles merge at the origin and
+every kernel factor tends to 1.
 
-The rule solver's homotopy walk throws its intermediate rules away, so its
-Newton solves stop at 1e-5 and run on a cheaper walk tier.  Substituting
-``t = -i*zeta`` (offsets at ``theta = 0``) turns the integral into the
-Bromwich form ``L_n(x) = x**lam_min (1/2 pi i) integral e**zeta F_n(zeta) dzeta``,
-whose poles ``-w*(lam - lam_min)`` lie on the negative real axis; the walk
-tier deforms the path to one hyperbola left of them and takes the midpoint
-rule in its parameter, which converges geometrically (Weideman & Trefethen,
-*Math. Comp.* 76, 2007; Trefethen, Weideman & Schmelzer, *BIT* 46, 2006).
-The shape follows the basis row count only, so the walk tier has no theta,
-no segment and no tail, and every point of a batch takes the same samples.
-
-On the full tier, the vertical tail launched at ``t = a`` passes the
-integrand's poles, which sit on the imaginary axis at heights up to
-``H = theta + w*(max(lam)-min(lam))``.  If ``a`` is too short the tail
-integrand grows through many orders of magnitude before ``exp(-y)`` kills
-it and no fixed-order rule can resolve the cancellation, so the segment
-length doubles per evaluation point until the sampled tail is either
-bump-free or negligibly small.  The doubling starts one level below the
-shortest segment that reaches ``H``: below that, the poles raise a bump in
-the tail integrand, and a point passes there only when the bump is damped
-below the negligible level, where a longer segment serves as well.  The test runs in rounds, each one sweep of every pending
-point at its own level; the tails are then swept once at the chosen levels.
-
-A full-tier Newton solve evaluates the basis at nodes that barely move
-between its iterates, so it carries a ``ContourPlan``: the solve's first
-evaluation chooses each point's theta and segment level and the solve keeps
-both, so within a solve the evaluated map is one smooth function of the
-iterate.  Without a plan every evaluation chooses its contour afresh.
+Each point takes the hyperbola through ``base`` moved right by
+``w*max(0, lam_min)``, so that it crosses the real axis at ``zeta0 = base +
+w*max(0, lam_min)``, that is at ``t = min(0, lam_min) - base/w``.  A point's
+contour thus depends on that point alone, and its values do not depend on the
+batch it came in.  A crossing fixed at ``base`` loses digits once
+``lam_min > 0`` (2e-10 at x = 1e-2 on a triple pole); a hyperbola scaled
+through ``zeta0`` instead of moved leaves its samples too sparse for
+``e**zeta`` once ``zeta0`` grows far beyond them.
+Two tables size the shape by the basis row count.  The rule solver's
+homotopy walk throws its intermediate rules away, so its Newton solves stop
+at 1e-5 and run on the walk tier, ``_WALK_SHAPES``; the ``alpha = 1`` solve,
+the polish Jacobian and ``eval_all`` run on the full tier, ``_FULL_SHAPES``,
+whose angle shrinks and whose samples grow with the rows.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
 cost of the last element.  The same sweep is batched across evaluation
 points, which is what the rule solver calls; it runs basis-major, so each
 update multiplies one contiguous ``(points, samples)`` slab.  The rows stream
-through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, and the
-last row of a block carries into the next: the hyperbola, the panels and the
-tails contract each block as it comes and the tail test tests each block, so
-no ``(basis, points, samples)`` array is ever formed.
+through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, the
+last row of a block carries into the next, and each block is contracted
+with the weights as it comes, so no ``(basis, points, samples)`` array is
+ever formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
@@ -67,71 +51,26 @@ anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from mpmath import libmp
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul
 
-from .classical import gauss_laguerre, gauss_legendre
 from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError, _as_real
 
 
-# Contour-evaluation constants.  ``_PANEL_WIDTH * _PANEL_COUNT`` is the base
-# length of the oscillatory segment; it doubles (up to
-# ``_MAX_SEGMENT_DOUBLINGS`` times) at evaluation points whose tail integrand
-# would otherwise be unresolvable.  The tail beyond the segment decays like
-# ``exp(-y)`` and goes to Gauss-Laguerre.  Every function reads these at call
-# time, except the theta grid, which is built from ``_THETA_MIN`` and
-# ``_THETA_MAX`` at import.
-_PANEL_WIDTH = 1.0
-_PANEL_COUNT = 32
-_THETA_MIN = 1e-6
-_THETA_MAX = 40.0
-_OMEGA_FLOOR = 1e-14
-_MAX_SEGMENT_DOUBLINGS = 5
-_TAIL_BUMP_FACTOR = 64.0
-_TAIL_NEGLIGIBLE = 1e-18
+# The hyperbola of each evaluator tier as (row bound, base, angle, samples),
+# the first row bound the basis row count meets: a point's curve crosses the
+# real axis at ``base + w*max(0, lam_min)`` and is cut where ``Re(zeta)`` has
+# fallen ``_DECAY`` below that, so its last samples are damped by about
+# e**-45.  The walk tier's solves stop at 1e-5; the full tier needs a smaller
+# angle and more samples as the rows grow to keep its residue-sum errors.
+_DECAY = 45.0
+_WALK_SHAPES = ((80, 8.0, 0.5, 48), (120, 8.0, 0.35, 64), (math.inf, 8.0, 0.2, 128))
+_FULL_SHAPES = ((24, 2.0, 0.5, 64), (48, 2.0, 0.3, 128), (96, 2.0, 0.2, 256), (math.inf, 2.0, 0.1, 512))
 # The kernel sweep runs through blocks of basis rows holding about this many
 # complex samples (256 KB), so a block and its temporaries stay in cache.
 _BLOCK_SAMPLES = 16384
-
-# The full evaluator tier as (Gauss-Legendre panel order, Gauss-Laguerre tail
-# order).  The tail order is sized to the tier's error: a longer tail leaves
-# the residue-sum errors of ``tests/test_muntz.py`` where they are, and 12
-# nodes raise the 21-term prefix's worst over a 41-point grid from 1.0e-14 to
-# 2.9e-14.
-_FULL = (24, 16)
-
-# The walk tier's hyperbola crosses the real axis at ``_WALK_CROSSING`` and is
-# cut where ``Re(zeta)`` has fallen ``_WALK_DECAY`` below that, so the last
-# samples are damped by about e**-45.  Its (angle, samples) follow the basis
-# rows: (row bound, angle, samples), the first bound the row count meets.
-_WALK_CROSSING = 8.0
-_WALK_DECAY = 45.0
-_WALK_SHAPES = ((80, 0.5, 48), (120, 0.35, 64), (math.inf, 0.2, 128))
-
-
-@dataclass(frozen=True)
-class ThetaSelection:
-    """Chosen contour offset, one entry per point."""
-
-    theta: np.ndarray
-    converged: bool
-
-
-@dataclass
-class ContourPlan:
-    """The contour of one Newton solve, one entry per point off ``x = 1``.
-
-    ``_basis_batch`` chooses ``theta`` and ``levels`` (the segment levels)
-    at its first evaluation with the plan and keeps both for every later
-    one, so a plan serves evaluations at a fixed number of points.
-    """
-
-    theta: np.ndarray | None = None
-    levels: np.ndarray | None = None
 
 
 def _as_exponents(exponents) -> np.ndarray:
@@ -202,113 +141,28 @@ def moments(exponents, beta: float) -> np.ndarray:
     return np.array([libmp.to_float(m, rnd=rnd) for m in moment_recurrence(lam, beta, _MOMENT_PREC)])
 
 
-# Theta search: a log-spaced grid over [_THETA_MIN, _THETA_MAX], about 20%
-# between neighbours, built once.
-_THETA_GRID = np.geomspace(_THETA_MIN, _THETA_MAX, 97)
-
-
-def _theta_search(lam, lam_min, omega) -> ThetaSelection:
-    """Pick the contour offset ``theta`` for every frequency in ``omega`` at once.
-
-    Minimizes the sum of a near-origin magnitude estimate of the sampled
-    integrand (which blows up as theta shrinks) and the amplification
-    ``x**sigma = exp(theta - lam_min*omega)`` divided by sqrt(theta) (which
-    blows up as theta grows).  Any positive theta yields a valid contour;
-    the minimizer only tunes conditioning, so every point takes the best
-    point of the log-spaced grid, with no refinement between grid points.
-    Every operation is elementwise per point: a point's theta does not
-    depend on the other points in the batch.  ``converged`` is False when
-    the objective was infinite at every grid point of some point.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
-    # near-origin magnitude of the sampled integrand: numerator offsets
-    # omega*(lam_min+lam+1) - theta against denominator distances
-    # theta + omega*(lam - lam_min), which is |omega*(sigma - lam_v)| for
-    # sigma = lam_min - theta/omega
-    num_centers = (omega * (lam_min + lam[:-1] + 1.0))[:, :, None]
-    den_centers = (omega * (lam[:-1] - lam_min))[:, :, None]
-    grid = _THETA_GRID
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = grid - num_centers  # ratios[i, v, j]: point i, exponent v, grid point j
-        ratios /= grid + den_centers
-        np.abs(ratios, out=ratios)
-        magnitude = np.prod(ratios, axis=1) / np.abs(grid + omega * (lam[-1] - lam_min))
-        values = np.exp(np.sqrt(omega)) * magnitude + np.exp(np.minimum(grid - lam_min * omega, 700.0)) / np.sqrt(grid)
-    values = np.where(np.isfinite(values), values, np.inf)
-    best = np.argmin(values, axis=1)  # 0, so _THETA_MIN, where every value is infinite
-    return ThetaSelection(theta=grid[best], converged=bool(np.isfinite(values.min(axis=1)).all()))
-
-
-_MAX_PANEL_WIDTH = 16.0  # e^{it} stays resolvable at the default panel order
-
-
-def _graded_widths(first: float, segment: float):
-    """Panel widths: four at ``first``, doubling every second panel to a cap."""
-    starts, widths = [], []
-    position, current, at_current = 0.0, first, 0
-    while position < segment:
-        step = min(current, segment - position)
-        starts.append(position)
-        widths.append(step)
-        position += step
-        at_current += 1
-        if at_current >= (4 if current == first else 2) and current < _MAX_PANEL_WIDTH:
-            current = min(2.0 * current, _MAX_PANEL_WIDTH)
-            at_current = 0
-    return np.asarray(starts), np.asarray(widths)
-
-
-@lru_cache(maxsize=128)
-def _panel_grid(first: float, segment: float, order: int):
-    """Graded panel sample points, weights, and oscillatory phase on [0, segment].
-
-    The integrand's only sharp feature sits within O(theta) of the origin,
-    so the first panels use width ``first`` (matched to theta) and then
-    widths double every second panel up to a fixed cap; the sample count
-    grows only logarithmically with the segment length chosen by the
-    tail-escalation test.
-    """
-    gl = gauss_legendre(order)
-    starts, widths = _graded_widths(first, segment)
-    t = (starts[:, None] + widths[:, None] * gl.nodes[None, :]).ravel()
-    w = (widths[:, None] * gl.weights[None, :]).ravel()
-    phase = np.exp(1j * t)
-    for arr in (t, w, phase):
-        arr.setflags(write=False)
-    return t, w, phase
-
-
-def _first_panel_width(theta_group: np.ndarray) -> float:
-    """First-panel width resolving the pole at distance theta from the origin."""
-    scale = float(min(_PANEL_WIDTH, np.min(theta_group)))
-    if scale >= _PANEL_WIDTH:
-        return _PANEL_WIDTH
-    return max(2.0 ** math.floor(math.log2(scale)), _PANEL_WIDTH / 256.0)
-
-
-def _kernel_sweep(u, v, num_off, den_off, first):
+def _kernel_sweep(u, v, num_off, den_off):
     """Kernel products of every basis prefix at the contour samples ``u + iv``,
     one block of basis rows at a time.
 
-    Real ``u > 0`` and ``v`` broadcast to the samples (panels: ``u`` the
-    abscissas, ``v = 0``; tail: ``v`` the Laguerre ordinates and ``u`` the
-    segment end, a scalar or one per point as a ``(points, 1)`` column; walk
-    hyperbola: ``u`` and ``v`` both one per sample, the same for every point).
-    Yields ``(start, block)`` for consecutive blocks of rows: entry
-    ``block[j, i, k]`` is the product of the rational factors of prefix
-    ``start + j`` for point ``i`` at sample ``k``, times ``first`` (the
-    oscillatory phase on the panels, 1 on the tail and the hyperbola).
-    Factors after the first are built in real arithmetic, divided through by
-    ``u``; a running product over the basis rows sweeps the whole basis, one
-    contiguous ``(points, samples)`` slab per step, and the previous block's
-    last row carries into the next block's first.  Overflowed samples come out
+    ``u > 0`` and ``v`` are real and broadcast to ``(points, samples)``.
+    Yields ``(start, block)`` for consecutive blocks of rows:
+    entry ``block[j, i, k]`` is the product of the rational factors of prefix
+    ``start + j`` for point ``i`` at sample ``k``.  Factors after the first
+    are built in real arithmetic, divided through by ``u``; a running product
+    over the basis rows sweeps the whole basis, one contiguous
+    ``(points, samples)`` slab per step, and the previous block's last row
+    carries into the next block's first.  Overflowed samples come out
     non-finite.
 
     A block holds about ``_BLOCK_SAMPLES`` samples and at least two rows: a
     one-row remainder joins the first block, so no contraction of a block is
-    a one-row matvec (see ``_contract``).  One set of buffers serves every
-    block, so a block is valid only until the next one is requested; its
-    consumer may overwrite it.
+    a one-row matvec.  With OpenBLAS 0.3.31 a ``(1, K)`` matvec rounds
+    differently from the same row inside a taller matrix (random complex rows
+    at every K from 2 to 399), while blocks of two or more rows match, so a
+    row's integral does not depend on the block it was swept in.  One set of
+    buffers serves every block, so a block is valid only until the next one
+    is requested; its consumer may overwrite it.
     """
     n_points, n_basis = num_off.shape
     n_samples = np.broadcast(u, v).shape[-1]
@@ -322,7 +176,7 @@ def _kernel_sweep(u, v, num_off, den_off, first):
     b = den_off.T[1:, :, None]
     a_minus_b = a - b
     inv_u = 1.0 / u
-    block[0] = first / (u + 1j * (v + den_off[:, :1]))
+    block[0] = 1.0 / (u + 1j * (v + den_off[:, :1]))
     carry = np.empty(block.shape[1:], dtype=complex) if head < n_basis else None
     start, stop = 0, head
     while start < n_basis:
@@ -361,183 +215,64 @@ def _kernel_sweep(u, v, num_off, den_off, first):
         start, stop = stop, min(stop + rows, n_basis)
 
 
-def _contract(sweep, weights) -> np.ndarray:
-    """``sweep[n, i, :] @ weights`` for every basis row and point, as one 2-D matvec.
+def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
+    """Basis values ``[n, i]`` at the points of frequencies ``omega``: one
+    ``_kernel_sweep`` of every point, each block contracted as it comes.
 
-    The stacked 3-D product rounds differently for a single-point batch, so
-    a point's integral would depend on the batch it came in.  A one-row
-    matrix rounds differently too: with OpenBLAS 0.3.31 a ``(1, K)`` matvec
-    differs from the same row inside a taller matrix for random complex rows
-    at every K from 2 to 399 and at 576, 1000, 1500 and 1728, while row
-    blocks of 2, 3, 5, 17, 64 or 257 rows match it.  So ``_kernel_sweep``
-    yields no block of one basis row, and a row's integral does not depend
-    on the block it was swept in.
-    """
-    return (sweep.reshape(-1, sweep.shape[2]) @ weights).reshape(sweep.shape[:2])
-
-
-def _segment_levels(num_off, den_off, amplitude, theta, lag) -> np.ndarray:
-    """Per-point segment-doubling level that makes the Laguerre tail usable.
-
-    For each candidate segment length the tail integrand is swept through
-    the basis recurrence at the Laguerre ordinates ``lag.nodes``; a point is
-    accepted when every sample either stays within ``_TAIL_BUMP_FACTOR`` of
-    its launch value (resolvable) or contributes below ``_TAIL_NEGLIGIBLE``
-    relative to the output scale ``max(1, x**lam_min)`` (harmless).
-
-    A point is first tried at level ``max(0, p - 1)``, where ``p`` is the
-    shortest level whose segment reaches the highest pole height
-    ``max(-den_off) = theta + w*(max(lam) - min(lam))`` (clipped to
-    ``_MAX_SEGMENT_DOUBLINGS``), and then at each level above until it
-    passes or has failed at ``_MAX_SEGMENT_DOUBLINGS``.  The test runs in
-    rounds: one ``_kernel_sweep`` call per round sweeps every pending point
-    at its own level, so there are as many calls as the most levels any one
-    point tries.  Both tests run on each block of rows the sweep yields, and
-    a point passes a round only if it passes every block.
-    """
-    top = _MAX_SEGMENT_DOUBLINGS
-    segments = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** np.arange(top + 1)
-    # p: the shortest segment reaching the highest pole, theta + w*(max lam - min lam)
-    reach = np.minimum(np.searchsorted(segments, np.max(-den_off, axis=1)), top)
-    trying = np.maximum(reach - 1, 0)  # the level each pending point tries next
-    levels = np.full(num_off.shape[0], top, dtype=int)
-    pending = np.arange(num_off.shape[0])
-    damp = np.exp(-lag.nodes)
-    # amplitude = x**lam_min * e**theta, so the output scale is amp * e**-theta
-    dead_cut = _TAIL_NEGLIGIBLE * np.maximum(1.0, amplitude * np.exp(-theta)) / amplitude
-
-    while pending.size:
-        at = trying[pending]
-        segment = segments[at][:, None]
-        cut = dead_cut[pending][:, None]
-        launch_floor = 1.0 / segment
-        for start, block in _kernel_sweep(segment, lag.nodes, num_off[pending], den_off[pending], 1.0):
-            magnitudes = np.abs(block)
-            launch = magnitudes[:, :, :1] + launch_floor
-            bump_ok = magnitudes <= _TAIL_BUMP_FACTOR * launch
-            dead = magnitudes * damp <= cut
-            passed = (bump_ok | dead).all(axis=(0, 2))
-            ok = passed if start == 0 else ok & passed
-        levels[pending[ok]] = at[ok]
-        pending = pending[~ok & (at < top)]
-        trying[pending] += 1
-    return levels
-
-
-def _tail_integrals(num_off, den_off, levels, lag) -> np.ndarray:
-    """Tail integrals ``tails[n, i]`` launched at the end of point i's segment
-    at ``levels[i]``: one ``_kernel_sweep`` of every point, each block
-    contracted as it comes; overflowed samples (damped-dead) are dropped.
-    """
-    segment = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** levels
-    turn = 1j * np.exp(1j * segment)
-    tails = np.empty(num_off.shape[::-1], dtype=complex)
-    for start, block in _kernel_sweep(segment[:, None], lag.nodes, num_off, den_off, 1.0):
-        np.copyto(block, 0.0, where=~np.isfinite(block))
-        tails[start : start + len(block)] = turn * _contract(block, lag.weights)
-    return tails
-
-
-def _walk_integrals(num_off, den_off) -> np.ndarray:
-    """Integrals ``[n, i]`` on the walk tier's hyperbola, for offsets taken at
-    ``theta = 0``: one ``_kernel_sweep`` of every point, each block contracted
-    as it comes.
-
-    The midpoint rule in ``phi`` on ``zeta(phi) = mu*(1 + sin(i*phi - angle))``,
-    ``0 < phi < phi_max``, the upper half of a contour that crosses the real
-    axis at ``_WALK_CROSSING`` and runs left of every pole (Weideman &
-    Trefethen, *Math. Comp.* 76, 2007), with the angle and sample count of
-    ``_WALK_SHAPES`` for the row count.  In the sweep's variable
+    The contour is the midpoint rule in ``phi`` on the upper half of the
+    hyperbola ``zeta(phi) = mu*(1 + sin(i*phi - angle))`` through ``base``
+    (Weideman & Trefethen, *Math. Comp.* 76, 2007), cut where ``Re(zeta)``
+    has fallen ``_DECAY`` below ``base``, with ``(base, angle, samples)`` from
+    ``shapes`` for the row count.  Point i takes it moved right by
+    ``s_i = omega_i*max(0, lam_min)``, so that it crosses the real axis at
+    ``zeta0_i = base + s_i``: moved, not scaled, so that ``samples`` keep
+    resolving ``e**zeta`` however far it moves.  In the sweep's variable
     ``-i*zeta = u + iv``, so ``u = Im(zeta) > 0`` and ``v = -Re(zeta)``; the
-    weights ``i*h*e**zeta*zeta'(phi)`` hold the exponential and the Jacobian,
-    and ``L_n(x)`` is ``-x**lam_min / pi`` times the integral's imaginary part.
+    weights ``i*h*e**(zeta - zeta0)*zeta'(phi)`` hold the exponential and the
+    Jacobian and are the same for every point, and ``L_n(x)`` is
+    ``-x**lam_min * e**zeta0 / pi`` times the integral's imaginary part, the
+    amplitude formed as ``exp(zeta0 - lam_min*omega)`` so that neither factor
+    overflows alone.  Each block is contracted as one 2-D matvec, whose rows
+    round alike in any batch (``_kernel_sweep`` yields no one-row block), so
+    a point's values do not depend on the batch it came in.
     """
-    angle, samples = next((angle, samples) for rows, angle, samples in _WALK_SHAPES
-                          if num_off.shape[1] <= rows)
-    mu = _WALK_CROSSING / (1.0 - math.sin(angle))
-    h = math.acosh(1.0 + _WALK_DECAY / (mu * math.sin(angle))) / samples
+    base, angle, samples = next(shape[1:] for shape in shapes if lam.size <= shape[0])
+    lam_min = float(np.min(lam))
+    shift = omega * max(0.0, lam_min)
+    mu = base / (1.0 - math.sin(angle))
+    h = math.acosh(1.0 + _DECAY / (mu * math.sin(angle))) / samples
     phi = h * (np.arange(samples) + 0.5)
     zeta = mu * (1.0 + np.sin(1j * phi - angle))
-    weights = 1j * h * np.exp(zeta) * (1j * mu * np.cos(1j * phi - angle))  # i*h*e**zeta*zeta'
-    integrals = np.empty(num_off.shape[::-1], dtype=complex)
-    for start, block in _kernel_sweep(zeta.imag, -zeta.real, num_off, den_off, 1.0):
-        integrals[start : start + len(block)] = _contract(block, weights)
-    return integrals
+    weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
+    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
+    den_off = omega[:, None] * (lam_min - lam[None, :])
+    values = np.empty(num_off.shape[::-1])
+    for start, block in _kernel_sweep(zeta.imag, -(shift[:, None] + zeta.real), num_off, den_off):
+        values[start : start + len(block)] = (block.reshape(-1, samples) @ weights).reshape(block.shape[:2]).imag
+    return values * (-np.exp(base + shift - lam_min * omega) / math.pi)
 
 
-def _basis_batch(shifted, xs, walk: bool = False, *, plan: ContourPlan | None = None):
+def _basis_batch(shifted, xs, walk: bool = False):
     """Basis values for the (already shifted) exponents at many points.
 
     Returns ``values`` where ``values[n, i]`` is the n-th basis element at
     ``xs[i]``.  Points equal to 1 short-circuit to exact ones; a
-    single-element sequence bypasses the contour entirely.
-
-    The walk tier (``walk``) takes ``_walk_integrals`` on one hyperbola
-    whose shape follows the row count only, so it needs no theta, no
-    segment and no tail.
-
-    The full tier (``_FULL``) takes the Laguerre tails from
-    ``_tail_integrals`` at the segment levels; the panels are swept per
-    level, and each block of panel rows goes straight into its rows of
-    ``values``.  A ``plan`` keeps its first evaluation's theta and segment
-    levels for every later one (``ContourPlan``); without one every point
-    searches the theta grid and runs the tail test of ``_segment_levels``.
-    The walk tier ignores ``plan``.
+    single-element sequence bypasses the contour entirely.  Both tiers take
+    ``_hyperbola_values``, the walk tier (``walk``) with ``_WALK_SHAPES`` and
+    the full tier with ``_FULL_SHAPES``.
     """
     lam = _as_exponents(shifted)
-    nb = lam.size
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lam_min = float(np.min(lam))
-
-    values = np.empty((nb, xs.size))
+    values = np.empty((lam.size, xs.size))
     at_one = xs == 1.0
-    if np.any(at_one):
-        values[:, at_one] = 1.0
+    values[:, at_one] = 1.0
     active = np.flatnonzero(~at_one)
     if active.size == 0:
         return values
     xa = xs[active]
-
-    if nb == 1:
-        values[0, active] = xa ** lam[0]
-        return values
-
-    omega = np.maximum(-np.log(xa), _OMEGA_FLOOR)
-    # All sigma-dependent quantities enter only through these offsets, so
-    # sigma itself (which blows up as omega -> 0) is never formed here.
-    num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
-    den_off = omega[:, None] * (lam_min - lam[None, :])
-    if walk:
-        values[:, active] = -(xa ** lam_min) / math.pi * _walk_integrals(num_off, den_off).imag
-        values[0, active] = xa ** lam[0]  # overwrites the contour's row 0
-        return values
-
-    panel_order, laguerre_order = _FULL
-    lag = gauss_laguerre(laguerre_order)
-    if plan is None:
-        plan = ContourPlan()  # a throwaway: this evaluation chooses its own contour
-    if plan.theta is None:
-        plan.theta = _theta_search(lam, lam_min, omega).theta
-    theta = plan.theta
-    num_off -= theta[:, None]
-    den_off -= theta[:, None]
-    amplitude = xa ** lam_min * np.exp(theta)
-
-    if plan.levels is None:
-        plan.levels = _segment_levels(num_off, den_off, amplitude, theta, lag)
-    levels = plan.levels
-    tails = _tail_integrals(num_off, den_off, levels, lag)
-
-    for level in np.unique(levels):
-        in_level = np.flatnonzero(levels == level)
-        segment = _PANEL_WIDTH * _PANEL_COUNT * 2.0 ** int(level)
-        first = _first_panel_width(theta[in_level])
-        t_panel, w_panel, phase = _panel_grid(first, segment, panel_order)
-        scale, columns = amplitude[in_level] / math.pi, active[in_level]
-        for start, block in _kernel_sweep(t_panel, 0.0, num_off[in_level], den_off[in_level], phase):
-            rows = slice(start, start + len(block))
-            values[rows, columns] = scale * (_contract(block, w_panel) + tails[rows, in_level]).imag
-    values[0, active] = xa ** lam[0]  # overwrites the contour's row 0
+    if lam.size > 1:
+        values[:, active] = _hyperbola_values(lam, -np.log(xa), _WALK_SHAPES if walk else _FULL_SHAPES)
+    values[0, active] = xa ** lam[0]  # exact, and overwrites the contour's row 0
     return values
 
 

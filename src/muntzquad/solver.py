@@ -59,7 +59,6 @@ from .errors import (
 )
 from . import refine
 from .muntz import (
-    ContourPlan,
     _as_beta,
     _basis_batch,
     ensure_admissible,
@@ -150,8 +149,7 @@ class NewtonResult:
     correction to the first, each measured as the largest relative node or
     weight change; it is 0 when the solve needed fewer than two
     corrections.  ``jacobian`` is the rescaled Jacobian ``assemble``
-    returned at the returned iterate, on the contour the solve's first
-    ``assemble`` chose.
+    returned at the returned iterate.
     """
 
     nodes: np.ndarray
@@ -243,18 +241,15 @@ def _predict(path, alpha_next):
     return nodes, weights
 
 
-def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False, *,
-             plan: ContourPlan | None = None):
+def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False):
     """Residual vector F and rescaled Jacobian for the current iterate.
 
     The basis comes from the evaluator's walk tier if ``walk`` and from its
-    full tier otherwise.  A ``plan`` (``muntz.ContourPlan``) is passed to
-    the evaluator, whose full tier uses it: the first call with it chooses
-    each node's theta and segment level and every later call reuses both;
-    without one every call chooses its own.  One batched basis sweep per
-    call serves every row: the value matrix gives both F and the right
-    Jacobian block, and the scaled-derivative recurrence turns the same
-    values into the left block
+    full tier otherwise; either takes each node's contour from that node
+    alone, so the map is one smooth function of the iterate.  One batched
+    basis sweep per call serves every row: the value matrix gives both F
+    and the right Jacobian block, and the scaled-derivative recurrence
+    turns the same values into the left block
 
         [ x L' - (beta/2) L  |  L ].
 
@@ -281,7 +276,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 
     beta = _as_beta(beta)
     shifted = lam + 0.5 * beta
-    basis = _basis_batch(shifted, nodes, walk, plan=plan)
+    basis = _basis_batch(shifted, nodes, walk)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
     residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
@@ -294,9 +289,8 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False,
 _TOLERANCE = 1e-14
 
 # A rule with alpha < 1 only seeds the next homotopy step, so its Newton
-# solve runs on the evaluator's walk tier (one hyperbolic contour per batch,
-# ``muntz._walk_integrals``) and stops at this tolerance: the next step's
-# predictor misses by far more anyway.
+# solve runs on the evaluator's walk tier (``muntz._WALK_SHAPES``) and stops
+# at this tolerance: the next step's predictor misses by far more anyway.
 _WALK_TOLERANCE = 1e-5
 
 # A Newton solve gives up after this many iterations, or once one step has
@@ -342,12 +336,6 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
     its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
     (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
-    On the full tier the solve's assemble calls share one private
-    ``muntz.ContourPlan``: the first chooses every node's theta and segment
-    level and the rest reuse them, so within a solve the map is one smooth
-    function of the iterate, and no two solves share choices.  The walk
-    tier's contour depends on the row count only, so its solves carry no
-    plan.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -369,8 +357,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    plan = None if walk else ContourPlan()
-    residual, jacobian = assemble(x, w, exponents, beta, m, walk, plan=plan)
+    residual, jacobian = assemble(x, w, exponents, beta, m, walk)
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
@@ -433,7 +420,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
             step_scale *= 0.5
 
         x, w = x_trial, w_trial
-        residual, jacobian = assemble(x, w, exponents, beta, m, walk, plan=plan)
+        residual, jacobian = assemble(x, w, exponents, beta, m, walk)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
             raise NewtonDivergedError("residual became non-finite", iterations=iterations, residual=res_norm)
@@ -454,12 +441,11 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
     by about 1/4.  Every step with ``alpha < 1`` is solved to
-    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, one
-    hyperbolic contour per batch with no theta search and no tail.  The
-    ``alpha = 1`` solve runs to ``_TOLERANCE`` (1e-14) on the full tier,
-    whose contour is chosen per node, and the polish reuses
-    that solve's last Jacobian.  Walk and polish run on the canonically shifted
-    spec; the weights return to ``x**beta`` at the end, and ``rule.spec`` is
+    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier.  The
+    ``alpha = 1`` solve runs to ``_TOLERANCE`` (1e-14) on the full tier, a
+    hyperbola with more samples, and the polish reuses that solve's last
+    Jacobian.  Walk and polish run on the canonically shifted spec; the
+    weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
     solved only to the walk tolerance.  Raises ``NewtonDivergedError`` if

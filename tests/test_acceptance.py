@@ -197,11 +197,10 @@ def _random_spec(rng):
 
 
 def _fine_basis(shifted, xs):
-    """``_basis_batch`` on half-width panels over the same segment, at higher orders."""
+    """``_basis_batch`` on the full tier's hyperbolas at twice the samples."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(muntz, "_PANEL_WIDTH", 0.5)
-        patch.setattr(muntz, "_PANEL_COUNT", 64)
-        patch.setattr(muntz, "_FULL", (32, 64))
+        patch.setattr(muntz, "_FULL_SHAPES", tuple((rows, base, angle, 2 * samples)
+                                                   for rows, base, angle, samples in muntz._FULL_SHAPES))
         return _basis_batch(shifted, xs)
 
 

@@ -23,5 +23,5 @@ def test_traced_reference_run():
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["muntz.segment_levels.total_s"]["value"] > 0.0
+    assert metrics["muntz.basis_batch.total_s"]["value"] > 0.0
     assert metrics["trace.accounted_share"]["value"] >= 0.99

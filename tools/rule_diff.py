@@ -3,7 +3,7 @@
     python tools/rule_diff.py PARENT_SRC CHANGE_SRC
 
 Each ``*_SRC`` is a directory holding the ``muntzquad`` package (the
-``src`` directory of a checkout).  Both trees build the same 370 specs,
+``src`` directory of a checkout).  Both trees build the same 414 specs,
 each side in its own process with one BLAS thread:
 
 - ``reference`` and ``triple``: the bench workloads' fixed specs (5);
@@ -27,22 +27,20 @@ weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
 group the ``assemble`` calls on the walk and the full evaluator tier, the
-``newton_solve`` calls, the tail tests (``muntz._segment_levels`` calls) and
-the polish's ``refine.exact_residual`` calls.  Each ``muntz._kernel_sweep``
-call is classed by the function that makes it: the tail test, the tail
-contraction (``muntz._tail_integrals``), the panels (``muntz._basis_batch``)
-or the walk tier's hyperbola (``muntz._walk_integrals``); a caller the
-report does not know counts as ``other``.  Per group the report gives those
-calls with the tail test's point-tests (the points its calls sweep, summed)
-and the blocks of rows all sweeps yield, the samples swept (basis rows x
-points x contour samples, summed over the sweeps) by each class on each
-evaluator tier, and per tier how the ``newton_solve`` calls ended:
+``newton_solve`` calls and the polish's ``refine.exact_residual`` calls.
+Each ``muntz._kernel_sweep`` call is classed by the function that makes it:
+the hyperbola of either tier (``muntz._hyperbola_values``), or ``other`` for
+a caller the report does not know, as the panels, tail tests, tails and walk
+of older trees are.  Per group the report gives those calls and the blocks
+of rows all sweeps yield, the samples swept (basis rows x points x contour
+samples, summed over the sweeps) by each class on each evaluator tier, and
+per tier how the ``newton_solve`` calls ended:
 converged, converged at zero iterations, or diverged, by the reason its
 ``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  Last
 it counts the classical arrays (nodes and weights) that are bit-identical
 between the sides, and names each one that is not: ``gauss_legendre`` at
 orders 8 and 24 and ``gauss_laguerre`` at 8 and 16 (the panel and tail
-orders the evaluator tiers have used), and each spec's walk start,
+orders of earlier evaluator tiers), and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.
@@ -61,14 +59,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# per-spec call counts: assemble by tier, Newton solves, tail tests, polish residual
-COUNTS = ("walk", "full", "solves", "tail_tests", "exact_residual")
+# per-spec call counts: assemble by tier, Newton solves, polish residual
+COUNTS = ("walk", "full", "solves", "exact_residual")
 # the class of a kernel sweep, by the function that calls it
-CALLERS = {"_segment_levels": "test", "_tail_integrals": "tail", "_basis_batch": "panel",
-           "_walk_integrals": "hyperbola"}
+CALLERS = {"_hyperbola_values": "hyperbola"}
 CLASSES = (*CALLERS.values(), "other")
-# per-spec kernel sweeps: tail-test calls, their points, calls of the other classes, blocks swept
-SWEEPS = ("test", "test_points", *CLASSES[1:], "blocks")
+# per-spec kernel sweeps: calls per class, blocks swept
+SWEEPS = (*CLASSES, "blocks")
 TIERS = ("walk", "full")
 # per-spec samples swept (rows x points x samples), by sweep class and evaluator tier
 SAMPLES = tuple(f"{where}_samples_{t}" for where in CLASSES for t in TIERS)
@@ -149,7 +146,7 @@ def build_side() -> dict:
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # tier -> outcome -> solves
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
-    kernel_sweep, segment_levels = muntz._kernel_sweep, muntz._segment_levels
+    kernel_sweep = muntz._kernel_sweep
     evaluating = ["full"]  # the tier of the assemble under way, which the sweeps serve
 
     def tier(args, kwargs):
@@ -170,15 +167,9 @@ def build_side() -> dict:
             counts["blocks"] += 1
             yield block
 
-    def counting_tests(*args, **kwargs):
-        counts["tail_tests"] += 1
-        return segment_levels(*args, **kwargs)
-
     def counting_sweep(u, v, num_off, *args, **kwargs):
         where = CALLERS.get(sys._getframe(1).f_code.co_name, "other")
         counts[where] += 1
-        if where == "test":
-            counts["test_points"] += num_off.shape[0]
         counts[f"{where}_samples_{evaluating[0]}"] += num_off.size * np.broadcast(u, v).shape[-1]
         swept = kernel_sweep(u, v, num_off, *args, **kwargs)
         if isinstance(swept, np.ndarray):  # a tree whose sweep returns every row at once
@@ -199,7 +190,7 @@ def build_side() -> dict:
 
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
     solver.newton_solve = counting_solve
-    muntz._kernel_sweep, muntz._segment_levels = counting_sweep, counting_tests
+    muntz._kernel_sweep = counting_sweep
     records = []
     for group, label, lam, beta in specs:
         counts.update(dict.fromkeys(KEYS, 0))
@@ -282,10 +273,8 @@ def report(parent_side: dict, change_side: dict) -> int:
                                               for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in KEYS}
-    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / tail test / exact residual",
-                         COUNTS),
-                        ("kernel sweeps per group, tail-test calls / tail-test point-tests / tail calls / panel calls"
-                         " / hyperbola calls / other calls / blocks", SWEEPS),
+    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / exact residual", COUNTS),
+                        ("kernel sweeps per group, hyperbola calls / other calls / blocks", SWEEPS),
                         ("samples swept per group, " + " / ".join(key.replace("_samples_", " ") for key in SAMPLES),
                          SAMPLES)):
         print(f"{title} (parent -> change):")
