@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from muntzquad import muntz
-from muntzquad.classical import _jacobi_start
+from muntzquad.classical import _jacobi_start, gauss_laguerre
 from muntzquad.cli import sequence_family
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
@@ -202,9 +202,27 @@ def sweep_inputs(lam, xs, walk):
     return inputs
 
 
+# the tiers' own samples, and two other sample shapes that ``_kernel_sweep``
+# broadcasts: ``panel``, a row of u on the real axis at the scalar v = 0, and
+# ``tail``, one vertical line per point, a column of u against a row of v
+SAMPLES = pytest.mark.parametrize("where", ["panel", "tail", "walk", "full"])
+
+
+def kernel_inputs(lam, xs, where):
+    """``u, v, num_off, den_off`` for ``_kernel_sweep``: a tier's own, or the
+    full tier's offsets at the ``panel`` or ``tail`` samples."""
+    u, v, num_off, den_off = sweep_inputs(lam, xs, where == "walk")
+    if where == "panel":
+        u, v = np.arange(64) + 0.5, 0.0
+    elif where == "tail":
+        u, v = 32.0 * 2.0 ** np.arange(xs.size)[:, None], gauss_laguerre(32).nodes
+    return u, v, num_off, den_off
+
+
 def reference_kernel_sweep(t, num_off, den_off):
     """The kernel products ``[n, i, k]`` by complex division and ``cumprod``,
-    at the complex samples ``t[i, k]``."""
+    at the complex samples ``t`` broadcast to ``(points, samples)``."""
+    t = np.broadcast_to(t, (num_off.shape[0], np.shape(t)[-1]))
     factors = np.empty((num_off.shape[1], *t.shape), dtype=complex)
     factors[0] = 1.0 / (t + 1j * den_off[:, :1])
     factors[1:] = (t + 1j * num_off.T[:-1, :, None]) / (t + 1j * den_off.T[1:, :, None])
@@ -223,9 +241,9 @@ def full_sweep(*args):
 
 class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
-    @TIERS
-    def test_matches_complex_division(self, name, walk):
-        u, v, num_off, den_off = sweep_inputs(SHIFTED_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9), walk)
+    @SAMPLES
+    def test_matches_complex_division(self, name, where):
+        u, v, num_off, den_off = kernel_inputs(SHIFTED_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9), where)
         # force point 0 to overflow from prefix 3 on
         num_off = num_off.copy()
         num_off[0, 1:3] = 1e200
@@ -261,11 +279,11 @@ class TestBlockedSweep:
 
     @pytest.mark.parametrize("length", [2, 3, 19, 20])
     @pytest.mark.parametrize("rows", [2, 3, 5])
-    @TIERS
-    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, walk):
+    @SAMPLES
+    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, where):
         lam = SHIFTED_SEQUENCES["case3"][:length]
         xs = np.geomspace(1e-9, 0.99, 3)
-        args = sweep_inputs(lam, xs, walk)
+        args = kernel_inputs(lam, xs, where)
         n_samples = np.broadcast(args[0], args[1]).shape[-1]
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
         whole = full_sweep(*args)
