@@ -25,9 +25,10 @@ through ``zeta0`` instead of moved leaves its samples too sparse for
 ``e**zeta`` once ``zeta0`` grows far beyond them.
 Two tables size the shape by the basis row count.  The rule solver's
 homotopy walk throws its intermediate rules away, so its Newton solves stop
-at 1e-5 and run on the walk tier, ``_WALK_SHAPES``; the ``alpha = 1`` solve,
-the polish Jacobian and ``eval_all`` run on the full tier, ``_FULL_SHAPES``,
-whose angle shrinks and whose samples grow with the rows.
+at 1e-5 and run on the walk tier, ``_WALK_SHAPES``; the ``alpha = 1`` solve
+and the polish Jacobian run on the full tier, ``_FULL_SHAPES``, whose angle
+shrinks and whose samples grow with the rows.  ``eval_all`` takes neither: it
+sums the residues of ``refine``'s pole expansion in arbitrary precision.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -51,6 +52,7 @@ anywhere.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from mpmath import libmp
@@ -288,12 +290,26 @@ def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
     weight ``x**beta``.
 
     These are ``x**(-beta/2)`` times the unit-weight basis of the exponents
-    shifted by ``beta/2``; at ``x = 1`` every value is exactly 1.
+    shifted by ``beta/2``: the residue sums of ``refine.pole_expansion``,
+    taken as the exact residual of a one-node rule with weight 1 against
+    zero moments, each rounded once, at any ``x`` and ``beta``.  Close
+    exponents make the residues cancel by more digits than the expansion's
+    default precision holds (30 exponents 1e-3 apart: terms of 1e78 at 67
+    digits), so the sums are taken again at twice the precision until two
+    successive precisions round to the same values; at ``x = 1`` every
+    value rounds to exactly 1.
     """
+    from . import refine  # refine imports this module
+
     lam = ensure_admissible(exponents, beta)
     x = _check_point(x)
-    values = _basis_batch(lam + 0.5 * float(beta), np.array([x]))[:, 0]
-    return values * x ** (-0.5 * float(beta))
+    values, prec = None, None
+    while True:
+        expansion = refine.pole_expansion(lam, beta, prec)
+        sums = refine.exact_residual([x], [1.0], replace(expansion, moments=[libmp.fzero] * lam.size))
+        if np.array_equal(sums, values):
+            return sums
+        values, prec = sums, 2 * expansion.prec
 
 
 def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:

@@ -43,6 +43,9 @@ of mpmath numbers bit for bit, without their per-object overhead.  The
 difference of a row and its moment is rounded to a double as ``float`` of
 an mpmath number does, to nearest.
 
+``muntz.eval_all`` takes its basis values from the same table, as the
+residual of a one-node rule with weight 1 against zero moments.
+
 The Newton directions themselves stay in ordinary double arithmetic:
 direction errors only perturb the path, not the limit, so the polish solves
 against one Jacobian throughout, the one of the ``alpha = 1`` solve.
@@ -109,11 +112,14 @@ class PoleExpansion:
     moments: list
 
 
-def pole_expansion(exponents, beta: float) -> PoleExpansion:
+def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpansion:
     """The residual's exponent-only table: working precision, poles with their
-    multiplicities, each row's Taylor coefficients and the exact moments."""
+    multiplicities, each row's Taylor coefficients and the exact moments.
+
+    ``prec`` is the working precision in bits, by default that of
+    ``30 + 1.2*len(exponents)`` digits."""
     lam = np.asarray(exponents, dtype=float)
-    prec = libmp.dps_to_prec(30 + int(1.2 * lam.size))
+    prec = prec or libmp.dps_to_prec(30 + int(1.2 * lam.size))
     beta_q = from_float(float(beta))
     half_beta = libmp.mpf_shift(beta_q, -1)
     distinct, at = np.unique(lam, return_inverse=True)

@@ -11,8 +11,11 @@ in a rescaled variable: the Jacobian columns are premultiplied by powers of
 is the whole point of these rules.  Every Newton step is taken in full
 unless a feasibility safeguard halves it: one that would push a node out of
 (0, 1), cross two nodes, or kill a weight.  A solve either returns an iterate
-whose residual meets its target or raises ``NewtonDivergedError``; nothing
-short of the target is accepted.
+whose residual meets its target or raises ``NewtonDivergedError``.  A solve
+of the walk below has a second exit: once a correction taken in full is
+small, the iterate it reaches is returned without evaluating the residual
+there, since that correction bounds it (Deuflhard's error-oriented
+termination).  Nothing else short of the target is accepted.
 
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
@@ -142,14 +145,19 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """A converged Newton solve: ``residual`` meets the solve's target.
+    """A converged Newton solve.
 
     ``residual_history`` holds the residual at the start and after every
-    iteration.  ``contraction`` is the ratio of the second Newton
+    assembled iteration.  ``contraction`` is the ratio of the second Newton
     correction to the first, each measured as the largest relative node or
     weight change; it is 0 when the solve needed fewer than two
-    corrections.  ``jacobian`` is the rescaled Jacobian ``assemble``
-    returned at the returned iterate.
+    corrections.  ``residual`` and ``jacobian`` are the residual norm and the
+    rescaled Jacobian ``assemble`` returned at the last assembled iterate.
+    That is the returned one, and ``residual`` meets the solve's target,
+    unless a walk solve returned on a small correction (see
+    ``newton_solve``): then they belong to the iterate one correction before
+    the returned one, ``residual_history`` ends there too, and ``assemble``
+    was called ``iterations`` times instead of ``iterations + 1``.
     """
 
     nodes: np.ndarray
@@ -293,6 +301,14 @@ _TOLERANCE = 1e-14
 # at this tolerance: the next step's predictor misses by far more anyway.
 _WALK_TOLERANCE = 1e-5
 
+# A walk solve also returns, without assembling at it, the iterate that a
+# correction applied in full reaches once that correction is this small
+# (``_correction_size``): Deuflhard's error-oriented termination.  Over the
+# 414 specs of ``tools/rule_diff.py`` it moved no rule and cut the walk
+# assembles by 23%; 1e-3 cut them by 16% and moved one rule, 1e-2 moved 11
+# rules and lost a spec.
+_WALK_CORRECTION = 3e-3
+
 # A Newton solve gives up after this many iterations, or once one step has
 # been halved this many times and is still infeasible.
 _MAX_ITERATIONS = 50
@@ -343,9 +359,14 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
 
     and applied in full.  Any step that would leave the feasible region is
     halved up to ``_MAX_STEP_HALVINGS`` times before the iteration is
-    declared divergent.  The result is always an iterate whose residual
-    meets the target, the start itself (zero iterations) included.  Any
-    other end raises ``NewtonDivergedError``: the iteration budget or the
+    declared divergent.  The result is an iterate whose residual meets the
+    target, the start itself (zero iterations) included.  On the walk tier
+    it may also be the iterate that a correction applied in full (no
+    halving) reaches once that correction's ``_correction_size`` is at most
+    ``_WALK_CORRECTION`` (3e-3): it is returned without an ``assemble`` call
+    at it, and ``NewtonResult`` then reports the residual and Jacobian of the
+    iterate before it.  The full tier has no such exit.  Any other end
+    raises ``NewtonDivergedError``: the iteration budget or the
     safeguard is exhausted, the Jacobian is singular, the residual turns
     non-finite or stalls above the target for ``_STALL_ITERATIONS``
     iterations, or a correction (``_correction_size``) is at least
@@ -420,6 +441,8 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
             step_scale *= 0.5
 
         x, w = x_trial, w_trial
+        if walk and halvings == 0 and size <= _WALK_CORRECTION:
+            break  # accepted on the correction alone; the iterate is not assembled
         residual, jacobian = assemble(x, w, exponents, beta, m, walk)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
@@ -441,14 +464,17 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
     by about 1/4.  Every step with ``alpha < 1`` is solved to
-    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier.  The
+    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, or until a full
+    correction of at most ``_WALK_CORRECTION`` (3e-3), whose result is
+    returned unassembled (``newton_solve``): the path only reads its nodes,
+    weights and contraction.  The
     ``alpha = 1`` solve runs to ``_TOLERANCE`` (1e-14) on the full tier, a
     hyperbola with more samples, and the polish reuses that solve's last
     Jacobian.  Walk and polish run on the canonically shifted spec; the
     weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
-    solved only to the walk tolerance.  Raises ``NewtonDivergedError`` if
+    solved only as far as a walk solve goes.  Raises ``NewtonDivergedError`` if
     the polished rule's exact residual exceeds ``_FLOOR_RATIO_BOUND`` times
     its rounding floor (``_floor_ratio``).  Raises ``DomainError`` if a
     weight under- or overflows in doubles when the factor ``x**c`` maps it

@@ -25,11 +25,14 @@ def example1_prefix(length):
     return lam
 
 
-def residue_sum_basis(lam, x):
-    """``L_0(x), ..., L_N(x)`` for distinct exponents as sums of the residues
-    of ``x**t`` times the rational kernel, in 50-digit arithmetic."""
-    with mp.workdps(50):
-        poles = [mp.mpf(float(v)) for v in lam]
+def residue_sum_basis(lam, x, beta=0.0, dps=50):
+    """``L_0(x), ..., L_N(x)`` under weight ``x**beta`` for distinct exponents:
+    ``x**(-beta/2)`` times the sums of the residues of ``x**t`` times the
+    rational kernel of the exponents shifted by ``beta/2``, in ``dps``-digit
+    arithmetic."""
+    with mp.workdps(dps):
+        half_beta = mp.mpf(float(beta)) / 2
+        poles = [mp.mpf(float(v)) + half_beta for v in lam]
         xq = mp.mpf(float(x))
         out = []
         for n in range(len(poles)):
@@ -42,8 +45,13 @@ def residue_sum_basis(lam, x):
                     if k != m:
                         term /= poles[m] - poles[k]
                 total += term
-            out.append(float(total))
+            out.append(float(total * xq**-half_beta))
     return np.array(out)
+
+
+def full_tier(lam, x):
+    """The full tier's hyperbola values of the basis at one point."""
+    return _basis_batch(lam, np.array([x]))[:, 0]
 
 
 def use_fine_discretization(monkeypatch):
@@ -98,10 +106,10 @@ class TestEvalAll:
     def test_config_consistency(self, monkeypatch):
         lam = example1_prefix(21)
         xs = (1e-3, 0.1, 0.5, 0.9)
-        default = [eval_all(lam, x) for x in xs]
+        default = [full_tier(lam, x) for x in xs]
         use_fine_discretization(monkeypatch)
         for va, x in zip(default, xs):
-            vb = eval_all(lam, x)
+            vb = full_tier(lam, x)
             assert np.abs(va - vb).max() <= 1e-12
 
     @pytest.mark.parametrize("config", ["default", "fine", "walk"])
@@ -113,10 +121,7 @@ class TestEvalAll:
         lam = example1_prefix(21)
         for x in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
             exact = residue_sum_basis(lam, x)
-            if config == "walk":
-                values = _basis_batch(lam, np.array([x]), walk=True)[:, 0]
-            else:
-                values = eval_all(lam, x)
+            values = _basis_batch(lam, np.array([x]), walk=config == "walk")[:, 0]
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= bound, (x, error.max())
 
@@ -125,7 +130,7 @@ class TestEvalAll:
         # comes out 0, which leaves L_1 = -1e-200 off by no more than itself
         lam = np.array([0.0, 1e200])
         for x in (1e-3, 0.5, 0.999):
-            assert np.abs(eval_all(lam, x) - residue_sum_basis(lam, x)).max() <= 1e-199
+            assert np.abs(full_tier(lam, x) - residue_sum_basis(lam, x)).max() <= 1e-199
 
     @pytest.mark.parametrize("lam", [[0.0, 1.0], [0.0, 1.0, 2.5], np.arange(6.0) / 2.0],
                              ids=["0-1", "0-1-2.5", "halves-0..2.5"])
@@ -133,7 +138,7 @@ class TestEvalAll:
         # 1.1e-16 at most: nothing is singular as -log(x) -> 0
         x = math.nextafter(1.0, 0.0)
         exact = residue_sum_basis(lam, x)
-        assert np.abs(eval_all(lam, x) - exact).max() <= 1e-15
+        assert np.abs(full_tier(lam, x) - exact).max() <= 1e-15
 
     def test_long_prefix_small_x_matches_residue_sum(self):
         # 40 terms shifted by -1/8; the worst point of a 41-point log grid
@@ -141,7 +146,7 @@ class TestEvalAll:
         lam = example1_prefix(40) - 0.125
         for x in np.append(np.geomspace(1e-12, 0.999, 12), 7.94e-6):
             exact = residue_sum_basis(lam, x)
-            values = eval_all(lam, x)
+            values = full_tier(lam, x)
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 1e-12, (x, error.max())
 
@@ -359,6 +364,27 @@ class TestEvalAllWeighted:
     def test_inadmissible(self):
         with pytest.raises(InadmissibleSequenceError):
             eval_all([0.0, 1.0], 0.5, -1.0)
+
+    @pytest.mark.parametrize("lam, beta, x", [
+        ([0.0, 1.0], 2.0, 1e-10),
+        ([0.0, 1.0], 2.0, 1e-40),
+        ([0.0, 1.0], 6.0, 1e-10),
+        ([0.0, 1.0, 2.0, 3.0], 1.0, 1e-20),
+    ])
+    def test_small_x_matches_residue_sum(self, lam, beta, x):
+        # the factor x**(-beta/2) on the shifted basis's contour values read
+        # 5.6e-8, 4.3e21, 3.6e11 and 8.8e-8 here; each value is now rounded once
+        exact = residue_sum_basis(lam, x, beta)
+        error = np.abs(eval_all(lam, x, beta) - exact) / np.maximum(1.0, np.abs(exact))
+        assert error.max() <= 1e-15, error.max()
+
+    def test_close_exponents_raise_the_working_precision(self):
+        # 30 exponents 1e-3 apart: residues of up to 1e78 cancel, beyond the
+        # 67 digits of the expansion's default precision, which read 6e11
+        lam = 1.0 + np.arange(30) * 1e-3
+        exact = residue_sum_basis(lam, 0.5, 0.5, dps=120)
+        error = np.abs(eval_all(lam, 0.5, 0.5) - exact) / np.maximum(1.0, np.abs(exact))
+        assert error.max() <= 1e-15, error.max()
 
 
 class TestScaledDerivatives:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,12 +42,10 @@ UNDERFLOW_SPECS = [
 ]
 
 # one exponent far beyond the rest: the walk's step falls below its floor
-# (at [0, 1e5] after an accepted solve, where alpha + step rounds to alpha)
+# at alpha = 0.9998
 UNREACHABLE_SPECS = [
-    pytest.param(np.array([0.0, 1e5]), 0.0, id="0-1e5"),
     pytest.param(np.array([0.0, 1e6]), 0.0, id="0-1e6"),
     pytest.param(np.array([0.0, 1e8]), 0.0, id="0-1e8"),
-    pytest.param(np.array([0.0, 1.0, 2.0, 1e5]), 0.0, id="0-1-2-1e5"),
 ]
 
 # one exponent so far beyond the rest that the walk returns a wrong rule whose
@@ -235,6 +234,70 @@ class TestNewtonSolve:
         with pytest.raises(NewtonDivergedError, match="stalled"):
             newton_solve(rule.nodes * (1 + 1e-6), rule.weights * (1 - 1e-6), lam, beta, m)
 
+    @staticmethod
+    def near_solution(monkeypatch):
+        """Example1 n=6 at alpha = 0.1 solved on the walk tier, a start 1e-4
+        off it, the solve's arguments, and a list that every ``assemble``
+        call appends its iterate to."""
+        beta = -0.25
+        lam = continuation_exponents(example1(6), 0.1)
+        m = moments(lam, beta)
+        start = gauss_jacobi(6, beta)
+        rule = newton_solve(start.nodes, start.weights, lam, beta, m, True)
+        iterates = []
+
+        def recording(x, w, *args, **kwargs):
+            iterates.append((np.array(x), np.array(w)))
+            return assemble(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble", recording)
+        return (rule.nodes * (1 + 1e-4), rule.weights * (1 - 1e-4), lam, beta, m), iterates
+
+    def test_a_walk_solve_returns_on_a_small_correction_without_assembling(self, monkeypatch):
+        args, iterates = self.near_solution(monkeypatch)
+        result = newton_solve(*args, True)
+        assert result.iterations >= 1
+        assert len(iterates) == result.iterations
+        x, w = iterates[-1]
+        assert max(np.abs(result.nodes / x - 1.0).max(), np.abs(result.weights / w - 1.0).max()) \
+            <= solver._WALK_CORRECTION
+        # residual and Jacobian belong to the last assembled iterate
+        residual, jacobian = assemble(x, w, *args[2:], True)
+        assert result.residual == result.residual_history[-1] == np.abs(residual).max()
+        assert np.array_equal(result.jacobian, jacobian)
+
+    def test_a_halved_correction_never_returns_unassembled(self, monkeypatch):
+        # every iteration's full step is refused once, so each is halved
+        args, iterates = self.near_solution(monkeypatch)
+        feasible, refuse = solver._feasible, []
+
+        def refusing_first_trial(x, w):
+            if refuse:  # the first trial after an assemble
+                refuse.clear()
+                return False
+            return feasible(x, w)
+
+        record = solver.assemble  # near_solution's recording wrapper
+
+        def assembling(*a, **k):
+            out = record(*a, **k)
+            refuse.append(True)
+            return out
+
+        monkeypatch.setattr(solver, "_feasible", refusing_first_trial)
+        monkeypatch.setattr(solver, "assemble", assembling)
+        result = newton_solve(*args, True)
+        assert result.iterations >= 1
+        assert len(iterates) == result.iterations + 1
+        assert result.residual <= solver._WALK_TOLERANCE * max(1.0, np.abs(args[4]).max())
+
+    def test_a_full_tier_solve_never_returns_unassembled(self, monkeypatch):
+        args, iterates = self.near_solution(monkeypatch)
+        result = newton_solve(*args, False)
+        assert result.iterations >= 1
+        assert len(iterates) == result.iterations + 1
+        assert result.residual <= 1e-14 * max(1.0, np.abs(args[4]).max())
+
     def test_local_quadratic_convergence(self):
         # undamped iteration from a perturbed solution: r_{k+1} <= C r_k^2
         beta = 0.0
@@ -418,10 +481,26 @@ class TestComputeRule:
         rule = compute_rule(RuleSpec(lam, beta))
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
 
-    @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4]], ids=["0-1e4", "0-1-2-1e4"])
+    @pytest.mark.parametrize("lam", [[0.0, 1e4], [0.0, 1.0, 2.0, 1e4], [0.0, 1.0, 2.0, 1e5]],
+                             ids=["0-1e4", "0-1-2-1e4", "0-1-2-1e5"])
     def test_large_exponent_within_reach_builds(self, lam):
+        # [0, 1, 2, 1e5] reads 2.0e-13; it needs the walk's correction exit
         rule = compute_rule(RuleSpec(np.array(lam), 0.0))
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_one_node_rule_of_a_wide_pair_is_its_closed_form(self, beta):
+        # [0, 1e5]: w = 1/(1 + beta) and x = ((1 + beta)/(1 + a + beta))**(1/a);
+        # the rule reads 1 and 0 ulps off.  Its validation_rows worst, 7.7e-12
+        # at beta = 0, is the x**1e5 row's representation floor, about 1e5 eps
+        a = 1e5
+        rule = compute_rule(RuleSpec(np.array([0.0, a]), beta))
+        with mp.workdps(50):
+            node = float(((1 + mp.mpf(beta)) / (1 + mp.mpf(a) + beta)) ** (1 / mp.mpf(a)))
+        weight = 1.0 / (1.0 + beta)
+        assert abs(rule.nodes[0] - node) <= 2 * np.spacing(node)
+        assert abs(rule.weights[0] - weight) <= 2 * np.spacing(weight)
+        assert rule.diagnostics.floor_ratio <= 8.0
 
     @pytest.mark.parametrize("lam, beta", [
         pytest.param([0.0, 1.0], 1e15, id="0-1-beta1e15"),

@@ -35,12 +35,15 @@ of older trees are.  Per group the report gives those calls and the blocks
 of rows all sweeps yield, the samples swept (basis rows x points x contour
 samples, summed over the sweeps) by each class on each evaluator tier, and
 per tier how the ``newton_solve`` calls ended:
-converged, converged at zero iterations, or diverged, by the reason its
-``NewtonDivergedError`` gives ("no convergence" is the iteration cap).  Last
-it counts the classical arrays (nodes and weights) that are bit-identical
-between the sides, and names each one that is not: ``gauss_legendre`` at
-orders 8 and 24 and ``gauss_laguerre`` at 8 and 16 (the panel and tail
-orders of earlier evaluator tiers), and each spec's walk start,
+converged on the residual, converged on a small correction (a walk solve
+that returns its last iterate unassembled, so that it makes as many
+``assemble`` calls as iterations), converged at zero iterations, or
+diverged, by the reason its ``NewtonDivergedError`` gives ("no
+convergence" is the iteration cap).  Last it counts the classical arrays
+(nodes and weights) that are bit-identical between the sides, and names
+each one that is not: ``gauss_legendre`` at orders 8 and 24 and
+``gauss_laguerre`` at 8 and 16, fixed orders that check the public
+classical rules, and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.
@@ -72,7 +75,7 @@ SAMPLES = tuple(f"{where}_samples_{t}" for where in CLASSES for t in TIERS)
 KEYS = COUNTS + SWEEPS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
-OUTCOMES = ("converged", "zero-iteration", *REASONS)
+OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
          ("example1", 100, -0.25))
@@ -180,12 +183,17 @@ def build_side() -> dict:
     def counting_solve(*args, **kwargs):
         counts["solves"] += 1
         outcomes = newton[tier(args, kwargs)]
+        assembled = counts["walk"] + counts["full"]
         try:
             result = newton_solve(*args, **kwargs)
         except NewtonDivergedError as exc:
             outcomes[next(reason for reason in REASONS if reason in str(exc))] += 1
             raise
-        outcomes["converged" if result.iterations else "zero-iteration"] += 1
+        assembled = counts["walk"] + counts["full"] - assembled
+        if not result.iterations:
+            outcomes["zero-iteration"] += 1
+        else:
+            outcomes["on correction" if assembled == result.iterations else "converged"] += 1
         return result
 
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
