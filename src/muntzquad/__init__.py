@@ -8,7 +8,7 @@ with a Newton corrector on the orthogonal-basis moment equations.
 
 __version__ = "0.1.0"
 
-from .classical import ClassicalRule, gauss_jacobi, gauss_laguerre, gauss_legendre
+from .classical import ClassicalRule, gauss_jacobi, gauss_legendre
 from .errors import (
     ContinuationFailedError,
     DomainError,
@@ -56,7 +56,6 @@ __all__ = [
     "continuation_exponents",
     "eval_all",
     "gauss_jacobi",
-    "gauss_laguerre",
     "gauss_legendre",
     "moments",
     "newton_solve",

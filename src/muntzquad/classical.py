@@ -1,8 +1,8 @@
 """Classical Gaussian rules.
 
-Gauss-Legendre on [0, 1], Gauss-Laguerre on (0, inf), and Gauss-Jacobi on
-[0, 1] with weight x**beta, whose unrefined form starts the rule solver's
-homotopy walk; Gauss-Legendre is the Gauss-Jacobi rule at beta = 0.
+Gauss-Jacobi on [0, 1] with weight x**beta, whose unrefined form starts the
+rule solver's homotopy walk, and Gauss-Legendre, the Gauss-Jacobi rule at
+beta = 0.
 
 Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
 (numpy's dense symmetric eigensolver).  One Newton step on the
@@ -12,7 +12,7 @@ rounded: every downstream quadrature inherits the rule's accuracy, and the
 plain eigensolver only carries ~1e-13 of it.  The recurrence coefficients,
 the Newton step and the Christoffel sums call the raw ``mpmath.libmp``
 kernels on number tuples at ``_PREC`` bits, rounded to nearest, as
-``refine`` does.  Rules are cached per (kind, order, beta) and returned with
+``refine`` does.  Rules are cached per (order, beta) and returned with
 read-only arrays, so concurrent reads are safe and accidental mutation
 raises.  The rule solver's start, ``_jacobi_start``, skips the Newton step
 and the cache.
@@ -126,18 +126,6 @@ def gauss_legendre(order: int) -> ClassicalRule:
     Exact for polynomials of degree <= 2*order - 1.
     """
     return _gauss_jacobi(_check_order(order), 0.0)
-
-
-def gauss_laguerre(order: int) -> ClassicalRule:
-    """Gauss-Laguerre rule on (0, inf) with weight exp(-y)."""
-    return _gauss_laguerre(_check_order(order))
-
-
-@lru_cache(maxsize=None)
-def _gauss_laguerre(order: int) -> ClassicalRule:
-    alpha = [from_int(2 * k + 1) for k in range(order)]
-    beta = [fone] + [from_int(k * k) for k in range(1, order + 1)]  # zeroth moment of exp(-y) first
-    return ClassicalRule(*_rule(alpha, beta, 1))
 
 
 def gauss_jacobi(order: int, beta: float) -> ClassicalRule:

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from . import __version__
@@ -55,27 +56,6 @@ def sequence_family(name: str, n_nodes: int) -> np.ndarray:
     raise ValueError(f"unknown family {name!r}")
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel J0 by its power series, truncated below 1e-18.
-
-    The series alternates, so the truncation error is below the first
-    omitted term; precision is ample on [0, 1] and the domain guard keeps
-    the argument where cancellation stays harmless.
-    """
-    x = float(x)
-    if not 0.0 <= x <= 40.0:
-        raise DomainError(f"series evaluation restricted to [0, 40], got {x}")
-    term = 1.0
-    total = 1.0
-    quarter = 0.25 * x * x
-    k = 0
-    while abs(term) >= 1e-18:
-        k += 1
-        term *= -quarter / (k * k)
-        total += term
-    return total
-
-
 def integrand_psi(x: float) -> float:
     """Oscillation plus an endpoint-log part: sin(4 pi x) + (1-x) log(x)/(1+x)."""
     x = float(x)
@@ -92,7 +72,7 @@ def _integrand(tag: str):
     if tag == "psi":
         return integrand_psi, PSI_EXACT
     if tag == "bessel":
-        return lambda x: bessel_j0(x) * (1.0 + math.log(x)), BESSEL_LOG_EXACT
+        return lambda x: float(mpmath.besselj(0, x)) * (1.0 + math.log(x)), BESSEL_LOG_EXACT
     raise ValueError(f"unknown integrand {tag!r}")
 
 

@@ -32,13 +32,14 @@ sums the residues of ``refine``'s pole expansion in arbitrary precision.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
-cost of the last element.  The same sweep is batched across evaluation
-points, which is what the rule solver calls; it runs basis-major, so each
-update multiplies one contiguous ``(points, samples)`` slab.  The rows stream
-through one reused block buffer of about ``_BLOCK_SAMPLES`` samples, the
-last row of a block carries into the next, and each block is contracted
-with the weights as it comes, so no ``(basis, points, samples)`` array is
-ever formed.
+cost of the last element.  One function, ``_hyperbola_values``, runs that
+sweep for both tiers, batched across the evaluation points of the rule
+solver's ``assemble``; it runs basis-major, so each update multiplies one
+contiguous ``(points, samples)`` slab.  The rows stream through one reused
+block buffer of about ``_BLOCK_SAMPLES`` samples, the last row of a block
+carries into the next, and each block is contracted with the weights as
+soon as it is formed, so no ``(basis, points, samples)`` array is ever
+formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  Weighted moments follow from a
@@ -143,83 +144,24 @@ def moments(exponents, beta: float) -> np.ndarray:
     return np.array([libmp.to_float(m, rnd=rnd) for m in moment_recurrence(lam, beta, _MOMENT_PREC)])
 
 
-def _kernel_sweep(u, v, num_off, den_off):
-    """Kernel products of every basis prefix at the contour samples ``u + iv``,
-    one block of basis rows at a time.
-
-    ``u > 0`` and ``v`` are real and broadcast to ``(points, samples)``.
-    Yields ``(start, block)`` for consecutive blocks of rows:
-    entry ``block[j, i, k]`` is the product of the rational factors of prefix
-    ``start + j`` for point ``i`` at sample ``k``.  Factors after the first
-    are built in real arithmetic, divided through by ``u``; a running product
-    over the basis rows sweeps the whole basis, one contiguous
-    ``(points, samples)`` slab per step, and the previous block's last row
-    carries into the next block's first.  Overflowed samples come out
-    non-finite.
+def _block_rows(n_basis: int, n_points: int, samples: int) -> list:
+    """Row counts of the sweep's consecutive blocks of basis rows.
 
     A block holds about ``_BLOCK_SAMPLES`` samples and at least two rows: a
     one-row remainder joins the first block, so no contraction of a block is
     a one-row matvec.  With OpenBLAS 0.3.31 a ``(1, K)`` matvec rounds
     differently from the same row inside a taller matrix (random complex rows
     at every K from 2 to 399), while blocks of two or more rows match, so a
-    row's integral does not depend on the block it was swept in.  One set of
-    buffers serves every block, so a block is valid only until the next one
-    is requested; its consumer may overwrite it.
+    row's value does not depend on the block it was swept in.
     """
-    n_points, n_basis = num_off.shape
-    n_samples = np.broadcast(u, v).shape[-1]
-    rows = max(2, _BLOCK_SAMPLES // (n_points * n_samples))
+    rows = max(2, _BLOCK_SAMPLES // (n_points * samples))
     head = n_basis if n_basis <= rows + 1 else rows + (n_basis % rows == 1)
-    block = np.empty((head, n_points, n_samples), dtype=complex)
-    den, re = np.empty(block.shape), np.empty(block.shape)
-    # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
-    # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
-    a = num_off.T[:-1, :, None]
-    b = den_off.T[1:, :, None]
-    a_minus_b = a - b
-    inv_u = 1.0 / u
-    block[0] = 1.0 / (u + 1j * (v + den_off[:, :1]))
-    carry = np.empty(block.shape[1:], dtype=complex) if head < n_basis else None
-    start, stop = 0, head
-    while start < n_basis:
-        out = block[: stop - start]
-        lo = max(start, 1)  # the block's first row with a rational factor
-        rational = slice(lo - 1, stop - 1)
-        vb = v + b[rational]
-        va = v + a[rational]
-        factors = out[lo - start :]
-        # a pole height |v + b| beyond 1e154 overflows its square, and the factor
-        # comes out 0 + 0i (NaN if |v + a| overflows too); its size is |u + i(v + a)| / |v + b|
-        with np.errstate(over="ignore", invalid="ignore"):
-            va *= vb
-            vb *= vb
-            den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
-            den_n += u
-            re_n = np.multiply(va, inv_u, out=re[: stop - lo])
-            re_n += u
-            re_n /= den_n
-            factors.real = re_n
-            np.divide(a_minus_b[rational], den_n, out=factors.imag)
-        # freed before the consumer runs, so that its temporaries can reuse the
-        # memory: a one-block sweep then holds no more than the block itself
-        del va, vb, den_n, re_n
-        if stop == n_basis:
-            del den, re
-        slabs = list(out)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if start:
-                np.multiply(slabs[0], carry, out=slabs[0])
-            for previous, slab in zip(slabs, slabs[1:]):
-                np.multiply(slab, previous, out=slab)
-        if stop < n_basis:  # copied before the consumer may overwrite the block
-            np.copyto(carry, slabs[-1])
-        yield start, out
-        start, stop = stop, min(stop + rows, n_basis)
+    return [head] + [min(rows, n_basis - start) for start in range(head, n_basis, rows)]
 
 
 def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
-    """Basis values ``[n, i]`` at the points of frequencies ``omega``: one
-    ``_kernel_sweep`` of every point, each block contracted as it comes.
+    """Basis values ``[n, i]`` at the points of frequencies ``omega``, swept
+    block by block and each block contracted as soon as it is formed.
 
     The contour is the midpoint rule in ``phi`` on the upper half of the
     hyperbola ``zeta(phi) = mu*(1 + sin(i*phi - angle))`` through ``base``
@@ -228,15 +170,23 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     ``shapes`` for the row count.  Point i takes it moved right by
     ``s_i = omega_i*max(0, lam_min)``, so that it crosses the real axis at
     ``zeta0_i = base + s_i``: moved, not scaled, so that ``samples`` keep
-    resolving ``e**zeta`` however far it moves.  In the sweep's variable
-    ``-i*zeta = u + iv``, so ``u = Im(zeta) > 0`` and ``v = -Re(zeta)``; the
-    weights ``i*h*e**(zeta - zeta0)*zeta'(phi)`` hold the exponential and the
+    resolving ``e**zeta`` however far it moves.  The weights
+    ``i*h*e**(zeta - zeta0)*zeta'(phi)`` hold the exponential and the
     Jacobian and are the same for every point, and ``L_n(x)`` is
     ``-x**lam_min * e**zeta0 / pi`` times the integral's imaginary part, the
     amplitude formed as ``exp(zeta0 - lam_min*omega)`` so that neither factor
-    overflows alone.  Each block is contracted as one 2-D matvec, whose rows
-    round alike in any batch (``_kernel_sweep`` yields no one-row block), so
-    a point's values do not depend on the batch it came in.
+    overflows alone.
+
+    In the variable ``-i*zeta = u + iv``, ``u = Im(zeta) > 0`` per sample and
+    ``v = -(s_i + Re(zeta))`` per point and sample.  Factors after the first
+    are built in real arithmetic, divided through by ``u``; a running product
+    over the basis rows sweeps the whole basis, one contiguous
+    ``(points, samples)`` slab per step, through one reused block buffer whose
+    last row carries into the next block's first.  Each block is contracted
+    as one 2-D matvec, whose rows round alike in any batch (``_block_rows``
+    makes no one-row block), so a point's values do not depend on the batch
+    it came in.  An overflowed kernel sample comes out non-finite, and so
+    does its row's value, without a warning.
     """
     base, angle, samples = next(shape[1:] for shape in shapes if lam.size <= shape[0])
     lam_min = float(np.min(lam))
@@ -246,35 +196,64 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     phi = h * (np.arange(samples) + 0.5)
     zeta = mu * (1.0 + np.sin(1j * phi - angle))
     weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
+    u, v = zeta.imag, -(shift[:, None] + zeta.real)
     num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
     den_off = omega[:, None] * (lam_min - lam[None, :])
-    values = np.empty(num_off.shape[::-1])
-    for start, block in _kernel_sweep(zeta.imag, -(shift[:, None] + zeta.real), num_off, den_off):
-        values[start : start + len(block)] = (block.reshape(-1, samples) @ weights).reshape(block.shape[:2]).imag
+    # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
+    # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
+    a = num_off.T[:-1, :, None]
+    b = den_off.T[1:, :, None]
+    a_minus_b = a - b
+    inv_u = 1.0 / u
+    sizes = _block_rows(lam.size, omega.size, samples)
+    block = np.empty((sizes[0], omega.size, samples), dtype=complex)
+    den, re = np.empty(block.shape), np.empty(block.shape)
+    carry = np.empty(block.shape[1:], dtype=complex)
+    block[0] = 1.0 / (u + 1j * (v + den_off[:, :1]))
+    values = np.empty((lam.size, omega.size))
+    start = 0
+    # a pole height |v + b| beyond 1e154 overflows its square, and the factor
+    # comes out 0 + 0i (NaN if |v + a| overflows too); its size is |u + i(v + a)| / |v + b|
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in sizes:
+            stop = start + size
+            out = block[:size]
+            lo = max(start, 1)  # the block's first row with a rational factor
+            rational = slice(lo - 1, stop - 1)
+            vb = v + b[rational]
+            va = v + a[rational]
+            va *= vb
+            vb *= vb
+            den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
+            den_n += u
+            re_n = np.multiply(va, inv_u, out=re[: stop - lo])
+            re_n += u
+            re_n /= den_n
+            factors = out[lo - start :]
+            factors.real = re_n
+            np.divide(a_minus_b[rational], den_n, out=factors.imag)
+            # freed before the next block forms its own, so that it can reuse their memory
+            del va, vb
+            slabs = list(out)
+            if start:
+                np.multiply(slabs[0], carry, out=slabs[0])
+            for previous, slab in zip(slabs, slabs[1:]):
+                np.multiply(slab, previous, out=slab)
+            np.copyto(carry, slabs[-1])
+            values[start:stop] = (out.reshape(-1, samples) @ weights).reshape(size, -1).imag
+            start = stop
     return values * (-np.exp(base + shift - lam_min * omega) / math.pi)
 
 
 def _basis_batch(shifted, xs, walk: bool = False):
-    """Basis values for the (already shifted) exponents at many points.
-
-    Returns ``values`` where ``values[n, i]`` is the n-th basis element at
-    ``xs[i]``.  Points equal to 1 short-circuit to exact ones; a
-    single-element sequence bypasses the contour entirely.  Both tiers take
-    ``_hyperbola_values``, the walk tier (``walk``) with ``_WALK_SHAPES`` and
-    the full tier with ``_FULL_SHAPES``.
-    """
+    """Basis values ``values[n, i]`` of the (already shifted) exponents at the
+    points ``xs`` in (0, 1), from ``_hyperbola_values``: the walk tier
+    (``walk``) with ``_WALK_SHAPES``, the full tier with ``_FULL_SHAPES``.
+    Row 0 is the exact power."""
     lam = _as_exponents(shifted)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    values = np.empty((lam.size, xs.size))
-    at_one = xs == 1.0
-    values[:, at_one] = 1.0
-    active = np.flatnonzero(~at_one)
-    if active.size == 0:
-        return values
-    xa = xs[active]
-    if lam.size > 1:
-        values[:, active] = _hyperbola_values(lam, -np.log(xa), _WALK_SHAPES if walk else _FULL_SHAPES)
-    values[0, active] = xa ** lam[0]  # exact, and overwrites the contour's row 0
+    values = _hyperbola_values(lam, -np.log(xs), _WALK_SHAPES if walk else _FULL_SHAPES)
+    values[0] = xs ** lam[0]  # exact, and overwrites the contour's row 0
     return values
 
 

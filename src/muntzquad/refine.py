@@ -27,11 +27,15 @@ reuses it at every polish iterate, contracting over the nodes first,
     residual_n = sum_{p,j} h_{n,p,m-1-j} T_{p,j} - mu_n,
     T_{p,j} = sum_k x_k**(-beta/2) w_k x_k**p log(x_k)**j / j!,
 
-for any multiplicity.  The node sums take one logarithm per node and walk
-the poles in ascending order: each power ``x_k**p`` is the one before times
-``exp(gap*log(x_k))``, one exponential per node and distinct gap.  Each row
-is one exact dot product, rounded once: the sum (``mpf_sum``) of exact
-products, as ``mp.fdot`` forms it.  Working precision scales with the
+for any multiplicity.  Since ``x**(-beta/2) x**p`` is ``x**lam`` for the
+pole ``p = lam + beta/2``, the node sums take one logarithm per node and
+walk the exponents in ascending order: each power ``x_k**lam`` is the one
+before times ``exp(gap*log(x_k))``, one exponential per node and distinct
+gap.  The differences of poles, in the node sums and in the table alike,
+are those of the exponents: the poles, rounded at the working precision,
+would merge once ``beta/2`` dwarfs the gaps.  Each row is one exact dot
+product, rounded once: the sum (``mpf_sum``) of exact products, as
+``mp.fdot`` forms it.  Working precision scales with the
 sequence length, since the expansion's cancellation grows with it; the
 moments ``mu_n`` come from ``muntz.moment_recurrence`` at that same
 precision.
@@ -65,20 +69,19 @@ from .muntz import moment_recurrence
 _RND = libmp.round_nearest
 
 
-def _node_sums(poles, orders, nodes, weights, beta_q, prec):
-    """``T[i][j] = sum_k x_k**(-beta/2) w_k x_k**p_i log(x_k)**j / j!`` for
-    the ascending poles ``p_i``, each power chained from the one before."""
+def _node_sums(exponents, orders, nodes, weights, prec):
+    """``T[i][j] = sum_k w_k x_k**lam_i log(x_k)**j / j!`` for the ascending
+    distinct exponents ``lam_i``, each power chained from the one before."""
     logs = [mpf_log(from_float(float(x)), prec, _RND) for x in nodes]
-    lead = mpf_sub(poles[0], libmp.mpf_shift(beta_q, -1), prec, _RND)
     terms = [
-        mpf_mul(mpf_exp(mpf_mul(lead, ln_x, prec, _RND), prec, _RND), from_float(float(w)), prec, _RND)
+        mpf_mul(mpf_exp(mpf_mul(exponents[0], ln_x, prec, _RND), prec, _RND), from_float(float(w)), prec, _RND)
         for ln_x, w in zip(logs, weights)
     ]
     steps = {}  # gap -> exp(gap * log x_k) per node
     sums = []
     for i, order in enumerate(orders):
         if i:
-            gap = mpf_sub(poles[i], poles[i - 1], prec, _RND)
+            gap = mpf_sub(exponents[i], exponents[i - 1], prec, _RND)
             if gap not in steps:
                 steps[gap] = [mpf_exp(mpf_mul(gap, ln_x, prec, _RND), prec, _RND) for ln_x in logs]
             terms = [mpf_mul(term, step, prec, _RND) for term, step in zip(terms, steps[gap])]
@@ -96,25 +99,26 @@ def _node_sums(poles, orders, nodes, weights, beta_q, prec):
 class PoleExpansion:
     """Everything of the polish residual that depends on the exponents only.
 
-    ``poles`` lists the distinct poles in ascending order and ``orders``
-    each one's final multiplicity.  ``rows[n]`` lists, per pole index ``i``
-    present in prefix ``n``, the pair ``(i, [h_{m-1-j} for j < m])`` for
-    the multiplicity ``m`` of that pole in the prefix; ``moments`` holds the
-    exact moments.  ``beta`` and every number of the table are raw
-    ``mpmath.libmp`` values at ``prec`` bits.
+    ``exponents`` lists the distinct exponents in ascending order, whose
+    poles are ``lam + beta/2``, and ``orders`` each one's final
+    multiplicity.  ``rows[n]`` lists, per pole index ``i`` present in prefix
+    ``n``, the pair ``(i, [h_{m-1-j} for j < m])`` for the multiplicity
+    ``m`` of that pole in the prefix; ``moments`` holds the exact moments.
+    Every number of the table is a raw ``mpmath.libmp`` value at ``prec``
+    bits.
     """
 
     prec: int
-    beta: tuple
-    poles: list
+    exponents: list
     orders: list
     rows: list
     moments: list
 
 
 def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpansion:
-    """The residual's exponent-only table: working precision, poles with their
-    multiplicities, each row's Taylor coefficients and the exact moments.
+    """The residual's exponent-only table: working precision, distinct
+    exponents with their multiplicities, each row's Taylor coefficients and
+    the exact moments.
 
     ``prec`` is the working precision in bits, by default that of
     ``30 + 1.2*len(exponents)`` digits."""
@@ -123,7 +127,8 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
     beta_q = from_float(float(beta))
     half_beta = libmp.mpf_shift(beta_q, -1)
     distinct, at = np.unique(lam, return_inverse=True)
-    poles = [mpf_add(from_float(float(v)), half_beta, prec, _RND) for v in distinct]
+    exponents = [from_float(float(v)) for v in distinct]
+    poles = [mpf_add(v, half_beta, prec, _RND) for v in exponents]
     # the pole index of each exponent, and each pole's final multiplicity
     at, orders = at.tolist(), np.bincount(at).tolist()
 
@@ -132,7 +137,6 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
     rows = []
     for n, k in enumerate(at):
         shift = mpf_add(poles[at[n - 1]], libmp.fone, prec, _RND) if n else None  # numerator t + shift
-        pole_k = poles[k]
         for i, (p, h) in enumerate(zip(poles, series)):
             if n:
                 c = mpf_add(p, shift, prec, _RND)
@@ -142,20 +146,20 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
             if i == k:  # denominator factor t - p
                 count[i] += 1
             else:
-                d = mpf_sub(p, pole_k, prec, _RND)
+                d = mpf_sub(exponents[i], exponents[k], prec, _RND)
                 h[0] = mpf_div(h[0], d, prec, _RND)
                 for j in range(1, len(h)):
                     h[j] = mpf_div(mpf_sub(h[j], h[j - 1], prec, _RND), d, prec, _RND)
         rows.append([(i, h[count[i] - 1 :: -1]) for i, h in enumerate(series) if count[i]])
     moments = moment_recurrence(lam, beta, prec)
-    return PoleExpansion(prec, beta_q, poles, orders, rows, moments)
+    return PoleExpansion(prec, exponents, orders, rows, moments)
 
 
 def exact_residual(nodes, weights, expansion: PoleExpansion) -> np.ndarray:
     """Moment-matching residual at a rule, from the table of ``pole_expansion``
     for its exponents; computed in arbitrary precision and rounded."""
     prec = expansion.prec
-    sums = _node_sums(expansion.poles, expansion.orders, nodes, weights, expansion.beta, prec)
+    sums = _node_sums(expansion.exponents, expansion.orders, nodes, weights, prec)
     residual = np.empty(len(expansion.rows))
     for n, (row, moment) in enumerate(zip(expansion.rows, expansion.moments)):
         # exact products, one rounding for the whole row, as ``mp.fdot``

@@ -14,10 +14,7 @@ import pytest
 from muntzquad import muntz
 from muntzquad.classical import gauss_legendre
 from muntzquad.cli import (
-    PSI_EXACT,
-    BESSEL_LOG_EXACT,
-    bessel_j0,
-    integrand_psi,
+    _integrand,
     rule_to_file,
     sequence_family,
     validation_rows,
@@ -125,13 +122,12 @@ def test_criterion_3_relative_error_tables(example1_rules, example2_rules):
 
 
 def test_criterion_4_singular_integrand_convergence():
+    (psi, psi_exact), (bessel, bessel_exact) = _integrand("psi"), _integrand("bessel")
     case2 = compute_rule(RuleSpec(sequence_family("case2", 30), 0.0))
-    psi_err = abs(apply_rule(case2, integrand_psi) - PSI_EXACT)
-    bessel_err = abs(
-        apply_rule(case2, lambda x: bessel_j0(x) * (1.0 + math.log(x))) - BESSEL_LOG_EXACT
-    )
+    psi_err = abs(apply_rule(case2, psi) - psi_exact)
+    bessel_err = abs(apply_rule(case2, bessel) - bessel_exact)
     case1 = compute_rule(RuleSpec(sequence_family("case1", 30), 0.0))
-    plain_err = abs(apply_rule(case1, integrand_psi) - PSI_EXACT)
+    plain_err = abs(apply_rule(case1, psi) - psi_exact)
     ok = psi_err <= 1e-8 and bessel_err <= 1e-8 and plain_err > 1e-6
     report(
         "criterion 4 (log-singular integrands at 30 nodes)",

@@ -20,7 +20,6 @@ from muntzquad import (
     continuation_exponents,
     eval_all,
     gauss_jacobi,
-    gauss_laguerre,
     gauss_legendre,
     moments,
     newton_solve,
@@ -49,7 +48,6 @@ PUBLIC_NAMES = [
     "continuation_exponents",
     "eval_all",
     "gauss_jacobi",
-    "gauss_laguerre",
     "gauss_legendre",
     "moments",
     "newton_solve",
@@ -87,7 +85,6 @@ DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterati
     (lambda: moments(np.ones((2, 2)), 0.0), LengthMismatchError),
     (lambda: newton_solve([0.5], [0.5], FOUR, 0.0, moments(FOUR, 0.0)), LengthMismatchError),
     (lambda: gauss_legendre(2.5), InvalidOrderError),
-    (lambda: gauss_laguerre(2.5), InvalidOrderError),
     (lambda: gauss_jacobi(2.5, 0.0), InvalidOrderError),
     (lambda: newton_solve([], [], [], 0.0, []), LengthMismatchError),
     (lambda: newton_solve([0.5], [0.5, 0.3], [0.0, 1.0], 0.0, [1.0, 0.0]), LengthMismatchError),
@@ -111,7 +108,7 @@ DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterati
     (lambda: newton_solve([0.5], [0.5], [0.0, 1.0], np.nan, [1.0, 0.0]), InadmissibleSequenceError),
     (lambda: newton_solve([0.5], [0.5], [0.0, 1.0], -np.inf, [1.0, 0.0]), InadmissibleSequenceError),
 ], ids=["nan-exponent", "inf-exponent", "unit-weight-divergent", "empty-sequence", "2d-sequence",
-        "short-rule", "legendre-order", "laguerre-order", "jacobi-order", "empty-rule",
+        "short-rule", "legendre-order", "jacobi-order", "empty-rule",
         "weights-longer-than-nodes", "rule-weights-longer-than-nodes", "alpha-above-one", "alpha-nan",
         "rule-spec-beta-none", "moments-beta-string", "eval-all-beta-string", "jacobi-beta-string",
         "legendre-order-list", "jacobi-beta-list", "assemble-beta-string", "newton-beta-string",

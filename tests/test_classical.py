@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from muntzquad.classical import _jacobi_start, gauss_jacobi, gauss_laguerre, gauss_legendre
+from muntzquad.classical import _jacobi_start, gauss_jacobi, gauss_legendre
 from muntzquad.errors import InvalidBetaError, InvalidOrderError
 
 
@@ -34,30 +34,6 @@ def test_legendre_structure_and_weight_sum(order):
     assert rule.nodes[0] > 0 and rule.nodes[-1] < 1
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 1.0) <= 1e-13
-
-
-def test_laguerre_first_points():
-    rule = gauss_laguerre(1)
-    assert np.allclose([rule.nodes[0], rule.weights[0]], [1.0, 1.0], atol=1e-15)
-    rule = gauss_laguerre(2)
-    assert np.allclose(rule.nodes, [2 - math.sqrt(2), 2 + math.sqrt(2)], atol=1e-14)
-    assert np.allclose(rule.weights, [(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4], atol=1e-14)
-
-
-@pytest.mark.parametrize("order", [1, 2, 5, 16, 48, 64])
-def test_laguerre_structure_and_weight_sum(order):
-    rule = gauss_laguerre(order)
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert rule.nodes[0] > 0
-    assert np.all(rule.weights > 0)
-    assert abs(rule.weights.sum() - 1.0) <= 1e-13
-
-
-def test_laguerre_factorial_moments():
-    rule = gauss_laguerre(8)
-    for k in range(16):
-        value = float(rule.weights @ rule.nodes**k)
-        assert abs(value - math.factorial(k)) <= 1e-13 * math.factorial(k)
 
 
 def test_jacobi_reduces_to_legendre():
@@ -99,25 +75,19 @@ def test_jacobi_power_moment_exactness():
 
 
 def _reference_rule(kind, order, beta=0.0):
-    """The 50-digit ``mp.gauss_quadrature`` rule on [0, 1] (on (0, inf) for
-    Laguerre), rounded to nearest doubles, in ascending node order."""
+    """The 50-digit ``mp.gauss_quadrature`` rule on [0, 1], rounded to
+    nearest doubles, in ascending node order."""
     with mp.workdps(50):
-        if kind == "laguerre":
-            pairs = zip(*mp.gauss_quadrature(order, "laguerre"))
-        else:
-            # (1 + t)**beta on [-1, 1] is 2**beta x**beta at x = (1 + t)/2
-            nodes, weights = mp.gauss_quadrature(order, kind, 0, beta)
-            scale = mp.mpf(2) ** -(mp.mpf(beta) + 1)
-            pairs = [((t + 1) / 2, w * scale) for t, w in zip(nodes, weights)]
-        pairs = sorted(pairs)
+        # (1 + t)**beta on [-1, 1] is 2**beta x**beta at x = (1 + t)/2
+        nodes, weights = mp.gauss_quadrature(order, kind, 0, beta)
+        scale = mp.mpf(2) ** -(mp.mpf(beta) + 1)
+        pairs = sorted(((t + 1) / 2, w * scale) for t, w in zip(nodes, weights))
         return np.array([float(x) for x, _ in pairs]), np.array([float(w) for _, w in pairs])
 
 
 @pytest.mark.parametrize("rule, kind, order, beta", [
     pytest.param(gauss_legendre, "legendre", 8, 0.0, id="legendre-8"),
     pytest.param(gauss_legendre, "legendre", 24, 0.0, id="legendre-24"),
-    pytest.param(gauss_laguerre, "laguerre", 8, 0.0, id="laguerre-8"),
-    pytest.param(gauss_laguerre, "laguerre", 16, 0.0, id="laguerre-16"),
     pytest.param(gauss_jacobi, "jacobi", 7, -0.25, id="jacobi-7"),
     pytest.param(gauss_jacobi, "jacobi", 20, 1.0 / 6.0, id="jacobi-20"),
     pytest.param(gauss_jacobi, "jacobi", 12, 3.0, id="jacobi-12"),
@@ -134,8 +104,6 @@ def test_rules_are_correctly_rounded(rule, kind, order, beta):
 def test_invalid_arguments():
     with pytest.raises(InvalidOrderError):
         gauss_legendre(0)
-    with pytest.raises(InvalidOrderError):
-        gauss_laguerre(0)
     with pytest.raises(InvalidBetaError):
         gauss_jacobi(3, -1.0)
     with pytest.raises(InvalidBetaError):

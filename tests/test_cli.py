@@ -10,7 +10,6 @@ import pytest
 
 from muntzquad.classical import gauss_legendre
 from muntzquad.cli import (
-    bessel_j0,
     integrand_psi,
     main,
     parse,
@@ -52,28 +51,11 @@ class TestSequenceFamilies:
 
 
 class TestIntegrands:
-    def test_bessel_series_values(self):
-        assert bessel_j0(0.0) == 1.0
-        assert bessel_j0(1.0) == pytest.approx(0.7651976865579666, abs=1e-15)
-
-    def test_bessel_alternating_truncation(self):
-        # partial sums bracket the limit, so the error is below the first
-        # omitted term by the alternating-series bound
-        x = 1.0
-        quarter = 0.25 * x * x
-        partial, term, k = 1.0, 1.0, 0
-        reference = bessel_j0(x)
-        while abs(term) > 1e-10:
-            k += 1
-            term *= -quarter / (k * k)
-            partial += term
-            assert abs(partial - reference) <= abs(term) * quarter / ((k + 1) ** 2) + 1e-15
-
-    def test_bessel_domain_guard(self):
-        with pytest.raises(DomainError):
-            bessel_j0(-0.5)
-        with pytest.raises(DomainError):
-            bessel_j0(41.0)
+    def test_bessel_integrand_values(self):
+        # J0(x) (1 + log x): J0(1) at x = 1, and J0(0.5) = 0.938469807240813
+        integrand, _ = cli._integrand("bessel")
+        assert integrand(1.0) == pytest.approx(0.7651976865579666, abs=1e-15)
+        assert integrand(0.5) == pytest.approx(0.938469807240813 * (1.0 - math.log(2.0)), abs=1e-15)
 
     def test_psi_values(self):
         assert integrand_psi(1.0) == pytest.approx(0.0, abs=1e-15)

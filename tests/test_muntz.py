@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from muntzquad import muntz
-from muntzquad.classical import _jacobi_start, gauss_laguerre
+from muntzquad.classical import _jacobi_start
 from muntzquad.cli import sequence_family
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
@@ -195,113 +195,91 @@ class TestWalkTier:
 TIERS = pytest.mark.parametrize("walk", [True, False], ids=["walk", "full"])
 
 
-def sweep_inputs(lam, xs, walk):
-    """The arguments ``u, v, num_off, den_off`` that ``_basis_batch`` passes
-    ``_kernel_sweep`` on one tier."""
-    calls = []
-    sweep = muntz._kernel_sweep
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(muntz, "_kernel_sweep", lambda *args: calls.append(args) or sweep(*args))
-        _basis_batch(lam, xs, walk)
-    (inputs,) = calls
-    return inputs
+def tier_shapes(walk):
+    return muntz._WALK_SHAPES if walk else muntz._FULL_SHAPES
 
 
-# the tiers' own samples, and two other sample shapes that ``_kernel_sweep``
-# broadcasts: ``panel``, a row of u on the real axis at the scalar v = 0, and
-# ``tail``, one vertical line per point, a column of u against a row of v
-SAMPLES = pytest.mark.parametrize("where", ["panel", "tail", "walk", "full"])
+def tier_samples(lam, walk):
+    """The contour samples of a tier's hyperbola for the exponents ``lam``."""
+    return next(samples for rows, _, _, samples in tier_shapes(walk) if len(lam) <= rows)
 
 
-def kernel_inputs(lam, xs, where):
-    """``u, v, num_off, den_off`` for ``_kernel_sweep``: a tier's own, or the
-    full tier's offsets at the ``panel`` or ``tail`` samples."""
-    u, v, num_off, den_off = sweep_inputs(lam, xs, where == "walk")
-    if where == "panel":
-        u, v = np.arange(64) + 0.5, 0.0
-    elif where == "tail":
-        u, v = 32.0 * 2.0 ** np.arange(xs.size)[:, None], gauss_laguerre(32).nodes
-    return u, v, num_off, den_off
-
-
-def reference_kernel_sweep(t, num_off, den_off):
-    """The kernel products ``[n, i, k]`` by complex division and ``cumprod``,
-    at the complex samples ``t`` broadcast to ``(points, samples)``."""
-    t = np.broadcast_to(t, (num_off.shape[0], np.shape(t)[-1]))
-    factors = np.empty((num_off.shape[1], *t.shape), dtype=complex)
+def reference_hyperbola_values(lam, omega, shapes):
+    """``_hyperbola_values`` by complex division and ``cumprod``: every kernel
+    product ``[n, i, k]`` at once, contracted with the same hyperbola weights.
+    Returns the values and the size of their sums, the same contraction of
+    the terms' magnitudes: the contour sums cancel, by nearly four digits
+    for ``case3`` on the walk tier at x = 0.99, so rounding errors scale
+    with the latter."""
+    base, angle, samples = next(shape[1:] for shape in shapes if lam.size <= shape[0])
+    lam_min = lam.min()
+    shift = omega * max(0.0, lam_min)
+    mu = base / (1.0 - math.sin(angle))
+    h = math.acosh(1.0 + muntz._DECAY / (mu * math.sin(angle))) / samples
+    phi = h * (np.arange(samples) + 0.5)
+    zeta = mu * (1.0 + np.sin(1j * phi - angle))
+    weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
+    t = zeta.imag - 1j * (shift[:, None] + zeta.real)  # -i*zeta on point i's curve
+    num_off = omega[:, None] * (lam_min + lam + 1.0)
+    den_off = omega[:, None] * (lam_min - lam)
+    factors = np.empty((lam.size, *t.shape), dtype=complex)
     factors[0] = 1.0 / (t + 1j * den_off[:, :1])
     factors[1:] = (t + 1j * num_off.T[:-1, :, None]) / (t + 1j * den_off.T[1:, :, None])
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(factors, axis=0, out=factors)
-    return factors
-
-
-def full_sweep(*args):
-    """Every row of a ``_kernel_sweep`` in one ``[n, i, k]`` array.  The sweep
-    reuses its block buffers, so each block is copied out as it is yielded."""
-    blocks = [(start, block.copy()) for start, block in muntz._kernel_sweep(*args)]
-    assert [start for start, _ in blocks] == [sum(len(b) for _, b in blocks[:j]) for j in range(len(blocks))]
-    return np.concatenate([block for _, block in blocks])
+        integrals, sizes = (factors @ weights).imag, np.abs(factors) @ np.abs(weights)
+    amplitude = -np.exp(base + shift - lam_min * omega) / math.pi
+    return integrals * amplitude, sizes * np.abs(amplitude)
 
 
 class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
-    @SAMPLES
-    def test_matches_complex_division(self, name, where):
-        u, v, num_off, den_off = kernel_inputs(SHIFTED_SEQUENCES[name], np.geomspace(1e-9, 0.99, 9), where)
-        # force point 0 to overflow from prefix 3 on
-        num_off = num_off.copy()
-        num_off[0, 1:3] = 1e200
-        swept = full_sweep(u, v, num_off, den_off)
-        expected = reference_kernel_sweep(u + 1j * v, num_off, den_off)
+    @TIERS
+    def test_matches_complex_division(self, name, walk):
+        lam, omega = SHIFTED_SEQUENCES[name], -np.log(np.geomspace(1e-9, 0.99, 9))
+        swept = muntz._hyperbola_values(lam, omega, tier_shapes(walk))
+        expected, sizes = reference_hyperbola_values(lam, omega, tier_shapes(walk))
+        assert np.all(np.isfinite(swept)) and np.all(np.isfinite(expected))
+        # 5.6e-16 at worst; against max(1, |L|) it reads 2.5e-13 on the walk tier
+        assert (np.abs(swept - expected) / sizes).max() <= 1e-14
+
+    @TIERS
+    def test_overflow_is_non_finite_where_the_reference_is(self, walk):
+        # a frequency of 1e200, beyond -log of any double, makes the factors of
+        # the repeated minimum exponent about 1e200 each, so point 0 overflows
+        # from row 2 on; the other points stay finite
+        lam = SHIFTED_SEQUENCES["case3"]
+        omega = np.append(1e200, -np.log(np.geomspace(1e-9, 0.99, 8)))
+        swept = muntz._hyperbola_values(lam, omega, tier_shapes(walk))
+        expected, sizes = reference_hyperbola_values(lam, omega, tier_shapes(walk))
         finite = np.isfinite(expected)
         assert np.array_equal(np.isfinite(swept), finite)
-        assert not np.any(finite[3:, 0]) and np.all(finite[:, 1:])
-        error = np.abs(swept[finite] - expected[finite]) / np.abs(expected[finite])
-        assert error.max() <= 1e-14
-
-
-def record_blocks(monkeypatch):
-    """Patch ``muntz._kernel_sweep`` to record each call's block lengths; returns the record."""
-    lengths = []
-    sweep = muntz._kernel_sweep
-
-    def recording(*args):
-        lengths.append([])
-        for start, block in sweep(*args):
-            lengths[-1].append(len(block))
-            yield start, block
-
-    monkeypatch.setattr(muntz, "_kernel_sweep", recording)
-    return lengths
+        assert np.all(finite[:2, 0]) and not np.any(finite[2:, 0]) and np.all(finite[:, 1:])
+        assert (np.abs(swept[finite] - expected[finite]) / sizes[finite]).max() <= 1e-14
 
 
 ONE_BLOCK = 10**12  # a block size no sweep reaches
 
 
 class TestBlockedSweep:
-    """Any block size gives the bits of a sweep in one block."""
+    """The block plan, and that any block size gives the bits of a sweep in one block."""
 
     @pytest.mark.parametrize("length", [2, 3, 19, 20])
     @pytest.mark.parametrize("rows", [2, 3, 5])
-    @SAMPLES
-    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, where):
+    @TIERS
+    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, walk):
         lam = SHIFTED_SEQUENCES["case3"][:length]
         xs = np.geomspace(1e-9, 0.99, 3)
-        args = kernel_inputs(lam, xs, where)
-        n_samples = np.broadcast(args[0], args[1]).shape[-1]
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
-        whole = full_sweep(*args)
-        monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", rows * xs.size * n_samples)
-        lengths = record_blocks(monkeypatch)
-        blocked = full_sweep(*args)
+        whole = _basis_batch(lam, xs, walk)
+        monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", rows * xs.size * tier_samples(lam, walk))
+        sizes = muntz._block_rows(length, xs.size, tier_samples(lam, walk))
 
-        (sizes,) = lengths
         assert sum(sizes) == length and min(sizes) >= 2 and max(sizes) <= rows + 1
         # a one-row remainder joins the first block, and only then is a block rows + 1 long
         assert sizes[0] == (length if length <= rows + 1 else rows + (length % rows == 1))
         assert all(size == rows for size in sizes[1:-1])
-        assert np.array_equal(blocked, whole)
+        assert np.array_equal(_basis_batch(lam, xs, walk), whole)
 
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @pytest.mark.parametrize("points", [1, 9])
@@ -315,22 +293,16 @@ class TestBlockedSweep:
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
         whole = _basis_batch(lam, xs, walk)
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", samples)
-        lengths = record_blocks(monkeypatch)
-        blocked = _basis_batch(lam, xs, walk)
-        (sizes,) = lengths
+        sizes = muntz._block_rows(lam.size, points, tier_samples(lam, walk))
         assert len(sizes) > 2
         if samples == 0:  # blocks of two, and the first of three
             assert sizes[0] == 3 and set(sizes[1:]) == {2}
-        assert np.array_equal(blocked, whole)
+        assert np.array_equal(_basis_batch(lam, xs, walk), whole)
 
-    def test_default_size_splits_a_full_tier_sweep(self, monkeypatch):
+    def test_default_size_splits_a_full_tier_sweep(self):
         # example1 n=60 at one node of its alpha = 1 solve: 120 rows of 512 samples
-        lam = np.sort(sequence_family("example1", 60))
-        shifted = lam - lam[0] + 0.5 * (-0.25 + lam[0])
-        lengths = record_blocks(monkeypatch)
-        _basis_batch(shifted, np.array([0.3]))
-        (sizes,) = lengths
-        assert len(sizes) > 1 and sum(sizes) == lam.size
+        sizes = muntz._block_rows(120, 1, tier_samples(range(120), False))
+        assert len(sizes) > 1 and sum(sizes) == 120
 
 
 class TestBatchIndependence:
@@ -377,6 +349,20 @@ class TestEvalAllWeighted:
         exact = residue_sum_basis(lam, x, beta)
         error = np.abs(eval_all(lam, x, beta) - exact) / np.maximum(1.0, np.abs(exact))
         assert error.max() <= 1e-15, error.max()
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("beta", [2e33, 1e100, 1e300])
+    def test_large_beta_matches_the_closed_form(self, a, beta):
+        # L_1 of {0, a} under x**beta is ((beta + a + 1) x**a - (beta + 1))/a.
+        # The poles beta/2 and a + beta/2, rounded at the working precision,
+        # merged here, and eval_all raised ZeroDivisionError
+        for x in (0.5, 1e-3):
+            with mp.workdps(50):
+                b = mp.mpf(beta)
+                exact = float(((b + a + 1) * mp.mpf(x) ** a - (b + 1)) / a)
+            values = eval_all([0.0, a], x, beta)
+            assert values[0] == 1.0
+            assert abs(values[1] - exact) <= 1e-15 * abs(exact), (x, values[1], exact)
 
     def test_close_exponents_raise_the_working_precision(self):
         # 30 exponents 1e-3 apart: residues of up to 1e78 cancel, beyond the

@@ -27,23 +27,19 @@ weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
 group the ``assemble`` calls on the walk and the full evaluator tier, the
-``newton_solve`` calls and the polish's ``refine.exact_residual`` calls.
-Each ``muntz._kernel_sweep`` call is classed by the function that makes it:
-the hyperbola of either tier (``muntz._hyperbola_values``), or ``other`` for
-a caller the report does not know, as the panels, tail tests, tails and walk
-of older trees are.  Per group the report gives those calls and the blocks
-of rows all sweeps yield, the samples swept (basis rows x points x contour
-samples, summed over the sweeps) by each class on each evaluator tier, and
-per tier how the ``newton_solve`` calls ended:
+``newton_solve`` calls and the polish's ``refine.exact_residual`` calls, the
+hyperbola sweeps (``muntz._hyperbola_values`` calls) and the samples they
+sweep on each tier (basis rows x points x contour samples, with the samples
+from the sweep's ``shapes``), and per tier how the ``newton_solve`` calls
+ended:
 converged on the residual, converged on a small correction (a walk solve
 that returns its last iterate unassembled, so that it makes as many
 ``assemble`` calls as iterations), converged at zero iterations, or
 diverged, by the reason its ``NewtonDivergedError`` gives ("no
 convergence" is the iteration cap).  Last it counts the classical arrays
 (nodes and weights) that are bit-identical between the sides, and names
-each one that is not: ``gauss_legendre`` at orders 8 and 24 and
-``gauss_laguerre`` at 8 and 16, fixed orders that check the public
-classical rules, and each spec's walk start,
+each one that is not: ``gauss_legendre`` at orders 8 and 24, fixed orders
+that check the public classical rules, and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.
@@ -62,25 +58,20 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# per-spec call counts: assemble by tier, Newton solves, polish residual
-COUNTS = ("walk", "full", "solves", "exact_residual")
-# the class of a kernel sweep, by the function that calls it
-CALLERS = {"_hyperbola_values": "hyperbola"}
-CLASSES = (*CALLERS.values(), "other")
-# per-spec kernel sweeps: calls per class, blocks swept
-SWEEPS = (*CLASSES, "blocks")
+# per-spec call counts: assemble by tier, Newton solves, polish residual, hyperbola sweeps
+COUNTS = ("walk", "full", "solves", "exact_residual", "sweeps")
 TIERS = ("walk", "full")
-# per-spec samples swept (rows x points x samples), by sweep class and evaluator tier
-SAMPLES = tuple(f"{where}_samples_{t}" for where in CLASSES for t in TIERS)
-KEYS = COUNTS + SWEEPS + SAMPLES
+# per-spec samples swept (rows x points x samples), by evaluator tier
+SAMPLES = tuple(f"samples_{t}" for t in TIERS)
+KEYS = COUNTS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
          ("example1", 100, -0.25))
-# the classical rules compared at fixed orders: (rule, orders)
-CLASSICAL_ORDERS = (("gauss_legendre", (8, 24)), ("gauss_laguerre", (8, 16)))
+# the orders at which the public gauss_legendre rule is compared
+LEGENDRE_ORDERS = (8, 24)
 
 
 def hard_specs():
@@ -123,14 +114,13 @@ def traffic_specs():
 
 
 def classical_arrays(specs) -> dict:
-    """Name -> ``[nodes, weights]`` of the tier rules and each spec's walk start."""
+    """Name -> ``[nodes, weights]`` of the fixed-order rules and each spec's walk start."""
     from muntzquad import classical
 
     arrays = {}
-    for name, orders in CLASSICAL_ORDERS:
-        for order in orders:
-            built = getattr(classical, name)(order)
-            arrays[f"{name}({order})"] = [built.nodes.tolist(), built.weights.tolist()]
+    for order in LEGENDRE_ORDERS:
+        built = classical.gauss_legendre(order)
+        arrays[f"gauss_legendre({order})"] = [built.nodes.tolist(), built.weights.tolist()]
     for group, label, lam, beta in specs:
         start = classical._jacobi_start(len(lam), beta + min(lam))
         arrays[f"{group}:{label} walk start"] = [a.tolist() for a in start]
@@ -149,36 +139,25 @@ def build_side() -> dict:
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # tier -> outcome -> solves
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
-    kernel_sweep = muntz._kernel_sweep
-    evaluating = ["full"]  # the tier of the assemble under way, which the sweeps serve
+    hyperbola_values = muntz._hyperbola_values
 
     def tier(args, kwargs):
         """The evaluator tier of an ``assemble`` or ``newton_solve`` call."""
         return "walk" if (args[5] if len(args) > 5 else kwargs.get("walk", False)) else "full"
 
     def counting_assemble(*args, **kwargs):
-        evaluating[0] = tier(args, kwargs)
-        counts[evaluating[0]] += 1
+        counts[tier(args, kwargs)] += 1
         return assemble(*args, **kwargs)
 
     def counting_residual(*args, **kwargs):
         counts["exact_residual"] += 1
         return exact_residual(*args, **kwargs)
 
-    def counting_blocks(blocks):
-        for block in blocks:
-            counts["blocks"] += 1
-            yield block
-
-    def counting_sweep(u, v, num_off, *args, **kwargs):
-        where = CALLERS.get(sys._getframe(1).f_code.co_name, "other")
-        counts[where] += 1
-        counts[f"{where}_samples_{evaluating[0]}"] += num_off.size * np.broadcast(u, v).shape[-1]
-        swept = kernel_sweep(u, v, num_off, *args, **kwargs)
-        if isinstance(swept, np.ndarray):  # a tree whose sweep returns every row at once
-            counts["blocks"] += 1
-            return swept
-        return counting_blocks(swept)
+    def counting_sweep(lam, omega, shapes):
+        counts["sweeps"] += 1
+        samples = next(shape[3] for shape in shapes if lam.size <= shape[0])
+        counts[f"samples_{'walk' if shapes == muntz._WALK_SHAPES else 'full'}"] += lam.size * omega.size * samples
+        return hyperbola_values(lam, omega, shapes)
 
     def counting_solve(*args, **kwargs):
         counts["solves"] += 1
@@ -198,7 +177,7 @@ def build_side() -> dict:
 
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
     solver.newton_solve = counting_solve
-    muntz._kernel_sweep = counting_sweep
+    muntz._hyperbola_values = counting_sweep
     records = []
     for group, label, lam, beta in specs:
         counts.update(dict.fromkeys(KEYS, 0))
@@ -281,10 +260,9 @@ def report(parent_side: dict, change_side: dict) -> int:
                                               for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in KEYS}
-    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / exact residual", COUNTS),
-                        ("kernel sweeps per group, hyperbola calls / other calls / blocks", SWEEPS),
-                        ("samples swept per group, " + " / ".join(key.replace("_samples_", " ") for key in SAMPLES),
-                         SAMPLES)):
+    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / exact residual / "
+                         "hyperbola sweep", COUNTS),
+                        ("samples swept per group, walk / full", SAMPLES)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
