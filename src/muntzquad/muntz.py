@@ -25,8 +25,9 @@ through ``zeta0`` instead of moved leaves its samples too sparse for
 ``e**zeta`` once ``zeta0`` grows far beyond them.
 Two tables size the shape by the basis row count.  The rule solver's
 homotopy walk throws its intermediate rules away, so its Newton solves stop
-at 1e-5 and run on the walk tier, ``_WALK_SHAPES``; the ``alpha = 1`` solve
-and the polish Jacobian run on the full tier, ``_FULL_SHAPES``, whose angle
+at 1e-5 and run on the walk tier, ``_WALK_SHAPES``, up to its ``alpha = 1``
+rule; the one solve that lands that rule at full accuracy, whose Jacobian
+the polish reuses, runs on the full tier, ``_FULL_SHAPES``, whose angle
 shrinks and whose samples grow with the rows.  ``eval_all`` takes neither: it
 sums the residues of ``refine``'s pole expansion in arbitrary precision.
 
@@ -52,6 +53,7 @@ anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -159,6 +161,23 @@ def _block_rows(n_basis: int, n_points: int, samples: int) -> list:
     return [head] + [min(rows, n_basis - start) for start in range(head, n_basis, rows)]
 
 
+@functools.cache
+def _hyperbola(base: float, angle: float, samples: int):
+    """``(Re zeta, u, 1/u, weights)`` of the midpoint rule on the hyperbola
+    through ``base`` (see ``_hyperbola_values``), ``u = Im zeta``: the same
+    for every point and call of one shape, so computed once per shape and
+    returned read-only."""
+    mu = base / (1.0 - math.sin(angle))
+    h = math.acosh(1.0 + _DECAY / (mu * math.sin(angle))) / samples
+    phi = h * (np.arange(samples) + 0.5)
+    zeta = mu * (1.0 + np.sin(1j * phi - angle))
+    weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
+    arrays = (zeta.real.copy(), zeta.imag.copy(), 1.0 / zeta.imag, weights)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     """Basis values ``[n, i]`` at the points of frequencies ``omega``, swept
     block by block and each block contracted as soon as it is formed.
@@ -191,12 +210,8 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     base, angle, samples = next(shape[1:] for shape in shapes if lam.size <= shape[0])
     lam_min = float(np.min(lam))
     shift = omega * max(0.0, lam_min)
-    mu = base / (1.0 - math.sin(angle))
-    h = math.acosh(1.0 + _DECAY / (mu * math.sin(angle))) / samples
-    phi = h * (np.arange(samples) + 0.5)
-    zeta = mu * (1.0 + np.sin(1j * phi - angle))
-    weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
-    u, v = zeta.imag, -(shift[:, None] + zeta.real)
+    zeta_re, u, inv_u, weights = _hyperbola(base, angle, samples)
+    v = -(shift[:, None] + zeta_re)
     num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
     den_off = omega[:, None] * (lam_min - lam[None, :])
     # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
@@ -204,7 +219,6 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     a = num_off.T[:-1, :, None]
     b = den_off.T[1:, :, None]
     a_minus_b = a - b
-    inv_u = 1.0 / u
     sizes = _block_rows(lam.size, omega.size, samples)
     block = np.empty((sizes[0], omega.size, samples), dtype=complex)
     den, re = np.empty(block.shape), np.empty(block.shape)
@@ -276,13 +290,23 @@ def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
     default precision holds (30 exponents 1e-3 apart: terms of 1e78 at 67
     digits), so the sums are taken again at twice the precision until two
     successive precisions round to the same values; at ``x = 1`` every
-    value rounds to exactly 1.
+    value rounds to exactly 1.  The first precision is the default raised
+    by ``log2(1/(gap*|log x|))`` bits for the smallest distinct gap: the
+    node sums step each power by ``exp(gap*log x)``, which otherwise rounds
+    to exactly 1 at two successive precisions once ``gap*|log x|`` falls
+    below both their resolutions, and they agree on a wrong value (``L_1``
+    of ``[0, 1e-100]`` at ``x = 0.5`` read 0).
     """
     from . import refine  # refine imports this module
 
     lam = ensure_admissible(exponents, beta)
     x = _check_point(x)
-    values, prec = None, None
+    gaps = np.diff(np.unique(lam))
+    prec = None
+    if gaps.size and x < 1.0:
+        extra = int(-math.log2(gaps.min()) - math.log2(-math.log(x)))
+        prec = refine.default_prec(lam.size) + extra if extra > 0 else None
+    values = None
     while True:
         expansion = refine.pole_expansion(lam, beta, prec)
         sums = refine.exact_residual([x], [1.0], replace(expansion, moments=[libmp.fzero] * lam.size))

@@ -52,7 +52,7 @@ residual of a one-node rule with weight 1 against zero moments.
 
 The Newton directions themselves stay in ordinary double arithmetic:
 direction errors only perturb the path, not the limit, so the polish solves
-against one Jacobian throughout, the one of the ``alpha = 1`` solve.
+against one Jacobian throughout, the one of the full-tier ``alpha = 1`` solve.
 """
 
 from __future__ import annotations
@@ -115,15 +115,20 @@ class PoleExpansion:
     moments: list
 
 
+def default_prec(size: int) -> int:
+    """The expansion's default working precision for ``size`` exponents, in
+    bits: that of ``30 + 1.2*size`` digits."""
+    return libmp.dps_to_prec(30 + int(1.2 * size))
+
+
 def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpansion:
     """The residual's exponent-only table: working precision, distinct
     exponents with their multiplicities, each row's Taylor coefficients and
     the exact moments.
 
-    ``prec`` is the working precision in bits, by default that of
-    ``30 + 1.2*len(exponents)`` digits."""
+    ``prec`` is the working precision in bits, by default ``default_prec``."""
     lam = np.asarray(exponents, dtype=float)
-    prec = prec or libmp.dps_to_prec(30 + int(1.2 * lam.size))
+    prec = prec or default_prec(lam.size)
     beta_q = from_float(float(beta))
     half_beta = libmp.mpf_shift(beta_q, -1)
     distinct, at = np.unique(lam, return_inverse=True)

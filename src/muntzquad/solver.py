@@ -30,9 +30,11 @@ follows the observed Newton contraction (Deuflhard, *Newton Methods for
 Nonlinear Problems*, 2004): a solve whose second correction is at least
 twice its first is dropped at once, and the ratio of the first two
 corrections of an accepted solve sizes the next step.  The corrector is
-inexact by design: a rule with ``alpha < 1`` only seeds the next step, so
-those solves stop at a loose tolerance on a coarse contour evaluator, and
-only the ``alpha = 1`` solve and the polish run at full accuracy.
+inexact by design: every step, ``alpha = 1`` included, stops at a loose
+tolerance on a coarse contour evaluator, since a rule with ``alpha < 1``
+only seeds the next step.  The walk's ``alpha = 1`` rule then seeds one
+solve at full accuracy, the landing, and the polish reuses its Jacobian;
+a divergence of either ``alpha = 1`` solve rejects the step like any other.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -99,9 +101,10 @@ class RuleDiagnostics:
     the returned rule, in the shifted problem the walk solves (see
     ``compute_rule``), not in the caller's weight.
     ``continuation_steps`` counts accepted homotopy steps and
-    ``rejected_steps`` the walk solves that diverged and were retried with
-    a shorter step.  ``newton_iterations`` counts the iterations of the
-    accepted solves plus the polish only, not those of rejected solves.
+    ``rejected_steps`` the steps retried with a shorter step because a solve
+    diverged: a walk solve, or the full-tier landing at ``alpha = 1``.
+    ``newton_iterations`` counts the iterations of the accepted steps' walk
+    solves, the landing and the polish only, not those of rejected steps.
     ``floor_ratio`` is the largest ratio of a row's exact residual to its
     rounding floor, in the same shifted problem (see ``_floor_ratio``); a
     returned rule has it at most ``_FLOOR_RATIO_BOUND``.
@@ -267,8 +270,8 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
 
     Everything here runs in double precision; the final polish takes its
     residual from ``refine.exact_residual`` and reuses the Jacobian the
-    ``alpha = 1`` solve assembled at its result, since Jacobian errors only
-    perturb the Newton direction.
+    full-tier landing at ``alpha = 1`` assembled at its result, since
+    Jacobian errors only perturb the Newton direction.
     """
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -296,9 +299,10 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
 # to max(1, max|moment|).
 _TOLERANCE = 1e-14
 
-# A rule with alpha < 1 only seeds the next homotopy step, so its Newton
-# solve runs on the evaluator's walk tier (``muntz._WALK_SHAPES``) and stops
-# at this tolerance: the next step's predictor misses by far more anyway.
+# Every homotopy step, alpha = 1 included, is solved on the evaluator's walk
+# tier (``muntz._WALK_SHAPES``) to this tolerance: a rule with alpha < 1 only
+# seeds the next step, whose predictor misses by far more anyway, and the one
+# at alpha = 1 only seeds the full-tier landing.
 _WALK_TOLERANCE = 1e-5
 
 # A walk solve also returns, without assembling at it, the iterate that a
@@ -463,14 +467,16 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     solve is retried with half the step; after an accepted one the step is
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
-    by about 1/4.  Every step with ``alpha < 1`` is solved to
+    by about 1/4.  Every step, ``alpha = 1`` included, is solved to
     ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, or until a full
     correction of at most ``_WALK_CORRECTION`` (3e-3), whose result is
     returned unassembled (``newton_solve``): the path only reads its nodes,
-    weights and contraction.  The
-    ``alpha = 1`` solve runs to ``_TOLERANCE`` (1e-14) on the full tier, a
-    hyperbola with more samples, and the polish reuses that solve's last
-    Jacobian.  Walk and polish run on the canonically shifted spec; the
+    weights and contraction.  The walk tier's ``alpha = 1`` rule then seeds
+    the landing, one solve to ``_TOLERANCE`` (1e-14) on the full tier, a
+    hyperbola with more samples, and the polish reuses the landing's last
+    Jacobian.  Should the landing diverge, the step is rejected as a
+    diverged walk solve is: no full-tier solve starts from a prediction.
+    Walk and polish run on the canonically shifted spec; the
     weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
@@ -523,7 +529,9 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         m_alpha = moments(lam_alpha, walk_spec.beta)
         x0, w0 = _predict(path, alpha_next)
         try:
-            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, alpha_next < 1.0)
+            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, True)
+            if alpha_next == 1.0:  # land: one full-tier solve from the walk tier's rule
+                landing = newton_solve(result.nodes, result.weights, lam_alpha, walk_spec.beta, m_alpha, False)
         except NewtonDivergedError:
             rejected_steps += 1
             rejected = True
@@ -542,9 +550,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
-    x, w, residual, polish_iters = _polish(x, w, walk_spec, result.jacobian)
+    total_iterations += landing.iterations
+    x, w, residual, polish_iters = _polish(landing.nodes, landing.weights, walk_spec, landing.jacobian)
     res_norm = float(np.abs(residual).max())
-    floor_ratio = _floor_ratio(x, w, walk_spec.beta, result.jacobian, residual)
+    floor_ratio = _floor_ratio(x, w, walk_spec.beta, landing.jacobian, residual)
     if not floor_ratio <= _FLOOR_RATIO_BOUND:  # a NaN ratio fails too
         raise NewtonDivergedError(
             f"polished residual is {floor_ratio:.3e} times its rounding floor "
@@ -577,8 +586,8 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     arbitrary-precision pole expansion, which covers every exponent
     multiplicity; its exponent-only table is built once per call.  The
     steps are simplified Newton: every one solves against ``jacobian``, the
-    rescaled Jacobian the ``alpha = 1`` solve assembled at ``(x, w)`` on the
-    full tier, in ordinary arithmetic.  Any trouble aborts polishing and
+    rescaled Jacobian the full-tier landing at ``alpha = 1`` assembled at
+    ``(x, w)``, in ordinary arithmetic.  Any trouble aborts polishing and
     keeps the last accepted iterate.
 
     Progress is judged by the size of the Newton correction, relative to

@@ -257,6 +257,23 @@ class TestKernelSweep:
         assert np.all(finite[:2, 0]) and not np.any(finite[2:, 0]) and np.all(finite[:, 1:])
         assert (np.abs(swept[finite] - expected[finite]) / sizes[finite]).max() <= 1e-14
 
+    @TIERS
+    def test_each_hyperbola_is_built_once_and_read_only(self, walk):
+        for _, base, angle, samples in tier_shapes(walk):
+            arrays = muntz._hyperbola(base, angle, samples)
+            assert muntz._hyperbola(base, angle, samples) is arrays
+            # the samples and weights the sweep computed on every call before
+            mu = base / (1.0 - math.sin(angle))
+            h = math.acosh(1.0 + muntz._DECAY / (mu * math.sin(angle))) / samples
+            phi = h * (np.arange(samples) + 0.5)
+            zeta = mu * (1.0 + np.sin(1j * phi - angle))
+            weights = 1j * h * np.exp(zeta - base) * (1j * mu * np.cos(1j * phi - angle))
+            for got, expected in zip(arrays, (zeta.real, zeta.imag, 1.0 / zeta.imag, weights)):
+                assert np.array_equal(got, expected)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
+
 
 ONE_BLOCK = 10**12  # a block size no sweep reaches
 
@@ -363,6 +380,19 @@ class TestEvalAllWeighted:
             values = eval_all([0.0, a], x, beta)
             assert values[0] == 1.0
             assert abs(values[1] - exact) <= 1e-15 * abs(exact), (x, values[1], exact)
+
+    @pytest.mark.parametrize("a", [1e-100, 1e-300])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("x", [0.5, 1e-3])
+    def test_tiny_gap_matches_the_closed_form(self, a, beta, x):
+        # exp(a*log x) rounded to exactly 1 at the expansion's default
+        # precision and at its double, and L_1 read 0 at both
+        with mp.workdps(700):
+            a_q, b = mp.mpf(a), mp.mpf(beta)
+            exact = float(((b + a_q + 1) * mp.mpf(x) ** a_q - (b + 1)) / a_q)
+        values = eval_all([0.0, a], x, beta)
+        assert values[0] == 1.0
+        assert abs(values[1] - exact) <= 1e-15 * abs(exact), (values[1], exact)
 
     def test_close_exponents_raise_the_working_precision(self):
         # 30 exponents 1e-3 apart: residues of up to 1e78 cancel, beyond the

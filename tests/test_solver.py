@@ -548,7 +548,8 @@ def _domain_spec(kind, index):
 
 
 class TestCheapWalk:
-    """Steps with alpha < 1 are solved loosely on a coarse evaluator."""
+    """Every step is solved loosely on a coarse evaluator, and the full tier
+    lands the walk's rule at alpha = 1 in one solve."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(RuleSpec(example1(10), -0.25), id="example1-n10"),
@@ -565,41 +566,95 @@ class TestCheapWalk:
         assert np.array_equal(cheap.nodes, full.nodes)
         assert np.array_equal(cheap.weights, full.weights)
 
-    def test_only_alpha_one_and_polish_run_at_full_accuracy(self, monkeypatch):
-        spec = RuleSpec(example1(4), -0.25)
+    @staticmethod
+    def record(monkeypatch, spec, diverge=None):
+        """Build ``spec`` and record every Newton solve (alpha = 1 or not,
+        tier, start, result or None if it diverged, its assemble calls in
+        order), every assemble (alpha = 1 or not, tier) and, per polish, the
+        assembles made before and after it and its iterations.  ``diverge``,
+        a tier (``True`` for the walk tier), makes the first alpha = 1 solve
+        on that tier raise ``NewtonDivergedError`` at once."""
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         solves, assembles, polishes = [], [], []
 
         def solving(x, w, lam, beta, m, walk, **kwargs):
-            first = len(assembles)
+            final, first, result = np.array_equal(lam, walk_end), len(assembles), None
             try:
-                return newton_solve(x, w, lam, beta, m, walk, **kwargs)
+                if final and walk == diverge and not any(s["final"] and s["walk"] == walk for s in solves):
+                    raise NewtonDivergedError("diverged on purpose")
+                result = newton_solve(x, w, lam, beta, m, walk, **kwargs)
+                return result
             finally:
-                solves.append((np.array_equal(lam, walk_end), walk, range(first, len(assembles))))
+                solves.append(dict(final=final, walk=walk, start=(x, w), result=result,
+                                   calls=range(first, len(assembles))))
 
         def assembling(x, w, lam, beta, m, walk, **kwargs):
             assembles.append((np.array_equal(lam, walk_end), walk))
             return assemble(x, w, lam, beta, m, walk, **kwargs)
 
         def polishing(*args):
-            polishes.append(args)
-            return _polish(*args)
+            before = len(assembles)
+            result = _polish(*args)
+            polishes.append((before, len(assembles), result[3]))
+            return result
 
         monkeypatch.setattr(solver, "newton_solve", solving)
         monkeypatch.setattr(solver, "assemble", assembling)
         monkeypatch.setattr(solver, "_polish", polishing)
-        compute_rule(spec)
+        rule = compute_rule(spec)
+        return rule, solves, assembles, polishes
 
-        assert {walk for final, walk, _ in solves if not final} == {True}
-        assert {walk for final, walk, _ in solves if final} == {False}
-        assert len(polishes) == 1
-        assert {walk for final, walk in assembles if not final} == {True}
-        # every full-accuracy assemble belongs to the alpha = 1 solve; the
-        # polish reuses that solve's last Jacobian and assembles nothing
-        final_solves = [calls for final, _, calls in solves if final]
-        full = [k for k, (final, walk) in enumerate(assembles) if not walk]
-        assert full == [k for calls in final_solves for k in calls]
-        assert {walk for final, walk in assembles if final} == {False}
+    @staticmethod
+    def assert_landings(solves):
+        """Each full-tier solve starts from the nodes and weights of the
+        converged walk-tier solve at alpha = 1 just before it; returns their
+        indices, at least one."""
+        full = [k for k, s in enumerate(solves) if not s["walk"]]
+        assert full
+        for k in full:
+            landed = solves[k - 1]
+            assert solves[k]["final"] and landed["final"] and landed["walk"]
+            assert landed["result"] is not None
+            assert solves[k]["start"][0] is landed["result"].nodes
+            assert solves[k]["start"][1] is landed["result"].weights
+        return full
+
+    def test_full_tier_only_lands_a_converged_walk_rule_and_polishes(self, monkeypatch):
+        spec = RuleSpec(example1(4), -0.25)
+        _, solves, assembles, polishes = self.record(monkeypatch, spec)
+
+        # every step, alpha = 1 included, is solved on the walk tier first
+        assert {s["walk"] for s in solves if not s["final"]} == {True}
+        assert any(s["final"] and s["walk"] for s in solves)
+        full = self.assert_landings(solves)
+        # every full-tier assemble belongs to such a solve, and the polish
+        # reuses its last Jacobian and assembles nothing
+        full_assembles = [k for k, (_, walk) in enumerate(assembles) if not walk]
+        assert full_assembles == [k for j in full for k in solves[j]["calls"]]
+        assert [polish[:2] for polish in polishes] == [(len(assembles), len(assembles))]
+
+    @pytest.mark.parametrize("walk", [True, False], ids=["walk", "full"])
+    def test_a_diverged_alpha_one_solve_rejects_the_step(self, monkeypatch, walk):
+        spec = RuleSpec(example1(4), -0.25)
+        plain = compute_rule(spec)
+        rule, solves, _, _ = self.record(monkeypatch, spec, diverge=walk)
+        failed = next(k for k, s in enumerate(solves) if s["final"] and s["walk"] == walk)
+        assert solves[failed]["result"] is None
+        # no full-tier solve from the prediction: the step is rejected, and
+        # the walk retries it with half the step on the walk tier
+        assert solves[failed + 1]["walk"]
+        self.assert_landings(solves)
+        assert rule.diagnostics.rejected_steps == plain.diagnostics.rejected_steps + 1
+
+    def test_newton_iterations_count_the_landing(self, monkeypatch):
+        spec = RuleSpec(example1(4), -0.25)
+        rule, solves, _, polishes = self.record(monkeypatch, spec)
+        landing = solves[-1]
+        assert not landing["walk"] and landing["result"].iterations > 0
+        # every solve here converged, so every one was accepted
+        assert all(s["result"] is not None for s in solves)
+        walked = sum(s["result"].iterations for s in solves[:-1])
+        assert rule.diagnostics.newton_iterations == walked + landing["result"].iterations + polishes[0][2]
 
 
 class TestPredict:

@@ -30,8 +30,10 @@ group the ``assemble`` calls on the walk and the full evaluator tier, the
 ``newton_solve`` calls and the polish's ``refine.exact_residual`` calls, the
 hyperbola sweeps (``muntz._hyperbola_values`` calls) and the samples they
 sweep on each tier (basis rows x points x contour samples, with the samples
-from the sweep's ``shapes``), and per tier how the ``newton_solve`` calls
-ended:
+from the sweep's ``shapes``), and how the ``newton_solve`` calls ended, in
+three classes: walk-tier solves below ``alpha = 1``, walk-tier solves at
+``alpha = 1`` (the landing; alpha is read from the walk's last
+``solver.continuation_exponents`` call), and full-tier solves.  A solve
 converged on the residual, converged on a small correction (a walk solve
 that returns its last iterate unassembled, so that it makes as many
 ``assemble`` calls as iterations), converged at zero iterations, or
@@ -43,6 +45,10 @@ that check the public classical rules, and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.
+
+The exit status is 1 when any spec changes outcome (the report is printed
+all the same), when a side fails or the spec lists differ, and 0 otherwise,
+so the tool can gate a change.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ KEYS = COUNTS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
+# classes of Newton solves: walk tier below alpha = 1, walk tier at alpha = 1, full tier
+SOLVES = ("walk", "landing", "full")
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
          ("example1", 100, -0.25))
@@ -137,8 +145,10 @@ def build_side() -> dict:
     classical = classical_arrays(specs)
 
     counts = dict.fromkeys(KEYS, 0)
-    newton = {}  # tier -> outcome -> solves
+    newton = {}  # solve class -> outcome -> solves
+    blend = [0.0]  # alpha of the walk's last continuation_exponents call
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
+    continuation_exponents = solver.continuation_exponents
     hyperbola_values = muntz._hyperbola_values
 
     def tier(args, kwargs):
@@ -161,7 +171,10 @@ def build_side() -> dict:
 
     def counting_solve(*args, **kwargs):
         counts["solves"] += 1
-        outcomes = newton[tier(args, kwargs)]
+        kind = tier(args, kwargs)
+        if kind == "walk" and blend[0] == 1.0:
+            kind = "landing"
+        outcomes = newton[kind]
         assembled = counts["walk"] + counts["full"]
         try:
             result = newton_solve(*args, **kwargs)
@@ -175,13 +188,17 @@ def build_side() -> dict:
             outcomes["on correction" if assembled == result.iterations else "converged"] += 1
         return result
 
+    def blending(exponents, alpha):
+        blend[0] = alpha
+        return continuation_exponents(exponents, alpha)
+
     solver.assemble, refine.exact_residual = counting_assemble, counting_residual
-    solver.newton_solve = counting_solve
+    solver.newton_solve, solver.continuation_exponents = counting_solve, blending
     muntz._hyperbola_values = counting_sweep
     records = []
     for group, label, lam, beta in specs:
         counts.update(dict.fromkeys(KEYS, 0))
-        newton.update({t: dict.fromkeys(OUTCOMES, 0) for t in TIERS})
+        newton.update({kind: dict.fromkeys(OUTCOMES, 0) for kind in SOLVES})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
             rule = compute_rule(RuleSpec(np.array(lam), beta))
@@ -191,7 +208,7 @@ def build_side() -> dict:
             record.update(outcome="ok", nodes=rule.nodes.tolist(), weights=rule.weights.tolist(),
                           diagnostics=vars(rule.diagnostics),
                           validation=max(err for _, err in validation_rows(rule_to_file(rule))))
-        record.update(counts, newton={t: dict(newton[t]) for t in TIERS})
+        record.update(counts, newton={kind: dict(newton[kind]) for kind in SOLVES})
         records.append(record)
     return {"specs": records, "classical": classical}
 
@@ -221,16 +238,16 @@ def report(parent_side: dict, change_side: dict) -> int:
         return 1
     outcomes, moved, identical = [], [], 0
     totals = defaultdict(lambda: {key: [0, 0] for key in KEYS})  # group -> key -> per side
-    solves = {t: {outcome: [0, 0] for outcome in OUTCOMES} for t in TIERS}  # tier -> outcome -> per side
+    solves = {kind: {outcome: [0, 0] for outcome in OUTCOMES} for kind in SOLVES}  # class -> outcome -> per side
     worst = defaultdict(lambda: [0.0, 0.0])  # group -> worst validation_rows error per side
     for before, after in zip(parent, change):
         name = f"{before['group']}:{before['label']}"
         for side, record in enumerate((before, after)):
             for key in KEYS:
                 totals[record["group"]][key][side] += record[key]
-            for t in TIERS:
+            for kind in SOLVES:
                 for outcome in OUTCOMES:
-                    solves[t][outcome][side] += record["newton"][t][outcome]
+                    solves[kind][outcome][side] += record["newton"][kind][outcome]
             if record["outcome"] == "ok":
                 worst[record["group"]][side] = max(worst[record["group"]][side], record["validation"])
         if before["outcome"] != after["outcome"]:
@@ -267,16 +284,17 @@ def report(parent_side: dict, change_side: dict) -> int:
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
                                                for side in (0, 1)))
-    print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change):")
-    for t, outcomes in solves.items():
-        print(f"  {t}: " + " -> ".join(" / ".join(str(outcomes[o][side]) for o in OUTCOMES) for side in (0, 1)))
+    print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change; "
+          "landing: the walk tier's solves at alpha = 1):")
+    for kind, ends in solves.items():
+        print(f"  {kind}: " + " -> ".join(" / ".join(str(ends[o][side]) for o in OUTCOMES) for side in (0, 1)))
     differing = [f"{name} {field}" for name, pair in parent_side["classical"].items()
                  for field, before, after in zip(("nodes", "weights"), pair, change_side["classical"][name])
                  if before != after]
     total = 2 * len(parent_side["classical"])
     print(f"bit-identical classical arrays: {total - len(differing)} of {total}",
           *(f"  differs: {name}" for name in differing), sep="\n")
-    return 0
+    return 1 if outcomes else 0
 
 
 def main(argv=None) -> int:
