@@ -21,7 +21,8 @@ from .errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from .muntz import eval_all, moments, scaled_derivatives
+from .muntz import moments, scaled_derivatives
+from .refine import eval_all
 from .solver import (
     QuadratureRule,
     RuleDiagnostics,

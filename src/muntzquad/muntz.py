@@ -28,8 +28,9 @@ homotopy walk throws its intermediate rules away, so its Newton solves stop
 at 1e-5 and run on the walk tier, ``_WALK_SHAPES``, up to its ``alpha = 1``
 rule; the one solve that lands that rule at full accuracy, whose Jacobian
 the polish reuses, runs on the full tier, ``_FULL_SHAPES``, whose angle
-shrinks and whose samples grow with the rows.  ``eval_all`` takes neither: it
-sums the residues of ``refine``'s pole expansion in arbitrary precision.
+shrinks and whose samples grow with the rows.  The public basis values,
+``refine.eval_all``, take neither: they sum the residues of ``refine``'s pole
+expansion in arbitrary precision, and this module imports nothing of it.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
@@ -55,13 +56,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 from mpmath import libmp
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul
 
-from .errors import DomainError, InadmissibleSequenceError, LengthMismatchError, _as_real
+from .errors import InadmissibleSequenceError, LengthMismatchError, _as_real
 
 
 # The hyperbola of each evaluator tier as (row bound, base, angle, samples),
@@ -215,7 +215,13 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     num_off = omega[:, None] * (lam_min + lam[None, :] + 1.0)
     den_off = omega[:, None] * (lam_min - lam[None, :])
     # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
-    # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u)
+    # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u), in real arithmetic.  Per
+    # sweep on case3 n = 10/20/30 and example1 n = 20/60, both tiers: numpy's
+    # complex (z + ia)/(z + ib) was 11-23% faster on 9 of 10 cases but failed
+    # two integrability-edge builds; 1 + i(a - b)/(z + ib) was 1-14% faster
+    # but failed an edge build, two off-floor specs and the [0, 1e200]
+    # overflow test; the complex quotient with np.multiply.accumulate for the
+    # running product was 11-78% slower.
     a = num_off.T[:-1, :, None]
     b = den_off.T[1:, :, None]
     a_minus_b = a - b
@@ -269,50 +275,6 @@ def _basis_batch(shifted, xs, walk: bool = False):
     values = _hyperbola_values(lam, -np.log(xs), _WALK_SHAPES if walk else _FULL_SHAPES)
     values[0] = xs ** lam[0]  # exact, and overwrites the contour's row 0
     return values
-
-
-def _check_point(x: float) -> float:
-    x = _as_real(x, DomainError, "evaluation point")
-    if not (0.0 < x <= 1.0) or not np.isfinite(x):
-        raise DomainError(f"evaluation point must lie in (0, 1], got {x}")
-    return x
-
-
-def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
-    """Basis values ``L_0(x), ..., L_N(x)`` of the family orthogonal under
-    weight ``x**beta``.
-
-    These are ``x**(-beta/2)`` times the unit-weight basis of the exponents
-    shifted by ``beta/2``: the residue sums of ``refine.pole_expansion``,
-    taken as the exact residual of a one-node rule with weight 1 against
-    zero moments, each rounded once, at any ``x`` and ``beta``.  Close
-    exponents make the residues cancel by more digits than the expansion's
-    default precision holds (30 exponents 1e-3 apart: terms of 1e78 at 67
-    digits), so the sums are taken again at twice the precision until two
-    successive precisions round to the same values; at ``x = 1`` every
-    value rounds to exactly 1.  The first precision is the default raised
-    by ``log2(1/(gap*|log x|))`` bits for the smallest distinct gap: the
-    node sums step each power by ``exp(gap*log x)``, which otherwise rounds
-    to exactly 1 at two successive precisions once ``gap*|log x|`` falls
-    below both their resolutions, and they agree on a wrong value (``L_1``
-    of ``[0, 1e-100]`` at ``x = 0.5`` read 0).
-    """
-    from . import refine  # refine imports this module
-
-    lam = ensure_admissible(exponents, beta)
-    x = _check_point(x)
-    gaps = np.diff(np.unique(lam))
-    prec = None
-    if gaps.size and x < 1.0:
-        extra = int(-math.log2(gaps.min()) - math.log2(-math.log(x)))
-        prec = refine.default_prec(lam.size) + extra if extra > 0 else None
-    values = None
-    while True:
-        expansion = refine.pole_expansion(lam, beta, prec)
-        sums = refine.exact_residual([x], [1.0], replace(expansion, moments=[libmp.fzero] * lam.size))
-        if np.array_equal(sums, values):
-            return sums
-        values, prec = sums, 2 * expansion.prec
 
 
 def scaled_derivatives(values, exponents, beta: float = 0.0) -> np.ndarray:

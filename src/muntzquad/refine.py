@@ -47,8 +47,9 @@ of mpmath numbers bit for bit, without their per-object overhead.  The
 difference of a row and its moment is rounded to a double as ``float`` of
 an mpmath number does, to nearest.
 
-``muntz.eval_all`` takes its basis values from the same table, as the
-residual of a one-node rule with weight 1 against zero moments.
+The same row sums at a one-node rule with weight 1, without the moments,
+are the basis values themselves: ``eval_all``, the package's public
+evaluator, takes them from this table.
 
 The Newton directions themselves stay in ordinary double arithmetic:
 direction errors only perturb the path, not the limit, so the polish solves
@@ -57,13 +58,15 @@ against one Jacobian throughout, the one of the full-tier ``alpha = 1`` solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import libmp
 from mpmath.libmp import from_float, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_sub, mpf_sum
 
-from .muntz import moment_recurrence
+from .errors import DomainError, _as_real
+from .muntz import ensure_admissible, moment_recurrence
 
 # Every arbitrary-precision operation rounds to nearest, as mpmath numbers do.
 _RND = libmp.round_nearest
@@ -160,14 +163,61 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
     return PoleExpansion(prec, exponents, orders, rows, moments)
 
 
+def _row_sums(nodes, weights, expansion: PoleExpansion) -> list:
+    """Each row's residue sum at a rule, ``sum_{p,j} h_{n,p,m-1-j} T_{p,j}``,
+    as one exact dot product rounded once at the working precision, as
+    ``mp.fdot`` forms it."""
+    prec = expansion.prec
+    sums = _node_sums(expansion.exponents, expansion.orders, nodes, weights, prec)
+    return [mpf_sum([mpf_mul(h[j], sums[i][j]) for i, h in row for j in range(len(h))], prec, _RND)
+            for row in expansion.rows]
+
+
 def exact_residual(nodes, weights, expansion: PoleExpansion) -> np.ndarray:
     """Moment-matching residual at a rule, from the table of ``pole_expansion``
     for its exponents; computed in arbitrary precision and rounded."""
     prec = expansion.prec
-    sums = _node_sums(expansion.exponents, expansion.orders, nodes, weights, prec)
-    residual = np.empty(len(expansion.rows))
-    for n, (row, moment) in enumerate(zip(expansion.rows, expansion.moments)):
-        # exact products, one rounding for the whole row, as ``mp.fdot``
-        q = mpf_sum([mpf_mul(h[j], sums[i][j]) for i, h in row for j in range(len(h))], prec, _RND)
-        residual[n] = libmp.to_float(mpf_sub(q, moment, prec, _RND), rnd=_RND)
-    return residual
+    rows = _row_sums(nodes, weights, expansion)
+    return np.array([libmp.to_float(mpf_sub(q, moment, prec, _RND), rnd=_RND)
+                     for q, moment in zip(rows, expansion.moments)])
+
+
+def _check_point(x: float) -> float:
+    x = _as_real(x, DomainError, "evaluation point")
+    if not (0.0 < x <= 1.0) or not np.isfinite(x):
+        raise DomainError(f"evaluation point must lie in (0, 1], got {x}")
+    return x
+
+
+def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
+    """Basis values ``L_0(x), ..., L_N(x)`` of the family orthogonal under
+    weight ``x**beta``.
+
+    These are ``x**(-beta/2)`` times the unit-weight basis of the exponents
+    shifted by ``beta/2``: the residue sums of ``pole_expansion``'s rows at
+    the one-node rule ``x`` with weight 1, each rounded once, at any ``x``
+    and ``beta``.  Close exponents make the residues cancel by more digits
+    than the expansion's default precision holds (30 exponents 1e-3 apart:
+    terms of 1e78 at 67 digits), so the sums are taken again at twice the
+    precision until two successive precisions round to the same values; at
+    ``x = 1`` every value rounds to exactly 1.  The first precision is the
+    default raised by ``log2(1/(gap*|log x|))`` bits for the smallest
+    distinct gap: the node sums step each power by ``exp(gap*log x)``,
+    which otherwise rounds to exactly 1 at two successive precisions once
+    ``gap*|log x|`` falls below both their resolutions, and they agree on a
+    wrong value (``L_1`` of ``[0, 1e-100]`` at ``x = 0.5`` read 0).
+    """
+    lam = ensure_admissible(exponents, beta)
+    x = _check_point(x)
+    gaps = np.diff(np.unique(lam))
+    prec = None
+    if gaps.size and x < 1.0:
+        extra = int(-math.log2(gaps.min()) - math.log2(-math.log(x)))
+        prec = default_prec(lam.size) + extra if extra > 0 else None
+    values = None
+    while True:
+        expansion = pole_expansion(lam, beta, prec)
+        sums = np.array([libmp.to_float(q, rnd=_RND) for q in _row_sums([x], [1.0], expansion)])
+        if np.array_equal(sums, values):
+            return sums
+        values, prec = sums, 2 * expansion.prec

@@ -33,8 +33,9 @@ corrections of an accepted solve sizes the next step.  The corrector is
 inexact by design: every step, ``alpha = 1`` included, stops at a loose
 tolerance on a coarse contour evaluator, since a rule with ``alpha < 1``
 only seeds the next step.  The walk's ``alpha = 1`` rule then seeds one
-solve at full accuracy, the landing, and the polish reuses its Jacobian;
-a divergence of either ``alpha = 1`` solve rejects the step like any other.
+solve at full accuracy, the landing, and the polish reuses its Jacobian.
+The landing runs once: a diverged walk solve is retried with a shorter
+step, but a diverged landing ends the build.
 
 The nodes are invariant under ``(lam, beta) -> (lam + c, beta - c)`` and
 the weights scale by ``x**c``, so the walk and the polish always run on the
@@ -101,8 +102,8 @@ class RuleDiagnostics:
     the returned rule, in the shifted problem the walk solves (see
     ``compute_rule``), not in the caller's weight.
     ``continuation_steps`` counts accepted homotopy steps and
-    ``rejected_steps`` the steps retried with a shorter step because a solve
-    diverged: a walk solve, or the full-tier landing at ``alpha = 1``.
+    ``rejected_steps`` the steps retried with a shorter step because their
+    walk solve diverged; the landing is never retried.
     ``newton_iterations`` counts the iterations of the accepted steps' walk
     solves, the landing and the polish only, not those of rejected steps.
     ``floor_ratio`` is the largest ratio of a row's exact residual to its
@@ -321,7 +322,7 @@ _MAX_STEP_HALVINGS = 30
 # A solve whose residual has not fallen below 0.9 times the best one for this
 # many iterations in a row has stalled above its target and is declared
 # divergent, however close it got: the walk retries with a shorter step, and
-# at alpha = 1 only a residual at the target is a rule.
+# a landing short of its target is no rule.
 _STALL_ITERATIONS = 3
 
 # A Newton solve is dropped once a correction is this many times the one
@@ -474,20 +475,24 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     weights and contraction.  The walk tier's ``alpha = 1`` rule then seeds
     the landing, one solve to ``_TOLERANCE`` (1e-14) on the full tier, a
     hyperbola with more samples, and the polish reuses the landing's last
-    Jacobian.  Should the landing diverge, the step is rejected as a
-    diverged walk solve is: no full-tier solve starts from a prediction.
+    Jacobian.  The landing runs once, after the walk: no full-tier solve
+    starts from a prediction, and a diverged landing is not retried.
     Walk and polish run on the canonically shifted spec; the
     weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
     ``_STEP_MIN``; it carries the last good state in the caller's weight,
-    solved only as far as a walk solve goes.  Raises ``NewtonDivergedError`` if
-    the polished rule's exact residual exceeds ``_FLOOR_RATIO_BOUND`` times
+    solved only as far as a walk solve goes.  Raises ``NewtonDivergedError``,
+    with the landing's iterations and residual, if the landing diverges, and
+    if the polished rule's exact residual exceeds ``_FLOOR_RATIO_BOUND`` times
     its rounding floor (``_floor_ratio``).  Raises ``DomainError`` if a
     weight under- or overflows in doubles when the factor ``x**c`` maps it
     back to the caller's weight, and before the walk if the exponent spread
     ``max(lam) - min(lam)`` is so wide (beyond about 6.7e18) that
-    ``x**spread`` underflows to 0 at every double below 1: no rule in
-    doubles can then tell the widest exponents apart.
+    ``x**spread`` underflows to 0 at every double below 1, so that no rule
+    in doubles can tell the widest exponents apart, or if the Gauss-Jacobi
+    start for ``x**(beta + min(lam))`` has a node that rounds to 1 in
+    doubles (from about ``beta + min(lam)`` = 6e15 at two nodes and 2e16 at
+    one).
     """
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
@@ -505,6 +510,11 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         )
 
     x, w = _jacobi_start(spec.n_nodes, walk_spec.beta)
+    if x[-1] >= 1.0:
+        raise DomainError(
+            f"the Gauss-Jacobi start for x**{walk_spec.beta:.3g} (beta + min(lam)) has nodes "
+            "that round to 1 in double precision"
+        )
 
     alpha = 0.0
     step = _STEP_INITIAL
@@ -530,8 +540,6 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         x0, w0 = _predict(path, alpha_next)
         try:
             result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, True)
-            if alpha_next == 1.0:  # land: one full-tier solve from the walk tier's rule
-                landing = newton_solve(result.nodes, result.weights, lam_alpha, walk_spec.beta, m_alpha, False)
         except NewtonDivergedError:
             rejected_steps += 1
             rejected = True
@@ -550,6 +558,14 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
+    # land: one full-tier solve from the walk's alpha = 1 rule, whose blend
+    # and moments the loop's last step left in lam_alpha and m_alpha
+    try:
+        landing = newton_solve(x, w, lam_alpha, walk_spec.beta, m_alpha, False)
+    except NewtonDivergedError as exc:
+        raise NewtonDivergedError(
+            f"the landing at alpha = 1 diverged: {exc}", iterations=exc.iterations, residual=exc.residual
+        ) from exc
     total_iterations += landing.iterations
     x, w, residual, polish_iters = _polish(landing.nodes, landing.weights, walk_spec, landing.jacobian)
     res_norm = float(np.abs(residual).max())

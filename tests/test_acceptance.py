@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from muntzquad import muntz
+from muntzquad import eval_all, moments, muntz
 from muntzquad.classical import gauss_legendre
 from muntzquad.cli import (
     _integrand,
@@ -19,7 +19,7 @@ from muntzquad.cli import (
     sequence_family,
     validation_rows,
 )
-from muntzquad.muntz import _basis_batch, eval_all, moments
+from muntzquad.muntz import _basis_batch
 from muntzquad.solver import (
     RuleSpec,
     apply_rule,

@@ -27,6 +27,7 @@ from test_solver import (
     OVERFLOW_SPECS,
     UNDERFLOW_SPECS,
     UNREACHABLE_SPECS,
+    WALK_FAILURE_SPECS,
     WIDE_SPREAD_SPECS,
 )
 
@@ -269,7 +270,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "lam, beta",
-        UNREACHABLE_SPECS + OFF_FLOOR_SPECS + OVERFLOW_SPECS + WIDE_SPREAD_SPECS + HUGE_BETA_SPECS,
+        UNREACHABLE_SPECS + WALK_FAILURE_SPECS + OFF_FLOOR_SPECS + OVERFLOW_SPECS + WIDE_SPREAD_SPECS + HUGE_BETA_SPECS,
     )
     def test_unreachable_exponent_exits_1(self, lam, beta, tmp_path, capsys):
         lam_file = tmp_path / "lambda.txt"

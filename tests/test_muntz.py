@@ -7,9 +7,9 @@ import pytest
 from muntzquad import muntz
 from muntzquad.classical import _jacobi_start
 from muntzquad.cli import sequence_family
+from muntzquad import eval_all
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
-    eval_all,
     moment_recurrence,
     moments,
     scaled_derivatives,

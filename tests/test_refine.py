@@ -7,14 +7,19 @@ integrates ``x**t R_n(t)`` around a circle enclosing every pole with the
 trapezoidal rule, which makes no assumption on pole multiplicity.
 """
 
+import ast
+import dataclasses
+import inspect
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from muntzquad import muntz
 from muntzquad.classical import gauss_jacobi
 from muntzquad.cli import sequence_family
 from muntzquad.muntz import moment_recurrence
-from muntzquad.refine import exact_residual, pole_expansion
+from muntzquad.refine import eval_all, exact_residual, pole_expansion
 
 
 def _moments_mp(lam, beta_q):
@@ -189,3 +194,26 @@ def test_raw_moment_recurrence_matches_mpmath_numbers(lam, beta):
             want = _moments_mp(lam, mp.mpf(beta))
         got = moment_recurrence(lam, beta, mp.libmp.dps_to_prec(digits))
         assert got == [m._mpf_ for m in want]
+
+
+@pytest.mark.parametrize("lam, beta, x", [
+    pytest.param([0.0, 1.0], 1.0, 0.5, id="0-1"),
+    pytest.param([0.3, 1.7, 2.5, 2.5], 0.5, 0.3, id="double-pole"),
+    pytest.param(np.sort(sequence_family("example1", 4)), -0.25, 1e-3, id="example1-n4"),
+])
+def test_eval_all_is_the_residual_of_one_node_against_zero_moments(lam, beta, x):
+    # the row sums of the one-node rule x with weight 1, rounded once: bit for
+    # bit the residual against zero moments, at a precision that settles at once
+    zero = dataclasses.replace(pole_expansion(lam, beta), moments=[mp.libmp.fzero] * len(lam))
+    assert np.array_equal(eval_all(lam, x, beta), exact_residual([x], [1.0], zero))
+
+
+def test_muntz_imports_nothing_of_refine():
+    # refine imports muntz; an import back, lazy or not, would close a cycle
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(muntz))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert "refine" not in imported and "muntzquad.refine" not in imported

@@ -41,11 +41,18 @@ UNDERFLOW_SPECS = [
     pytest.param(np.array([-20.9999, -20.9, -20.8, -20.7, -20.6, -20.5]), 20.0, id="beta20"),
 ]
 
-# one exponent far beyond the rest: the walk's step falls below its floor
-# at alpha = 0.9998
+# one exponent far beyond the rest: the walk reaches alpha = 1, and the
+# full-tier landing from its rule diverges
 UNREACHABLE_SPECS = [
     pytest.param(np.array([0.0, 1e6]), 0.0, id="0-1e6"),
     pytest.param(np.array([0.0, 1e8]), 0.0, id="0-1e8"),
+]
+
+# specs the walk cannot reach alpha = 1 on: its step falls below its floor,
+# at alpha = 0 and at alpha = 0.99917 (ROADMAP item 6)
+WALK_FAILURE_SPECS = [
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e6]), 0.0, id="0-1-2-1e6"),
+    pytest.param(np.array([0.0, 0.0, 1.0, 1.0]), -0.999, id="0-0-1-1-beta-0.999"),
 ]
 
 # one exponent so far beyond the rest that the walk returns a wrong rule whose
@@ -69,8 +76,14 @@ WIDE_SPREAD_SPECS = [
     pytest.param(np.array([0.0, 1.0, 2.0, 1e200]), 0.0, id="0-1-2-1e200"),
 ]
 
-# beta beyond about 1e154: the start's nodes round to 1 in doubles, and the
-# squares in its recurrence coefficients would overflow double arithmetic
+# beta + min(lam) from about 6e15 (two nodes) or 2e16 (one node): the walk
+# start's nodes round to 1 in doubles, and compute_rule says so before the walk
+ROUNDED_START_SPECS = [
+    pytest.param(np.array([0.0, 1.0]), 3e16, id="0-1-beta3e16"),
+    pytest.param(np.arange(6.0), 1e17, id="0..5-beta1e17"),
+]
+
+# beta far beyond that: the same error, and no overflow warns on the way
 HUGE_BETA_SPECS = [
     pytest.param(np.arange(4.0), 1e154, id="0..3-beta1e154"),
     pytest.param(np.arange(4.0), 1e200, id="0..3-beta1e200"),
@@ -447,7 +460,20 @@ class TestComputeRule:
 
     @pytest.mark.parametrize("lam, beta", UNREACHABLE_SPECS)
     def test_unreachable_exponent_raises_a_typed_error(self, lam, beta):
-        with pytest.raises(ContinuationFailedError, match="step size fell below"):
+        with pytest.raises(NewtonDivergedError, match="landing") as info:
+            compute_rule(RuleSpec(lam, beta))
+        assert info.value.iterations > 0
+        assert 0.0 < info.value.residual < math.inf
+
+    @pytest.mark.parametrize("lam, beta", WALK_FAILURE_SPECS)
+    def test_a_walk_short_of_alpha_one_raises_continuation_failed(self, lam, beta):
+        with pytest.raises(ContinuationFailedError, match="step size fell below") as info:
+            compute_rule(RuleSpec(lam, beta))
+        assert info.value.alpha < 1.0
+
+    @pytest.mark.parametrize("lam, beta", ROUNDED_START_SPECS)
+    def test_a_start_rounded_onto_one_raises_a_domain_error(self, lam, beta):
+        with pytest.raises(DomainError, match="round to 1 in double precision"):
             compute_rule(RuleSpec(lam, beta))
 
     @pytest.mark.parametrize("lam, beta", OFF_FLOOR_SPECS)
@@ -567,13 +593,14 @@ class TestCheapWalk:
         assert np.array_equal(cheap.weights, full.weights)
 
     @staticmethod
-    def record(monkeypatch, spec, diverge=None):
-        """Build ``spec`` and record every Newton solve (alpha = 1 or not,
+    def instrument(monkeypatch, spec, diverge=None):
+        """Record every Newton solve of a build of ``spec`` (alpha = 1 or not,
         tier, start, result or None if it diverged, its assemble calls in
         order), every assemble (alpha = 1 or not, tier) and, per polish, the
-        assembles made before and after it and its iterations.  ``diverge``,
-        a tier (``True`` for the walk tier), makes the first alpha = 1 solve
-        on that tier raise ``NewtonDivergedError`` at once."""
+        assembles made before and after it and its iterations, into the lists
+        returned.  ``diverge``, a tier (``True`` for the walk tier), makes the
+        first alpha = 1 solve on that tier raise ``NewtonDivergedError`` after
+        3 iterations at residual 0.25."""
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         solves, assembles, polishes = [], [], []
 
@@ -581,7 +608,7 @@ class TestCheapWalk:
             final, first, result = np.array_equal(lam, walk_end), len(assembles), None
             try:
                 if final and walk == diverge and not any(s["final"] and s["walk"] == walk for s in solves):
-                    raise NewtonDivergedError("diverged on purpose")
+                    raise NewtonDivergedError("diverged on purpose", iterations=3, residual=0.25)
                 result = newton_solve(x, w, lam, beta, m, walk, **kwargs)
                 return result
             finally:
@@ -601,23 +628,27 @@ class TestCheapWalk:
         monkeypatch.setattr(solver, "newton_solve", solving)
         monkeypatch.setattr(solver, "assemble", assembling)
         monkeypatch.setattr(solver, "_polish", polishing)
-        rule = compute_rule(spec)
-        return rule, solves, assembles, polishes
+        return solves, assembles, polishes
+
+    @classmethod
+    def record(cls, monkeypatch, spec, diverge=None):
+        """Build ``spec`` under ``instrument``: the rule and the three lists."""
+        solves, assembles, polishes = cls.instrument(monkeypatch, spec, diverge)
+        return compute_rule(spec), solves, assembles, polishes
 
     @staticmethod
-    def assert_landings(solves):
-        """Each full-tier solve starts from the nodes and weights of the
-        converged walk-tier solve at alpha = 1 just before it; returns their
-        indices, at least one."""
+    def assert_landing(solves):
+        """The one full-tier solve is the last, and starts from the nodes and
+        weights of the converged walk-tier solve at alpha = 1 just before it;
+        returns its index."""
         full = [k for k, s in enumerate(solves) if not s["walk"]]
-        assert full
-        for k in full:
-            landed = solves[k - 1]
-            assert solves[k]["final"] and landed["final"] and landed["walk"]
-            assert landed["result"] is not None
-            assert solves[k]["start"][0] is landed["result"].nodes
-            assert solves[k]["start"][1] is landed["result"].weights
-        return full
+        assert full == [len(solves) - 1]
+        landing, landed = solves[-1], solves[-2]
+        assert landing["final"] and landed["final"] and landed["walk"]
+        assert landed["result"] is not None
+        assert landing["start"][0] is landed["result"].nodes
+        assert landing["start"][1] is landed["result"].weights
+        return full[0]
 
     def test_full_tier_only_lands_a_converged_walk_rule_and_polishes(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
@@ -626,14 +657,15 @@ class TestCheapWalk:
         # every step, alpha = 1 included, is solved on the walk tier first
         assert {s["walk"] for s in solves if not s["final"]} == {True}
         assert any(s["final"] and s["walk"] for s in solves)
-        full = self.assert_landings(solves)
-        # every full-tier assemble belongs to such a solve, and the polish
+        landing = self.assert_landing(solves)
+        # every full-tier assemble belongs to that solve, and the polish
         # reuses its last Jacobian and assembles nothing
         full_assembles = [k for k, (_, walk) in enumerate(assembles) if not walk]
-        assert full_assembles == [k for j in full for k in solves[j]["calls"]]
+        assert full_assembles == list(solves[landing]["calls"])
         assert [polish[:2] for polish in polishes] == [(len(assembles), len(assembles))]
 
-    @pytest.mark.parametrize("walk", [True, False], ids=["walk", "full"])
+    # the full tier's case is test_a_diverged_landing_ends_the_build
+    @pytest.mark.parametrize("walk", [True], ids=["walk"])
     def test_a_diverged_alpha_one_solve_rejects_the_step(self, monkeypatch, walk):
         spec = RuleSpec(example1(4), -0.25)
         plain = compute_rule(spec)
@@ -643,8 +675,20 @@ class TestCheapWalk:
         # no full-tier solve from the prediction: the step is rejected, and
         # the walk retries it with half the step on the walk tier
         assert solves[failed + 1]["walk"]
-        self.assert_landings(solves)
+        self.assert_landing(solves)
         assert rule.diagnostics.rejected_steps == plain.diagnostics.rejected_steps + 1
+
+    def test_a_diverged_landing_ends_the_build(self, monkeypatch):
+        spec = RuleSpec(example1(4), -0.25)
+        solves, _, polishes = self.instrument(monkeypatch, spec, diverge=False)
+        with pytest.raises(NewtonDivergedError, match="landing at alpha = 1 diverged: diverged on purpose") as info:
+            compute_rule(spec)
+        assert (info.value.iterations, info.value.residual) == (3, 0.25)
+        # the landing is the last solve: no re-walk, and no polish
+        assert not solves[-1]["walk"] and solves[-1]["result"] is None
+        assert [k for k, s in enumerate(solves) if not s["walk"]] == [len(solves) - 1]
+        assert solves[-2]["final"] and solves[-2]["result"] is not None
+        assert polishes == []
 
     def test_newton_iterations_count_the_landing(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)

@@ -22,7 +22,8 @@ each side in its own process with one BLAS thread:
 So 372 specs come from traffic and scale and 42 from the hard set.
 
 The report lists outcome changes (with the ``validation_rows`` worst and the
-floor ratio of a side that builds), the count of rules whose nodes and
+floor ratio of a side that builds, and the error message of each side that
+fails), the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
@@ -32,19 +33,23 @@ hyperbola sweeps (``muntz._hyperbola_values`` calls) and the samples they
 sweep on each tier (basis rows x points x contour samples, with the samples
 from the sweep's ``shapes``), and how the ``newton_solve`` calls ended, in
 three classes: walk-tier solves below ``alpha = 1``, walk-tier solves at
-``alpha = 1`` (the landing; alpha is read from the walk's last
-``solver.continuation_exponents`` call), and full-tier solves.  A solve
-converged on the residual, converged on a small correction (a walk solve
-that returns its last iterate unassembled, so that it makes as many
-``assemble`` calls as iterations), converged at zero iterations, or
-diverged, by the reason its ``NewtonDivergedError`` gives ("no
-convergence" is the iteration cap).  Last it counts the classical arrays
+``alpha = 1`` (alpha is read from the walk's last
+``solver.continuation_exponents`` call), and full-tier solves, the
+landings.  A solve converged on the residual, converged on a small
+correction (a walk solve that returns its last iterate unassembled, so that
+it makes as many ``assemble`` calls as iterations), converged at zero
+iterations, or diverged, by the reason its ``NewtonDivergedError`` gives
+("no convergence" is the iteration cap).  Last it counts the classical arrays
 (nodes and weights) that are bit-identical between the sides, and names
 each one that is not: ``gauss_legendre`` at orders 8 and 24, fixed orders
 that check the public classical rules, and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
-list differs from the other's stops the run.
+list differs from the other's stops the run.  Both sides import this
+checkout's ``tests/test_acceptance.py`` and ``tests/test_domain.py`` with
+their own ``src`` on the path, so those modules may import only names that
+both trees export (``from muntzquad import eval_all`` rather than the module
+that defines it).
 
 The exit status is 1 when any spec changes outcome (the report is printed
 all the same), when a side fails or the spec lists differ, and 0 otherwise,
@@ -74,7 +79,7 @@ KEYS = COUNTS + SAMPLES
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
 # classes of Newton solves: walk tier below alpha = 1, walk tier at alpha = 1, full tier
-SOLVES = ("walk", "landing", "full")
+SOLVES = ("walk", "walk at 1", "full")
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
          ("example1", 100, -0.25))
@@ -173,7 +178,7 @@ def build_side() -> dict:
         counts["solves"] += 1
         kind = tier(args, kwargs)
         if kind == "walk" and blend[0] == 1.0:
-            kind = "landing"
+            kind = "walk at 1"
         outcomes = newton[kind]
         assembled = counts["walk"] + counts["full"]
         try:
@@ -203,7 +208,7 @@ def build_side() -> dict:
         try:
             rule = compute_rule(RuleSpec(np.array(lam), beta))
         except MuntzQuadError as exc:
-            record["outcome"] = type(exc).__name__
+            record.update(outcome=type(exc).__name__, error=str(exc))
         else:
             record.update(outcome="ok", nodes=rule.nodes.tolist(), weights=rule.weights.tolist(),
                           diagnostics=vars(rule.diagnostics),
@@ -255,6 +260,8 @@ def report(parent_side: dict, change_side: dict) -> int:
             detail = (f" (validation_rows {built_side['validation']:.2e}, floor ratio "
                       f"{built_side['diagnostics'].get('floor_ratio', float('nan')):.3g})"
                       if built_side["outcome"] == "ok" else "")
+            detail += "".join(f"; {side}: {record['error']}"
+                              for side, record in (("parent", before), ("change", after)) if record["outcome"] != "ok")
             outcomes.append(f"  {name}: {before['outcome']} -> {after['outcome']}{detail}")
         elif before["outcome"] == "ok":
             if before["nodes"] == after["nodes"] and before["weights"] == after["weights"]:
@@ -285,7 +292,7 @@ def report(parent_side: dict, change_side: dict) -> int:
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
                                                for side in (0, 1)))
     print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change; "
-          "landing: the walk tier's solves at alpha = 1):")
+          "walk at 1: the walk tier's solves at alpha = 1; full: the landings):")
     for kind, ends in solves.items():
         print(f"  {kind}: " + " -> ".join(" / ".join(str(ends[o][side]) for o in OUTCOMES) for side in (0, 1)))
     differing = [f"{name} {field}" for name, pair in parent_side["classical"].items()
