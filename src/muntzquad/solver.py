@@ -600,7 +600,9 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     to ~1e-11 relative away from the true rule.  The last Newton steps
     therefore use the bias-free residual of ``refine.exact_residual``, the
     arbitrary-precision pole expansion, which covers every exponent
-    multiplicity; its exponent-only table is built once per call.  The
+    multiplicity; its exponent-only table is built once per call, on
+    integer mantissas at a precision its largest coefficient sets, and
+    each residual row is rounded to a double once.  The
     steps are simplified Newton: every one solves against ``jacobian``, the
     rescaled Jacobian the full-tier landing at ``alpha = 1`` assembled at
     ``(x, w)``, in ordinary arithmetic.  Any trouble aborts polishing and

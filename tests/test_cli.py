@@ -246,6 +246,14 @@ class TestCommands:
         assert "worst: nan" in run.stdout
         assert "RuntimeWarning" not in run.stderr
 
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_clustered_exponents_validate(self, n, tmp_path):
+        # n exponents 1 + k*1e-3: the polish needs more than the default
+        # 30 + 1.2*n digits, or its residual sits far above the floor
+        lam_file = tmp_path / "lambda.txt"
+        lam_file.write_text("".join(f"{1 + k * 1e-3!r}\n" for k in range(n)))
+        assert main(["validate", "--lambda-file", str(lam_file), "--threshold", "1e-12"]) == 0
+
     def test_validate_threshold_flag(self, tmp_path):
         out = tmp_path / "rule.json"
         main(["rule", "--family", "case2", "--n", "3", "--format", "json", "--out", str(out)])

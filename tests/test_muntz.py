@@ -372,9 +372,10 @@ class TestEvalAllWeighted:
     def test_large_beta_matches_the_closed_form(self, a, beta):
         # L_1 of {0, a} under x**beta is ((beta + a + 1) x**a - (beta + 1))/a.
         # The poles beta/2 and a + beta/2, rounded at the working precision,
-        # merged here, and eval_all raised ZeroDivisionError
-        for x in (0.5, 1e-3):
-            with mp.workdps(50):
+        # merged here, and eval_all raised ZeroDivisionError; at x = 1, where
+        # L_1 is 1, residues of about beta/a cancel
+        for x in (0.5, 1e-3, 1.0):
+            with mp.workdps(350):
                 b = mp.mpf(beta)
                 exact = float(((b + a + 1) * mp.mpf(x) ** a - (b + 1)) / a)
             values = eval_all([0.0, a], x, beta)
@@ -383,10 +384,11 @@ class TestEvalAllWeighted:
 
     @pytest.mark.parametrize("a", [1e-100, 1e-300])
     @pytest.mark.parametrize("beta", [0.0, 2.0])
-    @pytest.mark.parametrize("x", [0.5, 1e-3])
+    @pytest.mark.parametrize("x", [0.5, 1e-3, 1.0])
     def test_tiny_gap_matches_the_closed_form(self, a, beta, x):
         # exp(a*log x) rounded to exactly 1 at the expansion's default
-        # precision and at its double, and L_1 read 0 at both
+        # precision and at its double, and L_1 read 0 at both; at x = 1
+        # residues of about 1/a cancel
         with mp.workdps(700):
             a_q, b = mp.mpf(a), mp.mpf(beta)
             exact = float(((b + a_q + 1) * mp.mpf(x) ** a_q - (b + 1)) / a_q)

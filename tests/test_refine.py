@@ -10,6 +10,7 @@ trapezoidal rule, which makes no assumption on pole multiplicity.
 import ast
 import dataclasses
 import inspect
+import time
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,7 @@ from muntzquad import muntz
 from muntzquad.classical import gauss_jacobi
 from muntzquad.cli import sequence_family
 from muntzquad.muntz import moment_recurrence
-from muntzquad.refine import eval_all, exact_residual, pole_expansion
+from muntzquad.refine import default_prec, eval_all, exact_residual, pole_expansion
 
 
 def _moments_mp(lam, beta_q):
@@ -206,6 +207,28 @@ def test_eval_all_is_the_residual_of_one_node_against_zero_moments(lam, beta, x)
     # bit the residual against zero moments, at a precision that settles at once
     zero = dataclasses.replace(pole_expansion(lam, beta), moments=[mp.libmp.fzero] * len(lam))
     assert np.array_equal(eval_all(lam, x, beta), exact_residual([x], [1.0], zero))
+
+
+def test_no_sum_builds_a_giant_integer():
+    # x**a lies about a*|log2 x| bits below the other terms (1.4e200 bits at
+    # a = 1e200): each sum drops it instead of aligning it
+    start = time.perf_counter()
+    for a in (1e7, 1e18, 1e200):
+        for x in (0.5, 1e-3):
+            assert np.array_equal(eval_all([0.0, a], x), [1.0, ((a + 1) * x**a - 1) / a])
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_clustered_exponents_raise_the_precision(n):
+    # exponents 1e-3 apart cancel by about 1.5*n digits, more than the
+    # default 30 + 1.2*n digits leave room for
+    assert pole_expansion(np.arange(n) * 1e-3, 1.0).prec > default_prec(n)
+
+
+def test_spread_exponents_keep_the_default_precision():
+    lam = np.sort(sequence_family("example1", 20))
+    assert pole_expansion(lam, -0.25).prec == default_prec(lam.size)
 
 
 def test_muntz_imports_nothing_of_refine():

@@ -43,7 +43,12 @@ iterations, or diverged, by the reason its ``NewtonDivergedError`` gives
 (nodes and weights) that are bit-identical between the sides, and names
 each one that is not: ``gauss_legendre`` at orders 8 and 24, fixed orders
 that check the public classical rules, and each spec's walk start,
-``classical._jacobi_start(n, beta + min(lam))``.  The specs come from this
+``classical._jacobi_start(n, beta + min(lam))``.  Both sides also evaluate
+``refine.exact_residual`` at that walk start, which is bit-identical on both
+sides, against the spec's exponents shifted as ``compute_rule`` shifts them,
+and the report gives per group the residual rows that are bit-identical and
+the spec and row with the largest relative difference, so that a change to
+``refine`` is judged on its residuals, not only on whether a rule moved.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.  Both sides import this
 checkout's ``tests/test_acceptance.py`` and ``tests/test_domain.py`` with
@@ -140,14 +145,30 @@ def classical_arrays(specs) -> dict:
     return arrays
 
 
+def walk_start_residuals(specs) -> dict:
+    """Name -> ``refine.exact_residual`` at each spec's walk start, on the
+    exponents shifted to a smallest of 0 as ``compute_rule`` shifts them."""
+    from muntzquad import classical, refine
+
+    residuals = {}
+    for group, label, lam, beta in specs:
+        lam = np.sort(lam)
+        shifted, walk_beta = lam - lam[0], beta + lam[0]
+        nodes, weights = classical._jacobi_start(lam.size // 2, walk_beta)
+        expansion = refine.pole_expansion(shifted, walk_beta)
+        residuals[f"{group}:{label}"] = refine.exact_residual(nodes, weights, expansion).tolist()
+    return residuals
+
+
 def build_side() -> dict:
     """Builds every spec with the package on ``sys.path``: one record per spec,
-    and the classical arrays."""
+    the classical arrays and the walk-start residuals."""
     from muntzquad import MuntzQuadError, NewtonDivergedError, RuleSpec, compute_rule, muntz, refine, solver
     from muntzquad.cli import rule_to_file, validation_rows
 
     specs = traffic_specs()
     classical = classical_arrays(specs)
+    residuals = walk_start_residuals(specs)
 
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # solve class -> outcome -> solves
@@ -215,7 +236,7 @@ def build_side() -> dict:
                           validation=max(err for _, err in validation_rows(rule_to_file(rule))))
         record.update(counts, newton={kind: dict(newton[kind]) for kind in SOLVES})
         records.append(record)
-    return {"specs": records, "classical": classical}
+    return {"specs": records, "classical": classical, "residuals": residuals}
 
 
 def run_side(src: str) -> subprocess.Popen:
@@ -233,6 +254,26 @@ def largest_floor_ratio(records: list) -> str:
     ratios = [r["diagnostics"]["floor_ratio"] for r in records
               if r["outcome"] == "ok" and "floor_ratio" in r["diagnostics"]]
     return f"{max(ratios):.3g}" if ratios else "not reported"
+
+
+def residual_agreement(parent_side: dict, change_side: dict) -> None:
+    """Per group, the walk-start residual rows that are bit-identical between
+    the sides, and the spec and row with the largest relative difference."""
+    rows = defaultdict(lambda: [0, 0, 0.0, "none"])  # group -> identical, total, largest difference, where
+    for name, before in parent_side["residuals"].items():
+        tally = rows[name.split(":")[0]]
+        a, b = np.array(before), np.array(change_side["residuals"][name])
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        tally[0] += int(same.sum())
+        tally[1] += a.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.where(same, 0.0, np.abs(b - a) / np.maximum(np.abs(a), np.abs(b)))
+        relative = np.nan_to_num(relative, nan=np.inf)
+        if relative.max() > tally[2]:
+            tally[2], tally[3] = float(relative.max()), f"{name} row {int(relative.argmax())}"
+    print("walk-start exact residual rows bit-identical per group (largest relative difference, where):")
+    for group, (same, total, largest, where) in rows.items():
+        print(f"  {group}: {same} of {total} ({largest:.2e}, {where})")
 
 
 def report(parent_side: dict, change_side: dict) -> int:
@@ -301,6 +342,7 @@ def report(parent_side: dict, change_side: dict) -> int:
     total = 2 * len(parent_side["classical"])
     print(f"bit-identical classical arrays: {total - len(differing)} of {total}",
           *(f"  differs: {name}" for name in differing), sep="\n")
+    residual_agreement(parent_side, change_side)
     return 1 if outcomes else 0
 
 
