@@ -21,8 +21,8 @@ from .errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from .muntz import moments, scaled_derivatives
-from .refine import eval_all
+from .muntz import scaled_derivatives
+from .refine import eval_all, moments
 from .solver import (
     QuadratureRule,
     RuleDiagnostics,

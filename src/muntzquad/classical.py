@@ -9,31 +9,31 @@ Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
 orthonormal-polynomial recurrence polishes them, and the weights are the
 reciprocal Christoffel sums at the result, so the cached rules are correctly
 rounded: every downstream quadrature inherits the rule's accuracy, and the
-plain eigensolver only carries ~1e-13 of it.  The recurrence coefficients,
-the Newton step and the Christoffel sums call the raw ``mpmath.libmp``
-kernels on number tuples at ``_PREC`` bits, rounded to nearest, as
-``refine`` does.  Rules are cached per (order, beta) and returned with
-read-only arrays, so concurrent reads are safe and accidental mutation
-raises.  The rule solver's start, ``_jacobi_start``, skips the Newton step
-and the cache.
+plain eigensolver only carries ~1e-13 of it.  The Newton step and the
+Christoffel sums run at ``_PREC`` bits on ``refine``'s integer pairs and
+helpers.  Every recurrence coefficient is a quotient of exact integers, so
+each ``alpha_k`` takes one rounded division and each ``sqrt(b_k)`` and
+``1/sqrt(b_k)`` one ``math.isqrt``.  Rules are cached per (order, beta)
+and returned with read-only arrays, so concurrent reads are safe and
+accidental mutation raises.  The rule solver's start, ``_jacobi_start``,
+skips the Newton step and the cache.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
-from mpmath import libmp
-from mpmath.libmp import fone, from_float, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
 
-from .errors import InvalidBetaError, InvalidOrderError, _as_real
+from .errors import DomainError, InvalidBetaError, InvalidOrderError, _as_real
+from .refine import _div, _double, _pair, _sum, _trunc
 
 # Working precision in bits: one Newton step from the eigenvalue seeds
 # lands every node well inside it, far below a double's rounding.
 _PREC = 113
-_RND = libmp.round_nearest
 
 
 @dataclass(frozen=True)
@@ -54,67 +54,93 @@ def _check_order(order) -> int:
     return order
 
 
-def _to_float(value) -> float:
-    return libmp.to_float(value, rnd=_RND)
-
-
-def _orthonormal_eval(x, alpha, sqrt_beta, order, derivative=True):
+def _orthonormal_eval(x, alpha, roots, order, derivative=True):
     """Orthonormal-polynomial values at every node of ``x``.
 
-    ``sqrt_beta[0]`` is sqrt of the zeroth moment.  With ``derivative``,
-    returns the Newton correction ``p/dp`` of the degree-``order`` element
-    per node; without it, the Christoffel sum ``sum_{k<order} p_k(x)**2``
-    per node.  Nodes, coefficients and results are raw ``libmp`` numbers.
+    ``roots[k]`` is ``(sqrt(b_k), 1/sqrt(b_k))``, with ``b_0`` the zeroth
+    moment.  With ``derivative``, returns the Newton correction ``p/dp`` of
+    the degree-``order`` element per node; without it, the Christoffel sum
+    ``sum_{k<order} p_k(x)**2`` per node.  Nodes, coefficients and results
+    are ``(mantissa, exponent)`` pairs; each step sums exact products and
+    rounds once, times ``1/sqrt(b_{k+1})``, and the Christoffel sum is one
+    ``_sum`` of exact squares.
     """
-    prec = _PREC
-    p_first = mpf_div(fone, sqrt_beta[0], prec, _RND)
+    width = _PREC
     out = []
     for xi in x:
-        p_prev, p_cur = fzero, p_first
-        dp_prev = dp_cur = fzero
-        chris = mpf_mul(p_cur, p_cur, prec, _RND)
+        p_prev, p_cur = (0, 0), roots[0][1]
+        dp_prev = dp_cur = (0, 0)
+        squares = [(p_cur[0] * p_cur[0], 2 * p_cur[1])]
         for k in range(order):
-            shift = mpf_sub(xi, alpha[k], prec, _RND)
-            p_next = mpf_div(
-                mpf_sub(mpf_mul(shift, p_cur, prec, _RND), mpf_mul(sqrt_beta[k], p_prev, prec, _RND), prec, _RND),
-                sqrt_beta[k + 1], prec, _RND,
-            )
+            (bm, be), (im, ie) = roots[k][0], roots[k + 1][1]
+            shift = _trunc(*_sum([xi, (-alpha[k][0], alpha[k][1])], width), width)
+            pm, pe = _sum([(shift[0] * p_cur[0], shift[1] + p_cur[1]), (-bm * p_prev[0], be + p_prev[1])], width)
+            p_next = _trunc(pm * im, pe + ie, width)
             if derivative:
-                dp_next = mpf_add(p_cur, mpf_mul(shift, dp_cur, prec, _RND), prec, _RND)
-                dp_next = mpf_div(
-                    mpf_sub(dp_next, mpf_mul(sqrt_beta[k], dp_prev, prec, _RND), prec, _RND),
-                    sqrt_beta[k + 1], prec, _RND,
-                )
-                dp_prev, dp_cur = dp_cur, dp_next
+                dm, de = _sum([p_cur, (shift[0] * dp_cur[0], shift[1] + dp_cur[1]),
+                               (-bm * dp_prev[0], be + dp_prev[1])], width)
+                dp_prev, dp_cur = dp_cur, _trunc(dm * im, de + ie, width)
             elif k < order - 1:
-                chris = mpf_add(chris, mpf_mul(p_next, p_next, prec, _RND), prec, _RND)
+                squares.append((p_next[0] * p_next[0], 2 * p_next[1]))
             p_prev, p_cur = p_cur, p_next
-        out.append(mpf_div(p_cur, dp_cur, prec, _RND) if derivative else chris)
+        out.append(_div(p_cur[0], p_cur[1] - dp_cur[1], dp_cur[0], width) if derivative
+                   else _sum(squares, width))
     return out
 
 
-def _rule(alpha, beta_coeffs, newton_steps):
-    """Nodes and weights from the recurrence coefficients.
+def _sqrt(n: int, d: int) -> tuple:
+    """``sqrt(n/d)`` for integers ``n, d > 0`` as a pair of about ``_PREC``
+    bits, floored: one integer division and one ``math.isqrt``."""
+    j = _PREC + 1 + (d.bit_length() - n.bit_length()) // 2
+    q = (n << 2 * j) // d if j >= 0 else n // (d << -2 * j)
+    return math.isqrt(q), -j
 
-    ``alpha``/``beta_coeffs`` are lists of the monic recurrence
-    coefficients as ``libmp`` numbers, with ``beta_coeffs[0]`` the zeroth
-    moment.  The nodes start as the eigenvalues of the Jacobi matrix, and
-    ``newton_steps`` Newton steps on the orthonormal polynomial follow (the
-    seeds carry ~1e-13, so one quadratic step leaves ~1e-26).  The weights are the reciprocal Christoffel
-    sums at the result, each rounded to a double before its reciprocal.
-    Both arrays come back read-only.
+
+def _ascending(nodes, order: int, beta: float) -> np.ndarray:
+    """``nodes``, or ``DomainError`` unless they ascend strictly in (0, 1)."""
+    if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
+        raise DomainError(
+            f"the Gauss-Jacobi rule of order {order} for x**{beta:.3g} has nodes that are not "
+            "strictly ascending in (0, 1): they crowd at 1 and round to 1 in double precision"
+        )
+    return nodes
+
+
+def _rule(order: int, beta: float, newton_steps: int):
+    """Nodes and weights of the Gauss rule for ``x**beta`` on [0, 1].
+
+    The monic recurrence coefficients ``alpha_k`` and ``b_k`` (``b_0`` the
+    zeroth moment) are those of the Jacobi weight (1+t)**beta on [-1, 1]
+    mapped to [0, 1], each a quotient of exact integers over ``beta``'s own
+    power of two.  The nodes start as the eigenvalues of the Jacobi matrix,
+    and ``newton_steps`` Newton steps on the orthonormal polynomial follow
+    (the seeds carry ~1e-13, so one quadratic step leaves ~1e-26).  The
+    weights are the reciprocal Christoffel sums at the result, each rounded
+    to a double before its reciprocal.  Both arrays come back read-only.
+    Raises ``DomainError`` when the seeds or the nodes, as doubles, do not
+    ascend strictly in (0, 1): they crowd at 1 as ``beta`` grows, and from
+    ``beta`` of about 1e16 they merge or round to 1.
     """
-    order = len(alpha)
-    sqrt_off = np.sqrt([_to_float(b) for b in beta_coeffs[1:-1]])
-    jacobi = np.diag([_to_float(a) for a in alpha]) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
-    sqrt_beta = [mpf_sqrt(b, _PREC, _RND) for b in beta_coeffs]
-    x = [from_float(float(v)) for v in np.linalg.eigvalsh(jacobi)]
+    num, den = float(beta).as_integer_ratio()  # beta = num/den
+    alpha, b = [(num + den, num + 2 * den)], [(den, num + den)]
+    for k in range(1, order):
+        t = 2 * k * den + num  # (2k + beta) * den
+        tt = t * (t + 2 * den)
+        alpha.append((tt + num * num, 2 * tt))  # (1 + beta**2/((2k+beta)(2k+beta+2))) / 2
+        b.append(((k * (k * den + num) * den) ** 2, t * t * (t * t - den * den)))
+    b.append((1, 1))  # b[order] only normalizes the last orthonormal element
+    sqrt_off = np.sqrt([n / d for n, d in b[1:-1]])
+    jacobi = np.diag([n / d for n, d in alpha]) + np.diag(sqrt_off, 1) + np.diag(sqrt_off, -1)
+    alpha = [_div(n, 0, d, _PREC) for n, d in alpha]
+    roots = [(_sqrt(n, d), _sqrt(d, n)) for n, d in b]
+    # checked before Newton too: a seed on 1 can zero a Newton denominator
+    x = [_pair(v) for v in _ascending(np.linalg.eigvalsh(jacobi), order, beta)]
     for _ in range(newton_steps):
-        corrections = _orthonormal_eval(x, alpha, sqrt_beta, order)
-        x = [mpf_sub(xi, dx, _PREC, _RND) for xi, dx in zip(x, corrections)]
-    chris = _orthonormal_eval(x, alpha, sqrt_beta, order, False)
-    nodes = np.array([_to_float(xi) for xi in x])
-    weights = 1.0 / np.array([_to_float(s) for s in chris])
+        corrections = _orthonormal_eval(x, alpha, roots, order)
+        x = [_trunc(*_sum([xi, (-cm, ce)], _PREC), _PREC) for xi, (cm, ce) in zip(x, corrections)]
+    chris = _orthonormal_eval(x, alpha, roots, order, False)
+    nodes = _ascending(np.array([_double(*xi) for xi in x]), order, beta)
+    weights = 1.0 / np.array([_double(*s) for s in chris])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -131,7 +157,8 @@ def gauss_legendre(order: int) -> ClassicalRule:
 def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
     """Gauss rule on [0, 1] with weight x**beta, beta > -1.
 
-    The weights sum to exactly the zeroth moment 1/(1+beta).
+    The weights sum to exactly the zeroth moment 1/(1+beta).  Raises
+    ``DomainError`` where the nodes do not fit doubles (see ``_rule``).
     """
     order = _check_order(order)
     beta = _as_real(beta, InvalidBetaError, "beta")
@@ -142,7 +169,7 @@ def gauss_jacobi(order: int, beta: float) -> ClassicalRule:
 
 @lru_cache(maxsize=None)
 def _gauss_jacobi(order: int, beta: float) -> ClassicalRule:
-    return ClassicalRule(*_rule(*_jacobi_coefficients(order, beta), 1))
+    return ClassicalRule(*_rule(order, beta, 1))
 
 
 def _jacobi_start(order: int, beta: float):
@@ -153,25 +180,4 @@ def _jacobi_start(order: int, beta: float):
     every weight within ~1e-10 relative, where the eigenvectors' smallest
     weights lose every digit.  ``beta`` must already be valid.
     """
-    return _rule(*_jacobi_coefficients(order, beta), 0)
-
-
-def _jacobi_coefficients(order: int, beta: float):
-    """Monic recurrence coefficients of x**beta on [0, 1] as ``libmp`` numbers.
-
-    The coefficients for the Jacobi weight (1+t)**beta on [-1, 1] are
-    affine-mapped to [0, 1]; the zeroth moment there is 1/(1+beta).
-    """
-    add, sub, mul, div = (partial(f, prec=_PREC, rnd=_RND) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div))
-    b = from_float(float(beta))
-    alpha = [div(add(b, fone), add(b, from_int(2)))]
-    beta_coeffs = [div(fone, add(b, fone))]  # the zeroth moment
-    for k in range(1, order):
-        two_k_b = add(from_int(2 * k), b)
-        ratio = div(mul(b, b), mul(two_k_b, add(two_k_b, from_int(2))))
-        alpha.append(mpf_shift(add(ratio, fone), -1))  # (1 + ratio) / 2
-        k_b, sq = add(from_int(k), b), mul(two_k_b, two_k_b)
-        beta_coeffs.append(div(mul(from_int(k * k), mul(k_b, k_b)), mul(sq, sub(sq, fone))))
-    # beta_coeffs[order] only normalizes the last orthonormal element; any
-    # positive value works, take 1
-    return alpha, beta_coeffs + [fone]
+    return _rule(order, beta, 0)

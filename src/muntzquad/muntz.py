@@ -1,4 +1,4 @@
-"""Stable evaluation of Muntz-Legendre bases and their exact moments.
+"""Stable evaluation of Muntz-Legendre bases.
 
 A Muntz system ``{x**l0, ..., x**lN}`` generally admits no three-term
 recurrence, so the orthogonal basis elements are computed from their
@@ -44,12 +44,10 @@ soon as it is formed, so no ``(basis, points, samples)`` array is ever
 formed.
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
-the values by a two-term recurrence.  Weighted moments follow from a
-closed-form ratio recurrence, written once in ``moment_recurrence`` and run
-in arbitrary precision on raw ``mpmath.libmp`` kernels: ``moments`` rounds
-it to doubles for the solver and the polish residual of ``refine`` runs it
-at its own working precision, so no numerical integration enters the solver
-anywhere.
+the values by a two-term recurrence.  The weighted moments follow from a
+closed-form ratio recurrence, ``refine.moment_recurrence``, on the exact
+integers of ``refine``'s pole expansion, so no numerical integration enters
+the solver anywhere.  This module works in doubles only.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ import functools
 import math
 
 import numpy as np
-from mpmath import libmp
-from mpmath.libmp import mpf_add, mpf_div, mpf_mul
 
 from .errors import InadmissibleSequenceError, LengthMismatchError, _as_real
 
@@ -104,46 +100,6 @@ def ensure_admissible(exponents, beta: float) -> np.ndarray:
             "need min(lambda) + beta > -1"
         )
     return lam
-
-
-def moment_recurrence(exponents, beta: float, prec: int) -> list:
-    """Weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` as raw
-    ``mpmath.libmp`` numbers, each operation rounded to nearest at ``prec`` bits.
-
-    Closed-form ratio recurrence: the first moment is ``1/(1+lam_0+beta)``
-    and each later one is the previous scaled by ``-lam_{n-1}/(1+lam_n+beta)``.
-    A leading exponent equal to zero therefore kills every later moment,
-    which is orthogonality to constants.  The raw kernels round exactly as
-    mpmath numbers at the same precision would, without their per-object
-    overhead.
-    """
-    rnd = libmp.round_nearest
-    lam = [libmp.from_float(float(v)) for v in exponents]
-    beta_q = libmp.from_float(float(beta))
-
-    def denominator(v):
-        return mpf_add(mpf_add(v, libmp.fone, prec, rnd), beta_q, prec, rnd)
-
-    out = [mpf_div(libmp.fone, denominator(lam[0]), prec, rnd)]
-    for previous, current in zip(lam[:-1], lam[1:]):
-        scaled = mpf_mul(out[-1], libmp.mpf_neg(previous), prec, rnd)
-        out.append(mpf_div(scaled, denominator(current), prec, rnd))
-    return out
-
-
-_MOMENT_PREC = libmp.dps_to_prec(40)
-
-
-def moments(exponents, beta: float) -> np.ndarray:
-    """All weighted moments at once, correctly rounded to doubles.
-
-    The recurrence runs at 40 digits: a double-precision one accumulates a
-    rounding random walk of ~sqrt(n) ulp, which is enough to bias the rule
-    solver's smallest weight.
-    """
-    lam = ensure_admissible(exponents, beta)
-    rnd = libmp.round_nearest
-    return np.array([libmp.to_float(m, rnd=rnd) for m in moment_recurrence(lam, beta, _MOMENT_PREC)])
 
 
 def _block_rows(n_basis: int, n_points: int, samples: int) -> list:

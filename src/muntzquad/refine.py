@@ -39,18 +39,18 @@ The arithmetic is on plain Python integers.  Every number is a
 ``(mantissa, exponent)`` pair worth ``mantissa * 2**exponent``.  Exponents
 and ``beta`` are doubles, so after one common power-of-two scale every
 numerator factor ``p_i + p_j + 1`` and every denominator ``lam_i - lam_k``
-is an exact integer.  Each table coefficient is multiplied by those
-integers exactly and divided with one truncation, and is kept at the
-working width: the working precision plus ``_GUARD`` bits.  The node sums
-keep libmp's ``mpf_log`` and ``mpf_exp`` for the powers and do their
-products and sums on integers.  Every sum aligns its terms in fixed point,
-twice the working width below the largest one's leading bit, so a term
-entirely below that point drops out, as ``mpf_sum`` drops it: ``x**1e7``
-never becomes a giant integer.  Each row is one dot product of exact
-products, summed so and rounded to a double once together with its
-moment.  So libmp stays only for the logarithms, the exponentials, the
-conversions and the moments ``mu_n`` of ``muntz.moment_recurrence``, at
-the working precision.
+is an exact integer.  Each table coefficient, and each moment ``mu_n`` of
+``moment_recurrence``, is a product of those integers divided with one
+rounding to nearest, kept at the working width: the working precision plus
+``_GUARD`` bits.  The node sums keep libmp's ``mpf_log`` and ``mpf_exp``
+for the powers and do their products and sums on integers.  Every sum
+aligns its terms in fixed point, twice the working width below the largest
+one's leading bit, so a term entirely below that point drops out, as
+``mpf_sum`` drops it: ``x**1e7`` never becomes a giant integer.  Each row
+is one dot product of exact products, summed so and rounded to a double
+once together with its moment.  So libmp stays only for the logarithms,
+the exponentials and the conversions; ``classical`` shares these pairs and
+helpers, the package's one extended-precision arithmetic.
 
 The working precision is that of ``30 + 1.2*len`` digits, since the
 expansion's cancellation grows with the sequence length.  Close exponents
@@ -71,14 +71,14 @@ against one Jacobian throughout, the one of the full-tier ``alpha = 1`` solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import libmp
 from mpmath.libmp import from_float, from_man_exp, mpf_exp, mpf_log
 
 from .errors import DomainError, _as_real
-from .muntz import ensure_admissible, moment_recurrence
+from .muntz import ensure_admissible
 
 # libmp's logarithms, exponentials and conversions round to nearest, as
 # mpmath numbers do.
@@ -97,29 +97,55 @@ def _unpack(value) -> tuple:
     return (-man if sign else man), exp
 
 
+def _pair(x: float) -> tuple:
+    """A double as an exact ``(mantissa, exponent)`` pair."""
+    return _unpack(from_float(float(x)))
+
+
+def _double(m: int, e: int) -> float:
+    """``m * 2**e`` rounded to the nearest double."""
+    return libmp.to_float(from_man_exp(m, e, 53, _RND))
+
+
+def _round(m: int, s: int) -> int:
+    """``m * 2**-s`` rounded to nearest, ties up, for ``s >= 1``: two shifts,
+    so that a term far below the point never becomes a giant integer."""
+    return ((m >> (s - 1)) + 1) >> 1
+
+
 def _trunc(m: int, e: int, width: int) -> tuple:
-    """``m * 2**e`` floored to at most ``width`` bits of mantissa."""
+    """``m * 2**e`` rounded to nearest at ``width`` bits of mantissa."""
     excess = m.bit_length() - width
-    return (m >> excess, e + excess) if excess > 0 else (m, e)
+    return (_round(m, excess), e + excess) if excess > 0 else (m, e)
 
 
 def _div(m: int, e: int, d: int, width: int) -> tuple:
-    """``m * 2**e / d`` for an integer ``d != 0``, floored to about ``width`` bits."""
-    k = width + d.bit_length() - m.bit_length()
-    return (m << k) // d if k >= 0 else m // (d << -k), e - k
+    """``m * 2**e / d`` for an integer ``d != 0``, rounded to nearest at about
+    ``width`` bits: the quotient floored one bit further, then rounded."""
+    k = width + 1 + d.bit_length() - m.bit_length()
+    q = (m << k) // d if k >= 0 else m // (d << -k)
+    return (q + 1) >> 1, e - k + 1
 
 
 def _sum(terms, width: int) -> tuple:
     """Sum of ``(mantissa, exponent)`` pairs in fixed point, ``2*width`` bits
     below the largest term's leading bit: exact for every term above that
-    point, floored below it.  A term entirely below it drops out, as
-    ``mpf_sum`` drops it, so that a tiny power such as ``x**1e7`` never
+    point, rounded to nearest below it.  A term entirely below it drops out,
+    as ``mpf_sum`` drops it, so that a tiny power such as ``x**1e7`` never
     becomes a giant aligned integer."""
     tops = [e + m.bit_length() for m, e in terms if m]
     if not tops:
         return 0, 0
     base = max(tops) - 2 * width
-    return sum(m << (e - base) if e >= base else m >> (base - e) for m, e in terms), base
+    return sum(m << (e - base) if e >= base else _round(m, base - e) for m, e in terms), base
+
+
+def _scaled_integers(values) -> tuple:
+    """Doubles as exact integers over one common power of two: ``(ints,
+    scale)`` with ``values[i] == ints[i] * 2**-scale``."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios).bit_length() - 1
+    return [num << (scale - den.bit_length() + 1) for num, den in ratios], scale
 
 
 def _node_sums(exponents, orders, nodes, weights, width):
@@ -133,7 +159,7 @@ def _node_sums(exponents, orders, nodes, weights, width):
         return [_unpack(mpf_exp(from_man_exp(lam_m * m, lam_e + e), width, _RND)) for m, e in logs]
 
     terms = [_trunc(pm * wm, pe + we, width) for (pm, pe), (wm, we)
-             in zip(powers(*exponents[0]), (_unpack(from_float(float(w))) for w in weights))]
+             in zip(powers(*exponents[0]), map(_pair, weights))]
     steps = {}  # gap -> exp(gap * log x_k) per node
     sums = []
     for i, order in enumerate(orders):
@@ -161,7 +187,7 @@ class PoleExpansion:
     ``n``, the pair ``(i, [h_{m-1-j} for j < m])`` for the multiplicity
     ``m`` of that pole in the prefix, each coefficient a ``(mantissa,
     exponent)`` pair of ``prec`` plus ``_GUARD`` bits; ``moments`` holds the
-    exact moments as raw ``mpmath.libmp`` values at ``prec`` bits.
+    moments of ``moment_recurrence`` as pairs of the same width.
     """
 
     prec: int
@@ -229,10 +255,7 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
     distinct, at = np.unique(lam, return_inverse=True)
     # the pole index of each exponent, and each pole's final multiplicity
     at, orders = at.tolist(), np.bincount(at).tolist()
-    # one power of two turns every exponent and beta into an exact integer
-    ratios = [v.as_integer_ratio() for v in [*distinct.tolist(), float(beta)]]
-    scale = max(den for _, den in ratios).bit_length() - 1
-    *ints, beta_int = [num << (scale - den.bit_length() + 1) for num, den in ratios]
+    (*ints, beta_int), scale = _scaled_integers([*distinct.tolist(), beta])
     table = (ints, beta_int, scale, at, orders)
     rows = _table(*table, prec + _GUARD)
     top = max(e + m.bit_length() for row in rows for _, h in row for m, e in h if m)
@@ -240,29 +263,50 @@ def pole_expansion(exponents, beta: float, prec: int | None = None) -> PoleExpan
     if needed > prec:
         prec = needed
         rows = _table(*table, prec + _GUARD)
-    moments = moment_recurrence(lam, beta, prec)
+    moments = moment_recurrence(lam, beta, prec + _GUARD)
     return PoleExpansion(prec, [(v, -scale) for v in ints], orders, rows, moments)
 
 
-def _rounded_rows(nodes, weights, expansion: PoleExpansion, moments) -> np.ndarray:
-    """Each row's residue sum at a rule less its moment (a raw libmp value),
-    ``sum_{p,j} h_{n,p,m-1-j} T_{p,j} - mu_n``: one ``_sum`` of exact
-    products, rounded once to a double."""
-    width = expansion.prec + _GUARD
-    sums = _node_sums(expansion.exponents, expansion.orders, nodes, weights, width)
-    out = []
-    for row, moment in zip(expansion.rows, moments):
-        m, e = _unpack(moment)
-        terms = [(hm * tm, he + te) for i, h in row for (hm, he), (tm, te) in zip(h, sums[i])]
-        terms.append((-m, e))
-        out.append(libmp.to_float(from_man_exp(*_sum(terms, width), 53, _RND)))
-    return np.array(out)
+def moment_recurrence(exponents, beta: float, prec: int) -> list:
+    """Weighted moments ``integral_0^1 L_n^beta(x) x**beta dx`` as pairs,
+    each rounded to nearest once at ``prec`` bits.
+
+    Closed-form ratio recurrence: the first moment is ``1/(1+lam_0+beta)``,
+    each later one the previous times ``-lam_{n-1}/(1+lam_n+beta)``, so a
+    leading exponent 0 kills every later one (orthogonality to constants).
+    Over one power of two every factor is an exact integer, and moment ``n``
+    is the quotient of two exact products, divided once.
+    """
+    (*lam, b), scale = _scaled_integers([*exponents, beta])
+    one = 1 << scale
+    num, den, out = one, 1, []
+    for v in lam:
+        den *= one + v + b
+        out.append(_div(num, 0, den, prec))
+        num *= -v
+    return out
+
+
+def moments(exponents, beta: float) -> np.ndarray:
+    """All weighted moments at once, as doubles: each pair of
+    ``moment_recurrence`` at 40 digits, rounded once more."""
+    lam = ensure_admissible(exponents, beta)
+    return np.array([_double(*m) for m in moment_recurrence(lam, beta, libmp.dps_to_prec(40))])
 
 
 def exact_residual(nodes, weights, expansion: PoleExpansion) -> np.ndarray:
     """Moment-matching residual at a rule, from the table of ``pole_expansion``
-    for its exponents; computed in arbitrary precision and rounded once."""
-    return _rounded_rows(nodes, weights, expansion, expansion.moments)
+    for its exponents: each row's residue sum less its moment,
+    ``sum_{p,j} h_{n,p,m-1-j} T_{p,j} - mu_n``, one ``_sum`` of exact
+    products, rounded once to a double."""
+    width = expansion.prec + _GUARD
+    sums = _node_sums(expansion.exponents, expansion.orders, nodes, weights, width)
+    out = []
+    for row, (m, e) in zip(expansion.rows, expansion.moments):
+        terms = [(hm * tm, he + te) for i, h in row for (hm, he), (tm, te) in zip(h, sums[i])]
+        terms.append((-m, e))
+        out.append(_double(*_sum(terms, width)))
+    return np.array(out)
 
 
 def _check_point(x: float) -> float:
@@ -301,7 +345,7 @@ def eval_all(exponents, x: float, beta: float = 0.0) -> np.ndarray:
     values = None
     while True:
         expansion = pole_expansion(lam, beta, prec)
-        sums = _rounded_rows([x], [1.0], expansion, [libmp.fzero] * lam.size)
+        sums = exact_residual([x], [1.0], replace(expansion, moments=[(0, 0)] * lam.size))
         if np.array_equal(sums, values):
             return sums
         values, prec = sums, 2 * expansion.prec

@@ -68,7 +68,6 @@ from .muntz import (
     _as_beta,
     _basis_batch,
     ensure_admissible,
-    moments,
     scaled_derivatives,
 )
 
@@ -489,10 +488,9 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     back to the caller's weight, and before the walk if the exponent spread
     ``max(lam) - min(lam)`` is so wide (beyond about 6.7e18) that
     ``x**spread`` underflows to 0 at every double below 1, so that no rule
-    in doubles can tell the widest exponents apart, or if the Gauss-Jacobi
-    start for ``x**(beta + min(lam))`` has a node that rounds to 1 in
-    doubles (from about ``beta + min(lam)`` = 6e15 at two nodes and 2e16 at
-    one).
+    in doubles can tell the widest exponents apart; ``classical`` raises it
+    too, for a Gauss-Jacobi start for ``x**(beta + min(lam))`` whose nodes
+    round to 1 in doubles.
     """
     # The rule only depends on the exponent set, and a sorted sequence keeps
     # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
@@ -510,11 +508,8 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         )
 
     x, w = _jacobi_start(spec.n_nodes, walk_spec.beta)
-    if x[-1] >= 1.0:
-        raise DomainError(
-            f"the Gauss-Jacobi start for x**{walk_spec.beta:.3g} (beta + min(lam)) has nodes "
-            "that round to 1 in double precision"
-        )
+    # every blend starts at exponent 0: one moment vector serves every alpha
+    mu = refine.moments(walk_spec.exponents, walk_spec.beta)
 
     alpha = 0.0
     step = _STEP_INITIAL
@@ -536,10 +531,9 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
             )
         alpha_next = min(alpha + step, 1.0)
         lam_alpha = continuation_exponents(walk_spec.exponents, alpha_next)
-        m_alpha = moments(lam_alpha, walk_spec.beta)
         x0, w0 = _predict(path, alpha_next)
         try:
-            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, m_alpha, True)
+            result = newton_solve(x0, w0, lam_alpha, walk_spec.beta, mu, True)
         except NewtonDivergedError:
             rejected_steps += 1
             rejected = True
@@ -559,9 +553,9 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         rejected = False
 
     # land: one full-tier solve from the walk's alpha = 1 rule, whose blend
-    # and moments the loop's last step left in lam_alpha and m_alpha
+    # the loop's last step left in lam_alpha
     try:
-        landing = newton_solve(x, w, lam_alpha, walk_spec.beta, m_alpha, False)
+        landing = newton_solve(x, w, lam_alpha, walk_spec.beta, mu, False)
     except NewtonDivergedError as exc:
         raise NewtonDivergedError(
             f"the landing at alpha = 1 diverged: {exc}", iterations=exc.iterations, residual=exc.residual

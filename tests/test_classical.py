@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from muntzquad.classical import _jacobi_start, gauss_jacobi, gauss_legendre
-from muntzquad.errors import InvalidBetaError, InvalidOrderError
+from muntzquad.errors import DomainError, InvalidBetaError, InvalidOrderError
 
 
 def test_legendre_midpoint():
@@ -72,6 +73,23 @@ def test_jacobi_power_moment_exactness():
             exact = 1.0 / (k + 1 + beta)
             value = float(rule.weights @ rule.nodes**k)
             assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("beta", [-1.0 / 3.0, 1.3063795959052544])
+def test_one_point_weight_is_correctly_rounded(beta):
+    # 1 + beta lies halfway between two doubles; the Christoffel sum from
+    # the exact coefficients lies just below it, and its reciprocal is the
+    # correctly rounded 1/(1 + beta), which a sum rounded onto the tie misses
+    want = float(1 / (1 + Fraction(beta)))
+    assert gauss_jacobi(1, beta).weights[0] == want
+    assert _jacobi_start(1, beta)[1][0] == want
+
+
+@pytest.mark.parametrize("order, beta", [(2, 1e200), (3, 1e16)])
+def test_nodes_that_round_to_one_raise_a_domain_error(order, beta):
+    # the nodes crowd at 1 as beta grows: as doubles they merge or reach 1
+    with pytest.raises(DomainError, match="round to 1 in double precision"):
+        gauss_jacobi(order, beta)
 
 
 def _reference_rule(kind, order, beta=0.0):

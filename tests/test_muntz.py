@@ -10,11 +10,10 @@ from muntzquad.cli import sequence_family
 from muntzquad import eval_all
 from muntzquad.errors import DomainError, InadmissibleSequenceError, LengthMismatchError
 from muntzquad.muntz import (
-    moment_recurrence,
-    moments,
     scaled_derivatives,
     _basis_batch,
 )
+from muntzquad.refine import moments
 from quad_oracle import adaptive_integrate
 
 
@@ -461,10 +460,13 @@ class TestMoments:
         assert moments([-0.8, 1.0], 0.0)[0] == pytest.approx(5.0, rel=1e-15)
 
     def test_correctly_rounded(self):
-        # doubles are the 60-digit recurrence rounded once
+        # doubles are the recurrence in 60-digit mpmath numbers rounded once
         lam, beta = np.sort(sequence_family("example1", 20)), -0.25
         with mp.workdps(60):
-            exact = [float(mp.mpf(m)) for m in moment_recurrence(lam, beta, mp.mp.prec)]
+            exact = [1 / (1 + mp.mpf(lam[0]) + beta)]
+            for previous, current in zip(lam[:-1], lam[1:]):
+                exact.append(exact[-1] * -mp.mpf(previous) / (1 + mp.mpf(current) + beta))
+            exact = [float(m) for m in exact]
         assert np.array_equal(moments(lam, beta), exact)
 
 

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from muntzquad import muntz
-from muntzquad.classical import gauss_jacobi
+from muntzquad.classical import _jacobi_start, gauss_jacobi
 from muntzquad.cli import sequence_family
-from muntzquad.muntz import moment_recurrence
-from muntzquad.refine import default_prec, eval_all, exact_residual, pole_expansion
+from muntzquad.refine import default_prec, eval_all, exact_residual, moment_recurrence, pole_expansion
 
 
 def _moments_mp(lam, beta_q):
@@ -189,12 +188,17 @@ def test_vanishes_at_an_exact_rule():
     pytest.param(np.arange(8.0), 0.5, id="leading-zero-exponent"),  # every later moment is 0
 ] + list(_random_ladders(count=6, seed=5)))
 def test_raw_moment_recurrence_matches_mpmath_numbers(lam, beta):
-    # at the 40 digits of ``moments`` and at the polish's working digits
+    # at the 40 digits of ``moments`` and at the polish's working digits, each
+    # pair rounded once: within half a unit of its last of at least ``prec``
+    # bits from the recurrence in mpmath numbers at twice the digits, whose
+    # own error is about 2**-prec of that
     for digits in (40, 30 + int(1.2 * lam.size)):
-        with mp.workdps(digits):
+        prec = mp.libmp.dps_to_prec(digits)
+        with mp.workdps(2 * digits):
             want = _moments_mp(lam, mp.mpf(beta))
-        got = moment_recurrence(lam, beta, mp.libmp.dps_to_prec(digits))
-        assert got == [m._mpf_ for m in want]
+            for (m, e), exact in zip(moment_recurrence(lam, beta, prec), want):
+                assert exact == 0 or abs(m).bit_length() >= prec
+                assert abs(mp.ldexp(m, e) - exact) <= mp.ldexp(1, e - 1) * (1 + mp.ldexp(1, -prec))
 
 
 @pytest.mark.parametrize("lam, beta, x", [
@@ -205,8 +209,17 @@ def test_raw_moment_recurrence_matches_mpmath_numbers(lam, beta):
 def test_eval_all_is_the_residual_of_one_node_against_zero_moments(lam, beta, x):
     # the row sums of the one-node rule x with weight 1, rounded once: bit for
     # bit the residual against zero moments, at a precision that settles at once
-    zero = dataclasses.replace(pole_expansion(lam, beta), moments=[mp.libmp.fzero] * len(lam))
+    zero = dataclasses.replace(pole_expansion(lam, beta), moments=[(0, 0)] * len(lam))
     assert np.array_equal(eval_all(lam, x, beta), exact_residual([x], [1.0], zero))
+
+
+@pytest.mark.parametrize("top", [1e3, 1e5, 1e7])
+def test_a_row_that_cancels_exactly_reads_zero(top):
+    # at the 2-node Gauss-Legendre walk start the nodes sum to exactly 1 and
+    # the two weights are equal, so row 1 (L_1 = 2x - 1, moment 0) cancels
+    # exactly; a sum floored toward -inf would read one unit of the working width
+    nodes, weights = _jacobi_start(2, 0.0)
+    assert exact_residual(nodes, weights, pole_expansion([0.0, 1.0, 2.0, top], 0.0))[1] == 0.0
 
 
 def test_no_sum_builds_a_giant_integer():

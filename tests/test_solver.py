@@ -18,7 +18,7 @@ from muntzquad.errors import (
     NonFiniteSampleError,
     SingularMatrixError,
 )
-from muntzquad.muntz import moments
+from muntzquad.refine import moments
 from muntzquad.solver import (
     RuleSpec,
     _polish,

@@ -41,13 +41,16 @@ it makes as many ``assemble`` calls as iterations), converged at zero
 iterations, or diverged, by the reason its ``NewtonDivergedError`` gives
 ("no convergence" is the iteration cap).  Last it counts the classical arrays
 (nodes and weights) that are bit-identical between the sides, and names
-each one that is not: ``gauss_legendre`` at orders 8 and 24, fixed orders
+each one that is not, with each side's worst distance in ulps from the
+50-digit ``mp.gauss_quadrature`` rule of ``tests/test_classical.py``, so
+that a moved array is judged by its accuracy: ``gauss_legendre`` at orders 8 and 24, fixed orders
 that check the public classical rules, and each spec's walk start,
 ``classical._jacobi_start(n, beta + min(lam))``.  Both sides also evaluate
 ``refine.exact_residual`` at that walk start, which is bit-identical on both
 sides, against the spec's exponents shifted as ``compute_rule`` shifts them,
 and the report gives per group the residual rows that are bit-identical and
-the spec and row with the largest relative difference, so that a change to
+the spec and row with the largest relative difference, and lists each row
+that reads exactly 0 with the change only, so that a change to
 ``refine`` is judged on its residuals, not only on whether a rule moved.  The specs come from this
 checkout's ``bench/`` and ``tests/``, which are only read; a side whose spec
 list differs from the other's stops the run.  Both sides import this
@@ -132,17 +135,30 @@ def traffic_specs():
 
 
 def classical_arrays(specs) -> dict:
-    """Name -> ``[nodes, weights]`` of the fixed-order rules and each spec's walk start."""
+    """Name -> ``[nodes, weights, order, beta]`` of the fixed-order rules and
+    each spec's walk start."""
     from muntzquad import classical
 
     arrays = {}
     for order in LEGENDRE_ORDERS:
         built = classical.gauss_legendre(order)
-        arrays[f"gauss_legendre({order})"] = [built.nodes.tolist(), built.weights.tolist()]
+        arrays[f"gauss_legendre({order})"] = [built.nodes.tolist(), built.weights.tolist(), order, 0.0]
     for group, label, lam, beta in specs:
         start = classical._jacobi_start(len(lam), beta + min(lam))
-        arrays[f"{group}:{label} walk start"] = [a.tolist() for a in start]
+        arrays[f"{group}:{label} walk start"] = [*(a.tolist() for a in start), len(lam), beta + min(lam)]
     return arrays
+
+
+def reference_ulps(name: str, field: int, sides: list, order: int, beta: float) -> list:
+    """Each side's worst distance, in ulps, of classical array ``field`` (0
+    nodes, 1 weights) from the 50-digit ``mp.gauss_quadrature`` rule that
+    ``tests/test_classical.py::_reference_rule`` builds."""
+    sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tests")) if path not in sys.path]
+    from test_classical import _reference_rule
+
+    kind = "legendre" if name.startswith("gauss_legendre") else "jacobi"
+    reference = _reference_rule(kind, order, beta)[field]
+    return [float(np.max(np.abs(np.array(side) - reference) / np.spacing(np.abs(reference)))) for side in sides]
 
 
 def walk_start_residuals(specs) -> dict:
@@ -260,10 +276,12 @@ def residual_agreement(parent_side: dict, change_side: dict) -> None:
     """Per group, the walk-start residual rows that are bit-identical between
     the sides, and the spec and row with the largest relative difference."""
     rows = defaultdict(lambda: [0, 0, 0.0, "none"])  # group -> identical, total, largest difference, where
+    zeroed = []  # rows that read exactly 0 only with the change
     for name, before in parent_side["residuals"].items():
         tally = rows[name.split(":")[0]]
         a, b = np.array(before), np.array(change_side["residuals"][name])
         same = (a == b) | (np.isnan(a) & np.isnan(b))
+        zeroed += [f"  now 0: {name} row {i} (parent {a[i]:.3g})" for i in np.flatnonzero((b == 0.0) & ~same)]
         tally[0] += int(same.sum())
         tally[1] += a.size
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,6 +292,8 @@ def residual_agreement(parent_side: dict, change_side: dict) -> None:
     print("walk-start exact residual rows bit-identical per group (largest relative difference, where):")
     for group, (same, total, largest, where) in rows.items():
         print(f"  {group}: {same} of {total} ({largest:.2e}, {where})")
+    print(f"walk-start exact residual rows that read exactly 0 with the change only: {len(zeroed)}",
+          *zeroed, sep="\n")
 
 
 def report(parent_side: dict, change_side: dict) -> int:
@@ -336,12 +356,16 @@ def report(parent_side: dict, change_side: dict) -> int:
           "walk at 1: the walk tier's solves at alpha = 1; full: the landings):")
     for kind, ends in solves.items():
         print(f"  {kind}: " + " -> ".join(" / ".join(str(ends[o][side]) for o in OUTCOMES) for side in (0, 1)))
-    differing = [f"{name} {field}" for name, pair in parent_side["classical"].items()
-                 for field, before, after in zip(("nodes", "weights"), pair, change_side["classical"][name])
-                 if before != after]
+    differing = []
+    for name, (*before, order, beta) in parent_side["classical"].items():
+        after = change_side["classical"][name][:2]
+        for index, field in enumerate(("nodes", "weights")):
+            if before[index] != after[index]:
+                ulps = reference_ulps(name, index, [before[index], after[index]], order, beta)
+                differing.append(f"  differs: {name} {field}, worst ulps from the 50-digit rule "
+                                 f"{ulps[0]:g} -> {ulps[1]:g}")
     total = 2 * len(parent_side["classical"])
-    print(f"bit-identical classical arrays: {total - len(differing)} of {total}",
-          *(f"  differs: {name}" for name in differing), sep="\n")
+    print(f"bit-identical classical arrays: {total - len(differing)} of {total}", *differing, sep="\n")
     residual_agreement(parent_side, change_side)
     return 1 if outcomes else 0
 
