@@ -7,9 +7,10 @@ beta = 0.
 Node seeds are the eigenvalues of the three-term recurrence's Jacobi matrix
 (numpy's dense symmetric eigensolver).  One Newton step on the
 orthonormal-polynomial recurrence polishes them, and the weights are the
-reciprocal Christoffel sums at the result, so the cached rules are correctly
-rounded: every downstream quadrature inherits the rule's accuracy, and the
-plain eigensolver only carries ~1e-13 of it.  The Newton step and the
+reciprocal Christoffel sums at the result, divided at the working
+precision, so the cached rules are correctly rounded: every downstream
+quadrature inherits the rule's accuracy, and the plain eigensolver only
+carries ~1e-13 of it.  The Newton step and the
 Christoffel sums run at ``_PREC`` bits on ``refine``'s integer pairs and
 helpers.  Every recurrence coefficient is a quotient of exact integers, so
 each ``alpha_k`` takes one rounded division and each ``sqrt(b_k)`` and
@@ -115,8 +116,9 @@ def _rule(order: int, beta: float, newton_steps: int):
     power of two.  The nodes start as the eigenvalues of the Jacobi matrix,
     and ``newton_steps`` Newton steps on the orthonormal polynomial follow
     (the seeds carry ~1e-13, so one quadratic step leaves ~1e-26).  The
-    weights are the reciprocal Christoffel sums at the result, each rounded
-    to a double before its reciprocal.  Both arrays come back read-only.
+    weights are the reciprocal Christoffel sums at the result, each one
+    division at ``_PREC`` bits, rounded to a double once.  Both arrays come
+    back read-only.
     Raises ``DomainError`` when the seeds or the nodes, as doubles, do not
     ascend strictly in (0, 1): they crowd at 1 as ``beta`` grows, and from
     ``beta`` of about 1e16 they merge or round to 1.
@@ -140,7 +142,7 @@ def _rule(order: int, beta: float, newton_steps: int):
         x = [_trunc(*_sum([xi, (-cm, ce)], _PREC), _PREC) for xi, (cm, ce) in zip(x, corrections)]
     chris = _orthonormal_eval(x, alpha, roots, order, False)
     nodes = _ascending(np.array([_double(*xi) for xi in x]), order, beta)
-    weights = 1.0 / np.array([_double(*s) for s in chris])
+    weights = np.array([_double(*_div(1, -e, m, _PREC)) for m, e in chris])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

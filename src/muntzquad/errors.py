@@ -57,8 +57,7 @@ class ContinuationFailedError(MuntzQuadError):
     Carries the last successfully solved blend parameter and iterate so a
     caller can inspect how far the path was tracked.  Past the unrefined
     Gauss-Jacobi start at ``alpha = 0`` the iterate was solved only to
-    ``solver._WALK_TOLERANCE``, on the evaluator's walk tier (see
-    ``solver.compute_rule``).
+    ``solver._WALK_TOLERANCE`` (see ``solver.compute_rule``).
     """
 
     def __init__(self, message: str, alpha: float, nodes=None, weights=None):

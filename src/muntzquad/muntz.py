@@ -23,20 +23,20 @@ batch it came in.  A crossing fixed at ``base`` loses digits once
 ``lam_min > 0`` (2e-10 at x = 1e-2 on a triple pole); a hyperbola scaled
 through ``zeta0`` instead of moved leaves its samples too sparse for
 ``e**zeta`` once ``zeta0`` grows far beyond them.
-Two tables size the shape by the basis row count.  The rule solver's
-homotopy walk throws its intermediate rules away, so its Newton solves stop
-at 1e-5 and run on the walk tier, ``_WALK_SHAPES``, up to its ``alpha = 1``
-rule; the one solve that lands that rule at full accuracy, whose Jacobian
-the polish reuses, runs on the full tier, ``_FULL_SHAPES``, whose angle
-shrinks and whose samples grow with the rows.  The public basis values,
-``refine.eval_all``, take neither: they sum the residues of ``refine``'s pole
-expansion in arbitrary precision, and this module imports nothing of it.
+One table, ``_SHAPES``, sizes the shape by the basis row count, and every
+Newton solve of the rule solver, its walk and its landing alike, runs on it.
+Against residue sums, relative to ``max(1, |L_n|)``, it reads at most 1.2e-13
+on 21 rows of ``example1`` and 5.7e-11 on 40 rows at small x, so the landing
+stops at 1e-10 and leaves the last digits to the polish's exact residual.
+The public basis values, ``refine.eval_all``, do not use it: they sum the
+residues of ``refine``'s pole expansion in arbitrary precision, and this
+module imports nothing of it.
 
 Because ``f_{n+1}`` is ``f_n`` times a single rational factor, one sweep of
 updates over the sampled integrand yields the whole basis at a point for the
 cost of the last element.  One function, ``_hyperbola_values``, runs that
-sweep for both tiers, batched across the evaluation points of the rule
-solver's ``assemble``; it runs basis-major, so each update multiplies one
+sweep, batched across the evaluation points of the rule solver's
+``assemble``; it runs basis-major, so each update multiplies one
 contiguous ``(points, samples)`` slab.  The rows stream through one reused
 block buffer of about ``_BLOCK_SAMPLES`` samples, the last row of a block
 carries into the next, and each block is contracted with the weights as
@@ -60,15 +60,12 @@ import numpy as np
 from .errors import InadmissibleSequenceError, LengthMismatchError, _as_real
 
 
-# The hyperbola of each evaluator tier as (row bound, base, angle, samples),
-# the first row bound the basis row count meets: a point's curve crosses the
-# real axis at ``base + w*max(0, lam_min)`` and is cut where ``Re(zeta)`` has
-# fallen ``_DECAY`` below that, so its last samples are damped by about
-# e**-45.  The walk tier's solves stop at 1e-5; the full tier needs a smaller
-# angle and more samples as the rows grow to keep its residue-sum errors.
+# The hyperbola as (row bound, base, angle, samples), the first row bound the
+# basis row count meets: a point's curve crosses the real axis at
+# ``base + w*max(0, lam_min)`` and is cut where ``Re(zeta)`` has fallen
+# ``_DECAY`` below that, so its last samples are damped by about e**-45.
 _DECAY = 45.0
-_WALK_SHAPES = ((80, 8.0, 0.5, 48), (120, 8.0, 0.35, 64), (math.inf, 8.0, 0.2, 128))
-_FULL_SHAPES = ((24, 2.0, 0.5, 64), (48, 2.0, 0.3, 128), (96, 2.0, 0.2, 256), (math.inf, 2.0, 0.1, 512))
+_SHAPES = ((80, 8.0, 0.5, 48), (120, 8.0, 0.35, 64), (math.inf, 8.0, 0.2, 128))
 # The kernel sweep runs through blocks of basis rows holding about this many
 # complex samples (256 KB), so a block and its temporaries stay in cache.
 _BLOCK_SAMPLES = 16384
@@ -134,7 +131,7 @@ def _hyperbola(base: float, angle: float, samples: int):
     return arrays
 
 
-def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
+def _hyperbola_values(lam, omega) -> np.ndarray:
     """Basis values ``[n, i]`` at the points of frequencies ``omega``, swept
     block by block and each block contracted as soon as it is formed.
 
@@ -142,7 +139,7 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     hyperbola ``zeta(phi) = mu*(1 + sin(i*phi - angle))`` through ``base``
     (Weideman & Trefethen, *Math. Comp.* 76, 2007), cut where ``Re(zeta)``
     has fallen ``_DECAY`` below ``base``, with ``(base, angle, samples)`` from
-    ``shapes`` for the row count.  Point i takes it moved right by
+    ``_SHAPES`` for the row count.  Point i takes it moved right by
     ``s_i = omega_i*max(0, lam_min)``, so that it crosses the real axis at
     ``zeta0_i = base + s_i``: moved, not scaled, so that ``samples`` keep
     resolving ``e**zeta`` however far it moves.  The weights
@@ -163,7 +160,7 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     it came in.  An overflowed kernel sample comes out non-finite, and so
     does its row's value, without a warning.
     """
-    base, angle, samples = next(shape[1:] for shape in shapes if lam.size <= shape[0])
+    base, angle, samples = next(shape[1:] for shape in _SHAPES if lam.size <= shape[0])
     lam_min = float(np.min(lam))
     shift = omega * max(0.0, lam_min)
     zeta_re, u, inv_u, weights = _hyperbola(base, angle, samples)
@@ -172,12 +169,12 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     den_off = omega[:, None] * (lam_min - lam[None, :])
     # factor n > 0 is (u + i(v + a[n-1])) / (u + i(v + b[n-1])), that is
     # (u + (v+a)(v+b)/u + i(a-b)) / (u + (v+b)^2/u), in real arithmetic.  Per
-    # sweep on case3 n = 10/20/30 and example1 n = 20/60, both tiers: numpy's
-    # complex (z + ia)/(z + ib) was 11-23% faster on 9 of 10 cases but failed
-    # two integrability-edge builds; 1 + i(a - b)/(z + ib) was 1-14% faster
-    # but failed an edge build, two off-floor specs and the [0, 1e200]
-    # overflow test; the complex quotient with np.multiply.accumulate for the
-    # running product was 11-78% slower.
+    # sweep on case3 n = 10/20/30 and example1 n = 20/60, on this table and on
+    # a finer one of up to 512 samples: numpy's complex (z + ia)/(z + ib) was
+    # 11-23% faster on 9 of 10 cases but failed two integrability-edge builds;
+    # 1 + i(a - b)/(z + ib) was 1-14% faster but failed an edge build, two
+    # off-floor specs and the [0, 1e200] overflow test; the complex quotient
+    # with np.multiply.accumulate for the running product was 11-78% slower.
     a = num_off.T[:-1, :, None]
     b = den_off.T[1:, :, None]
     a_minus_b = a - b
@@ -221,14 +218,13 @@ def _hyperbola_values(lam, omega, shapes) -> np.ndarray:
     return values * (-np.exp(base + shift - lam_min * omega) / math.pi)
 
 
-def _basis_batch(shifted, xs, walk: bool = False):
+def _basis_batch(shifted, xs):
     """Basis values ``values[n, i]`` of the (already shifted) exponents at the
-    points ``xs`` in (0, 1), from ``_hyperbola_values``: the walk tier
-    (``walk``) with ``_WALK_SHAPES``, the full tier with ``_FULL_SHAPES``.
-    Row 0 is the exact power."""
+    points ``xs`` in (0, 1), from ``_hyperbola_values``.  Row 0 is the exact
+    power."""
     lam = _as_exponents(shifted)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    values = _hyperbola_values(lam, -np.log(xs), _WALK_SHAPES if walk else _FULL_SHAPES)
+    values = _hyperbola_values(lam, -np.log(xs))
     values[0] = xs ** lam[0]  # exact, and overwrites the contour's row 0
     return values
 

@@ -65,7 +65,7 @@ evaluator, takes them from this table.
 
 The Newton directions themselves stay in ordinary double arithmetic:
 direction errors only perturb the path, not the limit, so the polish solves
-against one Jacobian throughout, the one of the full-tier ``alpha = 1`` solve.
+against one Jacobian throughout, the one of the ``alpha = 1`` landing.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ Nonlinear Problems*, 2004): a solve whose second correction is at least
 twice its first is dropped at once, and the ratio of the first two
 corrections of an accepted solve sizes the next step.  The corrector is
 inexact by design: every step, ``alpha = 1`` included, stops at a loose
-tolerance on a coarse contour evaluator, since a rule with ``alpha < 1``
-only seeds the next step.  The walk's ``alpha = 1`` rule then seeds one
-solve at full accuracy, the landing, and the polish reuses its Jacobian.
+tolerance, since a rule with ``alpha < 1`` only seeds the next step.  The
+walk's ``alpha = 1`` rule then seeds one tighter solve on the same contour
+evaluator, the landing, and the polish reuses its Jacobian.
 The landing runs once: a diverged walk solve is retried with a shorter
 step, but a diverged landing ends the build.
 
@@ -252,15 +252,14 @@ def _predict(path, alpha_next):
     return nodes, weights
 
 
-def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False):
+def assemble(nodes, weights, exponents, beta, moment_vector):
     """Residual vector F and rescaled Jacobian for the current iterate.
 
-    The basis comes from the evaluator's walk tier if ``walk`` and from its
-    full tier otherwise; either takes each node's contour from that node
-    alone, so the map is one smooth function of the iterate.  One batched
-    basis sweep per call serves every row: the value matrix gives both F
-    and the right Jacobian block, and the scaled-derivative recurrence
-    turns the same values into the left block
+    The basis comes from the hyperbola evaluator, which takes each node's
+    contour from that node alone, so the map is one smooth function of the
+    iterate.  One batched basis sweep per call serves every row: the value
+    matrix gives both F and the right Jacobian block, and the
+    scaled-derivative recurrence turns the same values into the left block
 
         [ x L' - (beta/2) L  |  L ].
 
@@ -270,8 +269,8 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
 
     Everything here runs in double precision; the final polish takes its
     residual from ``refine.exact_residual`` and reuses the Jacobian the
-    full-tier landing at ``alpha = 1`` assembled at its result, since
-    Jacobian errors only perturb the Newton direction.
+    landing at ``alpha = 1`` assembled at its result, since Jacobian errors
+    only perturb the Newton direction.
     """
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -287,7 +286,7 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
 
     beta = _as_beta(beta)
     shifted = lam + 0.5 * beta
-    basis = _basis_batch(shifted, nodes, walk)
+    basis = _basis_batch(shifted, nodes)
     x_derivative = scaled_derivatives(basis, lam, beta)
 
     residual = basis @ (nodes ** (-0.5 * beta) * weights) - moment_vector
@@ -295,14 +294,17 @@ def assemble(nodes, weights, exponents, beta, moment_vector, walk: bool = False)
     return residual, jacobian
 
 
-# Residual tolerance of a Newton solve on the evaluator's full tier, relative
-# to max(1, max|moment|).
-_TOLERANCE = 1e-14
+# Residual tolerance of the landing, relative to max(1, max|moment|).  The
+# polish takes the rule the rest of the way on the exact residual, so the
+# landing only has to come within its reach.  Over the 414 specs of
+# ``tools/rule_diff.py``, targets from 1e-13 to 1e-9 keep every outcome; at
+# 1e-14, 168 specs fail on the evaluator's floor, and at 1e-7
+# ``halves-0..7`` at beta = -1 + 1e-5 fails.
+_TOLERANCE = 1e-10
 
-# Every homotopy step, alpha = 1 included, is solved on the evaluator's walk
-# tier (``muntz._WALK_SHAPES``) to this tolerance: a rule with alpha < 1 only
-# seeds the next step, whose predictor misses by far more anyway, and the one
-# at alpha = 1 only seeds the full-tier landing.
+# Every homotopy step, alpha = 1 included, is solved to this tolerance: a
+# rule with alpha < 1 only seeds the next step, whose predictor misses by far
+# more anyway, and the one at alpha = 1 only seeds the landing.
 _WALK_TOLERANCE = 1e-5
 
 # A walk solve also returns, without assembling at it, the iterate that a
@@ -353,9 +355,9 @@ _FLOOR_RATIO_BOUND = 8.0
 def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = False) -> NewtonResult:
     """Newton iteration on the moment-matching map.
 
-    Every ``assemble`` call uses the evaluator's walk tier if ``walk`` and
-    its full tier otherwise; the residual target is ``_WALK_TOLERANCE``
-    (1e-5) or ``_TOLERANCE`` (1e-14) to match, times ``max(1, max|moment|)``.
+    The residual target is ``_WALK_TOLERANCE`` (1e-5) for a walk solve
+    (``walk``) and ``_TOLERANCE`` (1e-10) for the landing, times
+    ``max(1, max|moment|)``.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -364,12 +366,12 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     and applied in full.  Any step that would leave the feasible region is
     halved up to ``_MAX_STEP_HALVINGS`` times before the iteration is
     declared divergent.  The result is an iterate whose residual meets the
-    target, the start itself (zero iterations) included.  On the walk tier
-    it may also be the iterate that a correction applied in full (no
+    target, the start itself (zero iterations) included.  A walk solve may
+    also return the iterate that a correction applied in full (no
     halving) reaches once that correction's ``_correction_size`` is at most
     ``_WALK_CORRECTION`` (3e-3): it is returned without an ``assemble`` call
     at it, and ``NewtonResult`` then reports the residual and Jacobian of the
-    iterate before it.  The full tier has no such exit.  Any other end
+    iterate before it.  The landing has no such exit.  Any other end
     raises ``NewtonDivergedError``: the iteration budget or the
     safeguard is exhausted, the Jacobian is singular, the residual turns
     non-finite or stalls above the target for ``_STALL_ITERATIONS``
@@ -382,7 +384,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     w = np.array(weights, dtype=float, copy=True)
     m = np.asarray(moment_vector, dtype=float)
     n = x.size
-    residual, jacobian = assemble(x, w, exponents, beta, m, walk)
+    residual, jacobian = assemble(x, w, exponents, beta, m)
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
     res_norm = float(np.abs(residual).max())
     history = [res_norm]
@@ -447,7 +449,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
         x, w = x_trial, w_trial
         if walk and halvings == 0 and size <= _WALK_CORRECTION:
             break  # accepted on the correction alone; the iterate is not assembled
-        residual, jacobian = assemble(x, w, exponents, beta, m, walk)
+        residual, jacobian = assemble(x, w, exponents, beta, m)
         res_norm = float(np.abs(residual).max())
         if not np.isfinite(res_norm):
             raise NewtonDivergedError("residual became non-finite", iterations=iterations, residual=res_norm)
@@ -468,14 +470,14 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
     by about 1/4.  Every step, ``alpha = 1`` included, is solved to
-    ``_WALK_TOLERANCE`` (1e-5) on the evaluator's walk tier, or until a full
-    correction of at most ``_WALK_CORRECTION`` (3e-3), whose result is
-    returned unassembled (``newton_solve``): the path only reads its nodes,
-    weights and contraction.  The walk tier's ``alpha = 1`` rule then seeds
-    the landing, one solve to ``_TOLERANCE`` (1e-14) on the full tier, a
-    hyperbola with more samples, and the polish reuses the landing's last
-    Jacobian.  The landing runs once, after the walk: no full-tier solve
-    starts from a prediction, and a diverged landing is not retried.
+    ``_WALK_TOLERANCE`` (1e-5), or until a full correction of at most
+    ``_WALK_CORRECTION`` (3e-3), whose result is returned unassembled
+    (``newton_solve``): the path only reads its nodes, weights and
+    contraction.  The walk's ``alpha = 1`` rule then seeds the landing, one
+    solve to ``_TOLERANCE`` (1e-10) on the same evaluator, and the polish
+    reuses the landing's last Jacobian.  The landing runs once, after the
+    walk: it never starts from a prediction, and a diverged landing is not
+    retried.
     Walk and polish run on the canonically shifted spec; the
     weights return to ``x**beta`` at the end, and ``rule.spec`` is
     ``spec``.  Raises ``ContinuationFailedError`` if the step falls below
@@ -552,7 +554,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
         step *= min(1.0 if rejected else _GROWTH, max(_SHRINK, factor))
         rejected = False
 
-    # land: one full-tier solve from the walk's alpha = 1 rule, whose blend
+    # land: one tighter solve from the walk's alpha = 1 rule, whose blend
     # the loop's last step left in lam_alpha
     try:
         landing = newton_solve(x, w, lam_alpha, walk_spec.beta, mu, False)
@@ -598,7 +600,7 @@ def _polish(x, w, spec: RuleSpec, jacobian: np.ndarray):
     integer mantissas at a precision its largest coefficient sets, and
     each residual row is rounded to a double once.  The
     steps are simplified Newton: every one solves against ``jacobian``, the
-    rescaled Jacobian the full-tier landing at ``alpha = 1`` assembled at
+    rescaled Jacobian the landing at ``alpha = 1`` assembled at
     ``(x, w)``, in ordinary arithmetic.  Any trouble aborts polishing and
     keeps the last accepted iterate.
 

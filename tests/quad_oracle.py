@@ -2,7 +2,9 @@
 
 Nothing in the package calls it; tests use it to check basis
 orthogonality, moments and rules against integrals computed without any of
-the rule-construction machinery.
+the rule-construction machinery.  Beside it, ``basis_on`` runs the
+package's hyperbola evaluator on finer hyperbolas than its own table, an
+oracle for the basis values the solver sees.
 """
 
 from __future__ import annotations
@@ -11,8 +13,25 @@ import math
 from typing import Callable
 
 import numpy as np
+import pytest
 
+from muntzquad import muntz
 from muntzquad.classical import gauss_legendre
+
+# Hyperbolas as ``muntz._SHAPES`` gives them, (row bound, base, angle,
+# samples): those of the evaluator's former full tier, whose angle shrinks
+# and whose samples grow with the rows.  Against residue sums they read at
+# most 4.4e-16 at tiny x, where ``muntz._SHAPES`` reads 8.9e-14.
+FULL_SHAPES = ((24, 2.0, 0.5, 64), (48, 2.0, 0.3, 128), (96, 2.0, 0.2, 256), (math.inf, 2.0, 0.1, 512))
+# The same hyperbolas at twice the samples.
+FINE_SHAPES = tuple((rows, base, angle, 2 * samples) for rows, base, angle, samples in FULL_SHAPES)
+
+
+def basis_on(shapes, shifted, xs) -> np.ndarray:
+    """``muntz._basis_batch(shifted, xs)`` on the hyperbolas ``shapes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(muntz, "_SHAPES", shapes)
+        return muntz._basis_batch(shifted, xs)
 
 _EPS = np.finfo(float).eps
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from muntzquad import eval_all, moments, muntz
+from muntzquad import eval_all, moments, refine
 from muntzquad.classical import gauss_legendre
 from muntzquad.cli import (
     _integrand,
@@ -23,12 +23,11 @@ from muntzquad.muntz import _basis_batch
 from muntzquad.solver import (
     RuleSpec,
     apply_rule,
-    assemble,
     compute_rule,
     transform_to_unit_weight,
 )
 
-from quad_oracle import adaptive_integrate
+from quad_oracle import FINE_SHAPES, FULL_SHAPES, adaptive_integrate, basis_on
 from table_data import (
     EXAMPLE1_RULE_20,
     EXAMPLE1_RULE_40,
@@ -192,14 +191,6 @@ def _random_spec(rng):
     return RuleSpec(lam, beta)
 
 
-def _fine_basis(shifted, xs):
-    """``_basis_batch`` on the full tier's hyperbolas at twice the samples."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(muntz, "_FULL_SHAPES", tuple((rows, base, angle, 2 * samples)
-                                                   for rows, base, angle, samples in muntz._FULL_SHAPES))
-        return _basis_batch(shifted, xs)
-
-
 def test_criterion_7_property_suite_on_random_specs():
     started = time.time()
     rng = np.random.default_rng(2026)
@@ -214,7 +205,7 @@ def test_criterion_7_property_suite_on_random_specs():
         rule = compute_rule(spec)
         assert rule.nodes[0] > 0 and rule.nodes[-1] < 1
         assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
-        residual, _ = assemble(rule.nodes, rule.weights, lam, beta, m)
+        residual = refine.exact_residual(rule.nodes, rule.weights, refine.pole_expansion(lam, beta))
         assert np.abs(residual).max() <= 1e-13 * max(1.0, np.abs(m).max())
         checked["feasibility"] += 1
 
@@ -264,8 +255,8 @@ def test_criterion_7_property_suite_on_random_specs():
         checked["partition"] += 1
 
         for x in (1e-6, 1e-3, 0.1, 0.5, 0.9):
-            va = _basis_batch(shifted, np.array([x]))
-            vb = _fine_basis(shifted, np.array([x]))
+            va = basis_on(FULL_SHAPES, shifted, np.array([x]))
+            vb = basis_on(FINE_SHAPES, shifted, np.array([x]))
             # basis values near 0 reach the hundreds for these random draws,
             # so the agreement bound scales with the value magnitude
             scale = max(1.0, float(np.abs(vb).max()))

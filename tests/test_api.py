@@ -72,6 +72,11 @@ def test_no_public_callable_takes_a_setting(name):
     assert not SETTINGS & set(parameters)
 
 
+def test_assemble_takes_no_tier():
+    # one hyperbola table serves the walk and the landing alike
+    assert "walk" not in inspect.signature(assemble).parameters
+
+
 FOUR = np.array([0.0, 1.0, 2.0, 3.0])
 DIAGNOSTICS = RuleDiagnostics(residual=0.0, continuation_steps=0, newton_iterations=0, rejected_steps=0,
                               floor_ratio=0.0)

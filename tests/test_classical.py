@@ -111,12 +111,12 @@ def _reference_rule(kind, order, beta=0.0):
     pytest.param(gauss_jacobi, "jacobi", 12, 3.0, id="jacobi-12"),
 ])
 def test_rules_are_correctly_rounded(rule, kind, order, beta):
-    # nodes rounded to nearest; each weight is the reciprocal of a rounded
-    # Christoffel sum, so it may sit one ulp off
+    # nodes and weights rounded to nearest: each weight is the reciprocal of
+    # its Christoffel sum, divided at the working precision and rounded once
     built = rule(order, beta) if kind == "jacobi" else rule(order)
     nodes, weights = _reference_rule(kind, order, beta)
     assert np.array_equal(built.nodes, nodes)
-    assert np.all(np.abs(built.weights - weights) <= np.spacing(weights))
+    assert np.array_equal(built.weights, weights)
 
 
 def test_invalid_arguments():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath as mp
@@ -14,7 +15,7 @@ from muntzquad.muntz import (
     _basis_batch,
 )
 from muntzquad.refine import moments
-from quad_oracle import adaptive_integrate
+from quad_oracle import FINE_SHAPES, FULL_SHAPES, adaptive_integrate, basis_on
 
 
 def example1_prefix(length):
@@ -49,14 +50,8 @@ def residue_sum_basis(lam, x, beta=0.0, dps=50):
 
 
 def full_tier(lam, x):
-    """The full tier's hyperbola values of the basis at one point."""
-    return _basis_batch(lam, np.array([x]))[:, 0]
-
-
-def use_fine_discretization(monkeypatch):
-    """The full tier's hyperbolas at twice the samples."""
-    monkeypatch.setattr(muntz, "_FULL_SHAPES", tuple((rows, base, angle, 2 * samples)
-                                                     for rows, base, angle, samples in muntz._FULL_SHAPES))
+    """The basis at one point on ``FULL_SHAPES``."""
+    return basis_on(FULL_SHAPES, lam, np.array([x]))[:, 0]
 
 
 # Shifted sequences (lam + beta/2) the solver evaluates: a reference family
@@ -102,25 +97,23 @@ class TestEvalAll:
                 ref.append(((2 * k + 1) * y * ref[k] - k * ref[k - 1]) / (k + 1))
             assert np.abs(values - np.array(ref)).max() <= 1e-10
 
-    def test_config_consistency(self, monkeypatch):
+    def test_config_consistency(self):
         lam = example1_prefix(21)
-        xs = (1e-3, 0.1, 0.5, 0.9)
-        default = [full_tier(lam, x) for x in xs]
-        use_fine_discretization(monkeypatch)
-        for va, x in zip(default, xs):
-            vb = full_tier(lam, x)
-            assert np.abs(va - vb).max() <= 1e-12
+        for x in (1e-3, 0.1, 0.5, 0.9):
+            fine = basis_on(FINE_SHAPES, lam, np.array([x]))[:, 0]
+            assert np.abs(full_tier(lam, x) - fine).max() <= 1e-12
 
+    # "default" and "fine" run on FULL_SHAPES and FINE_SHAPES, "walk" on the
+    # module's own table
     @pytest.mark.parametrize("config", ["default", "fine", "walk"])
-    def test_matches_residue_sum(self, config, monkeypatch):
-        # the walk tier's hyperbola reads 1.2e-13 at worst, at x = 0.9
+    def test_matches_residue_sum(self, config):
+        # the module's hyperbola reads 1.2e-13 at worst, at x = 0.9
         bound = 1e-12 if config == "walk" else 1e-13
-        if config == "fine":
-            use_fine_discretization(monkeypatch)
+        shapes = {"default": FULL_SHAPES, "fine": FINE_SHAPES, "walk": muntz._SHAPES}[config]
         lam = example1_prefix(21)
         for x in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9):
             exact = residue_sum_basis(lam, x)
-            values = _basis_batch(lam, np.array([x]), walk=config == "walk")[:, 0]
+            values = basis_on(shapes, lam, np.array([x]))[:, 0]
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= bound, (x, error.max())
 
@@ -151,7 +144,7 @@ class TestEvalAll:
 
 
 class TestWalkTier:
-    """The walk tier's hyperbola against residue sums and the full tier;
+    """The module's hyperbola table against residue sums and ``FULL_SHAPES``;
     errors relative to ``max(1, |L_n|)``."""
 
     def test_long_prefix_small_x_matches_residue_sum(self):
@@ -159,7 +152,7 @@ class TestWalkTier:
         lam = example1_prefix(40) - 0.125
         for x in np.append(np.geomspace(1e-12, 0.999, 12), 7.94e-6):
             exact = residue_sum_basis(lam, x)
-            values = _basis_batch(lam, np.array([x]), walk=True)[:, 0]
+            values = _basis_batch(lam, np.array([x]))[:, 0]
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= 5e-10, (x, error.max())
 
@@ -173,7 +166,7 @@ class TestWalkTier:
         bound = 1e-12 if walk else 1e-15
         for lam in (np.array([0.0, 1.0]), np.arange(6.0) / 2.0, 10.0 + np.arange(6.0) / 2.0):
             exact = residue_sum_basis(lam, x)
-            values = _basis_batch(lam, np.array([x]), walk=walk)[:, 0]
+            values = basis_on(tier_shapes(walk), lam, np.array([x]))[:, 0]
             error = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
             assert error.max() <= bound, (lam, error.max())
 
@@ -186,16 +179,23 @@ class TestWalkTier:
         beta = -0.25 + lam[0]
         nodes, _ = _jacobi_start(100, beta)
         shifted = (lam - lam[0] + 0.5 * beta)[:rows]
-        walk, full = _basis_batch(shifted, nodes, walk=True), _basis_batch(shifted, nodes)
+        walk, full = _basis_batch(shifted, nodes), basis_on(FULL_SHAPES, shifted, nodes)
         assert (np.abs(walk - full) / np.maximum(1.0, np.abs(full))).max() <= 2e-6
 
 
-# the walk tier and the full tier, as the ``walk`` argument of ``_basis_batch``
+# the module's table and FULL_SHAPES, which sizes its sweeps differently:
+# more samples, so fewer rows per block
 TIERS = pytest.mark.parametrize("walk", [True, False], ids=["walk", "full"])
 
 
 def tier_shapes(walk):
-    return muntz._WALK_SHAPES if walk else muntz._FULL_SHAPES
+    return muntz._SHAPES if walk else FULL_SHAPES
+
+
+@pytest.fixture
+def on_tier(monkeypatch):
+    """Sets ``muntz._SHAPES`` to a tier's table (see ``tier_shapes``)."""
+    return lambda walk: monkeypatch.setattr(muntz, "_SHAPES", tier_shapes(walk))
 
 
 def tier_samples(lam, walk):
@@ -234,22 +234,24 @@ def reference_hyperbola_values(lam, omega, shapes):
 class TestKernelSweep:
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @TIERS
-    def test_matches_complex_division(self, name, walk):
+    def test_matches_complex_division(self, name, walk, on_tier):
+        on_tier(walk)
         lam, omega = SHIFTED_SEQUENCES[name], -np.log(np.geomspace(1e-9, 0.99, 9))
-        swept = muntz._hyperbola_values(lam, omega, tier_shapes(walk))
+        swept = muntz._hyperbola_values(lam, omega)
         expected, sizes = reference_hyperbola_values(lam, omega, tier_shapes(walk))
         assert np.all(np.isfinite(swept)) and np.all(np.isfinite(expected))
         # 5.6e-16 at worst; against max(1, |L|) it reads 2.5e-13 on the walk tier
         assert (np.abs(swept - expected) / sizes).max() <= 1e-14
 
     @TIERS
-    def test_overflow_is_non_finite_where_the_reference_is(self, walk):
+    def test_overflow_is_non_finite_where_the_reference_is(self, walk, on_tier):
         # a frequency of 1e200, beyond -log of any double, makes the factors of
         # the repeated minimum exponent about 1e200 each, so point 0 overflows
         # from row 2 on; the other points stay finite
+        on_tier(walk)
         lam = SHIFTED_SEQUENCES["case3"]
         omega = np.append(1e200, -np.log(np.geomspace(1e-9, 0.99, 8)))
-        swept = muntz._hyperbola_values(lam, omega, tier_shapes(walk))
+        swept = muntz._hyperbola_values(lam, omega)
         expected, sizes = reference_hyperbola_values(lam, omega, tier_shapes(walk))
         finite = np.isfinite(expected)
         assert np.array_equal(np.isfinite(swept), finite)
@@ -283,11 +285,12 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("length", [2, 3, 19, 20])
     @pytest.mark.parametrize("rows", [2, 3, 5])
     @TIERS
-    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, walk):
+    def test_blocks_tile_the_rows_two_or_more_at_a_time(self, monkeypatch, length, rows, walk, on_tier):
+        on_tier(walk)
         lam = SHIFTED_SEQUENCES["case3"][:length]
         xs = np.geomspace(1e-9, 0.99, 3)
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
-        whole = _basis_batch(lam, xs, walk)
+        whole = _basis_batch(lam, xs)
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", rows * xs.size * tier_samples(lam, walk))
         sizes = muntz._block_rows(length, xs.size, tier_samples(lam, walk))
 
@@ -295,41 +298,49 @@ class TestBlockedSweep:
         # a one-row remainder joins the first block, and only then is a block rows + 1 long
         assert sizes[0] == (length if length <= rows + 1 else rows + (length % rows == 1))
         assert all(size == rows for size in sizes[1:-1])
-        assert np.array_equal(_basis_batch(lam, xs, walk), whole)
+        assert np.array_equal(_basis_batch(lam, xs), whole)
 
     @pytest.mark.parametrize("name", ["example1", "case3"])
     @pytest.mark.parametrize("points", [1, 9])
     @pytest.mark.parametrize("samples", [0, 300])
     @TIERS
-    def test_basis_matches_one_block(self, monkeypatch, name, points, samples, walk):
+    def test_basis_matches_one_block(self, monkeypatch, name, points, samples, walk, on_tier):
         # odd length: blocks of two rows leave a one-row remainder; 300
         # samples split the 19 rows into three or more blocks at one point
+        on_tier(walk)
         lam = SHIFTED_SEQUENCES[name][:-1]
         xs = np.geomspace(1e-9, 0.99, 9)[-points:]
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", ONE_BLOCK)
-        whole = _basis_batch(lam, xs, walk)
+        whole = _basis_batch(lam, xs)
         monkeypatch.setattr(muntz, "_BLOCK_SAMPLES", samples)
         sizes = muntz._block_rows(lam.size, points, tier_samples(lam, walk))
         assert len(sizes) > 2
         if samples == 0:  # blocks of two, and the first of three
             assert sizes[0] == 3 and set(sizes[1:]) == {2}
-        assert np.array_equal(_basis_batch(lam, xs, walk), whole)
+        assert np.array_equal(_basis_batch(lam, xs), whole)
 
     def test_default_size_splits_a_full_tier_sweep(self):
-        # example1 n=60 at one node of its alpha = 1 solve: 120 rows of 512 samples
+        # example1 n=60 at one node on the former full tier: 120 rows of 512 samples
         sizes = muntz._block_rows(120, 1, tier_samples(range(120), False))
         assert len(sizes) > 1 and sum(sizes) == 120
 
 
+def test_the_sweep_takes_no_table():
+    # the module's one table sizes every sweep
+    assert list(inspect.signature(_basis_batch).parameters) == ["shifted", "xs"]
+    assert list(inspect.signature(muntz._hyperbola_values).parameters) == ["lam", "omega"]
+
+
 class TestBatchIndependence:
     @TIERS
-    def test_a_point_alone_matches_its_batch(self, walk):
+    def test_a_point_alone_matches_its_batch(self, walk, on_tier):
         # each point's contour and weights depend on that point alone
+        on_tier(walk)
         lam = SHIFTED_SEQUENCES["example1"]
         xs = np.array([1e-300, 1e-40, 1e-9, 1e-3, 0.3, 0.9, np.nextafter(1.0, 0.0), 1.0])
-        batch = _basis_batch(lam, xs, walk)
+        batch = _basis_batch(lam, xs)
         for i, x in enumerate(xs):
-            assert np.array_equal(_basis_batch(lam, xs[i : i + 1], walk)[:, 0], batch[:, i]), x
+            assert np.array_equal(_basis_batch(lam, xs[i : i + 1])[:, 0], batch[:, i]), x
 
 
 class TestEvalAllWeighted:

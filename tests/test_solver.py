@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from muntzquad import classical, solver
+from muntzquad import classical, muntz, solver
 from muntzquad.classical import gauss_jacobi, gauss_legendre
 from muntzquad.cli import RuleFile, rule_to_file, sequence_family, validation_rows
 from muntzquad.errors import (
@@ -42,7 +42,7 @@ UNDERFLOW_SPECS = [
 ]
 
 # one exponent far beyond the rest: the walk reaches alpha = 1, and the
-# full-tier landing from its rule diverges
+# landing from its rule diverges
 UNREACHABLE_SPECS = [
     pytest.param(np.array([0.0, 1e6]), 0.0, id="0-1e6"),
     pytest.param(np.array([0.0, 1e8]), 0.0, id="0-1e8"),
@@ -150,9 +150,10 @@ class TestAssemble:
         assert np.abs(residual).max() <= 1e-13
 
     def test_one_point_quadratic_rule(self):
+        # the hyperbola reads 4.0e-14 at the exact rule
         lam = np.array([0.0, 2.0])
         residual, _ = assemble([3**-0.5], [1.0], lam, 0.0, moments(lam, 0.0))
-        assert np.abs(residual).max() <= 1e-14
+        assert np.abs(residual).max() <= 1e-13
 
     def test_jacobian_conditioning_at_solution(self):
         rule = compute_rule(RuleSpec(example1(5), -0.25))
@@ -171,10 +172,11 @@ class TestAssemble:
 
 class TestNewtonSolve:
     def test_fixed_point_converges_immediately(self):
+        # the hyperbola reads 8.2e-14 at the exact rule, below the landing's target
         lam = np.array([0.0, 1.0])
         result = newton_solve([0.5], [1.0], lam, 0.0, moments(lam, 0.0))
-        assert result.iterations <= 1
-        assert result.residual <= 1e-14
+        assert result.iterations == 0
+        assert result.residual <= 1e-13
 
     def test_midpoint_rule(self):
         lam = np.array([0.0, 1.0])
@@ -249,7 +251,7 @@ class TestNewtonSolve:
 
     @staticmethod
     def near_solution(monkeypatch):
-        """Example1 n=6 at alpha = 0.1 solved on the walk tier, a start 1e-4
+        """Example1 n=6 at alpha = 0.1 solved as a walk step, a start 1e-4
         off it, the solve's arguments, and a list that every ``assemble``
         call appends its iterate to."""
         beta = -0.25
@@ -275,7 +277,7 @@ class TestNewtonSolve:
         assert max(np.abs(result.nodes / x - 1.0).max(), np.abs(result.weights / w - 1.0).max()) \
             <= solver._WALK_CORRECTION
         # residual and Jacobian belong to the last assembled iterate
-        residual, jacobian = assemble(x, w, *args[2:], True)
+        residual, jacobian = assemble(x, w, *args[2:])
         assert result.residual == result.residual_history[-1] == np.abs(residual).max()
         assert np.array_equal(result.jacobian, jacobian)
 
@@ -304,12 +306,12 @@ class TestNewtonSolve:
         assert len(iterates) == result.iterations + 1
         assert result.residual <= solver._WALK_TOLERANCE * max(1.0, np.abs(args[4]).max())
 
-    def test_a_full_tier_solve_never_returns_unassembled(self, monkeypatch):
+    def test_a_landing_never_returns_unassembled(self, monkeypatch):
         args, iterates = self.near_solution(monkeypatch)
         result = newton_solve(*args, False)
         assert result.iterations >= 1
         assert len(iterates) == result.iterations + 1
-        assert result.residual <= 1e-14 * max(1.0, np.abs(args[4]).max())
+        assert result.residual <= solver._TOLERANCE * max(1.0, np.abs(args[4]).max())
 
     def test_local_quadratic_convergence(self):
         # undamped iteration from a perturbed solution: r_{k+1} <= C r_k^2
@@ -574,8 +576,8 @@ def _domain_spec(kind, index):
 
 
 class TestCheapWalk:
-    """Every step is solved loosely on a coarse evaluator, and the full tier
-    lands the walk's rule at alpha = 1 in one solve."""
+    """Every step is solved loosely, and one tighter solve lands the walk's
+    rule at alpha = 1."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(RuleSpec(example1(10), -0.25), id="example1-n10"),
@@ -585,7 +587,8 @@ class TestCheapWalk:
     ])
     def test_cheap_walk_changes_no_rule(self, spec, monkeypatch):
         cheap = compute_rule(spec)
-        # every walk solve on the full tier, to the full tier's tolerance
+        # every walk solve as a landing: to the landing's tolerance, with no
+        # exit on a small correction
         solve = solver.newton_solve
         monkeypatch.setattr(solver, "newton_solve", lambda *args: solve(*args[:5], False))
         full = compute_rule(spec)
@@ -595,29 +598,33 @@ class TestCheapWalk:
     @staticmethod
     def instrument(monkeypatch, spec, diverge=None):
         """Record every Newton solve of a build of ``spec`` (alpha = 1 or not,
-        tier, start, result or None if it diverged, its assemble calls in
-        order), every assemble (alpha = 1 or not, tier) and, per polish, the
-        assembles made before and after it and its iterations, into the lists
-        returned.  ``diverge``, a tier (``True`` for the walk tier), makes the
-        first alpha = 1 solve on that tier raise ``NewtonDivergedError`` after
-        3 iterations at residual 0.25."""
+        walk or landing, start, result or None if it diverged, its assemble
+        calls in order), every assemble (alpha = 1 or not, and whether a walk
+        solve or the landing made it) and, per polish, the assembles made
+        before and after it and its iterations, into the lists returned.
+        ``diverge``, a solve kind (``True`` for a walk solve, ``False`` for the
+        landing), makes the first alpha = 1 solve of that kind raise
+        ``NewtonDivergedError`` after 3 iterations at residual 0.25."""
         walk_end = np.sort(spec.exponents) - spec.exponents.min()
         solves, assembles, polishes = [], [], []
+        solving_walk = [None]  # the kind of the solve running
 
         def solving(x, w, lam, beta, m, walk, **kwargs):
             final, first, result = np.array_equal(lam, walk_end), len(assembles), None
+            solving_walk[0] = walk
             try:
                 if final and walk == diverge and not any(s["final"] and s["walk"] == walk for s in solves):
                     raise NewtonDivergedError("diverged on purpose", iterations=3, residual=0.25)
                 result = newton_solve(x, w, lam, beta, m, walk, **kwargs)
                 return result
             finally:
+                solving_walk[0] = None
                 solves.append(dict(final=final, walk=walk, start=(x, w), result=result,
                                    calls=range(first, len(assembles))))
 
-        def assembling(x, w, lam, beta, m, walk, **kwargs):
-            assembles.append((np.array_equal(lam, walk_end), walk))
-            return assemble(x, w, lam, beta, m, walk, **kwargs)
+        def assembling(x, w, lam, beta, m, **kwargs):
+            assembles.append((np.array_equal(lam, walk_end), solving_walk[0]))
+            return assemble(x, w, lam, beta, m, **kwargs)
 
         def polishing(*args):
             before = len(assembles)
@@ -638,8 +645,8 @@ class TestCheapWalk:
 
     @staticmethod
     def assert_landing(solves):
-        """The one full-tier solve is the last, and starts from the nodes and
-        weights of the converged walk-tier solve at alpha = 1 just before it;
+        """The one landing is the last solve, and starts from the nodes and
+        weights of the converged walk solve at alpha = 1 just before it;
         returns its index."""
         full = [k for k, s in enumerate(solves) if not s["walk"]]
         assert full == [len(solves) - 1]
@@ -650,21 +657,22 @@ class TestCheapWalk:
         assert landing["start"][1] is landed["result"].weights
         return full[0]
 
-    def test_full_tier_only_lands_a_converged_walk_rule_and_polishes(self, monkeypatch):
+    def test_the_landing_starts_from_a_converged_walk_rule_and_polishes(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
         _, solves, assembles, polishes = self.record(monkeypatch, spec)
 
-        # every step, alpha = 1 included, is solved on the walk tier first
+        # every step, alpha = 1 included, is solved as a walk step first
         assert {s["walk"] for s in solves if not s["final"]} == {True}
         assert any(s["final"] and s["walk"] for s in solves)
         landing = self.assert_landing(solves)
-        # every full-tier assemble belongs to that solve, and the polish
-        # reuses its last Jacobian and assembles nothing
-        full_assembles = [k for k, (_, walk) in enumerate(assembles) if not walk]
-        assert full_assembles == list(solves[landing]["calls"])
+        # every assemble runs in a solve, the landing's are its own, and the
+        # polish reuses its last Jacobian and assembles nothing
+        assert None not in {walk for _, walk in assembles}
+        landing_assembles = [k for k, (_, walk) in enumerate(assembles) if not walk]
+        assert landing_assembles == list(solves[landing]["calls"])
         assert [polish[:2] for polish in polishes] == [(len(assembles), len(assembles))]
 
-    # the full tier's case is test_a_diverged_landing_ends_the_build
+    # the landing's case is test_a_diverged_landing_ends_the_build
     @pytest.mark.parametrize("walk", [True], ids=["walk"])
     def test_a_diverged_alpha_one_solve_rejects_the_step(self, monkeypatch, walk):
         spec = RuleSpec(example1(4), -0.25)
@@ -672,8 +680,8 @@ class TestCheapWalk:
         rule, solves, _, _ = self.record(monkeypatch, spec, diverge=walk)
         failed = next(k for k, s in enumerate(solves) if s["final"] and s["walk"] == walk)
         assert solves[failed]["result"] is None
-        # no full-tier solve from the prediction: the step is rejected, and
-        # the walk retries it with half the step on the walk tier
+        # no landing from the prediction: the step is rejected, and the walk
+        # retries it with half the step
         assert solves[failed + 1]["walk"]
         self.assert_landing(solves)
         assert rule.diagnostics.rejected_steps == plain.diagnostics.rejected_steps + 1
@@ -689,6 +697,31 @@ class TestCheapWalk:
         assert [k for k, s in enumerate(solves) if not s["walk"]] == [len(solves) - 1]
         assert solves[-2]["final"] and solves[-2]["result"] is not None
         assert polishes == []
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(RuleSpec(example1(10), -0.25), id="example1-n10"),
+        pytest.param(RuleSpec(sequence_family("case3", 10), 0.0), id="case3-n10"),
+    ])
+    def test_every_sweep_takes_the_one_table(self, spec, monkeypatch):
+        # the landing sweeps the walk's hyperbolas too: with its own table it
+        # swept 128 samples at 20 rows, where the walk sweeps 48
+        sweep, hyperbola = muntz._hyperbola_values, muntz._hyperbola
+        rows, swept = [], []  # rows of each sweep; (rows, samples) of each hyperbola taken
+
+        def sweeping(lam, *args):
+            rows.append(lam.size)
+            return sweep(lam, *args)
+
+        def shaping(base, angle, samples):
+            swept.append((rows[-1], samples))
+            return hyperbola(base, angle, samples)
+
+        monkeypatch.setattr(muntz, "_hyperbola_values", sweeping)
+        monkeypatch.setattr(muntz, "_hyperbola", shaping)
+        compute_rule(spec)
+        assert len(swept) == len(rows) > 0
+        assert all(samples <= next(most for bound, _, _, most in muntz._SHAPES if size <= bound)
+                   for size, samples in swept)
 
     def test_newton_iterations_count_the_landing(self, monkeypatch):
         spec = RuleSpec(example1(4), -0.25)
@@ -758,11 +791,20 @@ class TestPredict:
     ])
     def test_walk_assembles_fewer_bases(self, spec, most, monkeypatch):
         walk_calls = []
+        walking = [False]  # a walk solve is running
+
+        def solving(*args):
+            walking[0] = args[5]
+            try:
+                return newton_solve(*args)
+            finally:
+                walking[0] = False
 
         def assembling(*args, **kwargs):
-            walk_calls.append(args[5])
+            walk_calls.append(walking[0])
             return assemble(*args, **kwargs)
 
+        monkeypatch.setattr(solver, "newton_solve", solving)
         monkeypatch.setattr(solver, "assemble", assembling)
         compute_rule(spec)
         assert sum(walk_calls) <= most

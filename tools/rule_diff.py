@@ -27,21 +27,23 @@ fails), the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
-group the ``assemble`` calls on the walk and the full evaluator tier, the
-``newton_solve`` calls and the polish's ``refine.exact_residual`` calls, the
-hyperbola sweeps (``muntz._hyperbola_values`` calls) and the samples they
-sweep on each tier (basis rows x points x contour samples, with the samples
-from the sweep's ``shapes``), and how the ``newton_solve`` calls ended, in
-three classes: walk-tier solves below ``alpha = 1``, walk-tier solves at
-``alpha = 1`` (alpha is read from the walk's last
-``solver.continuation_exponents`` call), and full-tier solves, the
-landings.  A solve converged on the residual, converged on a small
-correction (a walk solve that returns its last iterate unassembled, so that
-it makes as many ``assemble`` calls as iterations), converged at zero
-iterations, or diverged, by the reason its ``NewtonDivergedError`` gives
-("no convergence" is the iteration cap).  Last it counts the classical arrays
-(nodes and weights) that are bit-identical between the sides, and names
-each one that is not, with each side's worst distance in ulps from the
+group the ``assemble`` calls, the ``newton_solve`` calls and the polish's
+``refine.exact_residual`` calls, the hyperbola sweeps
+(``muntz._hyperbola_values`` calls) and the samples they sweep (basis rows x
+points x contour samples, with the samples from the shape table the sweep
+reads), and how the ``newton_solve`` calls ended.  Assembles, samples and
+solves fall in three classes, by the Newton solve they run in: walk solves
+below ``alpha = 1``, walk solves at ``alpha = 1`` (alpha is read from the
+walk's last ``solver.continuation_exponents`` call), and the landings, the
+solves that ``compute_rule`` makes with ``walk`` false.  The classes do not
+depend on how a tree's evaluator is tiered, so a tree with one shape table
+compares with one that has a table per tier.  A solve converged on the
+residual, converged on a small correction (a walk solve that returns its
+last iterate unassembled, so that it makes as many ``assemble`` calls as
+iterations), converged at zero iterations, or diverged, by the reason its
+``NewtonDivergedError`` gives ("no convergence" is the iteration cap).
+Last it counts the classical arrays (nodes and weights) that are
+bit-identical between the sides, and names each one that is not, with each side's worst distance in ulps from the
 50-digit ``mp.gauss_quadrature`` rule of ``tests/test_classical.py``, so
 that a moved array is judged by its accuracy: ``gauss_legendre`` at orders 8 and 24, fixed orders
 that check the public classical rules, and each spec's walk start,
@@ -77,17 +79,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# per-spec call counts: assemble by tier, Newton solves, polish residual, hyperbola sweeps
-COUNTS = ("walk", "full", "solves", "exact_residual", "sweeps")
-TIERS = ("walk", "full")
-# per-spec samples swept (rows x points x samples), by evaluator tier
-SAMPLES = tuple(f"samples_{t}" for t in TIERS)
+# classes of Newton solves: walk solves below alpha = 1, walk solves at alpha = 1, landings
+SOLVES = ("walk", "walk at 1", "landing")
+# per-spec call counts: assemble by enclosing solve class, Newton solves,
+# polish residual, hyperbola sweeps
+COUNTS = (*SOLVES, "solves", "exact_residual", "sweeps")
+# per-spec samples swept (rows x points x samples), by enclosing solve class
+SAMPLES = tuple(f"samples_{kind}" for kind in SOLVES)
 KEYS = COUNTS + SAMPLES
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
-# classes of Newton solves: walk tier below alpha = 1, walk tier at alpha = 1, full tier
-SOLVES = ("walk", "walk at 1", "full")
 SCALE = (("example1", 40, -0.25), ("example2", 40, -1.0 / 3.0), ("case1", 30, 0.0),
          ("case2", 30, 0.0), ("example1", 60, -0.25), ("example1", 80, -0.25),
          ("example1", 100, -0.25))
@@ -189,41 +191,44 @@ def build_side() -> dict:
     counts = dict.fromkeys(KEYS, 0)
     newton = {}  # solve class -> outcome -> solves
     blend = [0.0]  # alpha of the walk's last continuation_exponents call
+    solving = [None]  # class of the Newton solve running; every assemble runs in one
     assemble, exact_residual, newton_solve = solver.assemble, refine.exact_residual, solver.newton_solve
     continuation_exponents = solver.continuation_exponents
     hyperbola_values = muntz._hyperbola_values
 
-    def tier(args, kwargs):
-        """The evaluator tier of an ``assemble`` or ``newton_solve`` call."""
-        return "walk" if (args[5] if len(args) > 5 else kwargs.get("walk", False)) else "full"
-
     def counting_assemble(*args, **kwargs):
-        counts[tier(args, kwargs)] += 1
+        counts[solving[0]] += 1
         return assemble(*args, **kwargs)
 
     def counting_residual(*args, **kwargs):
         counts["exact_residual"] += 1
         return exact_residual(*args, **kwargs)
 
-    def counting_sweep(lam, omega, shapes):
+    def counting_sweep(lam, omega, *shapes):
+        """A sweep of either tree: one that passes its tier's table, or one
+        that reads the module's one table."""
         counts["sweeps"] += 1
-        samples = next(shape[3] for shape in shapes if lam.size <= shape[0])
-        counts[f"samples_{'walk' if shapes == muntz._WALK_SHAPES else 'full'}"] += lam.size * omega.size * samples
-        return hyperbola_values(lam, omega, shapes)
+        samples = next(shape[3] for shape in (shapes[0] if shapes else muntz._SHAPES) if lam.size <= shape[0])
+        counts[f"samples_{solving[0]}"] += lam.size * omega.size * samples
+        return hyperbola_values(lam, omega, *shapes)
 
     def counting_solve(*args, **kwargs):
         counts["solves"] += 1
-        kind = tier(args, kwargs)
-        if kind == "walk" and blend[0] == 1.0:
-            kind = "walk at 1"
+        if not (args[5] if len(args) > 5 else kwargs.get("walk", False)):
+            kind = "landing"
+        else:
+            kind = "walk at 1" if blend[0] == 1.0 else "walk"
         outcomes = newton[kind]
-        assembled = counts["walk"] + counts["full"]
+        assembled = counts[kind]
+        solving[0] = kind
         try:
             result = newton_solve(*args, **kwargs)
         except NewtonDivergedError as exc:
             outcomes[next(reason for reason in REASONS if reason in str(exc))] += 1
             raise
-        assembled = counts["walk"] + counts["full"] - assembled
+        finally:
+            solving[0] = None
+        assembled = counts[kind] - assembled
         if not result.iterations:
             outcomes["zero-iteration"] += 1
         else:
@@ -345,15 +350,15 @@ def report(parent_side: dict, change_side: dict) -> int:
                                               for side, records in (("parent", parent), ("change", change))))
     totals["all"] = {key: [sum(group[key][side] for group in totals.values()) for side in (0, 1)]
                      for key in KEYS}
-    for title, keys in (("calls per group, walk assemble / full assemble / Newton solve / exact residual / "
-                         "hyperbola sweep", COUNTS),
-                        ("samples swept per group, walk / full", SAMPLES)):
+    for title, keys in (("calls per group, assemble in walk / walk at 1 / landing solves, Newton solve / "
+                         "exact residual / hyperbola sweep", COUNTS),
+                        ("samples swept per group in walk / walk at 1 / landing solves", SAMPLES)):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
                                                for side in (0, 1)))
-    print(f"Newton solves per tier, {' / '.join(OUTCOMES)} (parent -> change; "
-          "walk at 1: the walk tier's solves at alpha = 1; full: the landings):")
+    print(f"Newton solves per class, {' / '.join(OUTCOMES)} (parent -> change; "
+          "walk at 1: the walk's solves at alpha = 1):")
     for kind, ends in solves.items():
         print(f"  {kind}: " + " -> ".join(" / ".join(str(ends[o][side]) for o in OUTCOMES) for side in (0, 1)))
     differing = []
