@@ -19,10 +19,12 @@ termination).  Nothing else short of the target is accepted.
 
 A Newton solve alone only converges locally, so the driver walks a homotopy
 from the classical Gauss-Jacobi rule: the exponents are blended with the
-integers, ``alpha*lam_n + (1-alpha)*n``, and ``alpha`` steps from 0 to 1,
-re-solving at each stage from a prediction: the quadratic through the last
-three accepted rules, extrapolated in ``log x`` and ``log w`` (Allgower &
-Georg, *Introduction to Numerical Continuation Methods*, 2003, ch. 6).  At
+integers geometrically in ``1 + lam``, ``expm1(alpha*log1p(lam_n) +
+(1-alpha)*log1p(n))``, so that a large exponent falls by a factor per step,
+not by an amount.  ``alpha`` steps from 0 to 1, re-solving at each stage
+from a prediction: the quadratic through the last three accepted rules,
+extrapolated in ``log x`` and ``log w`` (Allgower & Georg, *Introduction to
+Numerical Continuation Methods*, 2003, ch. 6).  At
 ``alpha = 0`` the basis degenerates to polynomials and the Gauss-Jacobi rule
 is the root; the walk starts from it unrefined (Golub & Welsch, *Math.
 Comp.* 23, 1969), since the first solve is loose anyway.  The step size
@@ -31,9 +33,12 @@ Nonlinear Problems*, 2004): a solve whose second correction is at least
 twice its first is dropped at once, and the ratio of the first two
 corrections of an accepted solve sizes the next step.  The corrector is
 inexact by design: every step, ``alpha = 1`` included, stops at a loose
-tolerance, since a rule with ``alpha < 1`` only seeds the next step.  The
-walk's ``alpha = 1`` rule then seeds one tighter solve on the same contour
-evaluator, the landing, and the polish reuses its Jacobian.
+tolerance, since a rule with ``alpha < 1`` only seeds the next step, and
+judges it with each residual row in its own scale: the basis row of a large
+exponent is small everywhere, and one absolute norm would accept a wrong
+iterate on it.  The walk's ``alpha = 1`` rule then seeds one tighter solve
+on the same contour evaluator, the landing, and the polish reuses its
+Jacobian.
 The landing runs once: a diverged walk solve is retried with a shorter
 step, but a diverged landing ends the build.
 
@@ -150,11 +155,12 @@ class QuadratureRule:
 class NewtonResult:
     """A converged Newton solve.
 
-    ``residual_history`` holds the residual at the start and after every
-    assembled iteration.  ``contraction`` is the ratio of the second Newton
-    correction to the first, each measured as the largest relative node or
-    weight change; it is 0 when the solve needed fewer than two
-    corrections.  ``residual`` and ``jacobian`` are the residual norm and the
+    ``residual_history`` holds the residual norm at the start and after every
+    assembled iteration: the row-scaled norm on a walk solve (see
+    ``newton_solve``), the max norm on the landing.  ``contraction`` is the
+    ratio of the second Newton correction to the first, each measured as
+    the largest relative node or weight change; it is 0 when the solve
+    needed fewer than two corrections.  ``residual`` and ``jacobian`` are the residual norm and the
     rescaled Jacobian ``assemble`` returned at the last assembled iterate.
     That is the returned one, and ``residual`` meets the solve's target,
     unless a walk solve returned on a small correction (see
@@ -173,12 +179,29 @@ class NewtonResult:
 
 
 def continuation_exponents(exponents, alpha: float) -> np.ndarray:
-    """Blend toward the integer ladder: ``alpha*lam_n + (1-alpha)*n``."""
+    """Blend toward the integer ladder geometrically in ``1 + lam``:
+    ``expm1(alpha*log1p(lam_n) + (1-alpha)*log1p(n))``.
+
+    It is the ladder ``0, 1, 2, ...`` exactly at ``alpha = 0`` and the
+    exponents themselves, bit for bit, at ``alpha = 1``.  In between,
+    ``1 + lam_n`` moves by a constant factor per unit of alpha, so a large
+    exponent is not cut to a tenth in the walk's first step, as a linear
+    blend cuts it.  Ascending exponents give ascending blends at every
+    alpha.  ``DomainError`` unless every exponent exceeds -1, where
+    ``log1p`` is defined.
+    """
     lam = np.atleast_1d(np.asarray(exponents, dtype=float))
     alpha = _as_real(alpha, DomainError, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * lam + (1.0 - alpha) * np.arange(lam.size, dtype=float)
+    if not np.all(lam > -1.0):
+        raise DomainError(f"exponents must exceed -1 to be blended in log(1 + lam), got {lam.min()}")
+    ladder = np.arange(lam.size, dtype=float)
+    if alpha == 0.0:
+        return ladder
+    if alpha == 1.0:
+        return lam.copy()
+    return np.expm1(alpha * np.log1p(lam) + (1.0 - alpha) * np.log1p(ladder))
 
 
 def _feasible(nodes, weights) -> bool:
@@ -357,7 +380,17 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
 
     The residual target is ``_WALK_TOLERANCE`` (1e-5) for a walk solve
     (``walk``) and ``_TOLERANCE`` (1e-10) for the landing, times
-    ``max(1, max|moment|)``.
+    ``max(1, max|moment|)``.  The landing's residual norm is the max norm.
+    A walk solve takes the max norm of ``residual * sqrt(1 + 2*lam_n +
+    beta)``: each Muntz-Legendre row over its L2 norm ``1/sqrt(1 + 2*lam_n +
+    beta)``, so that the row of a large exponent, tiny everywhere, is not
+    met at a wrong iterate.  Its target and stall tests,
+    ``NewtonResult.residual`` and ``residual_history`` and the ``residual``
+    of its ``NewtonDivergedError`` all hold that norm, and a walk solve
+    raises ``DomainError`` where a row has no L2 norm, ``1 + 2*lam_n + beta
+    <= 0`` (the walk of ``compute_rule`` has ``lam >= 0`` and ``beta > -1``).
+    The landing keeps the plain norm: scaled, the landings of large exponents
+    stall above target.
     The rescaled Newton equation is solved directly; the physical update
     directions are recovered through the same diagonal scalings,
 
@@ -386,7 +419,13 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
     n = x.size
     residual, jacobian = assemble(x, w, exponents, beta, m)
     target = (_WALK_TOLERANCE if walk else _TOLERANCE) * max(1.0, float(np.abs(m).max()))
-    res_norm = float(np.abs(residual).max())
+    row_scale = 1.0
+    if walk:  # row n in its own L2 scale, 1/sqrt(1 + 2 lam_n + beta)
+        scale_squared = 1.0 + 2.0 * np.asarray(exponents, dtype=float) + beta
+        if not np.all(scale_squared > 0.0):
+            raise DomainError("a walk solve needs every 1 + 2*lam_n + beta > 0: row n is scaled by its root")
+        row_scale = np.sqrt(scale_squared)
+    res_norm = float(np.abs(residual * row_scale).max())
     history = [res_norm]
     iterations = 0
     best = math.inf
@@ -450,7 +489,7 @@ def newton_solve(nodes, weights, exponents, beta, moment_vector, walk: bool = Fa
         if walk and halvings == 0 and size <= _WALK_CORRECTION:
             break  # accepted on the correction alone; the iterate is not assembled
         residual, jacobian = assemble(x, w, exponents, beta, m)
-        res_norm = float(np.abs(residual).max())
+        res_norm = float(np.abs(residual * row_scale).max())
         if not np.isfinite(res_norm):
             raise NewtonDivergedError("residual became non-finite", iterations=iterations, residual=res_norm)
         history.append(res_norm)
@@ -469,8 +508,10 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     solve is retried with half the step; after an accepted one the step is
     scaled by ``sqrt(1/4 / contraction)`` within ``[1/2, 2]`` (no growth
     right after a rejection), so that the next solve's corrections contract
-    by about 1/4.  Every step, ``alpha = 1`` included, is solved to
-    ``_WALK_TOLERANCE`` (1e-5), or until a full correction of at most
+    by about 1/4.  The exponents are blended geometrically in ``1 + lam``
+    (``continuation_exponents``).  Every step, ``alpha = 1`` included, is
+    solved to ``_WALK_TOLERANCE`` (1e-5) in the row-scaled norm of
+    ``newton_solve``, or until a full correction of at most
     ``_WALK_CORRECTION`` (3e-3), whose result is returned unassembled
     (``newton_solve``): the path only reads its nodes, weights and
     contraction.  The walk's ``alpha = 1`` rule then seeds the landing, one
@@ -495,7 +536,7 @@ def compute_rule(spec: RuleSpec) -> QuadratureRule:
     round to 1 in doubles.
     """
     # The rule only depends on the exponent set, and a sorted sequence keeps
-    # the blended tracks alpha*lam_n + (1-alpha)*n from crossing mid-walk
+    # the blended tracks of continuation_exponents from crossing mid-walk
     # (crossings create near-coincident exponents whose basis is nearly
     # dependent, stalling Newton); walk the sorted sequence internally,
     # shifted by c so that its smallest exponent is 0.

@@ -41,28 +41,30 @@ UNDERFLOW_SPECS = [
     pytest.param(np.array([-20.9999, -20.9, -20.8, -20.7, -20.6, -20.5]), 20.0, id="beta20"),
 ]
 
-# one exponent far beyond the rest: the walk reaches alpha = 1, and the
-# landing from its rule diverges
+# specs whose walk reaches alpha = 1 and whose landing from its rule diverges
 UNREACHABLE_SPECS = [
-    pytest.param(np.array([0.0, 1e6]), 0.0, id="0-1e6"),
-    pytest.param(np.array([0.0, 1e8]), 0.0, id="0-1e8"),
+    pytest.param(np.arange(8.0) / 2.0, -1.0 + 1e-6, id="0..3.5-beta-1+1e-6"),
+    pytest.param(np.array([0.0, 1.0, 1e15, 1e15 + 1.0]), 0.0, id="0-1-1e15-1e15+1"),
 ]
 
 # specs the walk cannot reach alpha = 1 on: its step falls below its floor,
-# at alpha = 0 and at alpha = 0.99917 (ROADMAP item 6)
+# at alpha = 0.53, 0.57, 0.49 and 0.9988 (ROADMAP item 2)
 WALK_FAILURE_SPECS = [
-    pytest.param(np.array([0.0, 1.0, 2.0, 1e6]), 0.0, id="0-1-2-1e6"),
+    pytest.param(np.arange(16.0) / 2.0, -1.0 + 1e-6, id="0..7.5-beta-1+1e-6"),
+    pytest.param(np.array([0.0, 1e15]), 0.0, id="0-1e15"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e18]), 0.0, id="0-1-2-1e18"),
     pytest.param(np.array([0.0, 0.0, 1.0, 1.0]), -0.999, id="0-0-1-1-beta-0.999"),
 ]
 
-# one exponent so far beyond the rest that the walk returns a wrong rule whose
-# residual, about 1/max(lam), meets the absolute Newton target; its residual
-# is 3e11 to 5e14 times its rounding floor
+# one exponent so far beyond the rest that the landing, which judges every row
+# by one absolute norm, accepts a wrong rule whose residual, about
+# 1/max(lam), meets its target; the polished residual is 7e10 to 5e12 times
+# its rounding floor
 OFF_FLOOR_SPECS = [
-    pytest.param(np.array([0.0, 1e15]), 0.0, id="0-1e15"),
-    pytest.param(np.array([0.0, 1.0, 1e15, 1e15 + 1.0]), 0.0, id="0-1-1e15-1e15+1"),
     pytest.param(np.array([-0.999, 1e15]), 0.0, id="-0.999-1e15"),
-    pytest.param(np.array([0.0, 1.0, 2.0, 1e18]), 0.0, id="0-1-2-1e18"),
+    pytest.param(np.array([0.0, 1e12]), 0.0, id="0-1e12"),
+    pytest.param(np.array([0.0, 1.0, 2.0, 1e16]), 0.0, id="0-1-2-1e16"),
+    pytest.param(np.array([-0.999, 1e14]), 0.0, id="-0.999-1e14"),
 ]
 
 # an exponent spread beyond about 6.7e18: x**spread underflows to 0 at every
@@ -116,12 +118,35 @@ class TestContinuationExponents:
         assert np.array_equal(continuation_exponents(lam, 1.0), lam)
 
     def test_midpoint_blend(self):
-        out = continuation_exponents([2 / 3, -2 / 3, 5 / 3, 1 / 3], 0.5)
-        assert np.allclose(out, [1 / 3, 1 / 6, 11 / 6, 5 / 3], atol=1e-15)
+        # geometric in 1 + lam: sqrt((1 + lam_n)(1 + n)) - 1
+        lam = np.array([2 / 3, -2 / 3, 5 / 3, 1 / 3])
+        out = continuation_exponents(lam, 0.5)
+        assert np.allclose(out, np.sqrt((1.0 + lam) * (1.0 + np.arange(4.0))) - 1.0, rtol=1e-15, atol=1e-15)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             continuation_exponents([0.0, 1.0], 1.5)
+
+    @pytest.mark.parametrize("lam", [[-1.0, 0.0], [0.0, -2.0], [0.0, np.nan]], ids=["-1", "-2", "nan"])
+    def test_exponent_at_or_below_minus_one_raises_a_domain_error(self, lam):
+        # log1p is undefined there; every alpha, the ends included, refuses it
+        for alpha in (0.0, 0.5, 1.0):
+            with pytest.raises(DomainError, match="exceed -1"):
+                continuation_exponents(lam, alpha)
+
+    def test_ascending_exponents_stay_ascending(self):
+        # sorted draws over the walk's domain, repeats, close pairs and huge
+        # exponents included, at alphas near both ends as well
+        rng = np.random.default_rng(33)
+        alphas = np.concatenate([rng.random(40), [1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]])
+        for _ in range(300):
+            size = 2 * int(rng.integers(1, 13))
+            lam = np.sort(np.concatenate([[0.0], 10.0 ** rng.uniform(-8, 18, size - 1)]))
+            lam[1::3] = lam[0::3][: lam[1::3].size]  # repeats
+            lam[2::5] = np.nextafter(lam[1::5][: lam[2::5].size], np.inf)  # close pairs
+            lam = np.sort(lam)
+            for alpha in alphas:
+                assert np.all(np.diff(continuation_exponents(lam, alpha)) >= 0.0)
 
 
 class TestSolve:
@@ -276,9 +301,12 @@ class TestNewtonSolve:
         x, w = iterates[-1]
         assert max(np.abs(result.nodes / x - 1.0).max(), np.abs(result.weights / w - 1.0).max()) \
             <= solver._WALK_CORRECTION
-        # residual and Jacobian belong to the last assembled iterate
+        # residual and Jacobian belong to the last assembled iterate; the
+        # residual norm takes row n in its L2 scale, 1/sqrt(1 + 2 lam_n + beta)
         residual, jacobian = assemble(x, w, *args[2:])
-        assert result.residual == result.residual_history[-1] == np.abs(residual).max()
+        lam, beta = args[2], args[3]
+        scaled = np.abs(residual * np.sqrt(1.0 + 2.0 * lam + beta)).max()
+        assert result.residual == result.residual_history[-1] == scaled
         assert np.array_equal(result.jacobian, jacobian)
 
     def test_a_halved_correction_never_returns_unassembled(self, monkeypatch):
@@ -312,6 +340,15 @@ class TestNewtonSolve:
         assert result.iterations >= 1
         assert len(iterates) == result.iterations + 1
         assert result.residual <= solver._TOLERANCE * max(1.0, np.abs(args[4]).max())
+
+    def test_a_walk_solve_refuses_a_row_without_an_l2_norm(self):
+        # x**-0.6 is integrable but not square-integrable: the landing's norm
+        # solves it, the walk's row-scaled norm has no scale for it
+        lam = np.array([-0.6, 1.0])
+        m = moments(lam, 0.0)
+        assert newton_solve([0.5], [1.0], lam, 0.0, m).residual <= 1e-13
+        with pytest.raises(DomainError, match="1 \\+ 2\\*lam_n \\+ beta > 0"):
+            newton_solve([0.5], [1.0], lam, 0.0, m, True)
 
     def test_local_quadratic_convergence(self):
         # undamped iteration from a perturbed solution: r_{k+1} <= C r_k^2
@@ -501,11 +538,13 @@ class TestComputeRule:
         # ROADMAP item 6's named failure, and 0..3.5 of the hard set
         pytest.param(np.arange(6.0) / 2.0, -0.99999, id="0..2.5-beta-0.99999"),
         pytest.param(np.arange(8.0) / 2.0, -1.0 + 1e-5, id="0..3.5-beta-1+1e-5"),
+        pytest.param(np.arange(16.0) / 2.0, -1.0 + 1e-5, id="0..7.5-beta-1+1e-5"),
     ])
     def test_integrability_edge_builds(self, lam, beta):
         # min(lam) + beta just above -1, of the hard set of tools/rule_diff.py
-        # and ROADMAP item 6; the first fails without the Newton stall test
-        # and on a walk hyperbola of 24 samples up to 80 rows
+        # and ROADMAP item 2; the first fails without the Newton stall test
+        # and on a walk hyperbola of 24 samples up to 80 rows, the last
+        # without the walk's row-scaled residual norm
         rule = compute_rule(RuleSpec(lam, beta))
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
 
@@ -516,12 +555,19 @@ class TestComputeRule:
         rule = compute_rule(RuleSpec(np.array(lam), 0.0))
         assert max(err for _, err in validation_rows(rule_to_file(rule))) <= 1e-12
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_one_node_rule_of_a_wide_pair_is_its_closed_form(self, beta):
-        # [0, 1e5]: w = 1/(1 + beta) and x = ((1 + beta)/(1 + a + beta))**(1/a);
+    @pytest.mark.parametrize("a, beta", [
+        pytest.param(1e5, 0.0, id="0.0"),
+        pytest.param(1e5, 0.5, id="0.5"),
+        # the walk judged by one absolute norm accepted x = 0.5 here, where
+        # the x**a row reads 1/a, and the landing from there diverged
+        pytest.param(1e6, 0.0, id="1e6"),
+        pytest.param(1e8, 0.0, id="1e8"),
+    ])
+    def test_one_node_rule_of_a_wide_pair_is_its_closed_form(self, a, beta):
+        # [0, a]: w = 1/(1 + beta) and x = ((1 + beta)/(1 + a + beta))**(1/a);
         # the rule reads 1 and 0 ulps off.  Its validation_rows worst, 7.7e-12
-        # at beta = 0, is the x**1e5 row's representation floor, about 1e5 eps
-        a = 1e5
+        # at a = 1e5 and beta = 0, is the x**a row's representation floor,
+        # about a eps
         rule = compute_rule(RuleSpec(np.array([0.0, a]), beta))
         with mp.workdps(50):
             node = float(((1 + mp.mpf(beta)) / (1 + mp.mpf(a) + beta)) ** (1 / mp.mpf(a)))
@@ -529,6 +575,17 @@ class TestComputeRule:
         assert abs(rule.nodes[0] - node) <= 2 * np.spacing(node)
         assert abs(rule.weights[0] - weight) <= 2 * np.spacing(weight)
         assert rule.diagnostics.floor_ratio <= 8.0
+
+    @pytest.mark.parametrize("lam", [
+        pytest.param(np.append(np.arange(2.0 * n - 1), 10.0**e), id=f"0..{2 * n - 2}+1e{e}")
+        for e in (6, 7) for n in (2, 4, 8)
+    ])
+    def test_far_exponent_builds_at_its_rounding_floor(self, lam):
+        # of the hard set of tools/rule_diff.py, [0, 1, 2, 1e6] first; they
+        # validate at 1.3e-11 to 2.9e-10, the x**lam rows' representation
+        # floor (ROADMAP item 4)
+        rule = compute_rule(RuleSpec(lam, 0.0))
+        assert rule.diagnostics.floor_ratio <= solver._FLOOR_RATIO_BOUND
 
     @pytest.mark.parametrize("lam, beta", [
         pytest.param([0.0, 1.0], 1e15, id="0-1-beta1e15"),

@@ -21,9 +21,12 @@ each side in its own process with one BLAS thread:
 
 So 372 specs come from traffic and scale and 42 from the hard set.
 
-The report lists outcome changes (with the ``validation_rows`` worst and the
-floor ratio of a side that builds, and the error message of each side that
-fails), the count of rules whose nodes and
+The report lists outcome changes in three lists, the outcomes lost (specs
+that build at the parent and fail with the change), the outcomes gained
+(specs that fail at the parent and build with the change) and the failures
+whose error class changed, each with the ``validation_rows`` worst and the
+floor ratio of a side that builds and the error message of each side that
+fails.  It goes on with the count of rules whose nodes and
 weights are bit-identical, every moved rule with its worst relative node
 and weight change, the worst ``validation_rows`` error and the largest
 ``RuleDiagnostics.floor_ratio`` per side (where the tree reports one), and per
@@ -61,9 +64,10 @@ their own ``src`` on the path, so those modules may import only names that
 both trees export (``from muntzquad import eval_all`` rather than the module
 that defines it).
 
-The exit status is 1 when any spec changes outcome (the report is printed
-all the same), when a side fails or the spec lists differ, and 0 otherwise,
-so the tool can gate a change.
+The exit status is 1 when an outcome is lost (the report is printed all
+the same), when a side fails or the spec lists differ, and 0 otherwise, so
+the tool can gate a change: a spec gained or a failure that changes its
+error class is reported but does not fail the run.
 """
 
 from __future__ import annotations
@@ -307,7 +311,7 @@ def report(parent_side: dict, change_side: dict) -> int:
     if key != [(r["group"], r["label"], r["exponents"], r["beta"]) for r in change]:
         print("the two sides built different spec lists")
         return 1
-    outcomes, moved, identical = [], [], 0
+    lost, gained, failures, moved, identical = [], [], [], [], 0
     totals = defaultdict(lambda: {key: [0, 0] for key in KEYS})  # group -> key -> per side
     solves = {kind: {outcome: [0, 0] for outcome in OUTCOMES} for kind in SOLVES}  # class -> outcome -> per side
     worst = defaultdict(lambda: [0.0, 0.0])  # group -> worst validation_rows error per side
@@ -328,7 +332,8 @@ def report(parent_side: dict, change_side: dict) -> int:
                       if built_side["outcome"] == "ok" else "")
             detail += "".join(f"; {side}: {record['error']}"
                               for side, record in (("parent", before), ("change", after)) if record["outcome"] != "ok")
-            outcomes.append(f"  {name}: {before['outcome']} -> {after['outcome']}{detail}")
+            ends = lost if before["outcome"] == "ok" else gained if after["outcome"] == "ok" else failures
+            ends.append(f"  {name}: {before['outcome']} -> {after['outcome']}{detail}")
         elif before["outcome"] == "ok":
             if before["nodes"] == after["nodes"] and before["weights"] == after["weights"]:
                 identical += 1
@@ -339,7 +344,9 @@ def report(parent_side: dict, change_side: dict) -> int:
                               relative_change(before["weights"], after["weights"]), name, changed))
     built = sum(r["outcome"] == "ok" for r in change)
     print(f"{len(parent)} specs; {built} build with the change, {sum(r['outcome'] == 'ok' for r in parent)} at the parent")
-    print(f"outcome changes: {len(outcomes)}", *outcomes, sep="\n")
+    print(f"outcomes lost, built at the parent only: {len(lost)}", *lost, sep="\n")
+    print(f"outcomes gained, built with the change only: {len(gained)}", *gained, sep="\n")
+    print(f"failures with another error class: {len(failures)}", *failures, sep="\n")
     print(f"bit-identical rules: {identical} of {built}")
     print(f"moved rules: {len(moved)} (relative node / weight change; diagnostics that changed)")
     for node, weight, name, changed in sorted(moved, key=lambda m: -max(m[0], m[1])):
@@ -372,7 +379,7 @@ def report(parent_side: dict, change_side: dict) -> int:
     total = 2 * len(parent_side["classical"])
     print(f"bit-identical classical arrays: {total - len(differing)} of {total}", *differing, sep="\n")
     residual_agreement(parent_side, change_side)
-    return 1 if outcomes else 0
+    return 1 if lost else 0
 
 
 def main(argv=None) -> int:
