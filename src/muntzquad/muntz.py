@@ -37,11 +37,15 @@ updates over the sampled integrand yields the whole basis at a point for the
 cost of the last element.  One function, ``_hyperbola_values``, runs that
 sweep, batched across the evaluation points of the rule solver's
 ``assemble``; it runs basis-major, so each update multiplies one
-contiguous ``(points, samples)`` slab.  The rows stream through one reused
-block buffer of about ``_BLOCK_SAMPLES`` samples, the last row of a block
+contiguous ``(points, samples)`` slab.  The rows stream through a block
+buffer of about ``_BLOCK_SAMPLES`` samples, the last row of a block
 carries into the next, and each block is contracted with the weights as
 soon as it is formed, so no ``(basis, points, samples)`` array is ever
-formed.
+formed.  The block and the two real buffers its factors are built in,
+about 512 KB together, belong to the calling thread and are kept between
+calls: freed, block-sized buffers went back to the kernel, and every call
+faulted them in again.  They grow only where two rows of points x samples
+exceed ``_BLOCK_SAMPLES`` (about 1.2 MB at n = 150 on 128 samples).
 
 Derivatives never need their own contour pass: ``x * L_n'(x)`` follows from
 the values by a two-term recurrence.  The weighted moments follow from a
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -67,8 +72,11 @@ from .errors import InadmissibleSequenceError, LengthMismatchError, _as_real
 _DECAY = 45.0
 _SHAPES = ((80, 8.0, 0.5, 48), (120, 8.0, 0.35, 64), (math.inf, 8.0, 0.2, 128))
 # The kernel sweep runs through blocks of basis rows holding about this many
-# complex samples (256 KB), so a block and its temporaries stay in cache.
+# complex samples (256 KB), so a block and its two real buffers (128 KB each)
+# stay in cache.  They live in ``_WORKSPACE``, per thread and kept between
+# calls, so no call faults them in again (see ``_workspace``).
 _BLOCK_SAMPLES = 16384
+_WORKSPACE = threading.local()
 
 
 def _as_exponents(exponents) -> np.ndarray:
@@ -114,6 +122,18 @@ def _block_rows(n_basis: int, n_points: int, samples: int) -> list:
     return [head] + [min(rows, n_basis - start) for start in range(head, n_basis, rows)]
 
 
+def _workspace(shape) -> list:
+    """The calling thread's complex block and two real buffers, each viewed
+    as ``shape``: kept between calls, and replaced by larger ones only when
+    ``shape`` outgrows them.  Per thread, so concurrent sweeps never share
+    one; every element a sweep reads it has first written in the same call."""
+    size = math.prod(shape)
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _WORKSPACE.buffers = (np.empty(size, dtype=complex), np.empty(size), np.empty(size))
+    return [buffer[:size].reshape(shape) for buffer in buffers]
+
+
 @functools.cache
 def _hyperbola(base: float, angle: float, samples: int):
     """``(Re zeta, u, 1/u, weights)`` of the midpoint rule on the hyperbola
@@ -151,13 +171,15 @@ def _hyperbola_values(lam, omega) -> np.ndarray:
 
     In the variable ``-i*zeta = u + iv``, ``u = Im(zeta) > 0`` per sample and
     ``v = -(s_i + Re(zeta))`` per point and sample.  Factors after the first
-    are built in real arithmetic, divided through by ``u``; a running product
-    over the basis rows sweeps the whole basis, one contiguous
-    ``(points, samples)`` slab per step, through one reused block buffer whose
-    last row carries into the next block's first.  Each block is contracted
-    as one 2-D matvec, whose rows round alike in any batch (``_block_rows``
-    makes no one-row block), so a point's values do not depend on the batch
-    it came in.  An overflowed kernel sample comes out non-finite, and so
+    are built in real arithmetic, divided through by ``u``, in two real
+    buffers; a running product over the basis rows sweeps the whole basis,
+    one contiguous ``(points, samples)`` slab per step, through a block
+    buffer whose last row carries into the next block's first.  The block
+    and the real buffers are the calling thread's ``_workspace``, kept
+    between calls (about 512 KB), so a warm call allocates no block-sized
+    array.  Each block is contracted as one 2-D matvec, whose rows round
+    alike in any batch (``_block_rows`` makes no one-row block), so a
+    point's values do not depend on the batch it came in.  An overflowed kernel sample comes out non-finite, and so
     does its row's value, without a warning.
     """
     base, angle, samples = next(shape[1:] for shape in _SHAPES if lam.size <= shape[0])
@@ -179,8 +201,7 @@ def _hyperbola_values(lam, omega) -> np.ndarray:
     b = den_off.T[1:, :, None]
     a_minus_b = a - b
     sizes = _block_rows(lam.size, omega.size, samples)
-    block = np.empty((sizes[0], omega.size, samples), dtype=complex)
-    den, re = np.empty(block.shape), np.empty(block.shape)
+    block, den, re = _workspace((sizes[0], omega.size, samples))
     carry = np.empty(block.shape[1:], dtype=complex)
     block[0] = 1.0 / (u + 1j * (v + den_off[:, :1]))
     values = np.empty((lam.size, omega.size))
@@ -193,20 +214,17 @@ def _hyperbola_values(lam, omega) -> np.ndarray:
             out = block[:size]
             lo = max(start, 1)  # the block's first row with a rational factor
             rational = slice(lo - 1, stop - 1)
-            vb = v + b[rational]
-            va = v + a[rational]
-            va *= vb
-            vb *= vb
-            den_n = np.multiply(vb, inv_u, out=den[: stop - lo])
+            den_n = np.add(v, b[rational], out=den[: stop - lo])
+            re_n = np.add(v, a[rational], out=re[: stop - lo])
+            re_n *= den_n
+            den_n *= den_n
+            den_n *= inv_u
             den_n += u
-            re_n = np.multiply(va, inv_u, out=re[: stop - lo])
+            re_n *= inv_u
             re_n += u
-            re_n /= den_n
             factors = out[lo - start :]
-            factors.real = re_n
+            np.divide(re_n, den_n, out=factors.real)
             np.divide(a_minus_b[rational], den_n, out=factors.imag)
-            # freed before the next block forms its own, so that it can reuse their memory
-            del va, vb
             slabs = list(out)
             if start:
                 np.multiply(slabs[0], carry, out=slabs[0])

@@ -1,5 +1,7 @@
 import inspect
 import math
+import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -323,6 +325,56 @@ class TestBlockedSweep:
         # example1 n=60 at one node on the former full tier: 120 rows of 512 samples
         sizes = muntz._block_rows(120, 1, tier_samples(range(120), False))
         assert len(sizes) > 1 and sum(sizes) == 120
+
+
+class TestWorkspace:
+    """The sweep's per-thread buffers, kept between calls, leave no trace in its values."""
+
+    def test_threads_and_call_history_leave_the_values_alone(self):
+        # example1 n=20 at 20 points and case3 n=10 at 7: blocks of different
+        # shapes, so the two threads' workspaces differ in size
+        runs = [(SHIFTED_SEQUENCES["example1"], -np.log(np.geomspace(1e-9, 0.99, 20))),
+                (SHIFTED_SEQUENCES["case3"], -np.log(np.geomspace(1e-6, 0.9, 7)))]
+        serial = [muntz._hyperbola_values(lam, omega) for lam, omega in runs]
+        start = threading.Barrier(len(runs))
+        matches = [[] for _ in runs]
+
+        def sweep(index):
+            lam, omega = runs[index]
+            start.wait()
+            for _ in range(40):
+                matches[index].append(np.array_equal(muntz._hyperbola_values(lam, omega), serial[index]))
+
+        threads = [threading.Thread(target=sweep, args=(index,)) for index in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(len(found) == 40 and all(found) for found in matches)
+
+        # in a fresh thread: the small sweep, then the large one, then the small one again
+        large, small = runs
+        history = []
+        thread = threading.Thread(
+            target=lambda: history.extend(muntz._hyperbola_values(*run) for run in (small, large, small)))
+        thread.start()
+        thread.join()
+        assert np.array_equal(history[0], serial[1]) and np.array_equal(history[1], serial[0])
+        assert np.array_equal(history[2], history[0])
+
+    def test_a_warm_sweep_allocates_less_than_one_block(self):
+        # example1 n=20: 40 rows at 20 points, blocks of 17 rows of 48 samples
+        lam, omega = SHIFTED_SEQUENCES["example1"], -np.log(np.geomspace(1e-9, 0.99, 20))
+        samples = tier_samples(lam, True)
+        block_bytes = muntz._BLOCK_SAMPLES // (omega.size * samples) * omega.size * samples * 16
+        muntz._hyperbola_values(lam, omega)
+        tracemalloc.start()
+        try:
+            muntz._hyperbola_values(lam, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes
 
 
 def test_the_sweep_takes_no_table():

@@ -34,8 +34,11 @@ group the ``assemble`` calls, the ``newton_solve`` calls and the polish's
 ``refine.exact_residual`` calls, the hyperbola sweeps
 (``muntz._hyperbola_values`` calls) and the samples they sweep (basis rows x
 points x contour samples, with the samples from the shape table the sweep
-reads), and how the ``newton_solve`` calls ended.  Assembles, samples and
-solves fall in three classes, by the Newton solve they run in: walk solves
+reads), the minor page faults the ``compute_rule`` calls took (``getrusage``
+deltas around each call, so a change that brings back per-call allocation
+churn shows in the same report; a report line only), and how the
+``newton_solve`` calls ended.  Assembles, samples and solves fall in three
+classes, by the Newton solve they run in: walk solves
 below ``alpha = 1``, walk solves at ``alpha = 1`` (alpha is read from the
 walk's last ``solver.continuation_exponents`` call), and the landings, the
 solves that ``compute_rule`` makes with ``walk`` false.  The classes do not
@@ -46,13 +49,19 @@ last iterate unassembled, so that it makes as many ``assemble`` calls as
 iterations), converged at zero iterations, or diverged, by the reason its
 ``NewtonDivergedError`` gives ("no convergence" is the iteration cap).
 Last it counts the classical arrays (nodes and weights) that are
-bit-identical between the sides, and names each one that is not, with each side's worst distance in ulps from the
-50-digit ``mp.gauss_quadrature`` rule of ``tests/test_classical.py``, so
-that a moved array is judged by its accuracy: ``gauss_legendre`` at orders 8 and 24, fixed orders
-that check the public classical rules, and each spec's walk start,
-``classical._jacobi_start(n, beta + min(lam))``.  Both sides also evaluate
-``refine.exact_residual`` at that walk start, which is bit-identical on both
-sides, against the spec's exponents shifted as ``compute_rule`` shifts them,
+bit-identical between the sides, and names each one that is not, with each
+side's worst distance in ulps from a 50-digit reference, so that a moved
+array is judged by its accuracy.  The arrays are ``gauss_legendre`` at
+orders 8 and 24, fixed orders that check the public classical rules, and
+each spec's walk start, ``classical._jacobi_start(n, beta + min(lam))``.
+Nodes and the ``gauss_legendre`` weights are judged against the
+``mp.gauss_quadrature`` rule of ``tests/test_classical.py``.  A walk start's
+nodes are unpolished eigenvalues, so its weights sit ulps off that rule
+whatever their rounding; they are judged against the reciprocal
+Christoffel sums at the side's own nodes (``christoffel_weights``).  Both
+sides also evaluate ``refine.exact_residual`` at that walk start, which is
+bit-identical on both sides, against the spec's exponents shifted as
+``compute_rule`` shifts them,
 and the report gives per group the residual rows that are bit-identical and
 the spec and row with the largest relative difference, and lists each row
 that reads exactly 0 with the change only, so that a change to
@@ -75,11 +84,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,7 +101,8 @@ SOLVES = ("walk", "walk at 1", "landing")
 COUNTS = (*SOLVES, "solves", "exact_residual", "sweeps")
 # per-spec samples swept (rows x points x samples), by enclosing solve class
 SAMPLES = tuple(f"samples_{kind}" for kind in SOLVES)
-KEYS = COUNTS + SAMPLES
+# per-spec minor page faults of the compute_rule call, a report line only
+KEYS = COUNTS + SAMPLES + ("faults",)
 # why a Newton solve diverged: a phrase of its error message
 REASONS = ("correction grew", "stalled", "singular", "safeguard", "non-finite", "no convergence")
 OUTCOMES = ("converged", "on correction", "zero-iteration", *REASONS)
@@ -155,16 +167,47 @@ def classical_arrays(specs) -> dict:
     return arrays
 
 
+def christoffel_weights(nodes, order: int, beta: float) -> np.ndarray:
+    """``1/sum_{k<order} p_k(x)**2`` at each of ``nodes``, in 50-digit
+    arithmetic, rounded to doubles: ``p_k`` the orthonormal polynomials of
+    ``x**beta`` on [0, 1], by the recurrence coefficients of
+    ``classical._rule``, each formed from ``beta``'s exact ratio."""
+    num, den = float(beta).as_integer_ratio()
+    with mp.workdps(50):
+        alpha, b = [mp.mpf(num + den) / (num + 2 * den)], [mp.mpf(den) / (num + den)]
+        for k in range(1, order):
+            t = 2 * k * den + num  # (2k + beta) * den
+            tt = t * (t + 2 * den)
+            alpha.append(mp.mpf(tt + num * num) / (2 * tt))
+            b.append(mp.mpf((k * (k * den + num) * den) ** 2) / (t * t * (t * t - den * den)))
+        roots = [mp.sqrt(v) for v in b]
+        weights = []
+        for x in map(mp.mpf, nodes):
+            p_prev, p = mp.mpf(0), 1 / roots[0]
+            total = p * p
+            for k in range(order - 1):
+                p_prev, p = p, ((x - alpha[k]) * p - roots[k] * p_prev) / roots[k + 1]
+                total += p * p
+            weights.append(float(1 / total))
+    return np.array(weights)
+
+
 def reference_ulps(name: str, field: int, sides: list, order: int, beta: float) -> list:
-    """Each side's worst distance, in ulps, of classical array ``field`` (0
-    nodes, 1 weights) from the 50-digit ``mp.gauss_quadrature`` rule that
-    ``tests/test_classical.py::_reference_rule`` builds."""
+    """Each side's worst distance, in ulps, of field ``field`` (0 nodes, 1
+    weights) of its classical array ``[nodes, weights]`` from the 50-digit
+    ``mp.gauss_quadrature`` rule that
+    ``tests/test_classical.py::_reference_rule`` builds, or, for a walk
+    start's weights, from ``christoffel_weights`` at the side's own nodes."""
     sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tests")) if path not in sys.path]
     from test_classical import _reference_rule
 
-    kind = "legendre" if name.startswith("gauss_legendre") else "jacobi"
-    reference = _reference_rule(kind, order, beta)[field]
-    return [float(np.max(np.abs(np.array(side) - reference) / np.spacing(np.abs(reference)))) for side in sides]
+    if field == 1 and name.endswith(" walk start"):
+        references = [christoffel_weights(side[0], order, beta) for side in sides]
+    else:
+        kind = "legendre" if name.startswith("gauss_legendre") else "jacobi"
+        references = [_reference_rule(kind, order, beta)[field]] * len(sides)
+    return [float(np.max(np.abs(np.array(side[field]) - reference) / np.spacing(np.abs(reference))))
+            for side, reference in zip(sides, references)]
 
 
 def walk_start_residuals(specs) -> dict:
@@ -239,6 +282,13 @@ def build_side() -> dict:
             outcomes["on correction" if assembled == result.iterations else "converged"] += 1
         return result
 
+    def faulting_build(lam, beta):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return compute_rule(RuleSpec(np.array(lam), beta))
+        finally:
+            counts["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
     def blending(exponents, alpha):
         blend[0] = alpha
         return continuation_exponents(exponents, alpha)
@@ -252,7 +302,7 @@ def build_side() -> dict:
         newton.update({kind: dict.fromkeys(OUTCOMES, 0) for kind in SOLVES})
         record = {"group": group, "label": label, "exponents": lam, "beta": beta}
         try:
-            rule = compute_rule(RuleSpec(np.array(lam), beta))
+            rule = faulting_build(lam, beta)
         except MuntzQuadError as exc:
             record.update(outcome=type(exc).__name__, error=str(exc))
         else:
@@ -359,7 +409,8 @@ def report(parent_side: dict, change_side: dict) -> int:
                      for key in KEYS}
     for title, keys in (("calls per group, assemble in walk / walk at 1 / landing solves, Newton solve / "
                          "exact residual / hyperbola sweep", COUNTS),
-                        ("samples swept per group in walk / walk at 1 / landing solves", SAMPLES)):
+                        ("samples swept per group in walk / walk at 1 / landing solves", SAMPLES),
+                        ("minor page faults of the compute_rule calls per group", ("faults",))):
         print(f"{title} (parent -> change):")
         for group, counts in totals.items():
             print(f"  {group}: " + " -> ".join(" / ".join(str(counts[key][side]) for key in keys)
@@ -373,8 +424,8 @@ def report(parent_side: dict, change_side: dict) -> int:
         after = change_side["classical"][name][:2]
         for index, field in enumerate(("nodes", "weights")):
             if before[index] != after[index]:
-                ulps = reference_ulps(name, index, [before[index], after[index]], order, beta)
-                differing.append(f"  differs: {name} {field}, worst ulps from the 50-digit rule "
+                ulps = reference_ulps(name, index, [before, after], order, beta)
+                differing.append(f"  differs: {name} {field}, worst ulps from the 50-digit reference "
                                  f"{ulps[0]:g} -> {ulps[1]:g}")
     total = 2 * len(parent_side["classical"])
     print(f"bit-identical classical arrays: {total - len(differing)} of {total}", *differing, sep="\n")
